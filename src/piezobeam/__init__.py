@@ -79,7 +79,7 @@ from .spectral import (
     resolvent_at_zero,
     sigma,
 )
-from .sweeps import SWEEP_METRICS, evaluate_metric, run_sweep, stable_seed
+from .sweeps import SWEEP_METRICS, evaluate_metric, run_sweep
 from .timedomain import (
     Grid,
     GridState,

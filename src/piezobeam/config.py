@@ -16,7 +16,7 @@ from .params import BeamParameters
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
 PHYSICAL_KEYS = ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness")
-INT_KEYS = ("J", "N", "qmax", "seed")
+INT_KEYS = ("J", "N", "qmax")
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
 
 DEFAULTS = {
@@ -27,7 +27,6 @@ DEFAULTS = {
     "sample_dt": 0.05,
     "qmax": 10_000,
     "tol": 1e-9,
-    "seed": 42,
 }
 
 
@@ -44,7 +43,6 @@ class RunConfig:
     sample_dt: float = DEFAULTS["sample_dt"]
     qmax: int = DEFAULTS["qmax"]
     tol: float = DEFAULTS["tol"]
-    seed: int = DEFAULTS["seed"]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -113,7 +111,6 @@ def parse_config(text: str) -> RunConfig:
         sample_dt=options["sample_dt"],
         qmax=options["qmax"],
         tol=options["tol"],
-        seed=options["seed"],
     )
 
 

@@ -2,13 +2,12 @@
 
 Each sweep point is an independent pure computation; points run on a thread
 pool and results are assembled in input order, so output is byte-identical
-across runs for a fixed configuration and seed.  Per-point failures become
+across runs for a fixed configuration.  Per-point failures become
 NaN rows carrying the error message and never abort the sweep.
 """
 
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -18,17 +17,9 @@ from .frequency import boundedness_scan
 from .params import classify_stability, derive_constants
 from .timedomain import Grid, SimConfig, decay_rate, gaussian_velocity_state, simulate
 
-__all__ = ["SWEEP_METRICS", "stable_seed", "evaluate_metric", "run_sweep"]
+__all__ = ["SWEEP_METRICS", "evaluate_metric", "run_sweep"]
 
 SWEEP_METRICS = ("decay_rate", "class", "zeta_ratio", "sup_G")
-
-
-def stable_seed(root_seed: int, task_id: str) -> int:
-    """Per-task seed derived by stable hashing of (root seed, task id)."""
-    digest = hashlib.blake2b(
-        f"{root_seed}:{task_id}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
 
 
 def evaluate_metric(cfg: RunConfig, metric: str):

@@ -1,21 +1,28 @@
-"""Finite-difference time-domain simulation of the coupled stretching system.
+"""Finite-difference time-domain simulation of the coupled and classical models.
 
-Space is discretized with second-order centered differences on a uniform
-grid; the fixed end is a hard constraint and the driven end is realized with
-ghost nodes carrying the exact boundary traces
+Both models step stacked fields ``u`` and ``ud`` of shape ``(m, N+1)``:
+``(v, p)`` for the coupled stretching system and ``(v,)`` for the classical
+magnetically-static comparison model.  Each is ``M u_tt = K u_xx`` with a
+diagonal mass ``M`` and a symmetric stiffness ``K``, a fixed end
+``u(0) = 0`` and the flux condition
 
-    v_x(L) = -gamma * V / (h * alpha1),
-    p_x(L) = -alpha * V / (h * beta * alpha1),
+    K u_x(L) = -(V / h) c
 
-obtained by solving the two coupled flux conditions (using
-``alpha - gamma**2 * beta = alpha1``).  Time stepping is velocity Verlet
-(leapfrog), which conserves the discrete energy to O(dt^2) when the voltage
-is off; closed-loop feedback ``V = k * pdot(L)`` is evaluated explicitly
-from the previous half-step velocity trace.
+at the driven end.  The coupled model has ``M = diag(rho, mu)``,
+``K = [[alpha, -gamma*beta], [-gamma*beta, beta]]`` and ``c = (0, 1)``; the
+classical one has ``M = rho``, ``K = alpha1`` and ``c = gamma``.
 
-The classical magnetically-static comparison model (single wave equation in
-``v`` with ``alpha1 v_x(L) = -gamma V / h`` and ``V = k vdot(L)``) shares the
-stepper; with the impedance-matched gain the driven end absorbs incoming
+Space is discretized with second-order centered differences; the driven end
+is a ghost node carrying the exact flux, so the voltage enters as a load on
+the end node.  Time stepping is velocity Verlet (leapfrog), which conserves
+the discrete energy to O(dt^2) when the voltage is off.  Both half-kicks
+around ``t_n`` use the same voltage ``V_n = k * trace + f(t_n)``, where
+``f`` is the prescribed voltage (open loop, ``k = 0``) or the external input
+(closed loop), and ``trace`` is the end velocity at ``t_n`` of the row that
+feeds back (``pdot`` coupled, ``vdot`` classical).  The trace after the
+second half-kick is linear in ``V_n``, so the loop is closed on it exactly
+with one scalar division, which keeps the step stable at any gain ``k >= 0``.
+With the impedance-matched gain the classical driven end absorbs incoming
 waves.
 """
 
@@ -112,7 +119,11 @@ class SimConfig:
     ``mode`` is one of ``"open"`` (prescribed voltage ``voltage(t)``),
     ``"closed"`` (feedback ``V = k * pdot(L)``, optionally plus an external
     input ``forcing(t)``), or ``"classical"`` (magnetically static model with
-    ``V = k * vdot(L)``).  ``dt`` may be forced explicitly but must respect
+    ``V = k * vdot(L)``).  Only open mode takes ``voltage`` and only closed
+    mode takes ``forcing``; ``k`` is the feedback gain of closed and
+    classical mode (default ``1/(2h)``) and is not used in open mode.
+    Setting ``voltage`` or ``forcing`` for another mode raises
+    ``ValueError``.  ``dt`` may be forced explicitly but must respect
     the stability bound ``dt <= dx * zeta2`` (or ``dx * sqrt(rho/alpha1)``
     for the classical model); otherwise it is ``cfl`` times that bound.
     """
@@ -130,6 +141,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("open", "closed", "classical"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.voltage is not None and self.mode != "open":
+            raise ValueError(f"voltage is an open-loop input, not used in {self.mode} mode")
+        if self.forcing is not None and self.mode != "closed":
+            raise ValueError(f"forcing is a closed-loop input, not used in {self.mode} mode")
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
         if not 0 < self.cfl < 1:
@@ -157,30 +172,66 @@ class Trajectory:
     snapshots: list[tuple[float, GridState]] = field(default_factory=list)
 
 
+def _model(params: BeamParameters, classical: bool):
+    """Mass vector, stiffness ``K``, driven-end vector ``c`` and feedback row.
+
+    The driven-end flux condition is ``K u_x(L) = -(V/h) c``; the row whose
+    end velocity feeds back is the last one, ``p`` or the classical ``v``.
+    """
+    if classical:
+        mass, stiffness, c = [params.rho], [[params.alpha1]], [params.gamma]
+    else:
+        alpha = params.alpha1 + params.gamma**2 * params.beta
+        gb = params.gamma * params.beta
+        mass, stiffness, c = [params.rho, params.mu], [[alpha, -gb], [-gb, params.beta]], [0.0, 1.0]
+    return np.array(mass), np.array(stiffness), np.array(c), len(mass) - 1
+
+
+def _energy(u, ud, mass, stiffness, h: float, dx: float) -> float:
+    """``(h/2) * int ud.M ud + u_x.K u_x`` for stacked fields of shape ``(m, N+1)``.
+
+    Slopes are those of ``np.gradient``: centered differences inside and
+    first-order one-sided differences at the ends, written out because at
+    N = 1024 ``np.gradient`` alone takes longer than a whole step.  The
+    integral is the trapezoid rule.
+    """
+    weights = np.full(u.shape[1], dx)
+    weights[[0, -1]] *= 0.5
+    ux = np.empty_like(u)
+    np.subtract(u[:, 2:], u[:, :-2], out=ux[:, 1:-1])
+    ux[:, 1:-1] /= 2.0 * dx
+    ux[:, 0] = (u[:, 1] - u[:, 0]) / dx
+    ux[:, -1] = (u[:, -1] - u[:, -2]) / dx
+    kinetic = mass @ ((ud * ud) @ weights)
+    strain = np.sum(stiffness * ((ux * weights) @ ux.T))
+    return 0.5 * h * float(kinetic + strain)
+
+
+def _fields(state: GridState, m: int):
+    """Stacked copies ``(u, ud)`` of the first ``m`` fields of ``(v, p)``."""
+    u = np.array((state.v, state.p)[:m], dtype=float)
+    ud = np.array((state.vdot, state.pdot)[:m], dtype=float)
+    return u, ud
+
+
+def _state_energy(state: GridState, params: BeamParameters, classical: bool) -> float:
+    mass, stiffness, _, _ = _model(params, classical)
+    u, ud = _fields(state, mass.size)
+    return _energy(u, ud, mass, stiffness, params.thickness, state.grid.dx)
+
+
 def discrete_energy(state: GridState, params: BeamParameters) -> float:
     """Stored energy of the coupled model on the grid.
 
-    ``(h/2) * int rho vdot^2 + mu pdot^2 + alpha1 v_x^2 + beta (gamma v_x - p_x)^2``
-    with second-order one-sided differences at the ends.
+    ``(h/2) * int rho vdot^2 + mu pdot^2 + alpha1 v_x^2 + beta (gamma v_x - p_x)^2``;
+    the strain term is ``u_x.K u_x`` with ``u = (v, p)``.
     """
-    dx = state.grid.dx
-    vx = np.gradient(state.v, dx)
-    px = np.gradient(state.p, dx)
-    density = (
-        params.rho * state.vdot**2
-        + params.mu * state.pdot**2
-        + params.alpha1 * vx**2
-        + params.beta * (params.gamma * vx - px) ** 2
-    )
-    return 0.5 * params.thickness * float(np.trapezoid(density, dx=dx))
+    return _state_energy(state, params, classical=False)
 
 
 def classical_energy(state: GridState, params: BeamParameters) -> float:
     """Stored energy ``(h/2) * int rho vdot^2 + alpha1 v_x^2`` of the classical model."""
-    dx = state.grid.dx
-    vx = np.gradient(state.v, dx)
-    density = params.rho * state.vdot**2 + params.alpha1 * vx**2
-    return 0.5 * params.thickness * float(np.trapezoid(density, dx=dx))
+    return _state_energy(state, params, classical=True)
 
 
 def absorbing_gain(params: BeamParameters) -> float:
@@ -196,6 +247,14 @@ def _check_finite(arrays, step: int) -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NonFiniteState(f"non-finite state at step {step}")
+
+
+def _as_state(grid: Grid, u, ud, t: float) -> GridState:
+    """Copy stacked fields into a :class:`GridState`; a missing ``p`` row is zero."""
+    pad = np.zeros((2 - len(u), grid.n + 1))
+    v, p = np.vstack((u, pad))
+    vdot, pdot = np.vstack((ud, pad))
+    return GridState(grid, v, p, vdot, pdot, t)
 
 
 def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Trajectory:
@@ -226,180 +285,75 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
     dt = cfg.T / nsteps
 
-    state = initial.copy()
-    for arr in (state.v, state.p):
-        arr[0] = 0.0
-    for arr in (state.vdot, state.pdot):
-        arr[0] = 0.0
-
-    if cfg.k is not None:
-        k = cfg.k
+    mass, stiffness, c, row = _model(params, classical)
+    u, ud = _fields(initial, mass.size)
+    u[:, 0] = 0.0
+    ud[:, 0] = 0.0
+    if cfg.mode == "open":
+        k, external = 0.0, cfg.voltage
     else:
-        k = 1.0 / (2.0 * h)
+        k = cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
+        external = cfg.forcing
+    half = 0.5 * dt
+    kick = (half / dx**2) * stiffness / mass[:, None]  # per second difference
+    load = -(2.0 * half / (dx * h)) * c / mass  # end-node kick per unit voltage
+    trace_gain = 1.0 / (1.0 - load[row] * k)
+    d2 = np.zeros_like(u)
+    dv = np.zeros_like(u)  # half-step velocity kick, voltage load included
 
-    if classical:
-        return _simulate_classical(state, params, cfg, dt, nsteps, k)
-    return _simulate_coupled(state, params, cfg, dt, nsteps, k)
+    def stencil_kick():
+        np.add(u[:, :-2], u[:, 2:], out=d2[:, 1:-1])
+        d2[:, 1:-1] -= 2.0 * u[:, 1:-1]
+        np.subtract(u[:, -2], u[:, -1], out=d2[:, -1])
+        d2[:, -1] *= 2.0
+        np.matmul(kick, d2, out=dv)
 
+    def drive(t):
+        return external(t) if external is not None else 0.0
 
-def _simulate_coupled(state, params, cfg, dt, nsteps, k):
-    rho, a1, beta, gamma, mu = (
-        params.rho,
-        params.alpha1,
-        params.beta,
-        params.gamma,
-        params.mu,
-    )
-    h = params.thickness
-    dc = derive_constants(params)
-    gb = gamma * beta
-    alpha = dc.alpha
-    grid = state.grid
-    dx = grid.dx
-    fac = 1.0 / dx**2
-    gv = -gamma / (h * a1)  # v_x(L) per unit voltage
-    gp = -alpha / (h * beta * a1)  # p_x(L) per unit voltage
+    def observe(f):
+        return float(c @ ud[:, -1]) / h + (f if cfg.mode == "closed" else 0.0)
 
-    v, p, vd, pd = state.v, state.p, state.vdot, state.pdot
-    n1 = grid.n + 1
-    d2v = np.zeros(n1)
-    d2p = np.zeros(n1)
-    av = np.zeros(n1)
-    ap = np.zeros(n1)
-
-    forcing = cfg.forcing
-    voltage = cfg.voltage
-
-    def control(t, pd_trace):
-        if cfg.mode == "open":
-            return voltage(t) if voltage is not None else 0.0
-        V = k * pd_trace
-        if forcing is not None:
-            V += forcing(t)
-        return V
-
-    def accel(V):
-        d2v[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) * fac
-        d2p[1:-1] = (p[:-2] - 2.0 * p[1:-1] + p[2:]) * fac
-        d2v[-1] = (2.0 * v[-2] - 2.0 * v[-1]) * fac + (2.0 / dx) * gv * V
-        d2p[-1] = (2.0 * p[-2] - 2.0 * p[-1]) * fac + (2.0 / dx) * gp * V
-        av[1:] = (alpha * d2v[1:] - gb * d2p[1:]) / rho
-        ap[1:] = (beta * d2p[1:] - gb * d2v[1:]) / mu
-
-    def observe(t):
-        y = pd[-1] / h
-        if cfg.mode == "closed" and forcing is not None:
-            y += forcing(t)
-        return y
-
-    energy_weights = (rho, mu, a1, beta, gamma)
-
-    def energy():
-        vx = np.gradient(v, dx)
-        px = np.gradient(p, dx)
-        dens = (
-            energy_weights[0] * vd**2
-            + energy_weights[1] * pd**2
-            + energy_weights[2] * vx**2
-            + energy_weights[3] * (energy_weights[4] * vx - px) ** 2
-        )
-        return 0.5 * h * float(np.trapezoid(dens, dx=dx))
-
-    initial = state.copy()
+    f = drive(0.0)
+    initial_state = _as_state(grid, u, ud, initial.t)
     stride = cfg.energy_stride
     times = [0.0]
-    energies = [energy()]
-    ys = [observe(0.0)]
+    energies = [_energy(u, ud, mass, stiffness, h, dx)]
+    ys = [observe(f)]
     snapshots: list[tuple[float, GridState]] = []
-    snap_next = cfg.snapshot_dt if cfg.snapshot_dt is not None else None
+    snap_next = cfg.snapshot_dt
 
-    accel(control(0.0, pd[-1]))
-    half = 0.5 * dt
+    stencil_kick()
+    dv[:, -1] += load * (k * ud[row, -1] + f)
     for step in range(1, nsteps + 1):
-        vd += half * av
-        pd += half * ap
-        v += dt * vd
-        p += dt * pd
+        ud += dv
+        u += dt * ud
         t = step * dt
-        accel(control(t, pd[-1]))  # feedback from the half-step trace
-        vd += half * av
-        pd += half * ap
+        stencil_kick()
+        f = drive(t)
+        # The trace after this half-kick is linear in V: solve for it, so
+        # that V feeds back the velocity at t.
+        trace = (ud[row, -1] + dv[row, -1] + load[row] * f) * trace_gain
+        dv[:, -1] += load * (k * trace + f)
+        ud += dv
         if step % stride == 0 or step == nsteps:
             times.append(t)
-            energies.append(energy())
-            ys.append(observe(t))
+            energies.append(_energy(u, ud, mass, stiffness, h, dx))
+            ys.append(observe(f))
         if snap_next is not None and (t + 1e-12 >= snap_next or step == nsteps):
-            state.t = t
-            snapshots.append((t, state.copy()))
+            snapshots.append((t, _as_state(grid, u, ud, t)))
             snap_next += cfg.snapshot_dt
         if step % 512 == 0:
-            _check_finite((v, p, vd, pd), step)
-    _check_finite((v, p, vd, pd), nsteps)
-    state.t = nsteps * dt
+            _check_finite((u, ud), step)
+    _check_finite((u, ud), nsteps)
     return Trajectory(
         t=np.asarray(times),
         energy=np.asarray(energies),
         y=np.asarray(ys),
         dt=dt,
-        initial=initial,
-        final=state,
+        initial=initial_state,
+        final=_as_state(grid, u, ud, nsteps * dt),
         snapshots=snapshots,
-    )
-
-
-def _simulate_classical(state, params, cfg, dt, nsteps, k):
-    rho, a1, gamma, h = params.rho, params.alpha1, params.gamma, params.thickness
-    grid = state.grid
-    dx = grid.dx
-    fac = 1.0 / dx**2
-    v, vd = state.v, state.vdot
-    state.p[:] = 0.0
-    state.pdot[:] = 0.0
-    n1 = grid.n + 1
-    av = np.zeros(n1)
-    # boundary: alpha1 v_x(L) = -(gamma k / h) vdot(L)
-    bcoef = 2.0 * gamma * k / (rho * h * dx)
-
-    def accel_stencil():
-        av[1:-1] = (a1 / rho) * (v[:-2] - 2.0 * v[1:-1] + v[2:]) * fac
-        av[-1] = (a1 / rho) * (2.0 * v[-2] - 2.0 * v[-1]) * fac
-
-    def energy():
-        vx = np.gradient(v, dx)
-        return 0.5 * h * float(np.trapezoid(rho * vd**2 + a1 * vx**2, dx=dx))
-
-    initial = state.copy()
-    stride = cfg.energy_stride
-    times = [0.0]
-    energies = [energy()]
-    ys = [gamma * vd[-1] / h]
-    accel_stencil()
-    half = 0.5 * dt
-    for step in range(1, nsteps + 1):
-        a_end = av[-1] - bcoef * vd[-1]
-        vd[1:-1] += half * av[1:-1]
-        vd[-1] += half * a_end
-        v += dt * vd
-        accel_stencil()
-        a_end = av[-1] - bcoef * vd[-1]  # previous half-step trace
-        vd[1:-1] += half * av[1:-1]
-        vd[-1] += half * a_end
-        if step % stride == 0 or step == nsteps:
-            times.append(step * dt)
-            energies.append(energy())
-            ys.append(gamma * vd[-1] / h)
-        if step % 512 == 0:
-            _check_finite((v, vd), step)
-    _check_finite((v, vd), nsteps)
-    state.t = nsteps * dt
-    return Trajectory(
-        t=np.asarray(times),
-        energy=np.asarray(energies),
-        y=np.asarray(ys),
-        dt=dt,
-        initial=initial,
-        final=state,
-        snapshots=[],
     )
 
 

@@ -118,6 +118,13 @@ def test_criterion_3_conservativity():
         residuals[0] > residuals[1] > residuals[2],
         f"residuals decrease under refinement: {[f'{r:.2e}' for r in residuals]}",
     )
+    cuts = [coarse / fine for coarse, fine in zip(residuals, residuals[1:])]
+    report(
+        "criterion 3d",
+        all(3.0 < c < 5.0 for c in cuts) and residuals[-1] < 1e-7,
+        f"second-order balance: cuts per N-doubling {[f'{c:.2f}' for c in cuts]}, "
+        f"N=2048 residual {residuals[-1]:.2e} < 1e-7",
+    )
     elapsed_ok("criterion 3", t0, 60.0)
 
 
@@ -278,7 +285,7 @@ def test_criterion_8_classical_absorption():
 
 
 def test_criterion_9_determinism(tmp_path):
-    """Identical seeds and configs give byte-identical sweep artifacts."""
+    """Identical configs give byte-identical sweep artifacts."""
     cfg = pb.RunConfig(params=GOLDEN)
     values = list(np.linspace(0.25, 2.5, 16))
     blobs = []

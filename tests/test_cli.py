@@ -45,7 +45,7 @@ class TestParseConfig:
         assert cfg.params.rho == 1.0 and cfg.params.thickness == 1.0
         assert cfg.J == 64 and cfg.n == 2048
         assert cfg.cfl == 0.9 and cfg.qmax == 10_000
-        assert cfg.tol == 1e-9 and cfg.seed == 42
+        assert cfg.tol == 1e-9
         assert cfg.k == 0.5  # 1/(2*thickness)
         dc = derive_constants(cfg.params)
         assert dc.zeta1 == pytest.approx((1 + math.sqrt(5)) / 2)
@@ -70,6 +70,8 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(MalformedValue, match="voltage"):
             parse_config(MINIMAL + "voltage = 3\n")
+        with pytest.raises(MalformedValue, match="seed"):
+            parse_config(MINIMAL + "seed = 42\n")
 
     def test_option_overrides(self):
         cfg = parse_config(MINIMAL + "J = 16\nN = 128\nk = 0.25\ntol = 1e-6\n")

@@ -35,6 +35,18 @@ def eigenmode_state(params, grid, family=1, j=1):
     return coeffs, grid_state_from_modal(coeffs, params, grid)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("mode", ["closed", "classical"])
+    def test_voltage_only_in_open_mode(self, mode):
+        with pytest.raises(ValueError, match="voltage"):
+            SimConfig(mode=mode, voltage=math.sin)
+
+    @pytest.mark.parametrize("mode", ["open", "classical"])
+    def test_forcing_only_in_closed_mode(self, mode):
+        with pytest.raises(ValueError, match="forcing"):
+            SimConfig(mode=mode, forcing=math.sin)
+
+
 class TestDiscreteEnergy:
     def test_zero_state(self, golden):
         assert discrete_energy(GridState.zero(Grid(64)), golden) == 0.0
@@ -124,6 +136,14 @@ class TestClosedLoop:
         assert r2 > 0.95
         assert traj.energy[-1] / traj.energy[0] < 0.05
 
+    @pytest.mark.parametrize("k", [2.0, 20.0, 200.0])
+    def test_high_gain_stays_finite_and_dissipates(self, ratio_half, k):
+        """Feedback closes on the end velocity at each step, so no gain blows up."""
+        state = gaussian_velocity_state(Grid(512), center=0.5, width=0.08)
+        traj = simulate(state, ratio_half, SimConfig(mode="closed", T=10.0, k=k, energy_stride=4))
+        assert np.all(np.isfinite(traj.energy))
+        assert traj.energy[-1] < traj.energy[0]
+
     def test_cfl_violation(self, golden):
         grid = Grid(64)
         dc = derive_constants(golden)
@@ -189,6 +209,20 @@ class TestClassicalModel:
         traj = simulate(state, golden, SimConfig(mode="classical", T=0.2, k=1.0))
         drift = np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0]
         assert drift < 1e-4
+
+    def test_high_gain_stays_finite(self, golden):
+        state = gaussian_velocity_state(Grid(512), center=0.5, width=0.08)
+        traj = simulate(state, golden, SimConfig(mode="classical", T=10.0, k=20.0, energy_stride=4))
+        assert np.all(np.isfinite(traj.energy))
+        assert traj.energy[-1] < traj.energy[0]
+
+    def test_snapshots_recorded(self, golden):
+        state = gaussian_velocity_state(Grid(64), center=0.5, width=0.1)
+        traj = simulate(state, golden, SimConfig(mode="classical", T=1.0, snapshot_dt=0.25))
+        assert [round(t, 9) for t, _ in traj.snapshots] == [0.25, 0.5, 0.75, 1.0]
+        _, last = traj.snapshots[-1]
+        np.testing.assert_array_equal(last.vdot, traj.final.vdot)
+        assert not np.any(last.p) and not np.any(last.pdot)
 
     def test_classical_energy_definition(self, golden):
         grid = Grid(64)
