@@ -89,12 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--T", type=float, default=None)
 
-    p = sub.add_parser("sweep", help="parallel parameter sweep")
+    p = sub.add_parser("sweep", help="parameter sweep")
     common(p)
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--metric", required=True, choices=SWEEP_METRICS)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="threads (default: serial)")
     return parser
 
 

@@ -1,8 +1,11 @@
-"""Parallel parameter sweeps with deterministic, ordered output.
+"""Parameter sweeps with deterministic, ordered output.
 
-Each sweep point is an independent pure computation; points run on a thread
-pool and results are assembled in input order, so output is byte-identical
-across runs for a fixed configuration.  Per-point failures become
+Each sweep point is an independent pure computation.  Points run serially
+unless ``workers > 1`` asks for a thread pool: the metrics are NumPy loops
+driven from Python, so threads contend for the interpreter lock, and two of
+them take about twice the serial time on the decay-rate sweep.  Results are
+assembled in input order either way, so output is byte-identical across
+runs and worker counts for a fixed configuration.  Per-point failures become
 NaN rows carrying the error message and never abort the sweep.
 """
 
@@ -53,12 +56,15 @@ def run_sweep(
     """Evaluate ``metric`` at each parameter value; rows come back in input order.
 
     Returns rows ``(value, metric, error)`` where failed points carry
-    ``nan`` and the error message.
+    ``nan`` and the error message.  Points run serially unless ``workers``
+    is above 1, which runs them on that many threads.
     """
     if param_name not in ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness"):
         raise ValueError(f"{param_name!r} is not a physical parameter")
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     values = list(values)
 
     def task(value):
@@ -68,7 +74,7 @@ def run_sweep(
         except (PiezoBeamError, ValueError) as exc:
             return (value, float("nan"), f"{type(exc).__name__}: {exc}")
 
-    if len(values) <= 1 or workers == 1:
+    if workers is None or workers == 1 or len(values) <= 1:
         return [task(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers or min(8, len(values))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, values))

@@ -1,36 +1,55 @@
 """Finite-difference time-domain simulation of the coupled and classical models.
 
-Both models step stacked fields ``u`` and ``ud`` of shape ``(m, N+1)``:
-``(v, p)`` for the coupled stretching system and ``(v,)`` for the classical
-magnetically-static comparison model.  Each is ``M u_tt = K u_xx`` with a
-diagonal mass ``M`` and a symmetric stiffness ``K``, a fixed end
-``u(0) = 0`` and the flux condition
+Both models are ``M u_tt = K u_xx`` for stacked fields ``u``: ``(v, p)`` for
+the coupled stretching system and ``(v,)`` for the classical
+magnetically-static comparison model.  The mass ``M`` is diagonal, the
+stiffness ``K`` symmetric, the end ``u(0) = 0`` fixed, and the driven end
+carries the flux condition
 
-    K u_x(L) = -(V / h) c
+    K u_x(L) = -(V / h) c.
 
-at the driven end.  The coupled model has ``M = diag(rho, mu)``,
+The coupled model has ``M = diag(rho, mu)``,
 ``K = [[alpha, -gamma*beta], [-gamma*beta, beta]]`` and ``c = (0, 1)``; the
 classical one has ``M = rho``, ``K = alpha1`` and ``c = gamma``.
 
-Space is discretized with second-order centered differences; the driven end
-is a ghost node carrying the exact flux, so the voltage enters as a load on
-the end node.  Time stepping is velocity Verlet (leapfrog), which conserves
-the discrete energy to O(dt^2) when the voltage is off.  Both half-kicks
-around ``t_n`` use the same voltage ``V_n = k * trace + f(t_n)``, where
-``f`` is the prescribed voltage (open loop, ``k = 0``) or the external input
-(closed loop), and ``trace`` is the end velocity at ``t_n`` of the row that
-feeds back (``pdot`` coupled, ``vdot`` classical).  The trace after the
-second half-kick is linear in ``V_n``, so the loop is closed on it exactly
-with one scalar division, which keeps the step stable at any gain ``k >= 0``.
-With the impedance-matched gain the classical driven end absorbs incoming
-waves.
+*Modal decoupling.*  Write ``u = P w`` with ``P^T M P = I`` and
+``P^T K P = diag(lam)``.  For the coupled model the columns of ``P`` are
+``(1, b_k) / sqrt(rho + mu * b_k**2)`` and ``lam_k = 1 / zeta_k**2``; for the
+classical one ``P = 1/sqrt(rho)`` and ``lam = alpha1/rho``.  Each modal field
+then obeys the scalar wave equation ``w_tt = lam_k w_xx``, and the fields
+meet only in the driven-end load ``-(V/h) P^T c``.  Space is discretized
+with second-order centered differences, which act node by node and so
+commute with ``P``: the decoupling is exact on the grid, and the energy
+``(h/2) * int ud.M ud + u_x.K u_x`` is
+``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2``.
+
+*Ghost node.*  The ``m`` modal fields lie back to back in one contiguous
+``(m, N+2)`` buffer.  Node ``N+1`` of each field is a ghost that mirrors node
+``N-1``, so the zero-flux end is part of the bulk three-point stencil and
+the voltage enters as a load on node ``N``.  The stencil runs over the
+flattened buffer; a per-node coefficient ``dt**2 * lam_k / dx**2`` that is
+zero at the fixed nodes and the ghosts keeps the fields apart.
+
+*Staggered velocity.*  Time stepping is leapfrog, velocity Verlet with its
+two half-kicks merged: ``q = dt * wd`` lives at half steps, and each step is
+one kick of ``q`` followed by ``w += q``.  It conserves the discrete energy
+to O(dt^2) when the voltage is off.  The velocity at a whole step, needed
+only for recorded steps, snapshots and the final state, is the mean of the
+half-step velocities around it.  The kick at ``t_n`` uses the voltage
+``V_n = k * trace + f(t_n)``, where ``f`` is the prescribed voltage (open
+loop, ``k = 0``) or the external input (closed loop), and ``trace`` is the
+end velocity at ``t_n`` of the row that feeds back (``pdot`` coupled,
+``vdot`` classical).  That velocity is linear in ``V_n``, so the loop is
+closed on it exactly with one scalar division, which keeps the step stable
+at any gain ``k >= 0``.  With the impedance-matched gain the classical
+driven end absorbs incoming waves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -172,39 +191,70 @@ class Trajectory:
     snapshots: list[tuple[float, GridState]] = field(default_factory=list)
 
 
-def _model(params: BeamParameters, classical: bool):
-    """Mass vector, stiffness ``K``, driven-end vector ``c`` and feedback row.
+class _Model(NamedTuple):
+    """Modal form of one model; see the module docstring."""
 
-    The driven-end flux condition is ``K u_x(L) = -(V/h) c``; the row whose
-    end velocity feeds back is the last one, ``p`` or the classical ``v``.
-    """
+    modes: np.ndarray  # P: u = P w
+    decouple: np.ndarray  # P^T M: w = P^T M u
+    lam: np.ndarray  # squared modal speeds
+    drive: np.ndarray  # P^T c, the modal driven-end vector
+    feedback: np.ndarray  # the row of P whose end velocity feeds back
+    slowness: float  # dt_max / dx
+
+
+def _model(params: BeamParameters, classical: bool) -> _Model:
     if classical:
-        mass, stiffness, c = [params.rho], [[params.alpha1]], [params.gamma]
+        rho = params.rho
+        modes = np.array([[1.0 / math.sqrt(rho)]])
+        mass, lam = np.array([rho]), np.array([params.alpha1 / rho])
+        c, slowness = np.array([params.gamma]), math.sqrt(rho / params.alpha1)
     else:
-        alpha = params.alpha1 + params.gamma**2 * params.beta
-        gb = params.gamma * params.beta
-        mass, stiffness, c = [params.rho, params.mu], [[alpha, -gb], [-gb, params.beta]], [0.0, 1.0]
-    return np.array(mass), np.array(stiffness), np.array(c), len(mass) - 1
+        dc = derive_constants(params)
+        b = np.array([dc.b1, dc.b2])
+        mass = np.array([params.rho, params.mu])
+        modes = np.vstack((np.ones(2), b)) / np.sqrt(params.rho + params.mu * b**2)
+        lam = 1.0 / np.array([dc.zeta1, dc.zeta2]) ** 2
+        c, slowness = np.array([0.0, 1.0]), dc.zeta2
+    return _Model(modes, modes.T * mass, lam, modes.T @ c, modes[-1], slowness)
 
 
-def _energy(u, ud, mass, stiffness, h: float, dx: float) -> float:
-    """``(h/2) * int ud.M ud + u_x.K u_x`` for stacked fields of shape ``(m, N+1)``.
+def _modal(decouple: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Modal fields ``P^T M u`` in an ``(m, N+2)`` buffer with a zero ghost column."""
+    w = np.zeros((u.shape[0], u.shape[1] + 1))
+    np.matmul(decouple, u, out=w[:, :-1])
+    return w
+
+
+def _energy_meter(lam: np.ndarray, h: float, dx: float, n: int):
+    """``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2`` on modal ``(m, N+2)`` buffers.
 
     Slopes are those of ``np.gradient``: centered differences inside and
-    first-order one-sided differences at the ends, written out because at
-    N = 1024 ``np.gradient`` alone takes longer than a whole step.  The
-    integral is the trapezoid rule.
+    first-order one-sided differences at the ends.  The integral is the
+    trapezoid rule over nodes ``0..N``; the ghost column has zero weight.
+    The buffers are allocated once, so a recorded step allocates nothing.
     """
-    weights = np.full(u.shape[1], dx)
-    weights[[0, -1]] *= 0.5
-    ux = np.empty_like(u)
-    np.subtract(u[:, 2:], u[:, :-2], out=ux[:, 1:-1])
-    ux[:, 1:-1] /= 2.0 * dx
-    ux[:, 0] = (u[:, 1] - u[:, 0]) / dx
-    ux[:, -1] = (u[:, -1] - u[:, -2]) / dx
-    kinetic = mass @ ((ud * ud) @ weights)
-    strain = np.sum(stiffness * ((ux * weights) @ ux.T))
-    return 0.5 * h * float(kinetic + strain)
+    weights = np.full(n + 2, 0.5 * h * dx)
+    weights[[0, n]] *= 0.5
+    weights[n + 1] = 0.0
+    slope = np.full(n + 2, 0.25 / dx**2)  # the centered slope is (w[i+1] - w[i-1]) / (2 dx)
+    slope[[0, n]] = 1.0 / dx**2
+    kinetic = np.tile(weights, lam.size)
+    strain = (lam[:, None] * (weights * slope)).ravel()
+    diff = np.zeros((lam.size, n + 2))
+    flat = diff.ravel()
+    square = np.empty_like(flat)
+
+    def energy(w: np.ndarray, wd: np.ndarray) -> float:
+        wf = w.ravel()
+        np.subtract(wf[2:], wf[:-2], out=flat[1:-1])
+        np.subtract(w[:, 1], w[:, 0], out=diff[:, 0])
+        np.subtract(w[:, n], w[:, n - 1], out=diff[:, n])
+        np.multiply(flat, flat, out=square)
+        potential = square.dot(strain)
+        np.multiply(wd.ravel(), wd.ravel(), out=square)
+        return float(potential + square.dot(kinetic))
+
+    return energy
 
 
 def _fields(state: GridState, m: int):
@@ -215,9 +265,10 @@ def _fields(state: GridState, m: int):
 
 
 def _state_energy(state: GridState, params: BeamParameters, classical: bool) -> float:
-    mass, stiffness, _, _ = _model(params, classical)
-    u, ud = _fields(state, mass.size)
-    return _energy(u, ud, mass, stiffness, params.thickness, state.grid.dx)
+    model = _model(params, classical)
+    u, ud = _fields(state, model.lam.size)
+    energy = _energy_meter(model.lam, params.thickness, state.grid.dx, state.grid.n)
+    return energy(_modal(model.decouple, u), _modal(model.decouple, ud))
 
 
 def discrete_energy(state: GridState, params: BeamParameters) -> float:
@@ -262,18 +313,15 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
 
     Returns a :class:`Trajectory` with per-step energies and output samples.
     Raises :class:`CflViolation` for a forced ``dt`` above the stability
-    bound and :class:`NonFiniteState` (with the step index) if the update
-    blows up.
+    bound and :class:`NonFiniteState` with the step index if the update
+    blows up: at the first recorded step whose energy is not finite (step 0
+    for bad initial data), or at the latest multiple of 512 steps.
     """
     params.validate()
     grid = initial.grid
-    dx = grid.dx
-    h = params.thickness
-    classical = cfg.mode == "classical"
-    if classical:
-        dt_max = dx * math.sqrt(params.rho / params.alpha1)
-    else:
-        dt_max = dx * derive_constants(params).zeta2
+    n, dx, h = grid.n, grid.dx, params.thickness
+    model = _model(params, cfg.mode == "classical")
+    dt_max = dx * model.slowness
     if cfg.dt is not None:
         if cfg.dt > dt_max:
             raise CflViolation(
@@ -285,66 +333,97 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
     dt = cfg.T / nsteps
 
-    mass, stiffness, c, row = _model(params, classical)
-    u, ud = _fields(initial, mass.size)
-    u[:, 0] = 0.0
-    ud[:, 0] = 0.0
     if cfg.mode == "open":
         k, external = 0.0, cfg.voltage
     else:
         k = cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
         external = cfg.forcing
-    half = 0.5 * dt
-    kick = (half / dx**2) * stiffness / mass[:, None]  # per second difference
-    load = -(2.0 * half / (dx * h)) * c / mass  # end-node kick per unit voltage
-    trace_gain = 1.0 / (1.0 - load[row] * k)
-    d2 = np.zeros_like(u)
-    dv = np.zeros_like(u)  # half-step velocity kick, voltage load included
+    driven = k != 0.0 or external is not None
+    forced = cfg.mode == "closed"
 
-    def stencil_kick():
-        np.add(u[:, :-2], u[:, 2:], out=d2[:, 1:-1])
-        d2[:, 1:-1] -= 2.0 * u[:, 1:-1]
-        np.subtract(u[:, -2], u[:, -1], out=d2[:, -1])
-        d2[:, -1] *= 2.0
-        np.matmul(kick, d2, out=dv)
-
-    def drive(t):
-        return external(t) if external is not None else 0.0
-
-    def observe(f):
-        return float(c @ ud[:, -1]) / h + (f if cfg.mode == "closed" else 0.0)
-
-    f = drive(0.0)
+    u, ud = _fields(initial, model.lam.size)
+    u[:, 0] = 0.0
+    ud[:, 0] = 0.0
     initial_state = _as_state(grid, u, ud, initial.t)
+    w = _modal(model.decouple, u)
+    vel = _modal(model.decouple, ud)  # modal velocity at the latest recorded or snapshot step
+    energy = _energy_meter(model.lam, h, dx, n)
+
+    coef = np.zeros_like(w)
+    coef[:, 1 : n + 1] = (dt / dx) ** 2 * model.lam[:, None]
+    acc = np.zeros_like(w)  # stencil kick of q, zero at fixed nodes and ghosts
+    wf, cf, af = w.ravel(), coef.ravel()[1:-1], acc.ravel()[1:-1]
+    ghost, mirror, acc_end, vel_end = w[:, n + 1], w[:, n - 1], acc[:, n], vel[:, n]
+    load = -(2.0 * dt**2 / (dx * h)) * model.drive  # kick of q at node N per unit voltage
+    # The trace is (q + acc/2 + load*V/2)[N] . feedback / dt, linear in V.
+    trace_q = model.feedback / dt
+    trace_acc = 0.5 * trace_q
+    trace_load = float(trace_acc @ load)
+    trace_gain = 1.0 / (1.0 - trace_load * k)
+    output = model.drive / h
+
+    def stencil():
+        np.copyto(ghost, mirror)
+        np.add(wf[:-2], wf[2:], out=af)
+        np.subtract(af, wf[1:-1], out=af)
+        np.subtract(af, wf[1:-1], out=af)
+        np.multiply(af, cf, out=af)
+
+    def record(step: int, t: float, f: float) -> None:
+        e = energy(w, vel)
+        if not math.isfinite(e):
+            raise NonFiniteState(f"non-finite state at step {step}")
+        times.append(t)
+        energies.append(e)
+        ys.append(float(output.dot(vel_end)) + (f if forced else 0.0))
+
+    def physical():
+        return model.modes @ w[:, : n + 1], model.modes @ vel[:, : n + 1]
+
     stride = cfg.energy_stride
-    times = [0.0]
-    energies = [_energy(u, ud, mass, stiffness, h, dx)]
-    ys = [observe(f)]
+    times: list[float] = []
+    energies: list[float] = []
+    ys: list[float] = []
     snapshots: list[tuple[float, GridState]] = []
     snap_next = cfg.snapshot_dt
 
-    stencil_kick()
-    dv[:, -1] += load * (k * ud[row, -1] + f)
+    f = external(0.0) if external is not None else 0.0
+    voltage = k * float(model.feedback @ vel_end) + f
+    record(0, 0.0, f)
+    stencil()
+    q = dt * vel + 0.5 * acc
+    q[:, n] += 0.5 * voltage * load
+    q_end = q[:, n]
     for step in range(1, nsteps + 1):
-        ud += dv
-        u += dt * ud
+        w += q
+        stencil()
         t = step * dt
-        stencil_kick()
-        f = drive(t)
-        # The trace after this half-kick is linear in V: solve for it, so
-        # that V feeds back the velocity at t.
-        trace = (ud[row, -1] + dv[row, -1] + load[row] * f) * trace_gain
-        dv[:, -1] += load * (k * trace + f)
-        ud += dv
-        if step % stride == 0 or step == nsteps:
-            times.append(t)
-            energies.append(_energy(u, ud, mass, stiffness, h, dx))
-            ys.append(observe(f))
-        if snap_next is not None and (t + 1e-12 >= snap_next or step == nsteps):
-            snapshots.append((t, _as_state(grid, u, ud, t)))
+        if driven:
+            f = external(t) if external is not None else 0.0
+            voltage = f
+            if k:
+                trace = (trace_q.dot(q_end) + trace_acc.dot(acc_end) + trace_load * f) * trace_gain
+                voltage += k * trace
+        keep = step % stride == 0 or step == nsteps
+        snap = snap_next is not None and (t + 1e-12 >= snap_next or step == nsteps)
+        if keep or snap:
+            # the velocity at t is the mean of q / dt before and after this kick
+            np.multiply(acc, 0.5, out=vel)
+            vel += q
+            if driven:
+                vel_end += 0.5 * voltage * load
+            vel /= dt
+        if keep:
+            record(step, t, f)
+        q += acc
+        if driven:
+            q_end += voltage * load
+        if snap:
+            snapshots.append((t, _as_state(grid, *physical(), t)))
             snap_next += cfg.snapshot_dt
         if step % 512 == 0:
-            _check_finite((u, ud), step)
+            _check_finite((w, q), step)
+    u, ud = physical()
     _check_finite((u, ud), nsteps)
     return Trajectory(
         t=np.asarray(times),

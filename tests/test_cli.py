@@ -14,6 +14,7 @@ from piezobeam import (
     parse_config,
     run_sweep,
 )
+from piezobeam import sweeps
 from piezobeam.cli import run
 from piezobeam.config import RunConfig, load_config
 from piezobeam.csvio import read_csv, write_csv
@@ -240,6 +241,28 @@ class TestSweeps:
             write_csv(path, ["value", "metric", "error"], rows)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_serial_by_default(self, half_cfg, tmp_path, monkeypatch, capsys):
+        """Without ``workers > 1`` neither the library nor the CLI starts a thread pool;
+        fewer than one worker is an error."""
+        cfg = parse_config(MINIMAL)
+        values = [0.5, 0.7, 0.9]
+        serial = run_sweep(cfg, "gamma", values, "zeta_ratio", workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sweep constructed a thread pool")
+
+        monkeypatch.setattr(sweeps, "ThreadPoolExecutor", no_pool)
+        assert run_sweep(cfg, "gamma", values, "zeta_ratio") == serial
+        code = run(
+            ["sweep", "--config", str(half_cfg), "--param", "gamma",
+             "--values", "0.5,0.7,0.9", "--metric", "zeta_ratio", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 0
+        with pytest.raises(AssertionError, match="thread pool"):
+            run_sweep(cfg, "gamma", values, "zeta_ratio", workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(cfg, "gamma", values, "zeta_ratio", workers=0)
 
     def test_cli_sweep_command(self, half_cfg, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

@@ -11,6 +11,7 @@ from piezobeam import (
     GridState,
     ModalCoefficients,
     ModeIndex,
+    NonFiniteState,
     NonPositiveEnergy,
     SimConfig,
     absorbing_gain,
@@ -33,6 +34,126 @@ from piezobeam import (
 def eigenmode_state(params, grid, family=1, j=1):
     coeffs = ModalCoefficients.single(ModeIndex(family, 1, j), J=j)
     return coeffs, grid_state_from_modal(coeffs, params, grid)
+
+
+def reference_simulate(initial, params, cfg):
+    """Velocity Verlet in physical coordinates: the oracle for ``simulate``.
+
+    Steps the stacked fields ``u, ud`` with the full stiffness ``K``, records
+    every step, and takes the energy from ``np.gradient`` and
+    ``np.trapezoid``.  Returns ``(t, energy, y, u, ud)``.
+    """
+    h, dx, rho = params.thickness, initial.grid.dx, params.rho
+    if cfg.mode == "classical":
+        mass, stiff, c, row = np.array([rho]), np.array([[params.alpha1]]), np.array([params.gamma]), 0
+        dt_max = dx * math.sqrt(rho / params.alpha1)
+    else:
+        alpha, gb = params.alpha1 + params.gamma**2 * params.beta, params.gamma * params.beta
+        mass, stiff = np.array([rho, params.mu]), np.array([[alpha, -gb], [-gb, params.beta]])
+        c, row, dt_max = np.array([0.0, 1.0]), 1, dx * derive_constants(params).zeta2
+    nsteps = int(math.ceil(cfg.T / (cfg.cfl * dt_max) - 1e-12))
+    dt = cfg.T / nsteps
+    k = 0.0 if cfg.mode == "open" else cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
+    external = cfg.voltage or cfg.forcing or (lambda t: 0.0)
+    u = np.array((initial.v, initial.p)[: mass.size])
+    ud = np.array((initial.vdot, initial.pdot)[: mass.size])
+    u[:, 0] = ud[:, 0] = 0.0
+    kick = (0.5 * dt / dx**2) * stiff / mass[:, None]
+    load = -(dt / (dx * h)) * c / mass
+
+    def stencil_kick():
+        d2 = np.zeros_like(u)
+        d2[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
+        d2[:, -1] = 2.0 * (u[:, -2] - u[:, -1])
+        return kick @ d2
+
+    def energy():
+        ux = np.gradient(u, dx, axis=1)
+        density = mass @ ud**2 + np.einsum("ij,in,jn->n", stiff, ux, ux)
+        return 0.5 * h * np.trapezoid(density, dx=dx)
+
+    def observe(f):
+        return c @ ud[:, -1] / h + (f if cfg.mode == "closed" else 0.0)
+
+    f = external(0.0)
+    times, energies, ys = [0.0], [energy()], [observe(f)]
+    dv = stencil_kick()
+    dv[:, -1] += load * (k * ud[row, -1] + f)
+    for step in range(1, nsteps + 1):
+        ud += dv
+        u += dt * ud
+        dv = stencil_kick()
+        f = external(step * dt)
+        trace = (ud[row, -1] + dv[row, -1] + load[row] * f) / (1.0 - load[row] * k)
+        dv[:, -1] += load * (k * trace + f)
+        ud += dv
+        times.append(step * dt)
+        energies.append(energy())
+        ys.append(observe(f))
+    return np.array(times), np.array(energies), np.array(ys), u, ud
+
+
+def rich_state(grid):
+    """A bump in ``vdot`` with nonzero ``v``, ``p`` and ``pdot`` as well."""
+    state = gaussian_velocity_state(grid, center=0.5, width=0.1)
+    x = grid.nodes
+    state.v = 0.3 * np.sin(0.5 * np.pi * x)
+    state.p = 0.1 * x**2
+    state.pdot = 0.2 * np.sin(2.0 * x)
+    return state
+
+
+class TestReferenceStepper:
+    @pytest.mark.parametrize(
+        "params_name, cfg",
+        [
+            ("golden", dict(mode="open", voltage=math.sin)),
+            ("ratio_half", dict(mode="closed", forcing=math.cos, k=20.0)),
+            ("golden", dict(mode="classical", k=0.7)),
+        ],
+        ids=["open", "closed", "classical"],
+    )
+    def test_matches_physical_velocity_verlet(self, request, params_name, cfg):
+        """The decoupled staggered kernel is the physical stepper up to rounding."""
+        params = request.getfixturevalue(params_name)
+        state = rich_state(Grid(64))
+        sim = SimConfig(T=5.0, **cfg)
+        traj = simulate(state, params, sim)
+        t, energy, y, u, ud = reference_simulate(state, params, sim)
+        np.testing.assert_array_equal(traj.t, t)
+        reference = {"v": u[0], "vdot": ud[0]}
+        if len(u) == 2:
+            reference.update(p=u[1], pdot=ud[1])
+        for name, ref in reference.items():
+            got = getattr(traj.final, name)
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), name
+        np.testing.assert_allclose(traj.energy, energy, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(traj.y, y, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["closed", "classical"])
+    def test_recorded_energy_is_snapshot_energy(self, golden, mode):
+        state = rich_state(Grid(64))
+        traj = simulate(state, golden, SimConfig(mode=mode, T=2.0, snapshot_dt=0.5))
+        stored = classical_energy if mode == "classical" else discrete_energy
+        assert len(traj.snapshots) == 4
+        for t, snap in traj.snapshots:
+            (i,) = np.flatnonzero(traj.t == t)
+            assert traj.energy[i] == pytest.approx(stored(snap, golden), rel=1e-12)
+
+
+class TestNonFiniteState:
+    def test_bad_initial_data_named_at_step_zero(self, golden):
+        state = gaussian_velocity_state(Grid(64))
+        state.vdot[20] = np.nan
+        with pytest.raises(NonFiniteState, match=r"step 0$"):
+            simulate(state, golden, SimConfig(mode="closed", T=1.0))
+
+    def test_first_bad_step_named_exactly(self, golden):
+        state = gaussian_velocity_state(Grid(64))
+        dt = simulate(state, golden, SimConfig(mode="closed", T=1.0)).dt
+        bad = lambda t: math.nan if t > 0.5 else 0.0  # noqa: E731
+        with pytest.raises(NonFiniteState, match=rf"step {math.floor(0.5 / dt) + 1}$"):
+            simulate(state, golden, SimConfig(mode="closed", T=1.0, forcing=bad))
 
 
 class TestSimConfig:
