@@ -94,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--metric", required=True, choices=SWEEP_METRICS)
-    p.add_argument("--workers", type=int, default=None, help="threads (default: serial)")
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for compatibility; must be >= 1; points always run serially",
+    )
     return parser
 
 

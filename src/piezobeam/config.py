@@ -3,14 +3,17 @@
 Seven physical keys are required (rho, alpha1, beta, gamma, mu, length,
 thickness); numeric options are optional with documented defaults.  Comments
 start with ``#``.  Parsing validates everything before any computation and
-reports the offending line in every error.
+reports the offending line in every error: every number must be finite, the
+physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J``, ``N``,
+``qmax`` at least 1, and ``cfl`` inside (0, 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import DuplicateKey, MalformedValue, MissingKey, NonPositiveParameter
+from .errors import CflViolation, DuplicateKey, MalformedValue, MissingKey, NonPositiveParameter
 from .params import BeamParameters
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
@@ -18,6 +21,7 @@ __all__ = ["RunConfig", "parse_config", "load_config"]
 PHYSICAL_KEYS = ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness")
 INT_KEYS = ("J", "N", "qmax")
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
+POSITIVE_KEYS = PHYSICAL_KEYS + ("T", "sample_dt", "tol")
 
 DEFAULTS = {
     "J": 64,
@@ -49,7 +53,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
     Raises :class:`MissingKey`, :class:`DuplicateKey`, :class:`MalformedValue`
-    or :class:`NonPositiveParameter`; messages carry the line number.
+    (not a finite number, or not an integer), :class:`NonPositiveParameter`
+    or :class:`CflViolation` (``cfl`` outside (0, 1)); messages carry the line
+    number.
     """
     entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,36 +75,31 @@ def parse_config(text: str) -> RunConfig:
         if key not in entries:
             raise MissingKey(f"missing required key {key!r}")
 
-    def as_float(key: str) -> float:
+    def as_number(key: str) -> float | int:
         lineno, value = entries[key]
         try:
-            return float(value)
+            number = float(value)
         except ValueError as exc:
             raise MalformedValue(f"line {lineno}: {key} = {value!r} is not a number") from exc
+        if not math.isfinite(number):
+            raise MalformedValue(f"line {lineno}: {key} = {value!r} is not a finite number")
+        if key in INT_KEYS:
+            if number != int(number):
+                raise MalformedValue(f"line {lineno}: {key} = {value!r} is not an integer")
+            number = int(number)
+            if number < 1:
+                raise NonPositiveParameter(f"line {lineno}: {key} must be >= 1, got {number}")
+        if key in POSITIVE_KEYS and not number > 0:
+            raise NonPositiveParameter(f"line {lineno}: {key} must be > 0, got {number}")
+        if key == "cfl" and not 0 < number < 1:
+            raise CflViolation(f"line {lineno}: cfl must lie in (0, 1), got {number}")
+        return number
 
-    def as_int(key: str) -> int:
-        lineno, value = entries[key]
-        number = as_float(key)
-        if number != int(number):
-            raise MalformedValue(f"line {lineno}: {key} = {value!r} is not an integer")
-        return int(number)
-
-    physical = {}
-    for key in PHYSICAL_KEYS:
-        lineno = entries[key][0]
-        value = as_float(key)
-        if not value > 0:
-            raise NonPositiveParameter(f"line {lineno}: {key} must be > 0, got {value}")
-        physical[key] = value
-    params = BeamParameters(**physical)
-
+    params = BeamParameters(**{key: as_number(key) for key in PHYSICAL_KEYS})
     options = dict(DEFAULTS)
-    for key in INT_KEYS:
+    for key in INT_KEYS + FLOAT_KEYS:
         if key in entries:
-            options[key] = as_int(key)
-    for key in FLOAT_KEYS:
-        if key in entries:
-            options[key] = as_float(key)
+            options[key] = as_number(key)
     if "k" not in options:
         options["k"] = 1.0 / (2.0 * params.thickness)
     return RunConfig(

@@ -27,8 +27,8 @@ from .errors import (
     TruncationTooSmall,
     ZeroState,
 )
-from .params import BeamParameters, DerivedConstants, derive_constants
-from .spectral import ModalCoefficients, modal_norm_sq, output_energy, phase_integral, sigma
+from .params import BeamParameters, DerivedConstants, _mixed_parity_gap, derive_constants
+from .spectral import ModalCoefficients, modal_norm_sq, output_energy, sigma, sinc_gram
 
 __all__ = [
     "OddApproximant",
@@ -211,10 +211,7 @@ def ingham_gap(
     ratio = dc.ratio
     if abs(ratio - p / q) > 1e-9:
         raise NotRational(f"zeta2/zeta1 = {ratio!r} does not equal {p}/{q}")
-    L = params.length
-    gamma = (math.pi / L) * min(
-        1.0 / dc.zeta1, 1.0 / dc.zeta2, 1.0 / (2.0 * dc.zeta2 * q)
-    )
+    gamma = _mixed_parity_gap(dc, q, params.length)
     return gamma, 2.0 * math.pi / gamma
 
 
@@ -234,48 +231,31 @@ class FrameBounds(NamedTuple):
     has_collisions: bool
 
 
-def ingham_frame_bounds(
-    exponents,
-    T: float,
-    trials: int = 200,
-    seed: int = 42,
-) -> FrameBounds:
-    """Empirical frame bounds of ``t -> sum g_n exp(i s_n t)`` on ``[0, T]``.
+def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> FrameBounds:
+    """Optimal frame bounds of ``t -> sum g_n exp(i s_n t)`` on ``[0, T]``.
 
-    Draws ``trials`` complex-Gaussian coefficient vectors and returns the
-    extreme values of ``int_0^T |sum g_n e^{i s_n t}|^2 dt / sum |g_n|^2``,
-    evaluated through the exact pairwise Gram matrix.  Coincident exponents
-    are accepted and flagged; the canceling pair vector is then included
-    among the trials, which pins the lower bound to zero.
+    ``cmin`` and ``cmax`` are the extreme eigenvalues of the Gram matrix
+    ``int_0^T exp(i (s_m - s_n) t) dt``, so that
+    ``cmin * sum |g_n|^2 <= int_0^T |sum g_n e^{i s_n t}|^2 dt <= cmax * sum |g_n|^2``
+    is sharp for the finite family.  They are computed exactly, by
+    ``eigvalsh`` of the unitarily similar real matrix :func:`sinc_gram`;
+    ``cmin`` is clamped at 0.  Exponents closer than ``1e-12`` times the
+    largest are snapped together and flagged in ``has_collisions``; a
+    collision shows up as a zero eigenvalue.  ``trials`` is accepted for
+    compatibility and ignored.
     """
     if not T > 0:
         raise ValueError(f"T must be > 0, got {T}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     s = np.asarray(exponents, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("exponents must be a non-empty 1-d sequence")
     scale = max(1.0, float(np.max(np.abs(s))))
     delta = s[:, None] - s[None, :]
-    collide = (np.abs(delta) < 1e-12 * scale) & ~np.eye(s.size, dtype=bool)
-    delta[np.abs(delta) < 1e-12 * scale] = 0.0
-    gram = phase_integral(delta, T)
-
-    def rayleigh(g: np.ndarray) -> float:
-        val = np.real(np.conj(g) @ gram @ g) / float(np.real(np.conj(g) @ g))
-        return max(val, 0.0)
-
-    rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(trials):
-        g = rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size)
-        values.append(rayleigh(g))
-    has_collisions = bool(np.any(collide))
-    if has_collisions:
-        a, b = np.argwhere(collide)[0]
-        g = np.zeros(s.size, dtype=complex)
-        g[a], g[b] = 1.0, -1.0
-        values.append(rayleigh(g))
+    close = np.abs(delta) < 1e-12 * scale
+    delta[close] = 0.0
+    eig = np.linalg.eigvalsh(sinc_gram(delta, T))
     return FrameBounds(
-        cmin=float(np.min(values)), cmax=float(np.max(values)), has_collisions=has_collisions
+        cmin=max(float(eig[0]), 0.0),
+        cmax=float(eig[-1]),
+        has_collisions=bool(np.count_nonzero(close) > s.size),  # beyond the diagonal
     )

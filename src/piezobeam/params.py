@@ -190,6 +190,12 @@ class StabilityReport:
     tol: float
 
 
+def _mixed_parity_gap(dc: DerivedConstants, q: int, length: float) -> float:
+    """Uniform gap ``(pi/length) * min(1/zeta1, 1/zeta2, 1/(2*zeta2*q))`` of the
+    eigenfrequencies when ``zeta2/zeta1 = p/q`` has mixed parity."""
+    return (math.pi / length) * min(1.0 / dc.zeta1, 1.0 / dc.zeta2, 1.0 / (2.0 * dc.zeta2 * q))
+
+
 def classify_stability(
     dc: DerivedConstants,
     qmax: int = 10_000,
@@ -240,9 +246,7 @@ def classify_stability(
             qmax=qmax,
             tol=tol,
         )
-    gap = (math.pi / length) * min(
-        1.0 / dc.zeta1, 1.0 / dc.zeta2, 1.0 / (2.0 * dc.zeta2 * q)
-    )
+    gap = _mixed_parity_gap(dc, q, length)
     return StabilityReport(
         ratio=ratio,
         classification=StabilityClass.EXPONENTIALLY_STABLE,

@@ -373,19 +373,23 @@ def modal_norm_sq(
     return float(params.length * total)
 
 
-def phase_integral(delta, T: float) -> np.ndarray:
-    """Exact ``int_0^T exp(i * delta * t) dt`` with a stable small-gap branch.
+def sinc_gram(delta, T: float) -> np.ndarray:
+    """Real symmetric kernel ``T * sinc(delta * T / (2 pi))`` (normalised sinc).
 
-    Coincident frequencies (``delta == 0`` to rounding) integrate to exactly
-    ``T``; tiny gaps use a series to avoid cancellation.
+    It is :func:`phase_integral` without its unit phase ``exp(i delta T/2)``,
+    which factors as ``exp(i s_m T/2) exp(-i s_n T/2)`` for ``delta = s_m - s_n``:
+    a unitary similarity, so both Gram matrices share their eigenvalues.
     """
-    delta = np.asarray(delta, dtype=float)
-    dT = delta * T
-    small = np.abs(dT) < 1e-6
-    safe = np.where(small, 1.0, delta)
-    exact = (np.exp(1j * dT) - 1.0) / (1j * safe)
-    series = T * (1.0 + 0.5j * dT - dT**2 / 6.0)
-    return np.where(small, series, exact)
+    return T * np.sinc(np.asarray(delta, dtype=float) * (T / (2.0 * np.pi)))
+
+
+def phase_integral(delta, T: float) -> np.ndarray:
+    """Exact ``int_0^T exp(i * delta * t) dt = exp(i delta T/2) * sinc_gram(delta, T)``.
+
+    One expression for every gap: it does not cancel at small ``delta * T``,
+    and coincident frequencies (``delta == 0``) integrate to exactly ``T``.
+    """
+    return np.exp(0.5j * T * np.asarray(delta, dtype=float)) * sinc_gram(delta, T)
 
 
 def _output_weights(

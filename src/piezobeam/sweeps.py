@@ -1,17 +1,15 @@
 """Parameter sweeps with deterministic, ordered output.
 
-Each sweep point is an independent pure computation.  Points run serially
-unless ``workers > 1`` asks for a thread pool: the metrics are NumPy loops
-driven from Python, so threads contend for the interpreter lock, and two of
-them take about twice the serial time on the decay-rate sweep.  Results are
-assembled in input order either way, so output is byte-identical across
-runs and worker counts for a fixed configuration.  Per-point failures become
-NaN rows carrying the error message and never abort the sweep.
+Each sweep point is an independent pure computation, and points run
+serially in input order: the metrics are NumPy loops driven from Python, so
+threads would contend for the interpreter lock (two of them took about twice
+the serial time on the decay-rate sweep).  Output is byte-identical across
+runs for a fixed configuration.  Per-point failures become NaN rows carrying
+the error message and never abort the sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .config import RunConfig
@@ -56,8 +54,9 @@ def run_sweep(
     """Evaluate ``metric`` at each parameter value; rows come back in input order.
 
     Returns rows ``(value, metric, error)`` where failed points carry
-    ``nan`` and the error message.  Points run serially unless ``workers``
-    is above 1, which runs them on that many threads.
+    ``nan`` and the error message.  Points always run serially; ``workers``
+    is accepted for compatibility, must be at least 1 and is otherwise
+    ignored.
     """
     if param_name not in ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness"):
         raise ValueError(f"{param_name!r} is not a physical parameter")
@@ -65,7 +64,6 @@ def run_sweep(
         raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    values = list(values)
 
     def task(value):
         point = replace(cfg, params=replace(cfg.params, **{param_name: value}))
@@ -74,7 +72,4 @@ def run_sweep(
         except (PiezoBeamError, ValueError) as exc:
             return (value, float("nan"), f"{type(exc).__name__}: {exc}")
 
-    if workers is None or workers == 1 or len(values) <= 1:
-        return [task(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, values))
+    return [task(v) for v in values]

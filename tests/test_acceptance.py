@@ -236,15 +236,13 @@ def test_criterion_6_nonobservability_scaling():
 
 
 def test_criterion_7_ingham_lower_frame():
-    """Positive stable frame floor above the critical time; collapse on collision."""
+    """Positive stable frame floor above the critical time; collapse on collision;
+    exact bounds that do not change with the truncation."""
     t0 = time.perf_counter()
     gap, tmin = pb.ingham_gap(HALF, 1, 2)
     assert tmin == pytest.approx(4.0 * math.sqrt(2.0))
     T = 1.2 * tmin
-    bounds = {
-        J: pb.ingham_frame_bounds(pb.exponent_family(HALF, J), T, trials=200)
-        for J in (10, 20)
-    }
+    bounds = {J: pb.ingham_frame_bounds(pb.exponent_family(HALF, J), T) for J in (10, 20)}
     stable = (
         bounds[10].cmin > 0
         and bounds[20].cmin > 0
@@ -258,11 +256,22 @@ def test_criterion_7_ingham_lower_frame():
     freqs = pb.exponent_family(HALF, 20)
     collided = freqs.copy()
     collided[-1] = collided[-2]  # push onto an odd/odd-style coincidence
-    crash = pb.ingham_frame_bounds(collided, T, trials=200)
+    crash = pb.ingham_frame_bounds(collided, T)
     report(
         "criterion 7b",
         crash.has_collisions and crash.cmin < 1e-12,
         f"perturbed family collapses: cmin={crash.cmin:.1e}",
+    )
+    exact = (5.6568542495, 9.8994949366)  # the optimal bounds do not depend on J
+    pairs = [(bounds[J].cmin, bounds[J].cmax) for J in (10, 20)]
+    same = pairs[1] == pytest.approx(pairs[0], rel=1e-9) and all(
+        pair == pytest.approx(exact, rel=1e-9) for pair in pairs
+    )
+    report(
+        "criterion 7c",
+        same,
+        f"exact bounds J=10 [{bounds[10].cmin:.10f}, {bounds[10].cmax:.10f}], "
+        f"J=20 [{bounds[20].cmin:.10f}, {bounds[20].cmax:.10f}]",
     )
     elapsed_ok("criterion 7", t0, 60.0)
 

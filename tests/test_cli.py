@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from piezobeam import (
+    CflViolation,
     DuplicateKey,
     MalformedValue,
     MissingKey,
@@ -14,7 +15,6 @@ from piezobeam import (
     parse_config,
     run_sweep,
 )
-from piezobeam import sweeps
 from piezobeam.cli import run
 from piezobeam.config import RunConfig, load_config
 from piezobeam.csvio import read_csv, write_csv
@@ -81,6 +81,36 @@ class TestParseConfig:
     def test_non_integer_rejected(self):
         with pytest.raises(MalformedValue, match="J"):
             parse_config(MINIMAL + "J = 2.5\n")
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("J = 1e400", MalformedValue),
+            ("N = nan", MalformedValue),
+            ("k = -inf", MalformedValue),
+            ("rho = inf", MalformedValue),
+            ("J = 0", NonPositiveParameter),
+            ("N = -4", NonPositiveParameter),
+            ("qmax = 0", NonPositiveParameter),
+            ("T = -1", NonPositiveParameter),
+            ("sample_dt = 0", NonPositiveParameter),
+            ("tol = -1e-9", NonPositiveParameter),
+            ("cfl = 0", CflViolation),
+            ("cfl = 1", CflViolation),
+            ("cfl = 1.5", CflViolation),
+        ],
+    )
+    def test_bad_number_rejected_with_line(self, line, error, tmp_path, capsys):
+        """Non-finite or out-of-range numbers fail at parse time, naming their line,
+        and the CLI exits 2."""
+        key = line.split("=")[0].strip()
+        text = line + "\n" + MINIMAL.replace(f"\n{key} = 1\n", "\n")
+        with pytest.raises(error, match="line 1:"):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert run(["spectrum", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "line 1:" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -242,25 +272,19 @@ class TestSweeps:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_serial_by_default(self, half_cfg, tmp_path, monkeypatch, capsys):
-        """Without ``workers > 1`` neither the library nor the CLI starts a thread pool;
-        fewer than one worker is an error."""
+    def test_serial_by_default(self, half_cfg, tmp_path, capsys):
+        """Sweeps always run serially: the default, ``workers=2`` and the CLI without
+        ``--workers`` return the ``workers=1`` rows; fewer than one worker is an error."""
         cfg = parse_config(MINIMAL)
         values = [0.5, 0.7, 0.9]
         serial = run_sweep(cfg, "gamma", values, "zeta_ratio", workers=1)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("sweep constructed a thread pool")
-
-        monkeypatch.setattr(sweeps, "ThreadPoolExecutor", no_pool)
         assert run_sweep(cfg, "gamma", values, "zeta_ratio") == serial
+        assert run_sweep(cfg, "gamma", values, "zeta_ratio", workers=2) == serial
         code = run(
             ["sweep", "--config", str(half_cfg), "--param", "gamma",
              "--values", "0.5,0.7,0.9", "--metric", "zeta_ratio", "--out", str(tmp_path / "s.csv")]
         )
         assert code == 0
-        with pytest.raises(AssertionError, match="thread pool"):
-            run_sweep(cfg, "gamma", values, "zeta_ratio", workers=2)
         with pytest.raises(ValueError, match="workers"):
             run_sweep(cfg, "gamma", values, "zeta_ratio", workers=0)
 

@@ -177,30 +177,58 @@ class TestInghamGap:
         assert np.min(np.diff(freqs)) >= gap * (1.0 - 1e-12)
 
 
+def direct_gram(exponents, T):
+    """Gram matrix ``int_0^T exp(i (s_m - s_n) t) dt`` as ``(e^{i delta T} - 1)/(i delta)``,
+    with ``T`` on the diagonal."""
+    delta = np.subtract.outer(exponents, exponents)
+    np.fill_diagonal(delta, 1.0)
+    gram = (np.exp(1j * delta * T) - 1.0) / (1j * delta)
+    np.fill_diagonal(gram, T)
+    return gram
+
+
 class TestFrameBounds:
     def test_single_exponent(self):
-        out = ingham_frame_bounds([1.7], T=2.5, trials=5)
+        out = ingham_frame_bounds([1.7], T=2.5)
         np.testing.assert_allclose([out.cmin, out.cmax], [2.5, 2.5], rtol=1e-12)
         assert not out.has_collisions
 
     def test_coincident_pair_collapses(self):
-        out = ingham_frame_bounds([1.0, 1.0], T=3.0, trials=20)
+        out = ingham_frame_bounds([1.0, 1.0], T=3.0)
         assert out.has_collisions
         assert out.cmin == pytest.approx(0.0, abs=1e-12)
 
     def test_half_ratio_family_stable_under_truncation(self, ratio_half):
         _, tmin = ingham_gap(ratio_half, 1, 2)
         T = 1.2 * tmin
-        bounds = [
-            ingham_frame_bounds(exponent_family(ratio_half, J), T, trials=200)
-            for J in (10, 20)
-        ]
+        bounds = [ingham_frame_bounds(exponent_family(ratio_half, J), T) for J in (10, 20)]
         assert all(b.cmin > 0 for b in bounds)
         ratio = bounds[1].cmin / bounds[0].cmin
         assert 0.5 < ratio < 2.0
 
-    def test_deterministic_for_fixed_seed(self, ratio_half):
-        freqs = exponent_family(ratio_half, 8)
-        a = ingham_frame_bounds(freqs, 7.0, trials=50, seed=123)
-        b = ingham_frame_bounds(freqs, 7.0, trials=50, seed=123)
-        assert a == b
+    @pytest.mark.parametrize("J", [10, 40])
+    def test_bounds_are_gram_extremes(self, ratio_half, J):
+        _, tmin = ingham_gap(ratio_half, 1, 2)
+        T = 1.2 * tmin
+        freqs = exponent_family(ratio_half, J)
+        eig = np.linalg.eigvalsh(direct_gram(freqs, T))
+        out = ingham_frame_bounds(freqs, T)
+        np.testing.assert_allclose([out.cmin, out.cmax], [eig[0], eig[-1]], rtol=1e-12)
+        assert not out.has_collisions
+
+    def test_random_quotients_lie_inside_the_bounds(self, ratio_half):
+        """Rayleigh quotients of the Gram at random complex vectors, some of them
+        supported on a few exponents only, stay inside [cmin, cmax]."""
+        _, tmin = ingham_gap(ratio_half, 1, 2)
+        T = 1.2 * tmin
+        freqs = exponent_family(ratio_half, 10)
+        gram = direct_gram(freqs, T)
+        out = ingham_frame_bounds(freqs, T)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            g = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
+            keep = rng.random(freqs.size) < rng.random()
+            keep[rng.integers(freqs.size)] = True
+            g[~keep] = 0.0
+            quotient = np.real(np.conj(g) @ gram @ g) / np.real(np.conj(g) @ g)
+            assert out.cmin * (1 - 1e-12) <= quotient <= out.cmax * (1 + 1e-12)

@@ -23,6 +23,7 @@ from piezobeam import (
     resolvent_at_zero,
     sigma,
 )
+from piezobeam.spectral import phase_integral
 from conftest import energy_inner_quadrature
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -254,6 +255,23 @@ class TestOutputEnergy:
         assert (approx.p, approx.q) == (1, 3)
         state = near_unobservable_state(approx, ratio_third)
         assert output_energy(state, ratio_third, 5.0) == 0.0
+
+
+class TestPhaseIntegral:
+    def test_exact_at_small_gaps_coincidences_and_conjugates(self):
+        """int_0^T e^{i delta t} dt = T * sum_k (i delta T)^k / (k+1)! to 1e-14 relative,
+        also at gaps where the direct formula (e^{i delta T} - 1)/(i delta) cancels;
+        exactly T at delta = 0; Hermitian as a Gram matrix."""
+        T = 2.5
+        for dT in (1e-9, 1e-7, 2e-6, 1e-5, 1e-3):
+            series = T * sum((1j * dT) ** k / math.factorial(k + 1) for k in range(8))
+            value = phase_integral(dT / T, T)
+            assert abs(value - series) <= 1e-14 * abs(series), dT
+        assert phase_integral(0.0, T) == T
+        np.testing.assert_array_equal(phase_integral(np.zeros((2, 2)), T), T)
+        s = np.array([-3.1, -0.4, 1e-7, 0.2, 5.0])
+        gram = phase_integral(s[:, None] - s[None, :], T)
+        np.testing.assert_allclose(gram, gram.conj().T, rtol=1e-15, atol=0.0)
 
 
 class TestResolventAtZero:
