@@ -10,6 +10,7 @@ input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,13 @@ from . import observability as obs
 from . import spectral
 from .config import RunConfig, load_config
 from .csvio import read_csv, write_csv, write_svg
-from .errors import NumericalError, PiezoBeamError, ValidationError
+from .errors import (
+    MalformedValue,
+    NonPositiveParameter,
+    NumericalError,
+    PiezoBeamError,
+    ValidationError,
+)
 from .frequency import transfer_closed
 from .params import StabilityClass, classify_stability, derive_constants
 from .sweeps import SWEEP_METRICS, run_sweep
@@ -221,20 +228,20 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_transfer(args, cfg: RunConfig) -> int:
-    params = cfg.params
-    dc = derive_constants(params)
-    ims = np.linspace(-args.im_max, args.im_max, args.n_points)
-    rows = []
-    sup, arg = 0.0, complex(args.s1, 0.0)
-    for im in ims:
-        s = complex(args.s1, im)
-        g = transfer_closed(s, params, dc)
-        rows.append((s.real, s.imag, g.real, g.imag, abs(g)))
-        if abs(g) > sup:
-            sup, arg = abs(g), s
+    for flag, value in (("--s1", args.s1), ("--im-max", args.im_max)):
+        if not math.isfinite(value):
+            raise MalformedValue(f"{flag} must be a finite number, got {value}")
+    if args.n_points < 1:
+        raise NonPositiveParameter(f"--n-points must be >= 1, got {args.n_points}")
+    s = np.empty(args.n_points, dtype=complex)
+    s.real, s.imag = args.s1, np.linspace(-args.im_max, args.im_max, args.n_points)
+    g = transfer_closed(s, cfg.params)
+    abs_g = np.abs(g)
+    idx = np.argmax(abs_g)
     path = _out_path(args, "frequency.csv")
-    write_csv(path, ["re_s", "im_s", "re_G", "im_G", "abs_G"], rows)
-    print(f"sup|G|={sup:.6g} at s={arg.real:g}{arg.imag:+g}j -> {path}")
+    write_csv(path, ["re_s", "im_s", "re_G", "im_G", "abs_G"],
+              zip(s.real, s.imag, g.real, g.imag, abs_g))
+    print(f"sup|G|={abs_g[idx]:.6g} at s={s[idx].real:g}{s[idx].imag:+g}j -> {path}")
     return EXIT_OK
 
 

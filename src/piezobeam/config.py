@@ -5,7 +5,8 @@ thickness); numeric options are optional with documented defaults.  Comments
 start with ``#``.  Parsing validates everything before any computation and
 reports the offending line in every error: every number must be finite, the
 physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J``, ``N``,
-``qmax`` at least 1, and ``cfl`` inside (0, 1).
+``qmax`` at least 1, ``cfl`` inside (0, 1), and the default gain
+``k = 1/(2*thickness)`` finite.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
     Raises :class:`MissingKey`, :class:`DuplicateKey`, :class:`MalformedValue`
-    (not a finite number, or not an integer), :class:`NonPositiveParameter`
+    (not a finite number, not an integer, or a ``thickness`` so small that
+    the default ``k`` overflows), :class:`NonPositiveParameter`
     or :class:`CflViolation` (``cfl`` outside (0, 1)); messages carry the line
     number.
     """
@@ -102,6 +104,9 @@ def parse_config(text: str) -> RunConfig:
             options[key] = as_number(key)
     if "k" not in options:
         options["k"] = 1.0 / (2.0 * params.thickness)
+        if not math.isfinite(options["k"]):
+            lineno, value = entries["thickness"]
+            raise MalformedValue(f"line {lineno}: thickness = {value!r} gives an infinite default k")
     return RunConfig(
         params=params,
         J=options["J"],

@@ -6,18 +6,20 @@
            - b1 (b2 g - a/beta)/zeta1 * tanh(zeta1 s L) ] / (alpha1 h^2 (b1 - b2)),
 
 whose only poles sit on the imaginary axis (at the zeros of
-``cosh(zeta_k s L)``).  ``transfer_bvp`` solves the underlying two-point
-boundary-value problem by finite differences and serves as an independent
-oracle.  The damped loop (feedback ``-pdot(L)/(2h)`` plus an external input)
-has input-output transfer ``G_d = (1 - G/2) / (1 + G/2)``, a Cayley
-transform that maps the positive-real ``G`` into the closed unit disk; the
-transfer from the external input to the electrode-current trace is
-``G / (1 + G/2)``.
+``cosh(zeta_k s L)``).  ``transfer_closed``, ``transfer_damped`` and
+``damped_trace_gain`` take a scalar ``s`` and return a Python ``complex``,
+or take an array of any shape and return a complex array of that shape.
+``transfer_bvp`` solves the underlying two-point boundary-value problem by
+finite differences and serves as an independent oracle; it and
+``transfer_damped_bvp`` take a scalar ``s`` only.  The damped loop (feedback
+``-pdot(L)/(2h)`` plus an external input) has input-output transfer
+``G_d = (1 - G/2) / (1 + G/2)``, a Cayley transform that maps the
+positive-real ``G`` into the closed unit disk; the transfer from the
+external input to the electrode-current trace is ``G / (1 + G/2)``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -41,46 +43,36 @@ __all__ = [
 _POLE_TOL = 1e-12
 
 
-def _tanh_stable(w: complex) -> complex:
-    """tanh via exp(-2w), well behaved for large Re w >= 0."""
-    if w.real < 0:
-        return -_tanh_stable(-w)
-    e = cmath.exp(-2.0 * w)
-    return (1.0 - e) / (1.0 + e)
-
-
-def _abs_cosh_sq(w: complex) -> float:
-    # |cosh(x+iy)|^2 = sinh(x)^2 + cos(y)^2, overflow-safe for the pole check
-    x, y = w.real, w.imag
-    if abs(x) > 1.0:
-        return 1.0  # far from any cosh zero
-    return math.sinh(x) ** 2 + math.cos(y) ** 2
-
-
 def transfer_closed(
-    s: complex, params: BeamParameters, dc: DerivedConstants | None = None
-) -> complex:
+    s: complex | np.ndarray, params: BeamParameters, dc: DerivedConstants | None = None
+) -> complex | np.ndarray:
     """Closed-form transfer from electrode voltage to electrode current.
 
-    Intended for ``Re s > 0``; evaluation on the imaginary axis works until
-    a pole of ``tanh`` is approached, which raises :class:`PoleProximity`.
+    ``s`` is a scalar or an array: a scalar gives a Python ``complex``, an
+    array gives a complex array of the same shape.  Intended for
+    ``Re s > 0``; evaluation on the imaginary axis works until a pole of
+    ``tanh`` is approached, which raises :class:`PoleProximity` naming the
+    first offending ``s`` (in C order).
     """
     dc = dc or derive_constants(params)
     L, h, a1 = params.length, params.thickness, params.alpha1
     aob = dc.alpha / params.beta
     g = params.gamma
-    s = complex(s)
-    for zeta in (dc.zeta1, dc.zeta2):
-        if _abs_cosh_sq(zeta * s * L) < _POLE_TOL**2:
-            raise PoleProximity(f"s={s} is within tolerance of a pole")
-    term2 = dc.b2 * (dc.b1 * g - aob) / dc.zeta2 * _tanh_stable(dc.zeta2 * s * L)
-    term1 = dc.b1 * (dc.b2 * g - aob) / dc.zeta1 * _tanh_stable(dc.zeta1 * s * L)
-    return (term2 - term1) / (a1 * h**2 * (dc.b1 - dc.b2))
+    s = np.asarray(s, dtype=complex)
+    w = np.array((dc.zeta1 * s, dc.zeta2 * s)) * L  # shape (2, *s.shape)
+    # |cosh(x+iy)|^2 = sinh(x)^2 + cos(y)^2; |x| >= 1 is far from any zero
+    near = np.sinh(np.minimum(np.abs(w.real), 1.0)) ** 2 + np.cos(w.imag) ** 2 < _POLE_TOL**2
+    if near.any():
+        first = s.ravel()[np.argmax(near.reshape(2, -1).any(axis=0))]
+        raise PoleProximity(f"s={complex(first)} is within tolerance of a pole")
+    t = np.tanh(w)
+    k2 = dc.b2 * (dc.b1 * g - aob) / dc.zeta2
+    k1 = dc.b1 * (dc.b2 * g - aob) / dc.zeta1
+    G = (k2 * t[1] - k1 * t[0]) / (a1 * h**2 * (dc.b1 - dc.b2))
+    return complex(G) if G.ndim == 0 else G
 
 
-def _bvp_solve(
-    s: complex, params: BeamParameters, n: int, damped: bool
-) -> complex:
+def _bvp_solve(s: complex, params: BeamParameters, n: int, damped: bool) -> complex:
     """Finite-difference solve of the boundary-value problem; returns Z(L).
 
     Unknowns are interleaved ``(Y_i, Z_i)`` for ``i = 1..n``; the driven-end
@@ -88,51 +80,41 @@ def _bvp_solve(
     voltage contains the state feedback ``(s / 2h) Z(L)``, which moves one
     term onto the matrix diagonal.
     """
-    rho, a1, beta, gamma, mu = (
-        params.rho,
-        params.alpha1,
-        params.beta,
-        params.gamma,
-        params.mu,
-    )
+    if n < 64:
+        raise ValueError(f"need n >= 64 cells, got {n}")
+    s = complex(s)
+    rho, a1, beta, gamma, mu = params.rho, params.alpha1, params.beta, params.gamma, params.mu
     L, h = params.length, params.thickness
     alpha = a1 + gamma**2 * beta
     gb = gamma * beta
     dx = L / n
     fac = 1.0 / dx**2
     size = 2 * n
-    bands = np.zeros((7, size), dtype=complex)  # (l, u) = (3, 3) storage
+    # (l, u) = (3, 3) storage: matrix entry (r, c) sits at bands[3 + r - c, c].
+    # Y_i is unknown 2(i-1) (even columns), Z_i is 2(i-1)+1 (odd columns).
+    bands = np.zeros((7, size), dtype=complex)
     rhs = np.zeros(size, dtype=complex)
-    u_band = 3  # row index of the diagonal in solve_banded storage
-
-    def put(i, j, val):
-        bands[u_band + i - j, j] += val
-
     s2 = s * s
-    for i in range(1, n + 1):
-        vi = 2 * (i - 1)
-        pi = vi + 1
-        put(vi, vi, -2.0 * alpha * fac - rho * s2)
-        put(pi, pi, -2.0 * beta * fac - mu * s2)
-        put(vi, pi, 2.0 * gb * fac)
-        put(pi, vi, 2.0 * gb * fac)
-        left = 2.0 if i == n else 1.0  # ghost doubles the inner neighbor
-        if i > 1:
-            put(vi, vi - 2, left * alpha * fac)
-            put(vi, pi - 2, -left * gb * fac)
-            put(pi, pi - 2, left * beta * fac)
-            put(pi, vi - 2, -left * gb * fac)
-        if i < n:
-            put(vi, vi + 2, alpha * fac)
-            put(vi, pi + 2, -gb * fac)
-            put(pi, pi + 2, beta * fac)
-            put(pi, vi + 2, -gb * fac)
+    left = np.ones(n - 1)
+    left[-1] = 2.0  # at node n the ghost doubles the inner neighbor
+    bands[3, 0::2] = -2.0 * alpha * fac - rho * s2
+    bands[3, 1::2] = -2.0 * beta * fac - mu * s2
+    bands[2, 1::2] = 2.0 * gb * fac  # Y row, own Z
+    bands[4, 0::2] = 2.0 * gb * fac  # Z row, own Y
+    bands[5, 0:-2:2] = left * alpha * fac  # Y row, Y of node i-1
+    bands[4, 1:-2:2] = -left * gb * fac  # Y row, Z of node i-1
+    bands[5, 1:-2:2] = left * beta * fac  # Z row, Z of node i-1
+    bands[6, 0:-2:2] = -left * gb * fac  # Z row, Y of node i-1
+    bands[1, 2::2] = alpha * fac  # Y row, Y of node i+1
+    bands[0, 3::2] = -gb * fac  # Y row, Z of node i+1
+    bands[1, 3::2] = beta * fac  # Z row, Z of node i+1
+    bands[2, 2::2] = -gb * fac  # Z row, Y of node i+1
     # driven end: the Y-row ghost contributions cancel exactly; the Z-row
     # carries the physical flux -V/h with unit input
     zn = size - 1
     rhs[zn] = 2.0 / (h * dx)
     if damped:
-        bands[u_band, zn] += -s / (h**2 * dx)
+        bands[3, zn] += -s / (h**2 * dx)
     try:
         sol = solve_banded((3, 3), bands, rhs)
     except np.linalg.LinAlgError as exc:
@@ -148,16 +130,12 @@ def transfer_bvp(s: complex, params: BeamParameters, n: int = 4096) -> complex:
     Independent of the closed form; the discretization error is O(n^-2), so
     Richardson steps (doubling ``n``) shrink the disagreement by ~4x.
     """
-    if n < 64:
-        raise ValueError(f"need n >= 64 cells, got {n}")
-    s = complex(s)
-    zL = _bvp_solve(s, params, n, damped=False)
-    return -s * zL / params.thickness
+    return -complex(s) * _bvp_solve(s, params, n, damped=False) / params.thickness
 
 
 def transfer_damped(
-    s: complex, params: BeamParameters, dc: DerivedConstants | None = None
-) -> complex:
+    s: complex | np.ndarray, params: BeamParameters, dc: DerivedConstants | None = None
+) -> complex | np.ndarray:
     """Input-output transfer of the damped loop, ``(1 - G/2) / (1 + G/2)``.
 
     The loop closes ``V = pdot(L)/(2h) + u`` and reads ``y = pdot(L)/h + u``;
@@ -170,8 +148,8 @@ def transfer_damped(
 
 
 def damped_trace_gain(
-    s: complex, params: BeamParameters, dc: DerivedConstants | None = None
-) -> complex:
+    s: complex | np.ndarray, params: BeamParameters, dc: DerivedConstants | None = None
+) -> complex | np.ndarray:
     """Transfer from the damped loop's external input to the current trace.
 
     ``u -> pdot(L)/h`` has transfer ``G / (1 + G/2)``: zero at ``s = 0`` and
@@ -188,11 +166,7 @@ def transfer_damped_bvp(s: complex, params: BeamParameters, n: int = 4096) -> co
     Cross-check for :func:`transfer_damped`: the discrete loop reproduces
     ``(1 - G/2)/(1 + G/2)`` to O(n^-2).
     """
-    if n < 64:
-        raise ValueError(f"need n >= 64 cells, got {n}")
-    s = complex(s)
-    zL = _bvp_solve(s, params, n, damped=True)
-    return s * zL / params.thickness + 1.0
+    return complex(s) * _bvp_solve(s, params, n, damped=True) / params.thickness + 1.0
 
 
 class ScanResult(NamedTuple):
@@ -237,9 +211,7 @@ def boundedness_scan(
         raise ValueError(f"s1 must be > 0, got {s1}")
     dc = dc or derive_constants(params)
     ims = np.linspace(-im_max, im_max, n)
-    values = np.empty(n)
-    for i, im in enumerate(ims):
-        values[i] = abs(transfer_closed(complex(s1, im), params, dc))
+    values = np.abs(transfer_closed(s1 + 1j * ims, params, dc))
     idx = int(np.argmax(values))
     sup = float(values[idx])
     bound = analytic_line_bound(s1, params, dc)

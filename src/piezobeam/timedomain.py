@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import eig_banded
 
-from .errors import CflViolation, NonFiniteState, NonPositiveEnergy
+from .errors import CflViolation, MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, derive_constants
 from .spectral import ModalCoefficients, reconstruct
 
@@ -142,9 +142,10 @@ class SimConfig:
     mode takes ``forcing``; ``k`` is the feedback gain of closed and
     classical mode (default ``1/(2h)``) and is not used in open mode.
     Setting ``voltage`` or ``forcing`` for another mode raises
-    ``ValueError``.  ``dt`` may be forced explicitly but must respect
-    the stability bound ``dt <= dx * zeta2`` (or ``dx * sqrt(rho/alpha1)``
-    for the classical model); otherwise it is ``cfl`` times that bound.
+    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  ``dt``
+    may be forced explicitly but must respect the stability bound
+    ``dt <= dx * zeta2`` (or ``dx * sqrt(rho/alpha1)`` for the classical
+    model); otherwise it is ``cfl`` times that bound.
     """
 
     mode: str = "open"
@@ -164,10 +165,12 @@ class SimConfig:
             raise ValueError(f"voltage is an open-loop input, not used in {self.mode} mode")
         if self.forcing is not None and self.mode != "closed":
             raise ValueError(f"forcing is a closed-loop input, not used in {self.mode} mode")
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
         if not 0 < self.cfl < 1:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
+        if self.k is not None and not math.isfinite(self.k):
+            raise MalformedValue(f"k must be a finite number, got {self.k}")
         if self.energy_stride < 1:
             raise ValueError("energy_stride must be >= 1")
 

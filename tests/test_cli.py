@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from piezobeam import (
     CflViolation,
@@ -11,12 +13,13 @@ from piezobeam import (
     MalformedValue,
     MissingKey,
     NonPositiveParameter,
+    ValidationError,
     derive_constants,
     parse_config,
     run_sweep,
 )
 from piezobeam.cli import run
-from piezobeam.config import RunConfig, load_config
+from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
 from piezobeam.csvio import read_csv, write_csv
 
 MINIMAL = """\
@@ -98,6 +101,7 @@ class TestParseConfig:
             ("cfl = 0", CflViolation),
             ("cfl = 1", CflViolation),
             ("cfl = 1.5", CflViolation),
+            ("thickness = 1e-320", MalformedValue),  # default k = 1/(2*thickness) overflows
         ],
     )
     def test_bad_number_rejected_with_line(self, line, error, tmp_path, capsys):
@@ -111,6 +115,39 @@ class TestParseConfig:
         path.write_text(text)
         assert run(["spectrum", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
         assert "line 1:" in capsys.readouterr().err
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_fuzzed_documents_parse_or_raise_validation_error(self, data):
+        """Any document either parses to finite, in-range numbers or raises a
+        ``ValidationError``; no other exception escapes.
+
+        The physical keys get positive finite values (subnormals included) and
+        are each dropped now and then; up to four more lines carry any key or
+        junk with any number, text or junk value."""
+        number = st.one_of(
+            st.floats().map(repr),
+            st.integers(-10, 10**6).map(str),
+            st.sampled_from(["nan", "-inf", "1e400", "1e-320", "0x10", "1_0", "", "1/2"]),
+            st.text(max_size=6),
+        )
+        keys = st.one_of(st.sampled_from(PHYSICAL_KEYS + INT_KEYS + FLOAT_KEYS), st.text(max_size=6))
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+        lines = [f"{key} = {data.draw(positive)}" for key in PHYSICAL_KEYS
+                 if data.draw(st.integers(0, 29))]
+        lines += data.draw(st.lists(
+            st.one_of(st.builds("{} = {}".format, keys, number), st.text(max_size=12)), max_size=4))
+        text = "\n".join(data.draw(st.permutations(lines)))
+        try:
+            cfg = parse_config(text)
+        except ValidationError:
+            return
+        params = [getattr(cfg.params, key) for key in PHYSICAL_KEYS]
+        assert all(math.isfinite(v) and v > 0 for v in params + [cfg.T, cfg.sample_dt, cfg.tol])
+        assert all(type(v) is int and v >= 1 for v in (cfg.J, cfg.n, cfg.qmax))
+        assert math.isfinite(cfg.k) and 0 < cfg.cfl < 1
 
 
 class TestCommands:
@@ -219,6 +256,23 @@ class TestCommands:
         bad.write_text(MINIMAL.replace("gamma = 1", "gamma = -1"))
         assert run(["classify", "--config", str(bad)]) == 2
         assert "NonPositiveParameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["transfer", "--s1", "nan"], "MalformedValue: --s1 must be a finite number"),
+            (["transfer", "--im-max", "inf"], "MalformedValue: --im-max must be a finite number"),
+            (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be >= 1"),
+            (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: k must be a finite number"),
+            (["simulate", "--N", "64", "--T", "inf"], "T must be finite and > 0"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_2(self, argv, message, half_cfg, tmp_path, capsys):
+        """A flag that is not finite or out of range is named and writes nothing."""
+        out_csv = tmp_path / "out.csv"
+        assert run(argv + ["--config", str(half_cfg), "--out", str(out_csv)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_exit_code_missing_file(self, tmp_path, capsys):
         assert run(["classify", "--config", str(tmp_path / "absent.cfg")]) == 2

@@ -1,9 +1,11 @@
 """Transfer function: closed form vs boundary-value oracle, damped loop, bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from piezobeam import (
     BeamParameters,
@@ -20,6 +22,54 @@ from piezobeam import (
 
 G_INF_GOLDEN = 3.0 / math.sqrt(5.0)
 G_AT_ONE_GOLDEN = 1.176144180642303  # recorded from the Richardson-extrapolated BVP oracle
+
+
+def reference_bvp(s, params, n, damped):
+    """Node-by-node assembly and solve of the boundary-value system: the
+    oracle for ``transfer_bvp`` and ``transfer_damped_bvp``.
+
+    Adds each matrix entry ``(i, j)`` to ``bands[3 + i - j, j]`` in a loop
+    over the ``n`` nodes; unknowns are interleaved ``(Y_i, Z_i)``.  Returns
+    ``Z(L)``.
+    """
+    rho, a1, beta, gamma, mu = params.rho, params.alpha1, params.beta, params.gamma, params.mu
+    L, h = params.length, params.thickness
+    alpha = a1 + gamma**2 * beta
+    gb = gamma * beta
+    dx = L / n
+    fac = 1.0 / dx**2
+    size = 2 * n
+    bands = np.zeros((7, size), dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
+    u_band = 3
+
+    def put(i, j, val):
+        bands[u_band + i - j, j] += val
+
+    s2 = s * s
+    for i in range(1, n + 1):
+        vi = 2 * (i - 1)
+        pi = vi + 1
+        put(vi, vi, -2.0 * alpha * fac - rho * s2)
+        put(pi, pi, -2.0 * beta * fac - mu * s2)
+        put(vi, pi, 2.0 * gb * fac)
+        put(pi, vi, 2.0 * gb * fac)
+        left = 2.0 if i == n else 1.0
+        if i > 1:
+            put(vi, vi - 2, left * alpha * fac)
+            put(vi, pi - 2, -left * gb * fac)
+            put(pi, pi - 2, left * beta * fac)
+            put(pi, vi - 2, -left * gb * fac)
+        if i < n:
+            put(vi, vi + 2, alpha * fac)
+            put(vi, pi + 2, -gb * fac)
+            put(pi, pi + 2, beta * fac)
+            put(pi, vi + 2, -gb * fac)
+    zn = size - 1
+    rhs[zn] = 2.0 / (h * dx)
+    if damped:
+        bands[u_band, zn] += -s / (h**2 * dx)
+    return complex(solve_banded((3, 3), bands, rhs)[zn])
 
 
 class TestClosedForm:
@@ -55,6 +105,30 @@ class TestClosedForm:
         for s in (0.1, 0.5, 2.0, 10.0):
             assert transfer_closed(s, golden).real > 0.0
 
+    def test_array_keeps_shape_and_matches_scalar_calls(self, golden):
+        rng = np.random.default_rng(5)
+        ss = rng.uniform(0.01, 10.0, (7, 9)) + 1j * rng.uniform(-100.0, 100.0, (7, 9))
+        g = transfer_closed(ss, golden)
+        assert g.shape == ss.shape and g.dtype == complex
+        scalar = np.array([[transfer_closed(s, golden) for s in row] for row in ss])
+        np.testing.assert_allclose(g, scalar, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("s", [1.0, 2, 0.5 + 3.0j, np.float64(2.0), np.complex128(1.0 - 1.0j)])
+    def test_scalar_returns_complex(self, golden, s):
+        assert type(transfer_closed(s, golden)) is complex
+        assert type(transfer_damped(s, golden)) is complex
+        assert type(damped_trace_gain(s, golden)) is complex
+
+    def test_pole_in_an_array_is_named(self, golden, golden_dc):
+        """The first entry in C order at a zero of either cosh is named."""
+        pole2 = 1j * math.pi / (2.0 * golden_dc.zeta2 * golden.length)
+        pole1 = 3j * math.pi / (2.0 * golden_dc.zeta1 * golden.length)
+        ss = np.array([[1.0, 2.0 + 1.0j, pole2], [pole1, 0.5, 3.0]])
+        with pytest.raises(PoleProximity, match=re.escape(f"s={pole2} ")):
+            transfer_closed(ss, golden)
+        with pytest.raises(PoleProximity, match=re.escape(f"s={pole1} ")):
+            transfer_closed(ss[::-1], golden)
+
 
 class TestBoundaryValueOracle:
     def test_agreement_with_richardson(self, golden):
@@ -80,6 +154,21 @@ class TestBoundaryValueOracle:
                 transfer_bvp(s, golden, 1024), transfer_closed(s, golden), rtol=2e-5
             )
 
+    @pytest.mark.parametrize(
+        "params, s, n",
+        [
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 1.0, 64),
+            (BeamParameters(1.0, 1.0, 1.0, math.sqrt(0.5), 1.0), 0.3 - 2.5j, 257),
+            (BeamParameters(2.3, 0.7, 1.9, 0.4, 3.1, length=1.7, thickness=0.3), 1.0 + 3.0j, 1024),
+            (BeamParameters(0.8, 1.4, 0.6, 1.3, 0.9, length=0.6, thickness=2.5), 0.01 + 7.0j, 333),
+        ],
+    )
+    def test_matches_reference_loop_assembly(self, params, s, n):
+        """The strided band assembly solves the same system bit for bit."""
+        h = params.thickness
+        assert transfer_bvp(s, params, n) == -s * reference_bvp(s, params, n, False) / h
+        assert transfer_damped_bvp(s, params, n) == s * reference_bvp(s, params, n, True) / h + 1.0
+
     def test_decoupled_limit_matches_scalar_line(self):
         """Tiny coupling reduces to the single charge-wave transfer."""
         params = BeamParameters(rho=1.0, alpha1=1.0, beta=1.0, gamma=1e-8, mu=4.0)
@@ -101,7 +190,8 @@ class TestDampedLoop:
         """The loop map stays in the unit disk at 500 random half-plane points."""
         rng = np.random.default_rng(42)
         ss = rng.uniform(0.01, 10.0, 500) + 1j * rng.uniform(-100.0, 100.0, 500)
-        mods = np.array([abs(transfer_damped(s, golden)) for s in ss])
+        mods = np.abs(transfer_damped(ss, golden))
+        assert mods.shape == (500,)
         assert mods.max() <= 1.0 + 1e-9
 
     def test_contractive_next_to_a_pole(self, golden, golden_dc):
@@ -116,6 +206,17 @@ class TestDampedLoop:
                 transfer_damped(s, golden),
                 rtol=3e-6,
             )
+
+    def test_accepts_arrays(self, golden):
+        rng = np.random.default_rng(6)
+        ss = rng.uniform(0.01, 10.0, (3, 4)) + 1j * rng.uniform(-50.0, 50.0, (3, 4))
+        g = transfer_closed(ss, golden)
+        for f, form in ((transfer_damped, (1.0 - 0.5 * g) / (1.0 + 0.5 * g)),
+                        (damped_trace_gain, g / (1.0 + 0.5 * g))):
+            out = f(ss, golden)
+            assert out.shape == ss.shape
+            np.testing.assert_array_equal(out, form)
+            np.testing.assert_allclose(out, [[f(s, golden) for s in row] for row in ss], rtol=1e-14)
 
     def test_trace_gain_examples(self, golden):
         assert damped_trace_gain(0.0, golden) == 0.0
