@@ -27,7 +27,6 @@ from .errors import (
     PiezoBeamError,
     PoleProximity,
     QuadratureFailure,
-    SingularModeSystem,
     SingularSystem,
     TruncationTooSmall,
     ValidationError,

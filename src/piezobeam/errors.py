@@ -67,10 +67,6 @@ class NonPositiveEnergy(ValidationError):
     """Energy series must be strictly positive to fit a log-linear decay."""
 
 
-class SingularModeSystem(NumericalError):
-    """Per-mode 4x4 projection system was numerically singular."""
-
-
 class SingularSystem(NumericalError):
     """Discrete boundary-value system was numerically singular."""
 

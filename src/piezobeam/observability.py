@@ -244,8 +244,8 @@ def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> Fr
     collision shows up as a zero eigenvalue.  ``trials`` is accepted for
     compatibility and ignored.
     """
-    if not T > 0:
-        raise ValueError(f"T must be > 0, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
     s = np.asarray(exponents, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("exponents must be a non-empty 1-d sequence")

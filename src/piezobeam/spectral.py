@@ -4,11 +4,13 @@ The undamped generator of the coupled stretching system is skew-adjoint with
 purely imaginary eigenvalues ``+/- i * sigma_j / zeta_k`` where
 ``sigma_j = (2j - 1) * pi / (2L)`` and ``k in {1, 2}`` indexes the wave
 family.  Its eigenfunctions are sine profiles mixed across the displacement
-and charge components by the coefficients ``b1``, ``b2``.  This module
-provides the eigen-decomposition, projection of states onto the eigenbasis,
-unitary modal propagation, energy norms, the closed-form output energy of the
-electrode-current observation, and the inverse of the damped generator at
-zero frequency.
+and charge components by the coefficients ``b1``, ``b2``.  The mixing vectors
+``(1, b_k)`` are orthogonal in the mass ``diag(rho, mu)`` (``b1 b2 = -rho/mu``),
+so projection inverts the sine amplitudes family by family in closed form.
+This module provides the eigen-decomposition, projection of states onto the
+eigenbasis, unitary modal propagation, energy norms, the closed-form output
+energy of the electrode-current observation, and the inverse of the damped
+generator at zero frequency.
 
 Everything is pure and immutable; all operations may run concurrently.
 """
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import QuadratureFailure, SingularModeSystem
+from .errors import QuadratureFailure
 from .params import BeamParameters, DerivedConstants, derive_constants
 
 __all__ = [
@@ -151,10 +153,6 @@ def sigma(j, length: float):
     return (2.0 * np.asarray(j) - 1.0) * np.pi / (2.0 * length)
 
 
-def _dc(params: BeamParameters) -> DerivedConstants:
-    return derive_constants(params)
-
-
 def eigenvalues(
     params: BeamParameters, J: int, dc: DerivedConstants | None = None
 ) -> list[tuple[ModeIndex, complex]]:
@@ -165,7 +163,7 @@ def eigenvalues(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    dc = dc or _dc(params)
+    dc = dc or derive_constants(params)
     L = params.length
     out = []
     for j in range(1, J + 1):
@@ -174,14 +172,6 @@ def eigenvalues(
             for sign in (+1, -1):
                 out.append((ModeIndex(family, sign, j), sign * 1j * s / zeta))
     return out
-
-
-def _mode_scalars(mode: ModeIndex, dc: DerivedConstants, L: float):
-    zeta = dc.zeta1 if mode.family == 1 else dc.zeta2
-    b = dc.b1 if mode.family == 1 else dc.b2
-    s = sigma(mode.j, L)
-    lam_plus = 1j * s / zeta
-    return s, b, lam_plus
 
 
 def eigenfunction(
@@ -193,8 +183,10 @@ def eigenfunction(
     with ``lam`` the eigenvalue of the ``+`` branch of the mode's family.
     Returns shape ``(4,)`` for scalar ``x`` and ``(4, len(x))`` otherwise.
     """
-    dc = dc or _dc(params)
-    s, b, lam = _mode_scalars(mode, dc, params.length)
+    dc = dc or derive_constants(params)
+    zeta, b = (dc.zeta1, dc.b1) if mode.family == 1 else (dc.zeta2, dc.b2)
+    s = sigma(mode.j, params.length)
+    lam = 1j * s / zeta
     profile = np.sin(s * np.asarray(x, dtype=float))
     vec = np.array([1.0 / lam, b / lam, mode.sign, mode.sign * b], dtype=complex)
     return np.multiply.outer(vec, profile)
@@ -214,7 +206,7 @@ def reconstruct(
     (cosine profiles), which is what the energy quadratures need.
     Returns a complex array of shape ``(4, len(x))``.
     """
-    dc = dc or _dc(params)
+    dc = dc or derive_constants(params)
     L = params.length
     x = np.atleast_1d(np.asarray(x, dtype=float))
     J = coeffs.truncation
@@ -228,25 +220,13 @@ def reconstruct(
         lam = 1j * s / zeta
         phase = np.exp(lam * t)
         cp, dm = c * phase, d / phase
-        sum_amp = (cp + dm) / lam
-        diff_amp = cp - dm
-        out[0] += sum_amp @ profile
-        out[1] += b * (sum_amp @ profile)
-        out[2] += diff_amp @ profile
-        out[3] += b * (diff_amp @ profile)
+        position = ((cp + dm) / lam) @ profile
+        velocity = (cp - dm) @ profile
+        out[0] += position
+        out[1] += b * position
+        out[2] += velocity
+        out[3] += b * velocity
     return out
-
-
-def _sine_coefficients(values: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Sine-series coefficients (2/L) * int f(x) sin(s x) dx by trapezoid.
-
-    On a uniform closed grid the trapezoid rule integrates products of this
-    sine family exactly, so projection of band-limited states is exact to
-    rounding.
-    """
-    L = x[-1] - x[0]
-    kernel = np.sin(np.outer(s, x))
-    return (2.0 / L) * np.trapezoid(kernel * values[None, :], x, axis=1)
 
 
 def project(
@@ -258,56 +238,50 @@ def project(
 ) -> ModalCoefficients:
     """Project a state onto the first ``J`` modes of each branch.
 
-    Each component is expanded in the sine basis, then for every ``j`` the
-    4x4 linear system tying the four branch coefficients to the four
-    component amplitudes is solved.  Reconstructing and re-projecting is the
-    identity on the truncated span.
+    One real product of the samples, real and imaginary parts stacked, with
+    the trapezoid-weighted kernel ``(2/L) sin(sigma_j x)`` gives the sine
+    amplitudes ``a_v, a_p, a_vd, a_pd`` of all four components.  The rule on
+    ``cells`` uniform cells is exact on this family: a product of modes ``j``
+    and ``k`` is half the difference of ``cos(m pi x / L)`` at ``m = j - k``
+    and ``m = j + k - 1``, which it integrates exactly for ``|m| < 2 * cells``.
+    Projecting a state in the span of the first ``J <= cells`` modes is
+    therefore exact to rounding.
 
-    Raises
-    ------
-    SingularModeSystem
-        If a per-mode system is numerically singular.  This cannot happen for
-        valid constants (``b1 != b2`` and distinct family eigenvalues); the
-        check is defensive.
+    Family ``k`` adds ``S_k = (c_k + d_k) / lam_k`` to the position amplitudes
+    and ``D_k = c_k - d_k`` to the velocity amplitudes, both along the mixing
+    vector ``(1, b_k)``.  These vectors are orthogonal in the mass
+    ``diag(rho, mu)`` because ``b1 * b2 = -rho / mu``, so with
+    ``w_k = rho + mu * b_k**2``
+
+        S_k = (rho a_v + mu b_k a_p) / w_k,   D_k = (rho a_vd + mu b_k a_pd) / w_k,
+
+    and ``c_k = (lam_k S_k + D_k) / 2``, ``d_k = (lam_k S_k - D_k) / 2``.
+    Reconstructing and re-projecting is the identity on the truncated span.
     """
-    dc = dc or _dc(params)
-    L = params.length
+    if J < 1:
+        raise ValueError(f"J must be >= 1, got {J}")
+    if cells < 1:
+        raise ValueError(f"cells must be >= 1, got {cells}")
+    dc = dc or derive_constants(params)
+    rho, mu, L = params.rho, params.mu, params.length
     x = np.linspace(0.0, L, cells + 1)
     s = sigma(np.arange(1, J + 1), L)
+    kernel = np.sin(np.outer(s, x)) * (2.0 / cells)
+    kernel[:, -1] *= 0.5  # trapezoid end weight; the sines vanish at x = 0
     samples = state.sample(x)
-    amps = np.stack([_sine_coefficients(np.real(comp), x, s) for comp in samples])
-    if np.iscomplexobj(samples) and np.any(samples.imag != 0):
-        amps = amps + 1j * np.stack(
-            [_sine_coefficients(comp.imag, x, s) for comp in samples]
-        )
-
-    lam1 = 1j * s / dc.zeta1
-    lam2 = 1j * s / dc.zeta2
-    b1, b2 = dc.b1, dc.b2
-    systems = np.zeros((J, 4, 4), dtype=complex)
-    systems[:, 0, 0] = 1.0 / lam1
-    systems[:, 0, 1] = 1.0 / lam1
-    systems[:, 0, 2] = 1.0 / lam2
-    systems[:, 0, 3] = 1.0 / lam2
-    systems[:, 1, 0] = b1 / lam1
-    systems[:, 1, 1] = b1 / lam1
-    systems[:, 1, 2] = b2 / lam2
-    systems[:, 1, 3] = b2 / lam2
-    systems[:, 2, 0] = 1.0
-    systems[:, 2, 1] = -1.0
-    systems[:, 2, 2] = 1.0
-    systems[:, 2, 3] = -1.0
-    systems[:, 3, 0] = b1
-    systems[:, 3, 1] = -b1
-    systems[:, 3, 2] = b2
-    systems[:, 3, 3] = -b2
-    if abs(b1 - b2) < 1e-14 * (abs(b1) + abs(b2)):
-        raise SingularModeSystem("b1 == b2: mode families are indistinguishable")
-    try:
-        sol = np.linalg.solve(systems, amps.T[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularModeSystem(str(exc)) from exc
-    return ModalCoefficients(sol[:, 0], sol[:, 1], sol[:, 2], sol[:, 3])
+    # (real, imaginary) pairs from one real product: BLAS sums it more
+    # accurately than a complex one, and real division rounds once
+    amps = np.vstack((samples.real, samples.imag)) @ kernel.T
+    a_v, a_p, a_vd, a_pd = amps.reshape(2, 4, J).swapaxes(0, 1)
+    branches = []
+    for b, zeta in ((dc.b1, dc.zeta1), (dc.b2, dc.zeta2)):
+        w = rho + mu * b * b
+        s_k = (rho * a_v + mu * b * a_p) / w
+        d_k = (rho * a_vd + mu * b * a_pd) / w
+        lam_s = (1j * s / zeta) * (s_k[0] + 1j * s_k[1])
+        d = d_k[0] + 1j * d_k[1]
+        branches += [(lam_s + d) / 2, (lam_s - d) / 2]
+    return ModalCoefficients(*branches)
 
 
 def projection_residual(
@@ -317,6 +291,8 @@ def projection_residual(
     cells: int = DEFAULT_QUADRATURE_CELLS,
 ) -> float:
     """Relative L2 mismatch between a state and its truncated reconstruction."""
+    if cells < 1:
+        raise ValueError(f"cells must be >= 1, got {cells}")
     x = np.linspace(0.0, params.length, cells + 1)
     original = state.sample(x)
     rebuilt = reconstruct(coeffs, params, x)
@@ -338,7 +314,7 @@ def propagate(
     Each branch picks up a unit-modulus phase, so the modal energy norm is
     conserved exactly.
     """
-    dc = dc or _dc(params)
+    dc = dc or derive_constants(params)
     s = sigma(np.arange(1, coeffs.truncation + 1), params.length)
     phase1 = np.exp(1j * s * t / dc.zeta1)
     phase2 = np.exp(1j * s * t / dc.zeta2)
@@ -364,7 +340,7 @@ def modal_norm_sq(
 
     The physical energy is ``(thickness / 2) * N^2``.
     """
-    dc = dc or _dc(params)
+    dc = dc or derive_constants(params)
     w1 = params.rho + dc.b1**2 * params.mu
     w2 = params.rho + dc.b2**2 * params.mu
     total = w1 * (
@@ -434,9 +410,9 @@ def output_energy(
     not by time quadrature, so resonant (coincident-frequency) pairs are
     handled exactly and nothing aliases.
     """
-    if not T > 0:
-        raise ValueError(f"T must be > 0, got {T}")
-    dc = dc or _dc(params)
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
+    dc = dc or derive_constants(params)
     freqs, weights = _output_weights(coeffs, params, dc)
     if freqs.size == 0:
         return 0.0

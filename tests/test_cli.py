@@ -265,6 +265,8 @@ class TestCommands:
             (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be >= 1"),
             (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: k must be a finite number"),
             (["simulate", "--N", "64", "--T", "inf"], "T must be finite and > 0"),
+            (["observability", "--T", "inf"], "T must be finite and > 0"),
+            (["observability", "--T", "nan"], "T must be finite and > 0"),
         ],
     )
     def test_bad_numeric_flag_exits_2(self, argv, message, half_cfg, tmp_path, capsys):

@@ -127,6 +127,16 @@ class TestQuotients:
             observability_quotient(coeffs, ratio_half, 3.0), 2.0, rtol=1e-12
         )
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_window_must_be_finite_and_positive(self, ratio_half, T):
+        state = ModalCoefficients.single(ModeIndex(1, 1, 1), J=1)
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            output_energy(state, ratio_half, T)
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            observability_quotient(state, ratio_half, T)
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            ingham_frame_bounds(exponent_family(ratio_half, 2), T)
+
     def test_zero_state_rejected(self, golden):
         with pytest.raises(ZeroState):
             observability_quotient(ModalCoefficients.zeros(2), golden, 1.0)

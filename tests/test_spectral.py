@@ -1,11 +1,13 @@
 """Eigenstructure, modal projection/propagation, norms, output energy, resolvent."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from piezobeam import (
+    BeamParameters,
     ModalCoefficients,
     ModeIndex,
     StateFunctions,
@@ -18,6 +20,7 @@ from piezobeam import (
     output_energy,
     parameters_for_ratio,
     project,
+    projection_residual,
     propagate,
     reconstruct,
     resolvent_at_zero,
@@ -34,6 +37,127 @@ def random_coefficients(J, seed=0):
     return ModalCoefficients(
         *(rng.standard_normal(J) + 1j * rng.standard_normal(J) for _ in range(4))
     )
+
+
+def reference_project(state, params, J, cells=2048):
+    """Per-component trapezoid and per-mode 4x4 solve: the oracle for ``project``.
+
+    Each component's real and imaginary parts are expanded in the sine basis
+    by ``np.trapezoid`` against a freshly built kernel, then for every ``j``
+    the general system tying the four branch coefficients to the four sine
+    amplitudes is solved.
+    """
+    dc = derive_constants(params)
+    L = params.length
+    x = np.linspace(0.0, L, cells + 1)
+    s = sigma(np.arange(1, J + 1), L)
+
+    def sine_coefficients(values):
+        kernel = np.sin(np.outer(s, x))
+        return (2.0 / L) * np.trapezoid(kernel * values[None, :], x, axis=1)
+
+    samples = state.sample(x)
+    amps = np.stack([sine_coefficients(np.real(comp)) for comp in samples])
+    if np.iscomplexobj(samples) and np.any(samples.imag != 0):
+        amps = amps + 1j * np.stack([sine_coefficients(comp.imag) for comp in samples])
+    lam1, lam2 = 1j * s / dc.zeta1, 1j * s / dc.zeta2
+    b1, b2, one = dc.b1, dc.b2, np.ones(J)
+    systems = np.array(
+        [
+            [1.0 / lam1, 1.0 / lam1, 1.0 / lam2, 1.0 / lam2],
+            [b1 / lam1, b1 / lam1, b2 / lam2, b2 / lam2],
+            [one, -one, one, -one],
+            [b1 * one, -b1 * one, b2 * one, -b2 * one],
+        ]
+    ).transpose(2, 0, 1)
+    sol = np.linalg.solve(systems, amps.T[:, :, None])[:, :, 0]
+    return ModalCoefficients(sol[:, 0], sol[:, 1], sol[:, 2], sol[:, 3])
+
+
+def reference_reconstruct(coeffs, params, x, t=0.0, derivative=False):
+    """Four vector-matrix products per family: the oracle for ``reconstruct``."""
+    dc = derive_constants(params)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    s = sigma(np.arange(1, coeffs.truncation + 1), params.length)
+    profile = np.cos(np.outer(s, x)) * s[:, None] if derivative else np.sin(np.outer(s, x))
+    out = np.zeros((4, x.size), dtype=complex)
+    for b, zeta, c, d in ((dc.b1, dc.zeta1, coeffs.c1, coeffs.d1), (dc.b2, dc.zeta2, coeffs.c2, coeffs.d2)):
+        lam = 1j * s / zeta
+        phase = np.exp(lam * t)
+        cp, dm = c * phase, d / phase
+        sum_amp = (cp + dm) / lam
+        diff_amp = cp - dm
+        out[0] += sum_amp @ profile
+        out[1] += b * (sum_amp @ profile)
+        out[2] += diff_amp @ profile
+        out[3] += b * (diff_amp @ profile)
+    return out
+
+
+def reference_params():
+    """Golden, a rescaled ratio-1/2 beam, and three random beams in [0.5, 2]."""
+    rng = np.random.default_rng(2014)
+    cases = [
+        ("golden", BeamParameters(rho=1.0, alpha1=1.0, beta=1.0, gamma=1.0, mu=1.0)),
+        ("ratio_half_scaled", replace(parameters_for_ratio(0.5), length=2.5, thickness=0.3)),
+    ]
+    names = ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness")
+    for i in range(3):
+        cases.append((f"random{i}", BeamParameters(**dict(zip(names, rng.uniform(0.5, 2.0, 7))))))
+    return cases
+
+
+def reference_states(params, J):
+    """A complex modal state, a real sampled state and a lambda state."""
+    L = params.length
+    xs = np.linspace(0.0, L, 301)
+    bump = np.sin(np.pi * xs / L) ** 2 * xs
+    return {
+        "from_modal": StateFunctions.from_modal(random_coefficients(J, seed=3), params),
+        "from_samples": StateFunctions.from_samples(xs, bump, -0.5 * bump, np.sqrt(xs), xs**2),
+        "lambda": StateFunctions(
+            lambda x: x * (2.0 * L - x),
+            lambda x: np.sin(0.7 * x),
+            lambda x: np.exp(-((x - 0.4 * L) ** 2)) - np.exp(-0.16 * L**2),
+            lambda x: x**3,
+        ),
+    }
+
+
+class TestReferences:
+    @pytest.mark.parametrize("params", [pytest.param(p, id=n) for n, p in reference_params()])
+    def test_project_matches_reference(self, params):
+        J = 24
+        for label, state in reference_states(params, J).items():
+            got, want = project(state, params, J), reference_project(state, params, J)
+            got = np.stack([got.c1, got.d1, got.c2, got.d2])
+            want = np.stack([want.c1, want.d1, want.c2, want.d2])
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-12, (label, err)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_reconstruct_equals_reference(self, derivative):
+        for seed, (_, params) in enumerate(reference_params()):
+            coeffs = random_coefficients(17, seed=seed)
+            x = np.linspace(0.0, params.length, 129)
+            for t in (0.0, 1.3):
+                got = reconstruct(coeffs, params, x, t=t, derivative=derivative)
+                want = reference_reconstruct(coeffs, params, x, t=t, derivative=derivative)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: project(StateFunctions.zero(), g, J=4, cells=0),
+        lambda g: project(StateFunctions.zero(), g, J=0),
+        lambda g: projection_residual(StateFunctions.zero(), ModalCoefficients.zeros(4), g, cells=0),
+    ],
+    ids=["project_cells_0", "project_J_0", "residual_cells_0"],
+)
+def test_empty_quadrature_rejected(call, golden):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call(golden)
 
 
 class TestEigenvalues:
