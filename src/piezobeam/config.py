@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import CflViolation, DuplicateKey, MalformedValue, MissingKey, NonPositiveParameter
-from .params import BeamParameters
+from .params import BeamParameters, _FIELD_NAMES as PHYSICAL_KEYS
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
-PHYSICAL_KEYS = ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness")
 INT_KEYS = ("J", "N", "qmax")
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
 POSITIVE_KEYS = PHYSICAL_KEYS + ("T", "sample_dt", "tol")

@@ -15,20 +15,14 @@ __all__ = ["format_value", "write_csv", "read_csv", "write_svg"]
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write rows with fixed formatting and Unix newlines (byte-reproducible)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -12,7 +12,7 @@ stabilize the beam strongly, exponentially, or not at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -28,9 +28,6 @@ __all__ = [
     "classify_stability",
     "parameters_for_ratio",
 ]
-
-_FIELD_NAMES = ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness")
-
 
 @dataclass(frozen=True)
 class BeamParameters:
@@ -79,6 +76,9 @@ class BeamParameters:
             value = getattr(self, name)
             if not (value > 0) or not math.isfinite(value):
                 raise NonPositiveParameter(f"{name} must be > 0, got {value!r}")
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(BeamParameters))
 
 
 @dataclass(frozen=True)

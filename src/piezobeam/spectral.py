@@ -132,10 +132,7 @@ class StateFunctions:
 
     @classmethod
     def from_modal(cls, coeffs: "ModalCoefficients", params: BeamParameters) -> "StateFunctions":
-        def component(i):
-            return lambda xs: reconstruct(coeffs, params, xs)[i]
-
-        return cls(*(component(i) for i in range(4)))
+        return _ModalState(coeffs, params)
 
     def sample(self, x) -> np.ndarray:
         """Evaluate all four components; returns an array of shape (4, len(x))."""
@@ -143,9 +140,30 @@ class StateFunctions:
         out = np.empty((4, x.size), dtype=complex)
         for i, f in enumerate((self.v, self.p, self.vdot, self.pdot)):
             out[i] = f(x)
-        if np.all(out.imag == 0):
-            return out.real.copy()
-        return out
+        return _real_if_exact(out)
+
+
+class _ModalState(StateFunctions):
+    """A modal state; ``sample`` evaluates all four components with one ``reconstruct``."""
+
+    __slots__ = ("_modal",)
+
+    def __init__(self, coeffs: "ModalCoefficients", params: BeamParameters):
+        self._modal = (coeffs, params)
+        super().__init__(*(self._component(i) for i in range(4)))
+
+    def _component(self, i: int) -> Callable:
+        return lambda xs: reconstruct(*self._modal, xs)[i]
+
+    def sample(self, x) -> np.ndarray:
+        return _real_if_exact(reconstruct(*self._modal, np.asarray(x, dtype=float)))
+
+
+def _real_if_exact(samples: np.ndarray) -> np.ndarray:
+    """A real copy of ``samples`` when every imaginary part is 0, else ``samples``."""
+    if np.all(samples.imag == 0):
+        return samples.real.copy()
+    return samples
 
 
 def sigma(j, length: float):

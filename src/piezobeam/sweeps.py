@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .config import RunConfig
+from .config import PHYSICAL_KEYS, RunConfig
 from .errors import PiezoBeamError
 from .frequency import boundedness_scan
 from .params import classify_stability, derive_constants
@@ -58,7 +58,7 @@ def run_sweep(
     is accepted for compatibility, must be at least 1 and is otherwise
     ignored.
     """
-    if param_name not in ("rho", "alpha1", "beta", "gamma", "mu", "length", "thickness"):
+    if param_name not in PHYSICAL_KEYS:
         raise ValueError(f"{param_name!r} is not a physical parameter")
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")

@@ -21,7 +21,12 @@ meet only in the driven-end load ``-(V/h) P^T c``.  Space is discretized
 with second-order centered differences, which act node by node and so
 commute with ``P``: the decoupling is exact on the grid, and the energy
 ``(h/2) * int ud.M ud + u_x.K u_x`` is
-``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2``.
+``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2``.  The fixed left end and
+the mirrored right end (below) make the sines ``sin(sigma_j x)``,
+``sigma_j = (2j - 1) pi / (2L)`` and ``j = 1..N``, exact eigenvectors of the
+second difference, so the discrete spectrum is the two decoupled families
+``lam_k * ((2/dx) * sin(sigma_j * dx/2))**2``, each within O(dx^2) of
+``(sigma_j / zeta_k)**2``.
 
 *Ghost node.*  The ``m`` modal fields lie back to back in one contiguous
 ``(m, N+2)`` buffer.  Node ``N+1`` of each field is a ghost that mirrors node
@@ -52,11 +57,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import CflViolation, MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, derive_constants
-from .spectral import ModalCoefficients, reconstruct
+from .spectral import ModalCoefficients, reconstruct, sigma
 
 __all__ = [
     "Grid",
@@ -71,6 +75,7 @@ __all__ = [
     "operator_eigenvalues",
     "absorbing_gain",
     "grid_state_from_modal",
+    "state_from_samples",
     "sine_velocity_state",
     "gaussian_velocity_state",
 ]
@@ -506,46 +511,25 @@ def decay_rate(energies, times) -> tuple[float, float]:
 def operator_eigenvalues(
     params: BeamParameters, n_cells: int, count: int
 ) -> np.ndarray:
-    """Smallest ``count`` eigenvalues of the discrete spatial operator.
+    """Smallest ``count`` eigenvalues of the discrete spatial operator, ascending.
 
     The operator is the finite-difference stiffness pencil of the coupled
-    system (fixed left end, zero-flux right end) against the diagonal mass
-    matrix; its spectrum approximates ``(sigma_j / zeta_k)**2`` with O(dx^2)
-    error.  The Neumann row is half-weighted so the pencil is symmetric,
-    then the generalized problem is reduced to a standard banded one.
+    system (fixed left end, zero-flux right end) against the diagonal mass.
+    Its ``2 * n_cells`` eigenvalues are ``lam_k * ((2/dx) * sin(sigma_j * dx/2))**2``
+    for ``k = 1, 2`` and ``j = 1..n_cells``, within O(dx^2) of
+    ``(sigma_j / zeta_k)**2`` (see *Modal decoupling* in the module
+    docstring).  Raises ``ValueError`` unless ``n_cells >= 1`` and
+    ``1 <= count <= 2 * n_cells`` are integers.
     """
-    params.validate()
-    rho, a1, beta, gamma, mu = (
-        params.rho,
-        params.alpha1,
-        params.beta,
-        params.gamma,
-        params.mu,
-    )
-    alpha = a1 + gamma**2 * beta
-    gb = gamma * beta
+    if n_cells != int(n_cells) or n_cells < 1:
+        raise ValueError(f"n_cells must be an integer >= 1, got {n_cells}")
+    if count != int(count) or not 1 <= count <= 2 * n_cells:
+        raise ValueError(f"count must be an integer in 1..{2 * n_cells}, got {count}")
+    lam = _model(params, classical=False).lam  # validates params
     dx = params.length / n_cells
-    fac = 1.0 / dx**2
-    n = 2 * n_cells
-    weights = np.ones(n_cells)
-    weights[-1] = 0.5
-    mv = rho * weights
-    mp = mu * weights
-    sv = np.sqrt(mv)
-    sp = np.sqrt(mp)
-    iv = np.arange(0, n, 2)
-    ip = iv + 1
-    band = np.zeros((4, n))
-    band[0, iv] = 2.0 * alpha * fac * weights / mv
-    band[0, ip] = 2.0 * beta * fac * weights / mp
-    band[1, iv] = -2.0 * gb * fac * weights / (sv * sp)
-    band[1, ip[:-1]] = gb * fac / (sp[:-1] * sv[1:])
-    band[2, iv[:-1]] = -alpha * fac / (sv[:-1] * sv[1:])
-    band[2, ip[:-1]] = -beta * fac / (sp[:-1] * sp[1:])
-    band[3, iv[:-1]] = gb * fac / (sv[:-1] * sp[1:])
-    return eig_banded(
-        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
+    s = sigma(np.arange(1, n_cells + 1), params.length)
+    wavenumber = (2.0 / dx) * np.sin(0.5 * dx * s)
+    return np.sort(np.outer(lam, wavenumber**2), axis=None)[:count]
 
 
 def grid_state_from_modal(

@@ -20,7 +20,7 @@ from piezobeam import (
 )
 from piezobeam.cli import run
 from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
-from piezobeam.csvio import read_csv, write_csv
+from piezobeam.csvio import format_value, read_csv, write_csv
 
 MINIMAL = """\
 # unit beam
@@ -317,6 +317,11 @@ class TestSweeps:
         assert rows[0][2] == "" and rows[2][2] == ""
         assert math.isnan(rows[1][1]) and "DegenerateCoupling" in rows[1][2]
 
+    @pytest.mark.parametrize("name", ["T", "zeta1", "Rho"])
+    def test_param_must_be_physical(self, name):
+        with pytest.raises(ValueError, match="not a physical parameter"):
+            run_sweep(parse_config(MINIMAL), name, [1.0], "zeta_ratio")
+
     def test_byte_identical_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL)
         values = list(np.linspace(0.3, 1.8, 12))
@@ -354,3 +359,22 @@ class TestSweeps:
         header, rows = read_csv(out_csv)
         assert header == ["value", "metric", "error"]
         assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "True"),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(-0.0), "-0"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (np.float32(0.1), "0.1"),
+        ("x", "x"),
+    ],
+    ids=["bool", "int", "int64", "float", "negative_zero", "nan", "inf", "float32", "str"],
+)
+def test_format_value_exact_strings(value, text):
+    assert format_value(value) == text

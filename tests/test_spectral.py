@@ -264,6 +264,29 @@ class TestProjection:
         ):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
+    def test_modal_state_reconstructs_once(self, golden, monkeypatch):
+        import piezobeam.spectral as spectral
+
+        coeffs = random_coefficients(16, seed=3)
+        state = StateFunctions.from_modal(coeffs, golden)
+        x = np.linspace(0.0, golden.length, 129)
+        expected = reconstruct(coeffs, golden, x)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "reconstruct", counting)
+        np.testing.assert_array_equal(state.sample(x), expected)
+        assert len(calls) == 1
+        coeffs_back = project(state, golden, J=16)
+        assert len(calls) == 2
+        projection_residual(state, coeffs_back, golden)
+        assert len(calls) == 4
+        for i, f in enumerate((state.v, state.p, state.vdot, state.pdot)):
+            np.testing.assert_array_equal(f(x), expected[i])
+
 
 class TestPropagation:
     def test_time_zero_is_identity(self, golden):

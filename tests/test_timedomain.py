@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
 from piezobeam import (
+    BeamParameters,
     CflViolation,
     Grid,
     GridState,
@@ -91,6 +93,50 @@ def reference_simulate(initial, params, cfg):
         energies.append(energy())
         ys.append(observe(f))
     return np.array(times), np.array(energies), np.array(ys), u, ud
+
+
+def reference_operator_eigenvalues(params, n_cells, count):
+    """Smallest ``count`` eigenvalues of the assembled pencil: the oracle for
+    ``operator_eigenvalues``.
+
+    The operator is the finite-difference stiffness pencil of the coupled
+    system (fixed left end, zero-flux right end) against the diagonal mass
+    matrix; its spectrum approximates ``(sigma_j / zeta_k)**2`` with O(dx^2)
+    error.  The Neumann row is half-weighted so the pencil is symmetric,
+    then the generalized problem is reduced to a standard banded one.
+    """
+    params.validate()
+    rho, a1, beta, gamma, mu = (
+        params.rho,
+        params.alpha1,
+        params.beta,
+        params.gamma,
+        params.mu,
+    )
+    alpha = a1 + gamma**2 * beta
+    gb = gamma * beta
+    dx = params.length / n_cells
+    fac = 1.0 / dx**2
+    n = 2 * n_cells
+    weights = np.ones(n_cells)
+    weights[-1] = 0.5
+    mv = rho * weights
+    mp = mu * weights
+    sv = np.sqrt(mv)
+    sp = np.sqrt(mp)
+    iv = np.arange(0, n, 2)
+    ip = iv + 1
+    band = np.zeros((4, n))
+    band[0, iv] = 2.0 * alpha * fac * weights / mv
+    band[0, ip] = 2.0 * beta * fac * weights / mp
+    band[1, iv] = -2.0 * gb * fac * weights / (sv * sp)
+    band[1, ip[:-1]] = gb * fac / (sp[:-1] * sv[1:])
+    band[2, iv[:-1]] = -alpha * fac / (sv[:-1] * sv[1:])
+    band[2, ip[:-1]] = -beta * fac / (sp[:-1] * sp[1:])
+    band[3, iv[:-1]] = gb * fac / (sv[:-1] * sp[1:])
+    return eig_banded(
+        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+    )
 
 
 def rich_state(grid):
@@ -395,3 +441,33 @@ class TestSpatialOperator:
             theta = operator_eigenvalues(golden, n, 1)
             errs.append(abs(math.sqrt(theta[0]) - s1) / s1)
         assert 3.0 < errs[0] / errs[1] < 5.0
+
+    @pytest.mark.parametrize("n", [64, 257, 512])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            BeamParameters(rho=1.0, alpha1=1.0, beta=1.0, gamma=1.0, mu=1.0),
+            parameters_for_ratio(0.5),
+            BeamParameters(2.0, 0.7, 1.3, 0.4, 0.9, length=2.5, thickness=0.3),
+        ],
+        ids=["golden", "ratio_half", "scaled"],
+    )
+    def test_matches_reference_pencil(self, params, n):
+        reference = reference_operator_eigenvalues(params, n, 2 * n)
+        closed = operator_eigenvalues(params, n, 2 * n)
+        assert np.max(np.abs(closed - reference)) <= 1e-13 * np.max(reference)
+
+    @pytest.mark.parametrize(
+        "n_cells, count, name",
+        [
+            (0, 1, "n_cells"),
+            (-3, 1, "n_cells"),
+            (64.5, 3, "n_cells"),
+            (8, 0, "count"),
+            (8, 17, "count"),
+            (8, 2.5, "count"),
+        ],
+    )
+    def test_invalid_arguments_named(self, golden, n_cells, count, name):
+        with pytest.raises(ValueError, match=name):
+            operator_eigenvalues(golden, n_cells, count)
