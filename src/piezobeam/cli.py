@@ -2,9 +2,9 @@
 
 Subcommands: ``constants``, ``classify``, ``spectrum``, ``simulate``,
 ``transfer``, ``observability``, ``sweep``.  Each reads the beam description
-from a ``key = value`` config file, writes CSV (and optionally SVG)
-artifacts, and prints a one-line summary.  Exit codes: 0 success, 2 invalid
-input, 3 numerical failure.
+from a ``key = value`` config file and prints a one-line summary; all but
+``classify`` also write a CSV (``simulate`` optionally an SVG and state
+snapshots).  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,15 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("--config", required=True, help="path to key = value config file")
-        p.add_argument("--out", default=None, help="output CSV path")
+        if out:
+            p.add_argument("--out", default=None, help="output CSV path")
 
     p = sub.add_parser("constants", help="derived spectral constants")
     common(p)
 
     p = sub.add_parser("classify", help="stabilizability class of zeta2/zeta1")
-    common(p)
+    common(p, out=False)
     p.add_argument("--qmax", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
 

@@ -28,7 +28,7 @@ from .errors import (
     ZeroState,
 )
 from .params import BeamParameters, DerivedConstants, _mixed_parity_gap, derive_constants
-from .spectral import ModalCoefficients, modal_norm_sq, output_energy, sigma, sinc_gram
+from .spectral import ModalCoefficients, _families, modal_norm_sq, output_energy, sigma, sinc_gram
 
 __all__ = [
     "OddApproximant",
@@ -135,7 +135,6 @@ def near_unobservable_state(
     frequencies differ by O(err/q).  Its energy norm is
     ``L * (2*mu + rho * (1/b1^2 + 1/b2^2))``, independent of the approximant.
     """
-    dc = dc or derive_constants(params)
     j1 = (approx.q + 1) // 2
     j2 = (approx.p + 1) // 2
     if J is None:
@@ -144,12 +143,10 @@ def near_unobservable_state(
         raise TruncationTooSmall(
             f"approximant ({approx.p},{approx.q}) needs J >= {max(j1, j2)}, got {J}"
         )
-    c1 = np.zeros(J, dtype=complex)
-    c2 = np.zeros(J, dtype=complex)
-    c1[j1 - 1] = _kappa(approx.q) / dc.b1
-    c2[j2 - 1] = -_kappa(approx.p) / dc.b2
-    zeros = np.zeros(J, dtype=complex)
-    return ModalCoefficients(c1, zeros, c2, zeros)
+    _, b, _ = _families(params, dc or derive_constants(params))
+    branches = np.zeros((2, 2, J), dtype=complex)
+    branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(approx.q), -_kappa(approx.p)]) / b
+    return ModalCoefficients(*branches.reshape(4, J))
 
 
 def observability_quotient(
@@ -219,10 +216,9 @@ def exponent_family(
     params: BeamParameters, J: int, dc: DerivedConstants | None = None
 ) -> np.ndarray:
     """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``."""
-    dc = dc or derive_constants(params)
-    s = sigma(np.arange(1, J + 1), params.length)
-    freqs = np.concatenate([s / dc.zeta1, s / dc.zeta2])
-    return np.sort(np.concatenate([-freqs, freqs]))
+    zeta, _, _ = _families(params, dc or derive_constants(params))
+    freqs = sigma(np.arange(1, J + 1), params.length) / zeta[:, None]
+    return np.sort(np.concatenate([-freqs, freqs], axis=None))
 
 
 class FrameBounds(NamedTuple):

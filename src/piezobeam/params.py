@@ -218,41 +218,30 @@ def classify_stability(
       ``min_time = 2*pi/gap``.
 
     With no match the closed loop is strongly but not exponentially stable.
+    Raises :class:`InvalidBudget` unless ``qmax >= 1`` and ``0 < tol < inf``.
     """
-    if qmax < 1 or not tol > 0:
-        raise InvalidBudget(f"need qmax >= 1 and tol > 0, got qmax={qmax}, tol={tol}")
+    if qmax < 1 or not 0 < tol < math.inf:
+        raise InvalidBudget(f"need qmax >= 1 and 0 < tol < inf, got qmax={qmax}, tol={tol}")
     ratio = dc.ratio
     frac = Fraction(ratio).limit_denominator(qmax)
     p, q = frac.numerator, frac.denominator
     err = abs(ratio - float(frac))
+    approximant, gap = None, None
     if err > tol or p < 1:
-        return StabilityReport(
-            ratio=ratio,
-            classification=StabilityClass.STRONGLY_STABLE_NOT_EXP,
-            approximant=None,
-            gap=None,
-            min_time=None,
-            qmax=qmax,
-            tol=tol,
-        )
-    approximant = Approximant(p=p, q=q, error=err)
-    if p % 2 == 1 and q % 2 == 1:
-        return StabilityReport(
-            ratio=ratio,
-            classification=StabilityClass.NOT_STRONGLY_STABLE,
-            approximant=approximant,
-            gap=None,
-            min_time=None,
-            qmax=qmax,
-            tol=tol,
-        )
-    gap = _mixed_parity_gap(dc, q, length)
+        classification = StabilityClass.STRONGLY_STABLE_NOT_EXP
+    else:
+        approximant = Approximant(p=p, q=q, error=err)
+        if p % 2 == 1 and q % 2 == 1:
+            classification = StabilityClass.NOT_STRONGLY_STABLE
+        else:
+            classification = StabilityClass.EXPONENTIALLY_STABLE
+            gap = _mixed_parity_gap(dc, q, length)
     return StabilityReport(
         ratio=ratio,
-        classification=StabilityClass.EXPONENTIALLY_STABLE,
+        classification=classification,
         approximant=approximant,
         gap=gap,
-        min_time=2.0 * math.pi / gap,
+        min_time=None if gap is None else 2.0 * math.pi / gap,
         qmax=qmax,
         tol=tol,
     )

@@ -65,28 +65,36 @@ class ModeIndex:
 class ModalCoefficients:
     """Complex coefficients of a state in the four eigenmode branches.
 
-    Arrays ``c1, d1, c2, d2`` hold the coefficients of the ``+`` and ``-``
-    branches of families 1 and 2 for ``j = 1..J``.  Instances are immutable;
-    operations return new objects.
+    ``branches`` is one read-only complex array of shape ``(2, 2, J)``: the
+    coefficient of ``ModeIndex(family, sign, j)`` is
+    ``branches[family - 1, (1 - sign) // 2, j - 1]``, so axis 1 holds the ``+``
+    branch at 0 and the ``-`` branch at 1.  ``c1, d1, c2, d2`` are read-only
+    views of the ``+`` and ``-`` branches of families 1 and 2.  Instances are
+    immutable; operations return new objects.
     """
 
-    __slots__ = ("c1", "d1", "c2", "d2")
+    __slots__ = ("branches",)
 
     def __init__(self, c1, d1, c2, d2):
         arrays = []
         for name, arr in (("c1", c1), ("d1", d1), ("c2", c2), ("d2", d2)):
-            a = np.asarray(arr, dtype=complex).copy()
+            a = np.asarray(arr, dtype=complex)
             if a.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
-            a.flags.writeable = False
             arrays.append(a)
         if len({a.shape for a in arrays}) != 1:
             raise ValueError("coefficient arrays must share one length")
-        self.c1, self.d1, self.c2, self.d2 = arrays
+        self.branches = np.stack(arrays).reshape(2, 2, *arrays[0].shape)
+        self.branches.flags.writeable = False
+
+    c1 = property(lambda self: self.branches[0, 0])
+    d1 = property(lambda self: self.branches[0, 1])
+    c2 = property(lambda self: self.branches[1, 0])
+    d2 = property(lambda self: self.branches[1, 1])
 
     @property
     def truncation(self) -> int:
-        return self.c1.shape[0]
+        return self.branches.shape[2]
 
     @classmethod
     def zeros(cls, J: int) -> "ModalCoefficients":
@@ -98,10 +106,9 @@ class ModalCoefficients:
         """Coefficient set with a single active mode."""
         if mode.j > J:
             raise ValueError(f"j={mode.j} exceeds truncation J={J}")
-        arrays = {k: np.zeros(J, dtype=complex) for k in ("c1", "d1", "c2", "d2")}
-        key = ("c" if mode.sign == 1 else "d") + str(mode.family)
-        arrays[key][mode.j - 1] = amplitude
-        return cls(**arrays)
+        branches = np.zeros((2, 2, J), dtype=complex)
+        branches[mode.family - 1, (1 - mode.sign) // 2, mode.j - 1] = amplitude
+        return cls(*branches.reshape(4, J))
 
 class StateFunctions:
     """A beam state ``(v, p, vdot, pdot)`` on ``[0, L]``.
@@ -171,6 +178,18 @@ def sigma(j, length: float):
     return (2.0 * np.asarray(j) - 1.0) * np.pi / (2.0 * length)
 
 
+def _families(params: BeamParameters, dc: DerivedConstants):
+    """Per-family constants ``zeta``, ``b`` and mass weight ``w = rho + mu * b**2``.
+
+    Each is a length-2 array indexed by ``family - 1``, the layout of axis 0
+    of :attr:`ModalCoefficients.branches`.  ``w_k`` is the squared norm of the
+    mixing vector ``(1, b_k)`` in the mass ``diag(rho, mu)``.
+    """
+    zeta = np.array([dc.zeta1, dc.zeta2])
+    b = np.array([dc.b1, dc.b2])
+    return zeta, b, params.rho + params.mu * b**2
+
+
 def eigenvalues(
     params: BeamParameters, J: int, dc: DerivedConstants | None = None
 ) -> list[tuple[ModeIndex, complex]]:
@@ -181,15 +200,13 @@ def eigenvalues(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    dc = dc or derive_constants(params)
-    L = params.length
-    out = []
-    for j in range(1, J + 1):
-        s = sigma(j, L)
-        for family, zeta in ((1, dc.zeta1), (2, dc.zeta2)):
-            for sign in (+1, -1):
-                out.append((ModeIndex(family, sign, j), sign * 1j * s / zeta))
-    return out
+    zeta, _, _ = _families(params, dc or derive_constants(params))
+    return [
+        (ModeIndex(family, sign, j), sign * 1j * sigma(j, params.length) / zeta[family - 1])
+        for j in range(1, J + 1)
+        for family in (1, 2)
+        for sign in (+1, -1)
+    ]
 
 
 def eigenfunction(
@@ -201,8 +218,7 @@ def eigenfunction(
     with ``lam`` the eigenvalue of the ``+`` branch of the mode's family.
     Returns shape ``(4,)`` for scalar ``x`` and ``(4, len(x))`` otherwise.
     """
-    dc = dc or derive_constants(params)
-    zeta, b = (dc.zeta1, dc.b1) if mode.family == 1 else (dc.zeta2, dc.b2)
+    zeta, b, _ = (a[mode.family - 1] for a in _families(params, dc or derive_constants(params)))
     s = sigma(mode.j, params.length)
     lam = 1j * s / zeta
     profile = np.sin(s * np.asarray(x, dtype=float))
@@ -224,26 +240,21 @@ def reconstruct(
     (cosine profiles), which is what the energy quadratures need.
     Returns a complex array of shape ``(4, len(x))``.
     """
-    dc = dc or derive_constants(params)
-    L = params.length
+    zeta, b, _ = _families(params, dc or derive_constants(params))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    J = coeffs.truncation
-    s = sigma(np.arange(1, J + 1), L)  # (J,)
+    s = sigma(np.arange(1, coeffs.truncation + 1), params.length)  # (J,)
     profile = np.cos(np.outer(s, x)) * s[:, None] if derivative else np.sin(np.outer(s, x))
     out = np.zeros((4, x.size), dtype=complex)
-    for family, b, zeta, c, d in (
-        (1, dc.b1, dc.zeta1, coeffs.c1, coeffs.d1),
-        (2, dc.b2, dc.zeta2, coeffs.c2, coeffs.d2),
-    ):
-        lam = 1j * s / zeta
+    for (c, d), b_k, zeta_k in zip(coeffs.branches, b, zeta):
+        lam = 1j * s / zeta_k
         phase = np.exp(lam * t)
         cp, dm = c * phase, d / phase
         position = ((cp + dm) / lam) @ profile
         velocity = (cp - dm) @ profile
         out[0] += position
-        out[1] += b * position
+        out[1] += b_k * position
         out[2] += velocity
-        out[3] += b * velocity
+        out[3] += b_k * velocity
     return out
 
 
@@ -280,7 +291,7 @@ def project(
         raise ValueError(f"J must be >= 1, got {J}")
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
-    dc = dc or derive_constants(params)
+    zeta, b, w = _families(params, dc or derive_constants(params))
     rho, mu, L = params.rho, params.mu, params.length
     x = np.linspace(0.0, L, cells + 1)
     s = sigma(np.arange(1, J + 1), L)
@@ -292,11 +303,10 @@ def project(
     amps = np.vstack((samples.real, samples.imag)) @ kernel.T
     a_v, a_p, a_vd, a_pd = amps.reshape(2, 4, J).swapaxes(0, 1)
     branches = []
-    for b, zeta in ((dc.b1, dc.zeta1), (dc.b2, dc.zeta2)):
-        w = rho + mu * b * b
-        s_k = (rho * a_v + mu * b * a_p) / w
-        d_k = (rho * a_vd + mu * b * a_pd) / w
-        lam_s = (1j * s / zeta) * (s_k[0] + 1j * s_k[1])
+    for b_k, zeta_k, w_k in zip(b, zeta, w):
+        s_k = (rho * a_v + mu * b_k * a_p) / w_k
+        d_k = (rho * a_vd + mu * b_k * a_pd) / w_k
+        lam_s = (1j * s / zeta_k) * (s_k[0] + 1j * s_k[1])
         d = d_k[0] + 1j * d_k[1]
         branches += [(lam_s + d) / 2, (lam_s - d) / 2]
     return ModalCoefficients(*branches)
@@ -332,16 +342,11 @@ def propagate(
     Each branch picks up a unit-modulus phase, so the modal energy norm is
     conserved exactly.
     """
-    dc = dc or derive_constants(params)
-    s = sigma(np.arange(1, coeffs.truncation + 1), params.length)
-    phase1 = np.exp(1j * s * t / dc.zeta1)
-    phase2 = np.exp(1j * s * t / dc.zeta2)
-    return ModalCoefficients(
-        coeffs.c1 * phase1,
-        coeffs.d1 / phase1,
-        coeffs.c2 * phase2,
-        coeffs.d2 / phase2,
-    )
+    zeta, _, _ = _families(params, dc or derive_constants(params))
+    J = coeffs.truncation
+    phase = np.exp(1j * sigma(np.arange(1, J + 1), params.length) * t / zeta[:, None])
+    c, d = coeffs.branches.swapaxes(0, 1)
+    return ModalCoefficients(*np.stack((c * phase, d / phase), axis=1).reshape(4, J))
 
 
 def modal_norm_sq(
@@ -353,18 +358,13 @@ def modal_norm_sq(
 
     Orthogonality of the eigenfunctions gives
 
-        N^2 = L * sum_j [ (rho + b1^2 mu) (|c1j|^2 + |d1j|^2)
-                        + (rho + b2^2 mu) (|c2j|^2 + |d2j|^2) ].
+        N^2 = L * sum_k w_k * sum_j (|c_kj|^2 + |d_kj|^2),   w_k = rho + mu * b_k^2.
 
     The physical energy is ``(thickness / 2) * N^2``.
     """
-    dc = dc or derive_constants(params)
-    w1 = params.rho + dc.b1**2 * params.mu
-    w2 = params.rho + dc.b2**2 * params.mu
-    total = w1 * (
-        np.sum(np.abs(coeffs.c1) ** 2) + np.sum(np.abs(coeffs.d1) ** 2)
-    ) + w2 * (np.sum(np.abs(coeffs.c2) ** 2) + np.sum(np.abs(coeffs.d2) ** 2))
-    return float(params.length * total)
+    _, _, w = _families(params, dc or derive_constants(params))
+    branch_sums = np.sum(np.abs(coeffs.branches) ** 2, axis=2)  # (family, branch)
+    return float(params.length * np.sum(w * (branch_sums[:, 0] + branch_sums[:, 1])))
 
 
 def sinc_gram(delta, T: float) -> np.ndarray:
@@ -396,22 +396,12 @@ def _output_weights(
     ``+/- sigma_j / zeta_k`` and weights proportional to ``b_k`` and the
     boundary sign ``sin(sigma_j L) = (-1)**(j+1)``.
     """
-    J = coeffs.truncation
-    L, h = params.length, params.thickness
-    s = sigma(np.arange(1, J + 1), L)
-    bsign = np.where(np.arange(1, J + 1) % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
-    freqs = np.concatenate([s / dc.zeta1, -s / dc.zeta1, s / dc.zeta2, -s / dc.zeta2])
-    weights = (
-        np.concatenate(
-            [
-                bsign * dc.b1 * coeffs.c1,
-                -bsign * dc.b1 * coeffs.d1,
-                bsign * dc.b2 * coeffs.c2,
-                -bsign * dc.b2 * coeffs.d2,
-            ]
-        )
-        * (-1.0 / h)
-    )
+    zeta, b, _ = _families(params, dc)
+    j = np.arange(1, coeffs.truncation + 1)
+    bsign = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
+    sign = np.array([1.0, -1.0])[:, None]  # the + and - branches
+    freqs = sign * (sigma(j, params.length) / zeta[:, None, None])  # (family, branch, j)
+    weights = (sign * (bsign * b[:, None, None])) * coeffs.branches * (-1.0 / params.thickness)
     keep = weights != 0
     return freqs[keep], weights[keep]
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import CflViolation, MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, derive_constants
-from .spectral import ModalCoefficients, reconstruct, sigma
+from .spectral import ModalCoefficients, _families, reconstruct, sigma
 
 __all__ = [
     "Grid",
@@ -217,12 +217,11 @@ def _model(params: BeamParameters, classical: bool) -> _Model:
         mass, lam = np.array([rho]), np.array([params.alpha1 / rho])
         c, slowness = np.array([params.gamma]), math.sqrt(rho / params.alpha1)
     else:
-        dc = derive_constants(params)
-        b = np.array([dc.b1, dc.b2])
+        zeta, b, w = _families(params, derive_constants(params))
         mass = np.array([params.rho, params.mu])
-        modes = np.vstack((np.ones(2), b)) / np.sqrt(params.rho + params.mu * b**2)
-        lam = 1.0 / np.array([dc.zeta1, dc.zeta2]) ** 2
-        c, slowness = np.array([0.0, 1.0]), dc.zeta2
+        modes = np.vstack((np.ones(2), b)) / np.sqrt(w)
+        lam = 1.0 / zeta**2
+        c, slowness = np.array([0.0, 1.0]), float(zeta[1])
     return _Model(modes, modes.T * mass, lam, modes.T @ c, modes[-1], slowness)
 
 
@@ -447,7 +446,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
 def energy_balance_residual(
     traj: Trajectory,
     params: BeamParameters,
-    u: Callable[[float], float] | np.ndarray | None = None,
+    u: Callable[[float], float] | None = None,
 ) -> float:
     """Conservativity defect of a damped-form run.
 
@@ -458,18 +457,12 @@ def energy_balance_residual(
 
     in the energy norm ``||z||^2 = (2/h) * E``.  Returns the left side minus
     the right side, with time integrals by the trapezoid rule; the magnitude
-    measures the discretization's conservativity defect.
+    measures the discretization's conservativity defect.  ``u`` is None (no
+    input) or a callable of time, evaluated at ``traj.t``.
     """
     h = params.thickness
     t = traj.t
-    if u is None:
-        u_samples = np.zeros_like(t)
-    elif callable(u):
-        u_samples = np.asarray([u(tt) for tt in t])
-    else:
-        u_samples = np.asarray(u, dtype=float)
-        if u_samples.shape != t.shape:
-            raise ValueError("u samples must align with trajectory times")
+    u_samples = np.zeros_like(t) if u is None else np.asarray([u(tt) for tt in t])
     e0 = discrete_energy(traj.initial, params)
     eT = discrete_energy(traj.final, params)
     y_int = float(np.trapezoid(traj.y**2, t))

@@ -276,6 +276,23 @@ class TestCommands:
         assert message in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_classify_has_no_out_flag(self, half_cfg, tmp_path, capsys):
+        """``classify`` only prints, so ``--out`` is an argparse error and no file appears."""
+        out_csv = tmp_path / "classify.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--config", str(half_cfg), "--out", str(out_csv)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_classify_infinite_tol_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(MINIMAL)
+        assert run(["classify", "--config", str(cfg), "--tol", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "InvalidBudget: need qmax >= 1 and 0 < tol < inf" in captured.err
+        assert captured.out == ""
+
     def test_exit_code_missing_file(self, tmp_path, capsys):
         assert run(["classify", "--config", str(tmp_path / "absent.cfg")]) == 2
 

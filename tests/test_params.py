@@ -109,6 +109,11 @@ class TestClassifier:
         with pytest.raises(InvalidBudget):
             classify_stability(golden_dc, tol=0.0)
 
+    def test_infinite_tol_rejected(self, golden_dc):
+        """An infinite tolerance would match any ratio, the golden one included."""
+        with pytest.raises(InvalidBudget, match="0 < tol < inf"):
+            classify_stability(golden_dc, tol=math.inf)
+
     @pytest.mark.parametrize("scale", [0.37, 3.0, 40.0])
     def test_rescaling_preserves_class(self, scale):
         """Scaling (rho, mu) together rescales time but not the ratio."""

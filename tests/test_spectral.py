@@ -26,7 +26,7 @@ from piezobeam import (
     resolvent_at_zero,
     sigma,
 )
-from piezobeam.spectral import phase_integral
+from piezobeam.spectral import _output_weights, phase_integral
 from conftest import energy_inner_quadrature
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -94,6 +94,67 @@ def reference_reconstruct(coeffs, params, x, t=0.0, derivative=False):
     return out
 
 
+def reference_propagate(coeffs, params, t):
+    """One phase per family, the four branches named by hand: the oracle for ``propagate``."""
+    dc = derive_constants(params)
+    s = sigma(np.arange(1, coeffs.truncation + 1), params.length)
+    phase1 = np.exp(1j * s * t / dc.zeta1)
+    phase2 = np.exp(1j * s * t / dc.zeta2)
+    return ModalCoefficients(
+        coeffs.c1 * phase1,
+        coeffs.d1 / phase1,
+        coeffs.c2 * phase2,
+        coeffs.d2 / phase2,
+    )
+
+
+def reference_modal_norm_sq(coeffs, params):
+    """Family by family, ``c`` then ``d``: the oracle for ``modal_norm_sq``."""
+    dc = derive_constants(params)
+    w1 = params.rho + dc.b1**2 * params.mu
+    w2 = params.rho + dc.b2**2 * params.mu
+    total = w1 * (
+        np.sum(np.abs(coeffs.c1) ** 2) + np.sum(np.abs(coeffs.d1) ** 2)
+    ) + w2 * (np.sum(np.abs(coeffs.c2) ** 2) + np.sum(np.abs(coeffs.d2) ** 2))
+    return float(params.length * total)
+
+
+def reference_output_weights(coeffs, params):
+    """Four concatenated branches: the oracle for ``spectral._output_weights``."""
+    dc = derive_constants(params)
+    J = coeffs.truncation
+    s = sigma(np.arange(1, J + 1), params.length)
+    bsign = np.where(np.arange(1, J + 1) % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
+    freqs = np.concatenate([s / dc.zeta1, -s / dc.zeta1, s / dc.zeta2, -s / dc.zeta2])
+    weights = (
+        np.concatenate(
+            [
+                bsign * dc.b1 * coeffs.c1,
+                -bsign * dc.b1 * coeffs.d1,
+                bsign * dc.b2 * coeffs.c2,
+                -bsign * dc.b2 * coeffs.d2,
+            ]
+        )
+        * (-1.0 / params.thickness)
+    )
+    keep = weights != 0
+    return freqs[keep], weights[keep]
+
+
+def reference_output_energy(coeffs, params, T):
+    """Pairwise phase integrals over ``reference_output_weights``: the oracle for
+    ``output_energy``."""
+    freqs, weights = reference_output_weights(coeffs, params)
+    if freqs.size == 0:
+        return 0.0
+    scale = max(1.0, float(np.max(np.abs(freqs))))
+    delta = freqs[:, None] - freqs[None, :]
+    delta[np.abs(delta) < 1e-12 * scale] = 0.0
+    gram = phase_integral(delta, T)
+    total = np.real(weights @ gram @ np.conj(weights))
+    return max(float(total), 0.0)
+
+
 def reference_params():
     """Golden, a rescaled ratio-1/2 beam, and three random beams in [0.5, 2]."""
     rng = np.random.default_rng(2014)
@@ -124,6 +185,22 @@ def reference_states(params, J):
     }
 
 
+def random_beam_cases():
+    """``(params, coeffs)`` on the three random beams of ``reference_params``, J in {1, 7, 64}.
+
+    Every other coefficient of the second set is zeroed, so that the output
+    weights drop entries."""
+    cases = []
+    for seed, (name, params) in enumerate(reference_params()[2:]):
+        for J in (1, 7, 64):
+            coeffs = random_coefficients(J, seed=seed)
+            sparse = coeffs.branches.copy()
+            sparse[..., 1::2] = 0.0
+            cases.append(pytest.param(params, coeffs, id=f"{name}-J{J}"))
+            cases.append(pytest.param(params, ModalCoefficients(*sparse.reshape(4, J)), id=f"{name}-J{J}-sparse"))
+    return cases
+
+
 class TestReferences:
     @pytest.mark.parametrize("params", [pytest.param(p, id=n) for n, p in reference_params()])
     def test_project_matches_reference(self, params):
@@ -144,6 +221,58 @@ class TestReferences:
                 got = reconstruct(coeffs, params, x, t=t, derivative=derivative)
                 want = reference_reconstruct(coeffs, params, x, t=t, derivative=derivative)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("params, coeffs", random_beam_cases())
+    def test_propagate_equals_reference(self, params, coeffs):
+        for t in (0.0, 1.3, -0.7):
+            got, want = propagate(coeffs, params, t), reference_propagate(coeffs, params, t)
+            assert np.array_equal(got.branches, want.branches)
+
+    @pytest.mark.parametrize("params, coeffs", random_beam_cases())
+    def test_modal_norm_sq_equals_reference(self, params, coeffs):
+        assert modal_norm_sq(coeffs, params) == reference_modal_norm_sq(coeffs, params)
+
+    @pytest.mark.parametrize("params, coeffs", random_beam_cases())
+    def test_output_energy_equals_reference(self, params, coeffs):
+        got = _output_weights(coeffs, params, derive_constants(params))
+        want = reference_output_weights(coeffs, params)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for T in (0.9, 6.0):
+            assert output_energy(coeffs, params, T) == reference_output_energy(coeffs, params, T)
+
+
+class TestModalCoefficients:
+    @pytest.mark.parametrize(
+        "family, sign, slot", [(1, 1, (0, 0)), (1, -1, (0, 1)), (2, 1, (1, 0)), (2, -1, (1, 1))]
+    )
+    def test_single_mode_layout(self, family, sign, slot):
+        J, j, amplitude = 5, 3, 2.0 - 0.5j
+        coeffs = ModalCoefficients.single(ModeIndex(family, sign, j), J, amplitude)
+        expected = np.zeros((2, 2, J), dtype=complex)
+        expected[slot + (j - 1,)] = amplitude
+        assert coeffs.branches.shape == (2, 2, J) and coeffs.truncation == J
+        assert np.array_equal(coeffs.branches, expected)
+        named = np.stack([coeffs.c1, coeffs.d1, coeffs.c2, coeffs.d2])
+        assert np.array_equal(named, expected.reshape(4, J))
+
+    def test_views_are_read_only_and_inputs_copied(self):
+        arrays = [np.arange(3, dtype=complex) + k for k in range(4)]
+        coeffs = ModalCoefficients(*arrays)
+        arrays[0][0] = 99.0
+        assert coeffs.c1[0] == 0.0
+        assert np.shares_memory(coeffs.c1, coeffs.branches)
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.c1[0] = 1.0
+        for view in (coeffs.branches, coeffs.d1, coeffs.c2, coeffs.d2):
+            with pytest.raises(ValueError, match="read-only"):
+                view[..., 0] = 1.0
+
+    def test_constructor_messages(self):
+        with pytest.raises(ValueError, match="d1 must be one-dimensional"):
+            ModalCoefficients(np.zeros(2), np.zeros((2, 1)), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="share one length"):
+            ModalCoefficients(np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(2))
+        assert ModalCoefficients.zeros(0).branches.shape == (2, 2, 0)
 
 
 @pytest.mark.parametrize(
