@@ -8,22 +8,37 @@ polyline with axis annotations, no plotting dependency.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 __all__ = ["format_value", "write_csv", "read_csv", "write_svg"]
 
 
+# Rows formatted per write: bounds the text held in memory for long tables.
+_CHUNK_ROWS = 4096
+
+
 def format_value(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
+def _row_template(row) -> str:
+    """``%``-template applying :func:`format_value`'s rule to each value of ``row``."""
+    return ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows with fixed formatting and Unix newlines (byte-reproducible)."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(format_value, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write rows with fixed formatting and Unix newlines (byte-reproducible).
+
+    Each row is formatted by one ``%`` template built from its value types,
+    so columns that mix floats with labels follow :func:`format_value`.
+    """
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            f.write("".join([_row_template(row) % tuple(row) for row in chunk]))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

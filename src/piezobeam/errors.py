@@ -44,7 +44,8 @@ class MalformedValue(ValidationError):
 
 
 class ParityViolation(ValidationError):
-    """Numerator and denominator are both odd where mixed parity is required."""
+    """Numerator and denominator have the wrong parity: both odd where mixed
+    parity is required, or not both odd where an odd/odd pair is."""
 
 
 class NotRational(ValidationError):

@@ -75,6 +75,43 @@ def _best_odd_numerator(zeta: float, q: int) -> tuple[int, float] | None:
     return best
 
 
+# Odd denominators per screened block: the first block is small so that
+# ladders that stop early stay cheap, later ones grow to a fixed cap.
+_FIRST_BLOCK = 1 << 10
+_MAX_BLOCK = 1 << 16
+
+
+def _screen(zeta: float, q: np.ndarray) -> np.ndarray:
+    """Smaller error of the odd numerators ``lo, lo + 2`` around ``zeta * q``.
+
+    Coprime or not, so a lower bound on the error that
+    :func:`_best_odd_numerator` returns for each odd ``q``.
+    """
+    lo = 2.0 * np.floor((zeta * q - 1.0) / 2.0) + 1.0
+    return np.minimum(np.abs(zeta - lo / q), np.abs(zeta - (lo + 2.0) / q))
+
+
+def _records(zeta: float, qmax: int):
+    """Yield, by increasing odd ``q <= qmax``, each approximant that halves the best error."""
+    odd = range(1, qmax + 1, 2)
+    best = 1.0
+    start, size = 0, _FIRST_BLOCK
+    while start < len(odd):
+        block = odd[start : start + size]
+        err = _screen(zeta, np.arange(block.start, block.stop, 2, dtype=float))
+        i = 0
+        while (hits := np.flatnonzero(err[i:] < 0.5 * best)).size:
+            i += int(hits[0])
+            q = block[i]
+            cand = _best_odd_numerator(zeta, q)
+            if cand is not None and cand[1] < 0.5 * best:
+                p, best = cand
+                yield OddApproximant(p=p, q=q, err=best, cq2=best * q * q)
+            i += 1
+        start += size
+        size = min(4 * size, _MAX_BLOCK)
+
+
 def odd_odd_approximants(
     zeta: float, count: int, qmax: int = 100_000
 ) -> list[OddApproximant]:
@@ -87,25 +124,35 @@ def odd_odd_approximants(
     convergent subsequence - and discards incidental near-misses.  The search
     stops at an exact hit.
 
+    The denominators are screened in blocks as float arrays.  For each odd
+    ``q`` the screen takes the smaller error of the two odd numerators
+    ``lo, lo + 2`` around ``zeta * q`` and skips the coprimality test, so it
+    never exceeds the error of the best coprime odd numerator: no ``q`` that
+    could set a record fails the screen.  Each ``q`` that passes is confirmed
+    by the scalar rule, which tests coprimality, breaks ties towards the
+    smaller ``p`` and returns ``p`` as a Python int, and is kept only if it
+    halves the best error.  While ``zeta * qmax < 2**52`` every ``lo`` is an
+    exact integer and ``lo / q`` is correctly rounded like ``int / int``, so
+    the screen computes the scalar rule's floats.  Blocks start at 1024
+    denominators and grow fourfold up to 65536, so memory stays bounded for
+    any ``qmax``.
+
     Returns up to ``count`` approximants with strictly increasing ``q``.
     Warns with :class:`ExhaustedBudget` if the budget runs out first.
+    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1``,
+    ``qmax >= 1`` and ``zeta * qmax < 2**52``.
     """
-    if not zeta > 0:
-        raise InvalidBudget(f"target must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:
+        raise InvalidBudget(f"target must be finite and > 0, got {zeta}")
     if count < 1 or qmax < 1:
         raise InvalidBudget(f"need count >= 1 and qmax >= 1, got {count}, {qmax}")
+    if qmax >= 2**52 or zeta * qmax >= 2**52:
+        raise InvalidBudget(f"need zeta * qmax < 2**52 for an exact search, got {zeta!r} * {qmax}")
     records: list[OddApproximant] = []
-    best = 1.0
-    for q in range(1, qmax + 1, 2):
-        cand = _best_odd_numerator(zeta, q)
-        if cand is None:
-            continue
-        p, err = cand
-        if err < 0.5 * best:
-            records.append(OddApproximant(p=p, q=q, err=err, cq2=err * q * q))
-            best = err
-            if err == 0.0 or len(records) >= count:
-                break
+    for record in _records(zeta, qmax):
+        records.append(record)
+        if record.exact or len(records) >= count:
+            break
     if len(records) < count and not (records and records[-1].exact):
         warnings.warn(
             ExhaustedBudget(
@@ -134,18 +181,28 @@ def near_unobservable_state(
     equal to one, so the output is the difference of two unit phasors whose
     frequencies differ by O(err/q).  Its energy norm is
     ``L * (2*mu + rho * (1/b1^2 + 1/b2^2))``, independent of the approximant.
+
+    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime and
+    :class:`ParityViolation` unless both are odd.
     """
-    j1 = (approx.q + 1) // 2
-    j2 = (approx.p + 1) // 2
+    p, q = approx.p, approx.q
+    if p < 1 or q < 1:
+        raise InvalidBudget(f"need positive p, q; got ({p}, {q})")
+    if p % 2 == 0 or q % 2 == 0:
+        raise ParityViolation(f"({p}, {q}) must both be odd to pair two modes")
+    if math.gcd(p, q) != 1:
+        raise InvalidBudget(f"need coprime p, q; got ({p}, {q})")
+    j1 = (q + 1) // 2
+    j2 = (p + 1) // 2
     if J is None:
         J = max(j1, j2)
     if max(j1, j2) > J:
         raise TruncationTooSmall(
-            f"approximant ({approx.p},{approx.q}) needs J >= {max(j1, j2)}, got {J}"
+            f"approximant ({p},{q}) needs J >= {max(j1, j2)}, got {J}"
         )
     _, b, _ = _families(params, dc or derive_constants(params))
     branches = np.zeros((2, 2, J), dtype=complex)
-    branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(approx.q), -_kappa(approx.p)]) / b
+    branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(q), -_kappa(p)]) / b
     return ModalCoefficients(*branches.reshape(4, J))
 
 

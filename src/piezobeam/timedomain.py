@@ -544,7 +544,12 @@ def state_from_samples(grid: Grid, x, v, p, vdot, pdot) -> GridState:
 
 
 def sine_velocity_state(grid: Grid, j: int = 1) -> GridState:
-    """Zero displacement with ``vdot = sin(sigma_j x)``."""
+    """Zero displacement with ``vdot = sin(sigma_j x)``.
+
+    Raises ``ValueError`` unless ``j >= 1`` is an integer.
+    """
+    if not (j >= 1 and float(j).is_integer()):
+        raise ValueError(f"mode index j must be an integer >= 1, got {j}")
     s = (2 * j - 1) * math.pi / (2.0 * grid.length)
     state = GridState.zero(grid)
     state.vdot = np.sin(s * grid.nodes)

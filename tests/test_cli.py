@@ -276,6 +276,24 @@ class TestCommands:
         assert message in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "preset, message",
+        [
+            ("sine:0", "mode index j must be an integer >= 1, got 0"),
+            ("sine:-2", "mode index j must be an integer >= 1, got -2"),
+            ("oddpair:2,4", "ParityViolation: (2, 4) must both be odd"),
+            ("oddpair:3,9", "InvalidBudget: need coprime p, q; got (3, 9)"),
+            ("oddpair:-1,3", "InvalidBudget: need positive p, q; got (-1, 3)"),
+        ],
+    )
+    def test_invalid_initial_preset_exits_2(self, preset, message, half_cfg, tmp_path, capsys):
+        out_csv = tmp_path / "traj.csv"
+        argv = ["simulate", "--config", str(half_cfg), "--N", "64", "--T", "0.5",
+                "--initial", preset, "--out", str(out_csv)]
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_classify_has_no_out_flag(self, half_cfg, tmp_path, capsys):
         """``classify`` only prints, so ``--out`` is an argparse error and no file appears."""
         out_csv = tmp_path / "classify.csv"
@@ -395,3 +413,14 @@ class TestSweeps:
 )
 def test_format_value_exact_strings(value, text):
     assert format_value(value) == text
+
+
+def test_write_csv_follows_format_value_per_row(tmp_path):
+    """Rows mixing floats, NumPy scalars, ints and labels in one column, more rows
+    than one write holds, give the bytes of joining ``format_value`` per value."""
+    values = [0.1, math.nan, "failed: 50%", np.float64(-0.0), 3, np.float32(0.1), np.int64(7), True, math.inf]
+    rows = [(i, values[i % len(values)], 1.0 / (i + 1)) for i in range(10_000)]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["i", "value", "x"], iter(rows))
+    want = "i,value,x\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")

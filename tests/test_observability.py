@@ -1,9 +1,12 @@
 """Odd/odd approximants, counterexample states, Ingham gaps and frame bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piezobeam import (
     ExhaustedBudget,
@@ -29,6 +32,59 @@ from piezobeam import (
 )
 
 GOLDEN_RATIO_TARGET = (3.0 - math.sqrt(5.0)) / 2.0
+
+# The eight irrational targets of the benchmark's approximant ladders.
+LADDER_IRRATIONALS = [
+    (3.0 - math.sqrt(5.0)) / 2.0,
+    math.sqrt(2.0) - 1.0,
+    math.sqrt(3.0) - 1.0,
+    math.sqrt(5.0) - 2.0,
+    math.sqrt(6.0) - 2.0,
+    math.sqrt(7.0) - 2.0,
+    math.sqrt(10.0) - 3.0,
+    (math.sqrt(13.0) - 3.0) / 2.0,
+]
+
+
+def reference_odd_odd_approximants(zeta, count, qmax):
+    """One scalar step per odd ``q``: the best coprime odd numerator (ties to the
+    smaller ``p``), kept when it halves the best error so far; stops at an exact hit."""
+    records = []
+    best = 1.0
+    for q in range(1, qmax + 1, 2):
+        lo = 2 * math.floor((zeta * q - 1.0) / 2.0) + 1
+        cands = [(abs(zeta - p / q), p) for p in (lo, lo + 2) if p >= 1 and math.gcd(p, q) == 1]
+        if not cands:
+            continue
+        err, p = min(cands)
+        if err < 0.5 * best:
+            records.append(OddApproximant(p=p, q=q, err=err, cq2=err * q * q))
+            best = err
+            if err == 0.0 or len(records) >= count:
+                break
+    if len(records) < count and not (records and records[-1].exact):
+        warnings.warn(ExhaustedBudget(f"found {len(records)} of {count} approximants with q <= {qmax}"))
+    return records
+
+
+def approximants_and_warnings(search, zeta, count, qmax):
+    """``(p, q, err, cq2)`` of each approximant, with their types, and the number
+    of :class:`ExhaustedBudget` warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = search(zeta, count, qmax)
+    fields = [(a.p, a.q, a.err, a.cq2) for a in out]
+    types = [tuple(map(type, f)) for f in fields]
+    return fields, types, sum(issubclass(w.category, ExhaustedBudget) for w in caught)
+
+
+def odd_fractions(numerator_parity):
+    """Targets ``p/q`` with odd ``q`` and ``p`` of the given parity."""
+    return st.builds(
+        lambda p, q: (2 * p + numerator_parity) / (2 * q + 1),
+        st.integers(0 if numerator_parity else 1, 60),
+        st.integers(0, 60),
+    )
 
 
 class TestApproximants:
@@ -73,6 +129,41 @@ class TestApproximants:
         with pytest.raises(InvalidBudget):
             odd_odd_approximants(0.5, 0)
 
+    @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0])
+    def test_target_must_be_finite_and_positive(self, zeta):
+        with pytest.raises(InvalidBudget, match="target must be finite and > 0"):
+            odd_odd_approximants(zeta, 3)
+
+    @pytest.mark.parametrize("zeta, qmax", [(1.0, 2**52), (0.5, 2**53), (2.0**40, 2**12), (2.0**60, 1)])
+    def test_budget_beyond_exact_screen_rejected(self, zeta, qmax):
+        with pytest.raises(InvalidBudget, match=r"zeta \* qmax < 2\*\*52"):
+            odd_odd_approximants(zeta, 3, qmax=qmax)
+
+    def test_largest_exact_budget_accepted(self):
+        assert [(a.p, a.q) for a in odd_odd_approximants(1.0, 1, qmax=2**52 - 1)] == [(1, 1)]
+
+    @pytest.mark.parametrize("zeta", LADDER_IRRATIONALS)
+    def test_benchmark_ladders_equal_reference(self, zeta):
+        got = approximants_and_warnings(odd_odd_approximants, zeta, 12, 100_000)
+        assert got == approximants_and_warnings(reference_odd_odd_approximants, zeta, 12, 100_000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        zeta=st.one_of(
+            st.floats(0.0, 8.0, exclude_min=True, exclude_max=True),
+            odd_fractions(1),
+            odd_fractions(0),
+            st.floats(1e-300, 2e-4),
+        ),
+        count=st.integers(1, 12),
+        qmax=st.integers(1, 5000),
+    )
+    def test_screen_equals_reference(self, zeta, count, qmax):
+        """Same approximants, field for field, and the same budget warning; the last
+        strategy gives targets below ``1/qmax`` for every ``qmax`` up to 5000."""
+        got = approximants_and_warnings(odd_odd_approximants, zeta, count, qmax)
+        assert got == approximants_and_warnings(reference_odd_odd_approximants, zeta, count, qmax)
+
 
 class TestCounterexampleStates:
     def test_sign_normalization_for_one_three(self, golden, golden_dc):
@@ -111,6 +202,21 @@ class TestCounterexampleStates:
         approx = OddApproximant(p=1, q=9, err=0.0, cq2=0.0)
         with pytest.raises(TruncationTooSmall):
             near_unobservable_state(approx, golden, J=3)
+
+    @pytest.mark.parametrize(
+        "p, q, error",
+        [
+            (2, 4, ParityViolation),
+            (1, 2, ParityViolation),
+            (4, 3, ParityViolation),
+            (3, 9, InvalidBudget),
+            (0, 3, InvalidBudget),
+            (1, -1, InvalidBudget),
+        ],
+    )
+    def test_pair_must_be_coprime_positive_odd(self, golden, p, q, error):
+        with pytest.raises(error):
+            near_unobservable_state(OddApproximant(p=p, q=q, err=0.0, cq2=0.0), golden)
 
 
 class TestQuotients:

@@ -30,6 +30,7 @@ from piezobeam import (
     propagate,
     reconstruct,
     simulate,
+    sine_velocity_state,
 )
 
 
@@ -200,6 +201,13 @@ class TestNonFiniteState:
         bad = lambda t: math.nan if t > 0.5 else 0.0  # noqa: E731
         with pytest.raises(NonFiniteState, match=rf"step {math.floor(0.5 / dt) + 1}$"):
             simulate(state, golden, SimConfig(mode="closed", T=1.0, forcing=bad))
+
+
+class TestInitialData:
+    @pytest.mark.parametrize("j", [0, -2, 1.5, math.inf, math.nan])
+    def test_sine_mode_index_must_be_positive_integer(self, j):
+        with pytest.raises(ValueError, match="mode index j must be an integer >= 1"):
+            sine_velocity_state(Grid(16), j=j)
 
 
 class TestSimConfig:
