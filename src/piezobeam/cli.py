@@ -172,9 +172,9 @@ def _parse_initial(spec_text: str | None, mode: str, cfg: RunConfig, grid: Grid)
         return grid_state_from_modal(coeffs, cfg.params, grid)
     if name == "file":
         header, rows = read_csv(rest)
-        if header != ["x", "v", "p", "vdot", "pdot"]:
+        if header != ["x", "v", "p", "vdot", "pdot"] or any(len(row) != 5 for row in rows):
             raise ValidationError(f"{rest}: expected columns x,v,p,vdot,pdot")
-        cols = np.array([[float(v) for v in row] for row in rows]).T
+        cols = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 5).T
         return state_from_samples(grid, *cols)
     raise ValidationError(f"unknown initial-data preset {text!r}")
 

@@ -36,17 +36,24 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration: beam parameters plus numeric options."""
+    """Validated run configuration: beam parameters plus numeric options.
+
+    ``k = None`` (the default) stands for the gain ``1/(2*thickness)``.
+    """
 
     params: BeamParameters
     J: int = DEFAULTS["J"]
     n: int = DEFAULTS["N"]
     T: float = DEFAULTS["T"]
-    k: float = 0.5  # replaced by 1/(2*thickness) at parse time unless given
+    k: float | None = None
     cfl: float = DEFAULTS["cfl"]
     sample_dt: float = DEFAULTS["sample_dt"]
     qmax: int = DEFAULTS["qmax"]
     tol: float = DEFAULTS["tol"]
+
+    def __post_init__(self) -> None:
+        if self.k is None:
+            object.__setattr__(self, "k", 1.0 / (2.0 * self.params.thickness))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -101,22 +108,21 @@ def parse_config(text: str) -> RunConfig:
     for key in INT_KEYS + FLOAT_KEYS:
         if key in entries:
             options[key] = as_number(key)
-    if "k" not in options:
-        options["k"] = 1.0 / (2.0 * params.thickness)
-        if not math.isfinite(options["k"]):
-            lineno, value = entries["thickness"]
-            raise MalformedValue(f"line {lineno}: thickness = {value!r} gives an infinite default k")
-    return RunConfig(
+    cfg = RunConfig(
         params=params,
         J=options["J"],
         n=options["N"],
         T=options["T"],
-        k=options["k"],
+        k=options.get("k"),
         cfl=options["cfl"],
         sample_dt=options["sample_dt"],
         qmax=options["qmax"],
         tol=options["tol"],
     )
+    if not math.isfinite(cfg.k):  # a given k is finite, so this is the default
+        lineno, value = entries["thickness"]
+        raise MalformedValue(f"line {lineno}: thickness = {value!r} gives an infinite default k")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -44,6 +44,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line]
+    if not lines:
+        raise ValueError(f"{path}: empty CSV file, expected a header line")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
 

@@ -1,26 +1,30 @@
 """Transfer-function evaluation for the voltage-to-current boundary channel.
 
-``transfer_closed`` evaluates the closed form
+Observed at the driven end, each wave family ``k`` contributes one collocated
+term, so ``transfer_closed`` evaluates the modal sum
 
-    G(s) = [ b2 (b1 g - a/beta)/zeta2 * tanh(zeta2 s L)
-           - b1 (b2 g - a/beta)/zeta1 * tanh(zeta1 s L) ] / (alpha1 h^2 (b1 - b2)),
+    G(s) = sum_k r_k tanh(zeta_k s L),   r_k = zeta_k b_k^2 / (h^2 w_k),
 
-whose only poles sit on the imaginary axis (at the zeros of
-``cosh(zeta_k s L)``).  ``transfer_closed``, ``transfer_damped`` and
-``damped_trace_gain`` take a scalar ``s`` and return a Python ``complex``,
-or take an array of any shape and return a complex array of that shape.
-``transfer_bvp`` solves the underlying two-point boundary-value problem by
-finite differences and serves as an independent oracle; it and
-``transfer_damped_bvp`` take a scalar ``s`` only.  The damped loop (feedback
-``-pdot(L)/(2h)`` plus an external input) has input-output transfer
-``G_d = (1 - G/2) / (1 + G/2)``, a Cayley transform that maps the
-positive-real ``G`` into the closed unit disk; the transfer from the
-external input to the electrode-current trace is ``G / (1 + G/2)``.
+with the per-family constants ``zeta_k``, ``b_k`` and mass weight
+``w_k = rho + mu b_k^2`` of :func:`piezobeam.spectral._families`.  Every
+residue ``r_k`` is positive, so ``G`` is positive-real (``Re tanh > 0`` on
+``Re s > 0``), saturates at ``G(inf) = sum_k r_k``, and has its only poles on
+the imaginary axis, at the zeros of ``cosh(zeta_k s L)``.
+
+``transfer_closed``, ``transfer_damped`` and ``damped_trace_gain`` take a
+scalar ``s`` and return a Python ``complex``, or an array of any shape and
+return a complex array of that shape.  ``transfer_bvp`` solves the
+boundary-value problem, assembled from the PDE coefficients, by finite
+differences: an independent oracle that, like ``transfer_damped_bvp``, takes
+a scalar ``s`` only.  The damped loop (feedback ``-pdot(L)/(2h)`` plus an
+external input) has input-output transfer ``G_d = (1 - G/2) / (1 + G/2)``, a
+Cayley transform that maps the positive-real ``G`` into the closed unit disk;
+the external input reaches the electrode-current trace through ``G / (1 + G/2)``.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +32,7 @@ from scipy.linalg import solve_banded
 
 from .errors import PoleProximity, SingularSystem
 from .params import BeamParameters, DerivedConstants, derive_constants
+from .spectral import _families
 
 __all__ = [
     "transfer_closed",
@@ -43,6 +48,15 @@ __all__ = [
 _POLE_TOL = 1e-12
 
 
+@functools.lru_cache
+def _residues(params: BeamParameters, dc: DerivedConstants) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(zeta_k L, r_k)`` per family, memoised per ``(params, dc)``."""
+    zeta, b, w = _families(params, dc)
+    zl, r = zeta * params.length, zeta * b**2 / (params.thickness**2 * w)
+    zl.flags.writeable = r.flags.writeable = False
+    return zl, r
+
+
 def transfer_closed(
     s: complex | np.ndarray, params: BeamParameters, dc: DerivedConstants | None = None
 ) -> complex | np.ndarray:
@@ -50,25 +64,18 @@ def transfer_closed(
 
     ``s`` is a scalar or an array: a scalar gives a Python ``complex``, an
     array gives a complex array of the same shape.  Intended for
-    ``Re s > 0``; evaluation on the imaginary axis works until a pole of
-    ``tanh`` is approached, which raises :class:`PoleProximity` naming the
-    first offending ``s`` (in C order).
+    ``Re s > 0``; on the imaginary axis, an ``s`` next to a pole
+    (``|tanh| > 1/_POLE_TOL``, so ``|cosh| < ~_POLE_TOL``) raises
+    :class:`PoleProximity` naming the first offending ``s`` (in C order).
     """
-    dc = dc or derive_constants(params)
-    L, h, a1 = params.length, params.thickness, params.alpha1
-    aob = dc.alpha / params.beta
-    g = params.gamma
+    zl, r = _residues(params, dc or derive_constants(params))
     s = np.asarray(s, dtype=complex)
-    w = np.array((dc.zeta1 * s, dc.zeta2 * s)) * L  # shape (2, *s.shape)
-    # |cosh(x+iy)|^2 = sinh(x)^2 + cos(y)^2; |x| >= 1 is far from any zero
-    near = np.sinh(np.minimum(np.abs(w.real), 1.0)) ** 2 + np.cos(w.imag) ** 2 < _POLE_TOL**2
+    t = np.tanh(np.multiply.outer(zl, s))  # shape (2, *s.shape)
+    near = np.abs(t) > 1.0 / _POLE_TOL
     if near.any():
         first = s.ravel()[np.argmax(near.reshape(2, -1).any(axis=0))]
         raise PoleProximity(f"s={complex(first)} is within tolerance of a pole")
-    t = np.tanh(w)
-    k2 = dc.b2 * (dc.b1 * g - aob) / dc.zeta2
-    k1 = dc.b1 * (dc.b2 * g - aob) / dc.zeta1
-    G = (k2 * t[1] - k1 * t[0]) / (a1 * h**2 * (dc.b1 - dc.b2))
+    G = (r @ t.reshape(2, s.size)).reshape(s.shape)
     return complex(G) if G.ndim == 0 else G
 
 
@@ -178,21 +185,16 @@ class ScanResult(NamedTuple):
 def analytic_line_bound(
     s1: float, params: BeamParameters, dc: DerivedConstants | None = None
 ) -> float:
-    """Explicit bound for ``sup |G|`` on the vertical line ``Re s = s1``.
+    """Explicit bound for ``sup |G|`` on the vertical line ``Re s = s1 > 0``.
 
-    Uses ``|tanh(w)| <= 2 / (1 - exp(-2 Re w))`` together with the moduli of
-    the closed-form coefficients.
+    Uses ``|tanh(w)| <= 2 / (1 - exp(-2 Re w))`` term by term; the residues
+    ``r_k`` are positive, so no moduli are needed.  Raises ``ValueError``
+    unless ``s1 > 0``.
     """
-    dc = dc or derive_constants(params)
-    L, h, a1 = params.length, params.thickness, params.alpha1
-    aob = dc.alpha / params.beta
-    g = params.gamma
-    denom = a1 * h**2 * abs(dc.b1 - dc.b2)
-    total = 0.0
-    for b_self, b_other, zeta in ((dc.b2, dc.b1, dc.zeta2), (dc.b1, dc.b2, dc.zeta1)):
-        coeff = abs(b_self * (b_other * g - aob)) / zeta
-        total += coeff * 2.0 / (1.0 - math.exp(-2.0 * s1 * zeta * L))
-    return total / denom
+    if not s1 > 0:
+        raise ValueError(f"s1 must be > 0, got {s1}")
+    zl, r = _residues(params, dc or derive_constants(params))
+    return float(np.sum(r * 2.0 / (1.0 - np.exp(-2.0 * s1 * zl))))
 
 
 def boundedness_scan(
@@ -207,14 +209,12 @@ def boundedness_scan(
     Returns the supremum over the ``n`` sample points, its location, and the
     analytic line bound, which the supremum is checked against.
     """
-    if not s1 > 0:
-        raise ValueError(f"s1 must be > 0, got {s1}")
     dc = dc or derive_constants(params)
+    bound = analytic_line_bound(s1, params, dc)
     ims = np.linspace(-im_max, im_max, n)
     values = np.abs(transfer_closed(s1 + 1j * ims, params, dc))
     idx = int(np.argmax(values))
     sup = float(values[idx])
-    bound = analytic_line_bound(s1, params, dc)
     if sup > bound * (1.0 + 1e-9):
         raise SingularSystem(
             f"scan supremum {sup:g} exceeds the analytic bound {bound:g}"

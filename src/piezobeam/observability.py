@@ -28,7 +28,15 @@ from .errors import (
     ZeroState,
 )
 from .params import BeamParameters, DerivedConstants, _mixed_parity_gap, derive_constants
-from .spectral import ModalCoefficients, _families, modal_norm_sq, output_energy, sigma, sinc_gram
+from .spectral import (
+    ModalCoefficients,
+    _families,
+    _frequencies,
+    _snapped_differences,
+    modal_norm_sq,
+    output_energy,
+    sinc_gram,
+)
 
 __all__ = [
     "OddApproximant",
@@ -274,8 +282,7 @@ def exponent_family(
 ) -> np.ndarray:
     """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``."""
     zeta, _, _ = _families(params, dc or derive_constants(params))
-    freqs = sigma(np.arange(1, J + 1), params.length) / zeta[:, None]
-    return np.sort(np.concatenate([-freqs, freqs], axis=None))
+    return np.sort(_frequencies(zeta, J, params.length), axis=None)
 
 
 class FrameBounds(NamedTuple):
@@ -297,18 +304,13 @@ def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> Fr
     collision shows up as a zero eigenvalue.  ``trials`` is accepted for
     compatibility and ignored.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be finite and > 0, got {T}")
     s = np.asarray(exponents, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("exponents must be a non-empty 1-d sequence")
-    scale = max(1.0, float(np.max(np.abs(s))))
-    delta = s[:, None] - s[None, :]
-    close = np.abs(delta) < 1e-12 * scale
-    delta[close] = 0.0
+    delta = _snapped_differences(s, T)
     eig = np.linalg.eigvalsh(sinc_gram(delta, T))
     return FrameBounds(
         cmin=max(float(eig[0]), 0.0),
         cmax=float(eig[-1]),
-        has_collisions=bool(np.count_nonzero(close) > s.size),  # beyond the diagonal
+        has_collisions=bool(np.count_nonzero(delta == 0) > s.size),  # beyond the diagonal
     )

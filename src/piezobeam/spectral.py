@@ -386,6 +386,30 @@ def phase_integral(delta, T: float) -> np.ndarray:
     return np.exp(0.5j * T * np.asarray(delta, dtype=float)) * sinc_gram(delta, T)
 
 
+_BRANCH_SIGN = np.array([1.0, -1.0])[:, None]  # the + and - branches of axis 1
+
+
+def _frequencies(zeta: np.ndarray, J: int, length: float) -> np.ndarray:
+    """Frequencies ``sign * sigma_j / zeta_k`` of shape ``(family, branch, j)``."""
+    return _BRANCH_SIGN * (sigma(np.arange(1, J + 1), length) / zeta[:, None, None])
+
+
+def _snapped_differences(freqs: np.ndarray, T: float) -> np.ndarray:
+    """Pairwise differences ``freqs[m] - freqs[n]`` for a Gram on ``[0, T]``.
+
+    Differences below ``1e-12 * max(1, max |freqs|)`` are snapped to exactly
+    0, so numerically coincident frequencies integrate to exactly ``T``; the
+    zero entries are then exactly the coincident pairs.  Raises
+    ``ValueError`` unless ``0 < T < inf``.
+    """
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
+    scale = max(1.0, float(np.max(np.abs(freqs), initial=0.0)))
+    delta = freqs[:, None] - freqs[None, :]
+    delta[np.abs(delta) < 1e-12 * scale] = 0.0
+    return delta
+
+
 def _output_weights(
     coeffs: ModalCoefficients, params: BeamParameters, dc: DerivedConstants
 ):
@@ -399,9 +423,10 @@ def _output_weights(
     zeta, b, _ = _families(params, dc)
     j = np.arange(1, coeffs.truncation + 1)
     bsign = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
-    sign = np.array([1.0, -1.0])[:, None]  # the + and - branches
-    freqs = sign * (sigma(j, params.length) / zeta[:, None, None])  # (family, branch, j)
-    weights = (sign * (bsign * b[:, None, None])) * coeffs.branches * (-1.0 / params.thickness)
+    freqs = _frequencies(zeta, coeffs.truncation, params.length)
+    weights = (
+        (_BRANCH_SIGN * (bsign * b[:, None, None])) * coeffs.branches * (-1.0 / params.thickness)
+    )
     keep = weights != 0
     return freqs[keep], weights[keep]
 
@@ -418,16 +443,10 @@ def output_energy(
     not by time quadrature, so resonant (coincident-frequency) pairs are
     handled exactly and nothing aliases.
     """
-    if not 0 < T < np.inf:
-        raise ValueError(f"T must be finite and > 0, got {T}")
-    dc = dc or derive_constants(params)
-    freqs, weights = _output_weights(coeffs, params, dc)
+    freqs, weights = _output_weights(coeffs, params, dc or derive_constants(params))
+    delta = _snapped_differences(freqs, T)
     if freqs.size == 0:
         return 0.0
-    scale = max(1.0, float(np.max(np.abs(freqs))))
-    delta = freqs[:, None] - freqs[None, :]
-    # snap numerically coincident frequencies so exact resonances integrate to T
-    delta[np.abs(delta) < 1e-12 * scale] = 0.0
     gram = phase_integral(delta, T)
     total = np.real(weights @ gram @ np.conj(weights))
     return max(float(total), 0.0)

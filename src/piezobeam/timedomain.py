@@ -534,13 +534,21 @@ def grid_state_from_modal(
 
 
 def state_from_samples(grid: Grid, x, v, p, vdot, pdot) -> GridState:
-    """Interpolate sampled fields linearly onto the grid nodes."""
-    x = np.asarray(x, dtype=float)
-    nodes = grid.nodes
-    fields = [
-        np.interp(nodes, x, np.asarray(a, dtype=float)) for a in (v, p, vdot, pdot)
-    ]
-    return GridState(grid, *fields)
+    """Interpolate sampled fields linearly onto the grid nodes.
+
+    Raises ``ValueError`` unless the five arrays are finite, one-dimensional
+    and of one length of at least 2, with ``x`` strictly increasing from
+    ``<= 0`` to ``>= L`` (up to a relative ``1e-12``): linear interpolation
+    would otherwise extrapolate silently.
+    """
+    x, *fields = (np.asarray(a, dtype=float) for a in (x, v, p, vdot, pdot))
+    if x.ndim != 1 or x.size < 2 or any(a.shape != x.shape for a in fields):
+        raise ValueError("samples must be five 1-d arrays of one length >= 2")
+    if not all(np.all(np.isfinite(a)) for a in (x, *fields)):
+        raise ValueError("samples must be finite")
+    if not (np.all(np.diff(x) > 0) and x[0] <= 0 and x[-1] >= grid.length * (1.0 - 1e-12)):
+        raise ValueError(f"x must increase strictly from <= 0 to >= L = {grid.length}")
+    return GridState(grid, *(np.interp(grid.nodes, x, a) for a in fields))
 
 
 def sine_velocity_state(grid: Grid, j: int = 1) -> GridState:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from piezobeam import (
+    BeamParameters,
     CflViolation,
     DuplicateKey,
     MalformedValue,
@@ -53,6 +54,12 @@ class TestParseConfig:
         assert cfg.k == 0.5  # 1/(2*thickness)
         dc = derive_constants(cfg.params)
         assert dc.zeta1 == pytest.approx((1 + math.sqrt(5)) / 2)
+
+    def test_default_gain_follows_thickness_without_the_parser(self):
+        params = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0, thickness=0.25)
+        parsed = parse_config(MINIMAL.replace("thickness = 1", "thickness = 0.25"))
+        assert RunConfig(params=params).k == parsed.k == 2.0
+        assert RunConfig(params=params, k=3.0).k == 3.0
 
     def test_missing_key(self):
         text = "\n".join(l for l in MINIMAL.splitlines() if not l.startswith("mu"))
@@ -290,6 +297,31 @@ class TestCommands:
         out_csv = tmp_path / "traj.csv"
         argv = ["simulate", "--config", str(half_cfg), "--N", "64", "--T", "0.5",
                 "--initial", preset, "--out", str(out_csv)]
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty CSV file"),
+            ("x,v,p,vdot,pdot\n", "samples must be five 1-d arrays of one length >= 2"),
+            ("x,v,p,vdot,pdot\n0,0,0,0,0\n", "samples must be five 1-d arrays of one length >= 2"),
+            ("x,v,p,vdot,pdot\n0,0,0,0,0\n1,0,0,1\n", "expected columns x,v,p,vdot,pdot"),
+            ("x,v,p,vdot,pdot\n0,0,0,0,0\n0.5,nan,0,1,0\n1,0,0,0,0\n", "samples must be finite"),
+            ("x,v,p,vdot,pdot\n0,0,0,0,0\n0.7,0,0,1,0\n0.5,0,0,1,0\n1,0,0,0,0\n",
+             "x must increase strictly"),
+            ("x,v,p,vdot,pdot\n0,0,0,0,0\n0.5,0,0,1,0\n0.9,0,0,0,0\n", "x must increase strictly"),
+            ("x,v,p,vdot,pdot\n0.1,0,0,0,0\n0.5,0,0,1,0\n1,0,0,0,0\n", "x must increase strictly"),
+        ],
+    )
+    def test_invalid_initial_file_exits_2(self, text, message, half_cfg, tmp_path, capsys):
+        """A state file that is empty, ragged, not finite or short of [0, L] writes nothing."""
+        state = tmp_path / "state.csv"
+        state.write_text(text)
+        out_csv = tmp_path / "traj.csv"
+        argv = ["simulate", "--config", str(half_cfg), "--N", "64", "--T", "0.5",
+                "--initial", f"file:{state}", "--out", str(out_csv)]
         assert run(argv) == 2
         assert message in capsys.readouterr().err
         assert not out_csv.exists()

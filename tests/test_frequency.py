@@ -19,6 +19,7 @@ from piezobeam import (
     transfer_damped,
     transfer_damped_bvp,
 )
+from piezobeam.frequency import _residues
 
 G_INF_GOLDEN = 3.0 / math.sqrt(5.0)
 G_AT_ONE_GOLDEN = 1.176144180642303  # recorded from the Richardson-extrapolated BVP oracle
@@ -70,6 +71,79 @@ def reference_bvp(s, params, n, damped):
     if damped:
         bands[u_band, zn] += -s / (h**2 * dx)
     return complex(solve_banded((3, 3), bands, rhs)[zn])
+
+
+def reference_transfer_closed(s, params, dc):
+    """The two-family closed form with coefficients built from the PDE constants:
+
+        G(s) = [ b2 (b1 g - a/beta)/zeta2 tanh(zeta2 s L)
+               - b1 (b2 g - a/beta)/zeta1 tanh(zeta1 s L) ] / (alpha1 h^2 (b1 - b2)).
+    """
+    L, h, a1 = params.length, params.thickness, params.alpha1
+    aob = dc.alpha / params.beta
+    g = params.gamma
+    s = np.asarray(s, dtype=complex)
+    k2 = dc.b2 * (dc.b1 * g - aob) / dc.zeta2
+    k1 = dc.b1 * (dc.b2 * g - aob) / dc.zeta1
+    t1, t2 = np.tanh(dc.zeta1 * s * L), np.tanh(dc.zeta2 * s * L)
+    return (k2 * t2 - k1 * t1) / (a1 * h**2 * (dc.b1 - dc.b2))
+
+
+def reference_line_bound(s1, params, dc):
+    """``sum |coefficient| * 2 / (1 - exp(-2 s1 zeta L))`` over the two closed-form terms."""
+    L, h, a1 = params.length, params.thickness, params.alpha1
+    aob = dc.alpha / params.beta
+    g = params.gamma
+    total = 0.0
+    for b_self, b_other, zeta in ((dc.b2, dc.b1, dc.zeta2), (dc.b1, dc.b2, dc.zeta1)):
+        coeff = abs(b_self * (b_other * g - aob)) / zeta
+        total += coeff * 2.0 / (1.0 - math.exp(-2.0 * s1 * zeta * L))
+    return total / (a1 * h**2 * abs(dc.b1 - dc.b2))
+
+
+def seeded_beams(count, seed=0):
+    """Beams with all seven parameters drawn from [0.2, 5]."""
+    rng = np.random.default_rng(seed)
+    return [BeamParameters(*rng.uniform(0.2, 5.0, 7)) for _ in range(count)]
+
+
+class TestModalSum:
+    def test_equals_reference_closed_form(self):
+        rng = np.random.default_rng(10)
+        for params in seeded_beams(20):
+            dc = derive_constants(params)
+            ss = rng.uniform(0.05, 10.0, 500) + 1j * rng.uniform(-30.0, 30.0, 500)
+            np.testing.assert_allclose(
+                transfer_closed(ss, params, dc), reference_transfer_closed(ss, params, dc),
+                rtol=1e-12, atol=0,
+            )
+            for s1 in (0.05, 1.0, 10.0):
+                np.testing.assert_allclose(
+                    analytic_line_bound(s1, params, dc), reference_line_bound(s1, params, dc),
+                    rtol=1e-12, atol=0,
+                )
+
+    def test_residues_positive_and_sum_to_the_limit(self, golden):
+        for params in [golden, *seeded_beams(10, seed=1)]:
+            zl, r = _residues(params, derive_constants(params))
+            assert zl.shape == r.shape == (2,)
+            assert np.all(r > 0)
+            if 60.0 * zl.min() > 20.0:  # tanh(60 zeta L) == 1 in floats
+                np.testing.assert_allclose(transfer_closed(60.0, params), r.sum(), rtol=1e-15)
+
+    def test_positive_real_on_the_right_half_plane(self, golden):
+        rng = np.random.default_rng(11)
+        for params in [golden, *seeded_beams(4, seed=2)]:
+            ss = rng.exponential(1.0, 10_000) * 10.0 ** rng.uniform(-6, 1, 10_000)
+            ss = ss + 1j * rng.uniform(-100.0, 100.0, 10_000)
+            assert np.all(transfer_closed(ss, params).real >= 0.0)
+
+    def test_memoised_residues_are_read_only(self, golden, golden_dc):
+        zl, r = _residues(golden, golden_dc)
+        assert _residues(golden, golden_dc)[1] is r
+        for a in (zl, r):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestClosedForm:
@@ -244,3 +318,6 @@ class TestBoundednessScan:
     def test_rejects_nonpositive_line(self, golden):
         with pytest.raises(ValueError):
             boundedness_scan(0.0, 10.0, 101, golden)
+        for s1 in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="s1 must be > 0"):
+                analytic_line_bound(s1, golden)

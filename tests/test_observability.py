@@ -292,6 +292,16 @@ class TestInghamGap:
         freqs = exponent_family(ratio_half, 200)
         assert np.min(np.diff(freqs)) >= gap * (1.0 - 1e-12)
 
+    def test_exponent_family_equals_both_signs_sorted(self, golden, ratio_half):
+        """Bitwise the sorted ``+/- sigma_j / zeta_k`` of both families."""
+        for params in (golden, ratio_half):
+            dc = derive_constants(params)
+            j = np.arange(1, 41)
+            freqs = (2.0 * j - 1.0) * np.pi / (2.0 * params.length)
+            freqs = np.concatenate([freqs / dc.zeta1, freqs / dc.zeta2])
+            expected = np.sort(np.concatenate([-freqs, freqs]))
+            np.testing.assert_array_equal(exponent_family(params, 40, dc), expected)
+
 
 def direct_gram(exponents, T):
     """Gram matrix ``int_0^T exp(i (s_m - s_n) t) dt`` as ``(e^{i delta T} - 1)/(i delta)``,

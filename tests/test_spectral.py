@@ -519,6 +519,11 @@ class TestOutputEnergy:
     def test_zero_coefficients(self, golden):
         assert output_energy(ModalCoefficients.zeros(4), golden, 3.0) == 0.0
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+    def test_zero_state_still_checks_the_window(self, golden, T):
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            output_energy(ModalCoefficients.zeros(4), golden, T)
+
     def test_single_mode_constant_modulus(self, ratio_half):
         coeffs = ModalCoefficients.single(ModeIndex(1, 1, 1), J=1)
         np.testing.assert_allclose(

@@ -31,6 +31,7 @@ from piezobeam import (
     reconstruct,
     simulate,
     sine_velocity_state,
+    state_from_samples,
 )
 
 
@@ -208,6 +209,40 @@ class TestInitialData:
     def test_sine_mode_index_must_be_positive_integer(self, j):
         with pytest.raises(ValueError, match="mode index j must be an integer >= 1"):
             sine_velocity_state(Grid(16), j=j)
+
+
+    def test_samples_interpolate_onto_the_grid(self):
+        grid = Grid(16, length=2.0)
+        x = np.linspace(0.0, 2.0, 5)
+        state = state_from_samples(grid, x, x, 2 * x, x**2, -x)
+        np.testing.assert_array_equal(state.v, grid.nodes)
+        np.testing.assert_array_equal(state.p, 2 * grid.nodes)
+        np.testing.assert_array_equal(state.pdot, -grid.nodes)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([0.0], "one length >= 2"),
+            ([[0.0, 1.0]], "one length >= 2"),
+            ([0.0, 0.5, 0.5, 1.0], "increase strictly"),
+            ([0.0, 0.7, 0.5, 1.0], "increase strictly"),
+            ([0.1, 0.5, 1.0], "increase strictly"),
+            ([0.0, 0.5, 0.99], "increase strictly"),
+            ([0.0, math.nan, 1.0], "finite"),
+            ([0.0, 0.5, math.inf], "finite"),
+        ],
+    )
+    def test_samples_must_cover_the_beam(self, x, message):
+        x = np.asarray(x)
+        with pytest.raises(ValueError, match=message):
+            state_from_samples(Grid(16), x, *(np.zeros_like(x),) * 4)
+
+    def test_sample_arrays_must_share_one_length(self):
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="one length >= 2"):
+            state_from_samples(Grid(16), x, x, x, x, x[:4])
+        with pytest.raises(ValueError, match="finite"):
+            state_from_samples(Grid(16), x, x, x, np.full(5, math.nan), x)
 
 
 class TestSimConfig:
