@@ -12,7 +12,7 @@ physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J``, ``N``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CflViolation, DuplicateKey, MalformedValue, MissingKey, NonPositiveParameter
 from .params import BeamParameters, _FIELD_NAMES as PHYSICAL_KEYS
@@ -38,7 +38,9 @@ DEFAULTS = {
 class RunConfig:
     """Validated run configuration: beam parameters plus numeric options.
 
-    ``k = None`` (the default) stands for the gain ``1/(2*thickness)``.
+    ``k = None`` (the default) stands for the gain ``1/(2*thickness)``; such a
+    matched gain follows the thickness of each point of a sweep, while a given
+    ``k`` stays fixed at every point.
     """
 
     params: BeamParameters
@@ -50,9 +52,11 @@ class RunConfig:
     sample_dt: float = DEFAULTS["sample_dt"]
     qmax: int = DEFAULTS["qmax"]
     tol: float = DEFAULTS["tol"]
+    _matched_gain: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k is None:
+            object.__setattr__(self, "_matched_gain", True)
             object.__setattr__(self, "k", 1.0 / (2.0 * self.params.thickness))
 
 

@@ -8,9 +8,16 @@ and charge components by the coefficients ``b1``, ``b2``.  The mixing vectors
 ``(1, b_k)`` are orthogonal in the mass ``diag(rho, mu)`` (``b1 b2 = -rho/mu``),
 so projection inverts the sine amplitudes family by family in closed form.
 This module provides the eigen-decomposition, projection of states onto the
-eigenbasis, unitary modal propagation, energy norms, the closed-form output
-energy of the electrode-current observation, and the inverse of the damped
-generator at zero frequency.
+eigenbasis, unitary modal propagation, energy norms, the output energy of the
+electrode-current observation, and the inverse of the damped generator at
+zero frequency.
+
+The output energy integrates the exponential polynomial of the observation
+pair by pair.  Pairs of frequencies closer than ``1/T`` take the exact phase
+integral ``exp(i delta T/2) * T * sinc``; all others take
+``(exp(i delta T) - 1) / (i delta)``, whose phases factor per frequency, so
+the far pairs reduce to one real antisymmetric ``1/delta`` matrix applied to
+two real vectors.
 
 Everything is pure and immutable; all operations may run concurrently.
 """
@@ -244,6 +251,7 @@ def reconstruct(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s = sigma(np.arange(1, coeffs.truncation + 1), params.length)  # (J,)
     profile = np.cos(np.outer(s, x)) * s[:, None] if derivative else np.sin(np.outer(s, x))
+    profile = profile.astype(complex)  # once, not once per mixed-type product below
     out = np.zeros((4, x.size), dtype=complex)
     for (c, d), b_k, zeta_k in zip(coeffs.branches, b, zeta):
         lam = 1j * s / zeta_k
@@ -439,16 +447,33 @@ def output_energy(
 ) -> float:
     """Exact output energy ``int_0^T |current observation|^2 dt``.
 
-    Computed by analytic pairwise integration of the exponential polynomial,
-    not by time quadrature, so resonant (coincident-frequency) pairs are
-    handled exactly and nothing aliases.
+    The observation is ``sum_n w_n exp(i s_n t)`` (:func:`_output_weights`),
+    so the energy is ``sum_{m,n} w_m conj(w_n) int_0^T exp(i delta t) dt`` with
+    ``delta = s_m - s_n`` from :func:`_snapped_differences`: pairwise
+    integration, not time quadrature, so nothing aliases.  The pairs split at
+    ``|delta| * T = 1``:
+
+    * near pairs (``|delta| * T < 1``: the diagonal, every snapped coincident
+      pair and the close collisions) take the exact :func:`phase_integral`, on
+      this sparse set only;
+    * far pairs integrate to ``(exp(i delta T) - 1) / (i delta)`` without
+      cancellation.  With ``a = w * exp(i s T)`` and ``C`` the real
+      antisymmetric matrix ``1 / delta`` on far pairs and 0 elsewhere, their
+      sum is ``2 * (Im(a) @ C @ Re(a) - Im(w) @ C @ Re(w))``: one reciprocal
+      and one real ``(n, n) @ (n, 2)`` product, with no transcendental per
+      pair and no complex ``(n, n)`` array.
     """
     freqs, weights = _output_weights(coeffs, params, dc or derive_constants(params))
     delta = _snapped_differences(freqs, T)
     if freqs.size == 0:
         return 0.0
-    gram = phase_integral(delta, T)
-    total = np.real(weights @ gram @ np.conj(weights))
+    near = np.abs(delta) * T < 1.0
+    m, n = np.nonzero(near)
+    total = np.sum(np.real(weights[m] * np.conj(weights[n]) * phase_integral(delta[m, n], T)))
+    inverse = np.divide(1.0, delta, out=np.zeros_like(delta), where=~near)
+    a = weights * np.exp(1j * T * freqs)
+    sums = inverse @ np.stack((a.real, weights.real), axis=1)
+    total += 2.0 * (a.imag @ sums[:, 0] - weights.imag @ sums[:, 1])
     return max(float(total), 0.0)
 
 

@@ -54,9 +54,11 @@ def run_sweep(
     """Evaluate ``metric`` at each parameter value; rows come back in input order.
 
     Returns rows ``(value, metric, error)`` where failed points carry
-    ``nan`` and the error message.  Points always run serially; ``workers``
-    is accepted for compatibility, must be at least 1 and is otherwise
-    ignored.
+    ``nan`` and the error message.  A gain left at its default
+    ``1/(2*thickness)`` is resolved again at every point, so a ``thickness``
+    sweep uses each beam's own matched gain; a given ``k`` is held fixed.
+    Points always run serially; ``workers`` is accepted for compatibility,
+    must be at least 1 and is otherwise ignored.
     """
     if param_name not in PHYSICAL_KEYS:
         raise ValueError(f"{param_name!r} is not a physical parameter")
@@ -66,7 +68,8 @@ def run_sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     def task(value):
-        point = replace(cfg, params=replace(cfg.params, **{param_name: value}))
+        params = replace(cfg.params, **{param_name: value})
+        point = replace(cfg, params=params, k=None if cfg._matched_gain else cfg.k)
         try:
             return (value, evaluate_metric(point, metric), "")
         except (PiezoBeamError, ValueError) as exc:

@@ -16,6 +16,7 @@ from piezobeam import (
     NonPositiveParameter,
     ValidationError,
     derive_constants,
+    evaluate_metric,
     parse_config,
     run_sweep,
 )
@@ -426,6 +427,19 @@ class TestSweeps:
         header, rows = read_csv(out_csv)
         assert header == ["value", "metric", "error"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("gain", [pytest.param("", id="default"), pytest.param("k = 0.8\n", id="given")])
+    def test_thickness_sweep_gain(self, gain):
+        """An unset gain is each point's own ``1/(2h)``, as in a config parsed at that
+        thickness; a given ``k`` stays fixed.  The decay rate sees the difference."""
+        text = MINIMAL + "N = 128\nT = 6\n" + gain
+        base = parse_config(text)
+        for value, rate, error in run_sweep(base, "thickness", [0.5, 2.0], "decay_rate"):
+            point = parse_config(text.replace("thickness = 1", f"thickness = {value}"))
+            assert point.k == (0.8 if gain else 1.0 / (2.0 * value))
+            assert error == "" and rate == evaluate_metric(point, "decay_rate")
+            held = RunConfig(params=point.params, n=base.n, T=base.T, k=base.k)
+            assert (rate == evaluate_metric(held, "decay_rate")) == bool(gain)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Eigenstructure, modal projection/propagation, norms, output energy, resolvent."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -155,6 +157,28 @@ def reference_output_energy(coeffs, params, T):
     return max(float(total), 0.0)
 
 
+def mpmath_output_energy(freqs, weights, T, dps=50):
+    """``sum_{m,n} w_m conj(w_n) int_0^T exp(i (s_m - s_n) t) dt`` at ``dps`` digits.
+
+    The float frequencies and weights are taken as exact; each pair integrates
+    to ``T`` when ``s_m == s_n`` and to ``(e_m conj(e_n) - 1) / (i (s_m - s_n))``
+    with ``e = exp(i s T)`` otherwise.  The oracle for ``output_energy``."""
+    with mpmath.workdps(dps):
+        T = mpmath.mpf(float(T))
+        s = [mpmath.mpf(float(f)) for f in freqs]
+        w = [mpmath.mpc(complex(v)) for v in weights]
+        e = [mpmath.expj(f * T) for f in s]
+        total = T * sum(abs(v) ** 2 for v in w)
+        for m in range(len(s)):
+            for n in range(m + 1, len(s)):  # Hermitian: each off-diagonal pair twice
+                if s[m] == s[n]:
+                    g = T
+                else:
+                    g = (e[m] * mpmath.conj(e[n]) - 1) / (1j * (s[m] - s[n]))
+                total += 2 * (w[m] * mpmath.conj(w[n]) * g).real
+        return total
+
+
 def reference_params():
     """Golden, a rescaled ratio-1/2 beam, and three random beams in [0.5, 2]."""
     rng = np.random.default_rng(2014)
@@ -238,7 +262,44 @@ class TestReferences:
         want = reference_output_weights(coeffs, params)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         for T in (0.9, 6.0):
-            assert output_energy(coeffs, params, T) == reference_output_energy(coeffs, params, T)
+            got, want = output_energy(coeffs, params, T), reference_output_energy(coeffs, params, T)
+            assert abs(got - want) <= 1e-13 * want, (T, got, want)
+
+    @pytest.mark.parametrize("J", [pytest.param(J, id=f"J{J}") for J in (8, 24)])
+    @pytest.mark.parametrize("params", [pytest.param(p, id=n) for n, p in reference_params()[2:]])
+    def test_output_energy_matches_mpmath(self, params, J):
+        coeffs = random_coefficients(J, seed=J)
+        freqs, weights = _output_weights(coeffs, params, derive_constants(params))
+        for T in (0.9, 6.0):
+            exact = mpmath_output_energy(freqs, weights, T)
+            err = abs(mpmath.mpf(output_energy(coeffs, params, T)) - exact) / exact
+            assert err <= 1e-14, (T, float(err))
+
+    @pytest.mark.parametrize("q, parent_err", [(987, 4.9e-12), (4181, 2.0e-10)])
+    def test_golden_ladder_output_energy_matches_mpmath(self, q, parent_err):
+        """Near-colliding golden pairs cancel to order ``(delta T)**2`` in the
+        near-pair sum; the split keeps the digits the dense Gram kept there."""
+        golden = reference_params()[0][1]
+        dc = derive_constants(golden)
+        approx = next(a for a in odd_odd_approximants(dc.ratio, 6, qmax=5000) if a.q == q)
+        coeffs = near_unobservable_state(approx, golden)
+        freqs, weights = _output_weights(coeffs, golden, dc)
+        exact = mpmath_output_energy(freqs, weights, 10.0, dps=60)
+        err = abs(mpmath.mpf(output_energy(coeffs, golden, 10.0)) - exact) / exact
+        assert err <= 2.0 * parent_err, float(err)
+
+    def test_output_energy_memory(self):
+        """No complex ``(n, n)`` Gram: 4J = 1024 frequencies stay under 32 MiB,
+        where a dense complex Gram alone takes 16 MiB and its evaluation 56 MiB."""
+        params = reference_params()[2][1]
+        coeffs = random_coefficients(256, seed=5)
+        tracemalloc.start()
+        try:
+            energy = output_energy(coeffs, params, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy > 0 and peak < 32 * 2**20, peak / 2**20
 
 
 class TestModalCoefficients:
