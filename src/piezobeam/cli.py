@@ -253,8 +253,8 @@ def _cmd_observability(args, cfg: RunConfig) -> int:
     approximants = obs.odd_odd_approximants(dc.ratio, count=args.count, qmax=cfg.qmax)
     rows = []
     for a in approximants:
-        state = obs.near_unobservable_state(a, params, dc=dc)
-        quotient = obs.observability_quotient(state, params, T, dc=dc)
+        state = obs.near_unobservable_state(a, params)
+        quotient = obs.observability_quotient(state, params, T)
         rows.append((a.p, a.q, a.err, quotient))
     path = _out_path(args, "observability.csv")
     write_csv(path, ["p", "q", "err", "quotient"], rows)

@@ -50,13 +50,13 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
-def write_svg(path, x, y, title: str = "", width: int = 800, height: int = 500) -> None:
-    """Single-curve polyline plot with a frame and min/max labels."""
+def write_svg(path, x, y, title: str = "") -> None:
+    """Single-curve 800 x 500 polyline plot with a frame and min/max labels."""
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys) or not xs:
         raise ValueError("x and y must be equal-length, non-empty sequences")
-    margin = 50.0
+    width, height, margin = 800, 500, 50.0
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0

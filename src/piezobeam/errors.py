@@ -61,7 +61,7 @@ class ZeroState(ValidationError):
 
 
 class CflViolation(ValidationError):
-    """Requested time step exceeds the explicit stability bound."""
+    """Config ``cfl`` outside (0, 1), the fraction of the explicit stability bound."""
 
 
 class NonPositiveEnergy(ValidationError):

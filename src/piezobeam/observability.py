@@ -27,7 +27,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroState,
 )
-from .params import BeamParameters, DerivedConstants, _mixed_parity_gap, derive_constants
+from .params import BeamParameters, _mixed_parity_gap, derive_constants
 from .spectral import (
     ModalCoefficients,
     _families,
@@ -176,10 +176,7 @@ def _kappa(odd: int) -> float:
 
 
 def near_unobservable_state(
-    approx: OddApproximant,
-    params: BeamParameters,
-    J: int | None = None,
-    dc: DerivedConstants | None = None,
+    approx: OddApproximant, params: BeamParameters, J: int | None = None
 ) -> ModalCoefficients:
     """Two-mode state whose output nearly cancels under the approximant.
 
@@ -208,28 +205,22 @@ def near_unobservable_state(
         raise TruncationTooSmall(
             f"approximant ({p},{q}) needs J >= {max(j1, j2)}, got {J}"
         )
-    _, b, _ = _families(params, dc or derive_constants(params))
+    _, b, _ = _families(params, derive_constants(params))
     branches = np.zeros((2, 2, J), dtype=complex)
     branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(q), -_kappa(p)]) / b
     return ModalCoefficients(*branches.reshape(4, J))
 
 
-def observability_quotient(
-    coeffs: ModalCoefficients,
-    params: BeamParameters,
-    T: float,
-    dc: DerivedConstants | None = None,
-) -> float:
+def observability_quotient(coeffs: ModalCoefficients, params: BeamParameters, T: float) -> float:
     """Output energy over ``[0, T]`` divided by the squared state norm.
 
     A uniform positive lower bound over all states is exact observability;
     the near-unobservable states drive this quotient to zero like ``q^-2``.
     """
-    dc = dc or derive_constants(params)
-    norm = modal_norm_sq(coeffs, params, dc)
+    norm = modal_norm_sq(coeffs, params)
     if norm == 0.0:
         raise ZeroState("observability quotient undefined for the zero state")
-    return output_energy(coeffs, params, T, dc) / norm
+    return output_energy(coeffs, params, T) / norm
 
 
 def quotient_bound(approx: OddApproximant, params: BeamParameters, T: float) -> float:
@@ -246,9 +237,7 @@ def quotient_bound(approx: OddApproximant, params: BeamParameters, T: float) -> 
     )
 
 
-def ingham_gap(
-    params: BeamParameters, p: int, q: int, dc: DerivedConstants | None = None
-) -> tuple[float, float]:
+def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
     """Uniform eigenfrequency gap for a mixed-parity rational speed ratio.
 
     For ``zeta2/zeta1 = p/q`` in lowest terms with exactly one of ``p, q``
@@ -263,7 +252,7 @@ def ingham_gap(
     collide; there is no gap) and :class:`NotRational` if the fraction does
     not match the actual ratio to 1e-9.
     """
-    dc = dc or derive_constants(params)
+    dc = derive_constants(params)
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise InvalidBudget(f"need coprime positive p, q; got ({p}, {q})")
     if p % 2 == 1 and q % 2 == 1:
@@ -277,11 +266,9 @@ def ingham_gap(
     return gamma, 2.0 * math.pi / gamma
 
 
-def exponent_family(
-    params: BeamParameters, J: int, dc: DerivedConstants | None = None
-) -> np.ndarray:
+def exponent_family(params: BeamParameters, J: int) -> np.ndarray:
     """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``."""
-    zeta, _, _ = _families(params, dc or derive_constants(params))
+    zeta, _, _ = _families(params, derive_constants(params))
     return np.sort(_frequencies(zeta, J, params.length), axis=None)
 
 

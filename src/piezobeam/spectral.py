@@ -197,9 +197,7 @@ def _families(params: BeamParameters, dc: DerivedConstants):
     return zeta, b, params.rho + params.mu * b**2
 
 
-def eigenvalues(
-    params: BeamParameters, J: int, dc: DerivedConstants | None = None
-) -> list[tuple[ModeIndex, complex]]:
+def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex]]:
     """Eigenvalues ``sign * i * sigma_j / zeta_family`` for ``j = 1..J``.
 
     All are purely imaginary and come in conjugate pairs; within a family the
@@ -207,7 +205,7 @@ def eigenvalues(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    zeta, _, _ = _families(params, dc or derive_constants(params))
+    zeta, _, _ = _families(params, derive_constants(params))
     return [
         (ModeIndex(family, sign, j), sign * 1j * sigma(j, params.length) / zeta[family - 1])
         for j in range(1, J + 1)
@@ -216,16 +214,14 @@ def eigenvalues(
     ]
 
 
-def eigenfunction(
-    mode: ModeIndex, params: BeamParameters, x, dc: DerivedConstants | None = None
-) -> np.ndarray:
+def eigenfunction(mode: ModeIndex, params: BeamParameters, x) -> np.ndarray:
     """Evaluate one eigenfunction at positions ``x``.
 
     The component vector is ``(1/lam, b/lam, sign, sign*b) * sin(sigma_j x)``
     with ``lam`` the eigenvalue of the ``+`` branch of the mode's family.
     Returns shape ``(4,)`` for scalar ``x`` and ``(4, len(x))`` otherwise.
     """
-    zeta, b, _ = (a[mode.family - 1] for a in _families(params, dc or derive_constants(params)))
+    zeta, b, _ = (a[mode.family - 1] for a in _families(params, derive_constants(params)))
     s = sigma(mode.j, params.length)
     lam = 1j * s / zeta
     profile = np.sin(s * np.asarray(x, dtype=float))
@@ -239,7 +235,6 @@ def reconstruct(
     x,
     t: float = 0.0,
     derivative: bool = False,
-    dc: DerivedConstants | None = None,
 ) -> np.ndarray:
     """Evaluate the modal sum at positions ``x`` and time ``t``.
 
@@ -247,7 +242,7 @@ def reconstruct(
     (cosine profiles), which is what the energy quadratures need.
     Returns a complex array of shape ``(4, len(x))``.
     """
-    zeta, b, _ = _families(params, dc or derive_constants(params))
+    zeta, b, _ = _families(params, derive_constants(params))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s = sigma(np.arange(1, coeffs.truncation + 1), params.length)  # (J,)
     profile = np.cos(np.outer(s, x)) * s[:, None] if derivative else np.sin(np.outer(s, x))
@@ -266,23 +261,18 @@ def reconstruct(
     return out
 
 
-def project(
-    state: StateFunctions,
-    params: BeamParameters,
-    J: int,
-    cells: int = DEFAULT_QUADRATURE_CELLS,
-    dc: DerivedConstants | None = None,
-) -> ModalCoefficients:
+def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoefficients:
     """Project a state onto the first ``J`` modes of each branch.
 
     One real product of the samples, real and imaginary parts stacked, with
     the trapezoid-weighted kernel ``(2/L) sin(sigma_j x)`` gives the sine
     amplitudes ``a_v, a_p, a_vd, a_pd`` of all four components.  The rule on
-    ``cells`` uniform cells is exact on this family: a product of modes ``j``
-    and ``k`` is half the difference of ``cos(m pi x / L)`` at ``m = j - k``
-    and ``m = j + k - 1``, which it integrates exactly for ``|m| < 2 * cells``.
-    Projecting a state in the span of the first ``J <= cells`` modes is
-    therefore exact to rounding.
+    ``cells = max(J, DEFAULT_QUADRATURE_CELLS)`` uniform cells is exact on
+    this family: a product of modes ``j`` and ``k`` is half the difference of
+    ``cos(m pi x / L)`` at ``m = j - k`` and ``m = j + k - 1``, which it
+    integrates exactly for ``|m| < 2 * cells``.  Since ``J <= cells``,
+    projecting a state in the span of the first ``J`` modes is exact to
+    rounding for every ``J``.
 
     Family ``k`` adds ``S_k = (c_k + d_k) / lam_k`` to the position amplitudes
     and ``D_k = c_k - d_k`` to the velocity amplitudes, both along the mixing
@@ -297,10 +287,9 @@ def project(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    if cells < 1:
-        raise ValueError(f"cells must be >= 1, got {cells}")
-    zeta, b, w = _families(params, dc or derive_constants(params))
+    zeta, b, w = _families(params, derive_constants(params))
     rho, mu, L = params.rho, params.mu, params.length
+    cells = max(J, DEFAULT_QUADRATURE_CELLS)
     x = np.linspace(0.0, L, cells + 1)
     s = sigma(np.arange(1, J + 1), L)
     kernel = np.sin(np.outer(s, x)) * (2.0 / cells)
@@ -321,15 +310,13 @@ def project(
 
 
 def projection_residual(
-    state: StateFunctions,
-    coeffs: ModalCoefficients,
-    params: BeamParameters,
-    cells: int = DEFAULT_QUADRATURE_CELLS,
+    state: StateFunctions, coeffs: ModalCoefficients, params: BeamParameters
 ) -> float:
-    """Relative L2 mismatch between a state and its truncated reconstruction."""
-    if cells < 1:
-        raise ValueError(f"cells must be >= 1, got {cells}")
-    x = np.linspace(0.0, params.length, cells + 1)
+    """Relative L2 mismatch between a state and its truncated reconstruction.
+
+    Trapezoid rule on ``DEFAULT_QUADRATURE_CELLS`` uniform cells.
+    """
+    x = np.linspace(0.0, params.length, DEFAULT_QUADRATURE_CELLS + 1)
     original = state.sample(x)
     rebuilt = reconstruct(coeffs, params, x)
     diff = np.abs(np.asarray(original, dtype=complex) - rebuilt) ** 2
@@ -339,29 +326,20 @@ def projection_residual(
     return float(np.sqrt(np.trapezoid(np.sum(diff, axis=0), x) / denom))
 
 
-def propagate(
-    coeffs: ModalCoefficients,
-    params: BeamParameters,
-    t: float,
-    dc: DerivedConstants | None = None,
-) -> ModalCoefficients:
+def propagate(coeffs: ModalCoefficients, params: BeamParameters, t: float) -> ModalCoefficients:
     """Advance modal coefficients by time ``t`` (a group: ``t < 0`` rewinds).
 
     Each branch picks up a unit-modulus phase, so the modal energy norm is
     conserved exactly.
     """
-    zeta, _, _ = _families(params, dc or derive_constants(params))
+    zeta, _, _ = _families(params, derive_constants(params))
     J = coeffs.truncation
     phase = np.exp(1j * sigma(np.arange(1, J + 1), params.length) * t / zeta[:, None])
     c, d = coeffs.branches.swapaxes(0, 1)
     return ModalCoefficients(*np.stack((c * phase, d / phase), axis=1).reshape(4, J))
 
 
-def modal_norm_sq(
-    coeffs: ModalCoefficients,
-    params: BeamParameters,
-    dc: DerivedConstants | None = None,
-) -> float:
+def modal_norm_sq(coeffs: ModalCoefficients, params: BeamParameters) -> float:
     """Squared energy norm of the state with the given modal coefficients.
 
     Orthogonality of the eigenfunctions gives
@@ -370,7 +348,7 @@ def modal_norm_sq(
 
     The physical energy is ``(thickness / 2) * N^2``.
     """
-    _, _, w = _families(params, dc or derive_constants(params))
+    _, _, w = _families(params, derive_constants(params))
     branch_sums = np.sum(np.abs(coeffs.branches) ** 2, axis=2)  # (family, branch)
     return float(params.length * np.sum(w * (branch_sums[:, 0] + branch_sums[:, 1])))
 
@@ -418,9 +396,7 @@ def _snapped_differences(freqs: np.ndarray, T: float) -> np.ndarray:
     return delta
 
 
-def _output_weights(
-    coeffs: ModalCoefficients, params: BeamParameters, dc: DerivedConstants
-):
+def _output_weights(coeffs: ModalCoefficients, params: BeamParameters):
     """Frequencies and complex weights of the electrode-current signal.
 
     The observation is ``-(1/h) * pdot(L, t)``; evaluated on the modal sum it
@@ -428,7 +404,7 @@ def _output_weights(
     ``+/- sigma_j / zeta_k`` and weights proportional to ``b_k`` and the
     boundary sign ``sin(sigma_j L) = (-1)**(j+1)``.
     """
-    zeta, b, _ = _families(params, dc)
+    zeta, b, _ = _families(params, derive_constants(params))
     j = np.arange(1, coeffs.truncation + 1)
     bsign = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
     freqs = _frequencies(zeta, coeffs.truncation, params.length)
@@ -439,12 +415,7 @@ def _output_weights(
     return freqs[keep], weights[keep]
 
 
-def output_energy(
-    coeffs: ModalCoefficients,
-    params: BeamParameters,
-    T: float,
-    dc: DerivedConstants | None = None,
-) -> float:
+def output_energy(coeffs: ModalCoefficients, params: BeamParameters, T: float) -> float:
     """Exact output energy ``int_0^T |current observation|^2 dt``.
 
     The observation is ``sum_n w_n exp(i s_n t)`` (:func:`_output_weights`),
@@ -463,7 +434,7 @@ def output_energy(
       and one real ``(n, n) @ (n, 2)`` product, with no transcendental per
       pair and no complex ``(n, n)`` array.
     """
-    freqs, weights = _output_weights(coeffs, params, dc or derive_constants(params))
+    freqs, weights = _output_weights(coeffs, params)
     delta = _snapped_differences(freqs, T)
     if freqs.size == 0:
         return 0.0
@@ -477,11 +448,7 @@ def output_energy(
     return max(float(total), 0.0)
 
 
-def resolvent_at_zero(
-    g: StateFunctions,
-    params: BeamParameters,
-    cells: int = DEFAULT_QUADRATURE_CELLS,
-) -> StateFunctions:
+def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctions:
     """Solve ``A_d U = G`` for the damped generator at zero frequency.
 
     The damped generator (electrical feedback with gain ``1/(2h)``) is
@@ -489,7 +456,9 @@ def resolvent_at_zero(
     kernel ``K(x, r) = min(x, r)`` of the one-dimensional Laplacian with a
     fixed left end and free right end, plus linear boundary corrections
     proportional to ``g2(L)``; the velocity components are copied from the
-    position components of ``G``.
+    position components of ``G``.  The integrals use the trapezoid rule on
+    ``DEFAULT_QUADRATURE_CELLS`` uniform cells, and the result interpolates
+    linearly between those nodes.
 
     Raises
     ------
@@ -505,7 +474,7 @@ def resolvent_at_zero(
         params.mu,
     )
     L, h = params.length, params.thickness
-    x = np.linspace(0.0, L, cells + 1)
+    x = np.linspace(0.0, L, DEFAULT_QUADRATURE_CELLS + 1)
     g1, g2, g3, g4 = g.sample(x)
     g2L = g2[-1]
 

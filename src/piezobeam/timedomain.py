@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CflViolation, MalformedValue, NonFiniteState, NonPositiveEnergy
+from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, derive_constants
 from .spectral import ModalCoefficients, _families, reconstruct, sigma
 
@@ -147,10 +147,10 @@ class SimConfig:
     mode takes ``forcing``; ``k`` is the feedback gain of closed and
     classical mode (default ``1/(2h)``) and is not used in open mode.
     Setting ``voltage`` or ``forcing`` for another mode raises
-    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  ``dt``
-    may be forced explicitly but must respect the stability bound
-    ``dt <= dx * zeta2`` (or ``dx * sqrt(rho/alpha1)`` for the classical
-    model); otherwise it is ``cfl`` times that bound.
+    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  The time
+    step is ``cfl`` times the stability bound ``dx * zeta2`` (or
+    ``dx * sqrt(rho/alpha1)`` for the classical model), shortened so that a
+    whole number of steps spans ``T``.
     """
 
     mode: str = "open"
@@ -159,7 +159,6 @@ class SimConfig:
     k: float | None = None
     voltage: Callable[[float], float] | None = None
     forcing: Callable[[float], float] | None = None
-    dt: float | None = None
     snapshot_dt: float | None = None
     energy_stride: int = 1
 
@@ -318,25 +317,18 @@ def _as_state(grid: Grid, u, ud, t: float) -> GridState:
 def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Trajectory:
     """Integrate the beam dynamics from ``initial`` over ``[0, cfg.T]``.
 
-    Returns a :class:`Trajectory` with per-step energies and output samples.
-    Raises :class:`CflViolation` for a forced ``dt`` above the stability
-    bound and :class:`NonFiniteState` with the step index if the update
-    blows up: at the first recorded step whose energy is not finite (step 0
-    for bad initial data), or at the latest multiple of 512 steps.
+    The step is ``cfg.cfl`` times the stability bound (see
+    :class:`SimConfig`), shortened to divide ``cfg.T`` evenly.  Returns a
+    :class:`Trajectory` with per-step energies and output samples.  Raises
+    :class:`NonFiniteState` with the step index if the update blows up: at
+    the first recorded step whose energy is not finite (step 0 for bad
+    initial data), or at the latest multiple of 512 steps.
     """
     params.validate()
     grid = initial.grid
     n, dx, h = grid.n, grid.dx, params.thickness
     model = _model(params, cfg.mode == "classical")
-    dt_max = dx * model.slowness
-    if cfg.dt is not None:
-        if cfg.dt > dt_max:
-            raise CflViolation(
-                f"dt={cfg.dt:g} exceeds the stability bound {dt_max:g}"
-            )
-        dt = cfg.dt
-    else:
-        dt = cfg.cfl * dt_max
+    dt = cfg.cfl * (dx * model.slowness)
     nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
     dt = cfg.T / nsteps
 
@@ -564,15 +556,13 @@ def sine_velocity_state(grid: Grid, j: int = 1) -> GridState:
     return state
 
 
-def gaussian_velocity_state(
-    grid: Grid, center: float = 0.25, width: float = 0.04, amplitude: float = 1.0
-) -> GridState:
-    """Zero displacement with a Gaussian bump in ``vdot``.
+def gaussian_velocity_state(grid: Grid, center: float = 0.25, width: float = 0.04) -> GridState:
+    """Zero displacement with a unit-height Gaussian bump in ``vdot``.
 
     Defaults keep the bump supported well inside the left half of the beam.
     """
     state = GridState.zero(grid)
     x = grid.nodes
-    state.vdot = amplitude * np.exp(-0.5 * ((x - center * grid.length) / (width * grid.length)) ** 2)
+    state.vdot = np.exp(-0.5 * ((x - center * grid.length) / (width * grid.length)) ** 2)
     state.vdot[0] = 0.0
     return state

@@ -300,7 +300,7 @@ class TestInghamGap:
             freqs = (2.0 * j - 1.0) * np.pi / (2.0 * params.length)
             freqs = np.concatenate([freqs / dc.zeta1, freqs / dc.zeta2])
             expected = np.sort(np.concatenate([-freqs, freqs]))
-            np.testing.assert_array_equal(exponent_family(params, 40, dc), expected)
+            np.testing.assert_array_equal(exponent_family(params, 40), expected)
 
 
 def direct_gram(exponents, T):

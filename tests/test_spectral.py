@@ -1,5 +1,6 @@
 """Eigenstructure, modal projection/propagation, norms, output energy, resolvent."""
 
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +29,7 @@ from piezobeam import (
     resolvent_at_zero,
     sigma,
 )
+from piezobeam import observability, spectral
 from piezobeam.spectral import _output_weights, phase_integral
 from conftest import energy_inner_quadrature
 
@@ -258,7 +260,7 @@ class TestReferences:
 
     @pytest.mark.parametrize("params, coeffs", random_beam_cases())
     def test_output_energy_equals_reference(self, params, coeffs):
-        got = _output_weights(coeffs, params, derive_constants(params))
+        got = _output_weights(coeffs, params)
         want = reference_output_weights(coeffs, params)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         for T in (0.9, 6.0):
@@ -269,7 +271,7 @@ class TestReferences:
     @pytest.mark.parametrize("params", [pytest.param(p, id=n) for n, p in reference_params()[2:]])
     def test_output_energy_matches_mpmath(self, params, J):
         coeffs = random_coefficients(J, seed=J)
-        freqs, weights = _output_weights(coeffs, params, derive_constants(params))
+        freqs, weights = _output_weights(coeffs, params)
         for T in (0.9, 6.0):
             exact = mpmath_output_energy(freqs, weights, T)
             err = abs(mpmath.mpf(output_energy(coeffs, params, T)) - exact) / exact
@@ -283,7 +285,7 @@ class TestReferences:
         dc = derive_constants(golden)
         approx = next(a for a in odd_odd_approximants(dc.ratio, 6, qmax=5000) if a.q == q)
         coeffs = near_unobservable_state(approx, golden)
-        freqs, weights = _output_weights(coeffs, golden, dc)
+        freqs, weights = _output_weights(coeffs, golden)
         exact = mpmath_output_energy(freqs, weights, 10.0, dps=60)
         err = abs(mpmath.mpf(output_energy(coeffs, golden, 10.0)) - exact) / exact
         assert err <= 2.0 * parent_err, float(err)
@@ -339,15 +341,30 @@ class TestModalCoefficients:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g: project(StateFunctions.zero(), g, J=4, cells=0),
         lambda g: project(StateFunctions.zero(), g, J=0),
-        lambda g: projection_residual(StateFunctions.zero(), ModalCoefficients.zeros(4), g, cells=0),
     ],
-    ids=["project_cells_0", "project_J_0", "residual_cells_0"],
+    ids=["project_J_0"],
 )
 def test_empty_quadrature_rejected(call, golden):
     with pytest.raises(ValueError, match="must be >= 1"):
         call(golden)
+
+
+def test_removed_options_raise_type_error(golden):
+    """The constants and the quadrature follow from the parameters and ``J``."""
+    coeffs = ModalCoefficients.zeros(2)
+    with pytest.raises(TypeError):
+        output_energy(coeffs, golden, 1.0, dc=derive_constants(golden))
+    with pytest.raises(TypeError):
+        project(StateFunctions.zero(), golden, J=2, cells=4096)
+
+
+@pytest.mark.parametrize("module", [spectral, observability], ids=lambda m: m.__name__)
+def test_no_public_callable_takes_dc_or_cells(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj):
+            assert not {"dc", "cells"} & set(inspect.signature(obj).parameters), name
 
 
 class TestEigenvalues:
@@ -454,9 +471,15 @@ class TestProjection:
         ):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
-    def test_modal_state_reconstructs_once(self, golden, monkeypatch):
-        import piezobeam.spectral as spectral
+    def test_roundtrip_above_default_cells(self, golden):
+        """More modes than ``DEFAULT_QUADRATURE_CELLS``: the rule widens with ``J``."""
+        J = spectral.DEFAULT_QUADRATURE_CELLS + 1
+        coeffs = random_coefficients(J, seed=11)
+        back = project(StateFunctions.from_modal(coeffs, golden), golden, J)
+        err = np.linalg.norm(back.branches - coeffs.branches) / np.linalg.norm(coeffs.branches)
+        assert err <= 1e-10, err
 
+    def test_modal_state_reconstructs_once(self, golden, monkeypatch):
         coeffs = random_coefficients(16, seed=3)
         state = StateFunctions.from_modal(coeffs, golden)
         x = np.linspace(0.0, golden.length, 129)

@@ -8,7 +8,6 @@ from scipy.linalg import eig_banded
 
 from piezobeam import (
     BeamParameters,
-    CflViolation,
     Grid,
     GridState,
     ModalCoefficients,
@@ -256,6 +255,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="forcing"):
             SimConfig(mode=mode, forcing=math.sin)
 
+    def test_step_is_not_an_option(self):
+        """``cfl`` sets the step; there is no ``dt`` to force."""
+        with pytest.raises(TypeError):
+            SimConfig(mode="closed", T=1.0, dt=0.01)
+
 
 class TestDiscreteEnergy:
     def test_zero_state(self, golden):
@@ -299,7 +303,7 @@ class TestOpenLoopConservation:
             traj = simulate(state, golden, SimConfig(mode="open", T=4.0))
             drifts.append(np.max(np.abs(traj.energy - traj.energy[0])))
         ratio = drifts[0] / drifts[1]
-        assert 2.5 < ratio < 6.5
+        assert 3.5 < ratio < 4.5, ratio
 
     def test_matches_spectral_propagator(self, golden):
         grid = Grid(1024)
@@ -353,17 +357,6 @@ class TestClosedLoop:
         traj = simulate(state, ratio_half, SimConfig(mode="closed", T=10.0, k=k, energy_stride=4))
         assert np.all(np.isfinite(traj.energy))
         assert traj.energy[-1] < traj.energy[0]
-
-    def test_cfl_violation(self, golden):
-        grid = Grid(64)
-        dc = derive_constants(golden)
-        bad_dt = 1.5 * grid.dx * dc.zeta2
-        with pytest.raises(CflViolation):
-            simulate(
-                GridState.zero(grid),
-                golden,
-                SimConfig(mode="closed", T=1.0, dt=bad_dt),
-            )
 
 
 class TestEnergyBalance:
