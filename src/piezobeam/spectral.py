@@ -24,8 +24,9 @@ Everything is pure and immutable; all operations may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -197,6 +198,39 @@ def _families(params: BeamParameters, dc: DerivedConstants):
     return zeta, b, params.rho + params.mu * b**2
 
 
+class _Model(NamedTuple):
+    """Modal form ``u = P w`` of ``M u_tt = K u_xx``, ``K u_x(L) = -(V/h) c``.
+
+    ``P^T M P = I`` and ``P^T K P = diag(lam)``.  Coupled, ``u = (v, p)``:
+    ``M = diag(rho, mu)``, ``K = [[alpha, -gamma*beta], [-gamma*beta, beta]]``,
+    ``c = (0, 1)``, columns ``(1, b_k) / sqrt(w_k)`` of ``P`` and
+    ``lam_k = 1 / zeta_k**2``.  Classical, ``u = (v,)``: ``M = rho``,
+    ``K = alpha1``, ``c = gamma``, ``P = 1/sqrt(rho)`` and ``lam = alpha1/rho``.
+    """
+
+    modes: np.ndarray  # P: u = P w
+    decouple: np.ndarray  # P^T M: w = P^T M u
+    lam: np.ndarray  # squared modal speeds
+    drive: np.ndarray  # P^T c, the modal driven-end vector
+    feedback: np.ndarray  # the row of P whose end velocity feeds back
+    slowness: float  # dt_max / dx
+
+
+def _model(params: BeamParameters, classical: bool) -> _Model:
+    if classical:
+        rho = params.rho
+        modes = np.array([[1.0 / math.sqrt(rho)]])
+        mass, lam = np.array([rho]), np.array([params.alpha1 / rho])
+        c, slowness = np.array([params.gamma]), math.sqrt(rho / params.alpha1)
+    else:
+        zeta, b, w = _families(params, derive_constants(params))
+        mass = np.array([params.rho, params.mu])
+        modes = np.vstack((np.ones(2), b)) / np.sqrt(w)
+        lam = 1.0 / zeta**2
+        c, slowness = np.array([0.0, 1.0]), float(zeta[1])
+    return _Model(modes, modes.T * mass, lam, modes.T @ c, modes[-1], slowness)
+
+
 def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex]]:
     """Eigenvalues ``sign * i * sigma_j / zeta_family`` for ``j = 1..J``.
 
@@ -221,12 +255,8 @@ def eigenfunction(mode: ModeIndex, params: BeamParameters, x) -> np.ndarray:
     with ``lam`` the eigenvalue of the ``+`` branch of the mode's family.
     Returns shape ``(4,)`` for scalar ``x`` and ``(4, len(x))`` otherwise.
     """
-    zeta, b, _ = (a[mode.family - 1] for a in _families(params, derive_constants(params)))
-    s = sigma(mode.j, params.length)
-    lam = 1j * s / zeta
-    profile = np.sin(s * np.asarray(x, dtype=float))
-    vec = np.array([1.0 / lam, b / lam, mode.sign, mode.sign * b], dtype=complex)
-    return np.multiply.outer(vec, profile)
+    values = reconstruct(ModalCoefficients.single(mode, mode.j), params, x)
+    return values[:, 0] if np.ndim(x) == 0 else values
 
 
 def reconstruct(
@@ -451,45 +481,34 @@ def output_energy(coeffs: ModalCoefficients, params: BeamParameters, T: float) -
 def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctions:
     """Solve ``A_d U = G`` for the damped generator at zero frequency.
 
-    The damped generator (electrical feedback with gain ``1/(2h)``) is
-    boundedly invertible at zero.  The position components come from the
-    kernel ``K(x, r) = min(x, r)`` of the one-dimensional Laplacian with a
-    fixed left end and free right end, plus linear boundary corrections
-    proportional to ``g2(L)``; the velocity components are copied from the
-    position components of ``G``.  The integrals use the trapezoid rule on
-    ``DEFAULT_QUADRATURE_CELLS`` uniform cells, and the result interpolates
-    linearly between those nodes.
+    With the feedback ``V = pdot(L) / (2h)``, ``(U3, U4) = (g1, g2)`` and
+    ``u = (U1, U2)`` solves, with ``M``, ``K`` and ``c`` of :class:`_Model`,
+
+        K u'' = M (g3, g4),   u(0) = 0,   K u'(L) = -(g2(L) / (2 h**2)) c.
+
+    With ``f = P^T M (g3, g4)`` each family solves ``lam_k w_k'' = f_k``,
+    ``w_k(0) = 0``, ``lam_k w_k'(L) = flux_k = -(g2(L) / (2 h**2)) (P^T c)_k``,
+    so with the kernel ``min(x, r)`` of the fixed-free Laplacian
+
+        w_k = (flux_k x - int_0^L min(x, r) f_k(r) dr) / lam_k,   u = P w.
+
+    The integrals use the trapezoid rule on ``DEFAULT_QUADRATURE_CELLS``
+    uniform cells; the result interpolates linearly between those nodes.
 
     Raises
     ------
     QuadratureFailure
         If the supplied samples produce non-finite integrals.
     """
-    dc = derive_constants(params)
-    rho, a1, beta, gamma, mu = (
-        params.rho,
-        params.alpha1,
-        params.beta,
-        params.gamma,
-        params.mu,
-    )
-    L, h = params.length, params.thickness
-    x = np.linspace(0.0, L, DEFAULT_QUADRATURE_CELLS + 1)
+    model = _model(params, classical=False)
+    x = np.linspace(0.0, params.length, DEFAULT_QUADRATURE_CELLS + 1)
     g1, g2, g3, g4 = g.sample(x)
-    g2L = g2[-1]
-
-    def kernel_integral(f):
-        # int_0^L min(x, r) f(r) dr = int_0^x r f + x * int_x^L f
-        rf = cumulative_trapezoid(x * f, x, initial=0.0)
-        tot = cumulative_trapezoid(f, x, initial=0.0)
-        return rf + x * (tot[-1] - tot)
-
-    u1 = (1.0 / a1) * kernel_integral(rho * g3 + gamma * mu * g4) - (
-        gamma / (2.0 * h**2 * a1)
-    ) * g2L * x
-    u2 = -(1.0 / a1) * kernel_integral(
-        ((dc.alpha + a1) * rho / (gamma * beta)) * g3 + (mu * dc.alpha / beta) * g4
-    ) - (1.0 / (2.0 * h**2)) * (gamma**2 / a1 + 1.0 / beta) * g2L * x
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+    f = model.decouple @ np.stack((g3, g4))
+    flux = -(g2[-1] / (2.0 * params.thickness**2)) * model.drive
+    # int_0^L min(x, r) f(r) dr = int_0^x r f + x * int_x^L f
+    rf = cumulative_trapezoid(x * f, x, initial=0.0)
+    tot = cumulative_trapezoid(f, x, initial=0.0)
+    w = (np.outer(flux, x) - (rf + x * (tot[:, -1:] - tot))) / model.lam[:, None]
+    if not np.all(np.isfinite(w)):
         raise QuadratureFailure("kernel integrals produced non-finite values")
-    return StateFunctions.from_samples(x, u1, u2, g1, g2)
+    return StateFunctions.from_samples(x, *(model.modes @ w), g1, g2)

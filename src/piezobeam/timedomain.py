@@ -2,24 +2,16 @@
 
 Both models are ``M u_tt = K u_xx`` for stacked fields ``u``: ``(v, p)`` for
 the coupled stretching system and ``(v,)`` for the classical
-magnetically-static comparison model.  The mass ``M`` is diagonal, the
-stiffness ``K`` symmetric, the end ``u(0) = 0`` fixed, and the driven end
-carries the flux condition
+magnetically-static comparison model, with the end ``u(0) = 0`` fixed and
+the driven-end flux ``K u_x(L) = -(V / h) c``.
 
-    K u_x(L) = -(V / h) c.
-
-The coupled model has ``M = diag(rho, mu)``,
-``K = [[alpha, -gamma*beta], [-gamma*beta, beta]]`` and ``c = (0, 1)``; the
-classical one has ``M = rho``, ``K = alpha1`` and ``c = gamma``.
-
-*Modal decoupling.*  Write ``u = P w`` with ``P^T M P = I`` and
-``P^T K P = diag(lam)``.  For the coupled model the columns of ``P`` are
-``(1, b_k) / sqrt(rho + mu * b_k**2)`` and ``lam_k = 1 / zeta_k**2``; for the
-classical one ``P = 1/sqrt(rho)`` and ``lam = alpha1/rho``.  Each modal field
-then obeys the scalar wave equation ``w_tt = lam_k w_xx``, and the fields
-meet only in the driven-end load ``-(V/h) P^T c``.  Space is discretized
-with second-order centered differences, which act node by node and so
-commute with ``P``: the decoupling is exact on the grid, and the energy
+*Modal decoupling.*  :func:`piezobeam.spectral._model` gives ``M``, ``K``,
+``c`` and the basis ``u = P w`` with ``P^T M P = I`` and
+``P^T K P = diag(lam)`` of both models.  Each modal field then obeys the
+scalar wave equation ``w_tt = lam_k w_xx``, and the fields meet only in the
+driven-end load ``-(V/h) P^T c``.  Space is discretized with second-order
+centered differences, which act node by node and so commute with ``P``:
+the decoupling is exact on the grid, and the energy
 ``(h/2) * int ud.M ud + u_x.K u_x`` is
 ``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2``.  The fixed left end and
 the mirrored right end (below) make the sines ``sin(sigma_j x)``,
@@ -54,13 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
-from .params import BeamParameters, derive_constants
-from .spectral import ModalCoefficients, _families, reconstruct, sigma
+from .params import BeamParameters
+from .spectral import ModalCoefficients, _model, reconstruct, sigma
 
 __all__ = [
     "Grid",
@@ -198,32 +190,6 @@ class Trajectory:
     snapshots: list[tuple[float, GridState]] = field(default_factory=list)
 
 
-class _Model(NamedTuple):
-    """Modal form of one model; see the module docstring."""
-
-    modes: np.ndarray  # P: u = P w
-    decouple: np.ndarray  # P^T M: w = P^T M u
-    lam: np.ndarray  # squared modal speeds
-    drive: np.ndarray  # P^T c, the modal driven-end vector
-    feedback: np.ndarray  # the row of P whose end velocity feeds back
-    slowness: float  # dt_max / dx
-
-
-def _model(params: BeamParameters, classical: bool) -> _Model:
-    if classical:
-        rho = params.rho
-        modes = np.array([[1.0 / math.sqrt(rho)]])
-        mass, lam = np.array([rho]), np.array([params.alpha1 / rho])
-        c, slowness = np.array([params.gamma]), math.sqrt(rho / params.alpha1)
-    else:
-        zeta, b, w = _families(params, derive_constants(params))
-        mass = np.array([params.rho, params.mu])
-        modes = np.vstack((np.ones(2), b)) / np.sqrt(w)
-        lam = 1.0 / zeta**2
-        c, slowness = np.array([0.0, 1.0]), float(zeta[1])
-    return _Model(modes, modes.T * mass, lam, modes.T @ c, modes[-1], slowness)
-
-
 def _modal(decouple: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Modal fields ``P^T M u`` in an ``(m, N+2)`` buffer with a zero ghost column."""
     w = np.zeros((u.shape[0], u.shape[1] + 1))
@@ -270,7 +236,14 @@ def _fields(state: GridState, m: int):
     return u, ud
 
 
+def _check_length(grid: Grid, params: BeamParameters) -> None:
+    """Raise ``ValueError`` unless the grid spans the beam (relative ``1e-12``)."""
+    if not math.isclose(grid.length, params.length, rel_tol=1e-12):
+        raise ValueError(f"grid length {grid.length} differs from beam length {params.length}")
+
+
 def _state_energy(state: GridState, params: BeamParameters, classical: bool) -> float:
+    _check_length(state.grid, params)
     model = _model(params, classical)
     u, ud = _fields(state, model.lam.size)
     energy = _energy_meter(model.lam, params.thickness, state.grid.dx, state.grid.n)
@@ -326,6 +299,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     """
     params.validate()
     grid = initial.grid
+    _check_length(grid, params)
     n, dx, h = grid.n, grid.dx, params.thickness
     model = _model(params, cfg.mode == "classical")
     dt = cfg.cfl * (dx * model.slowness)
@@ -521,6 +495,7 @@ def grid_state_from_modal(
     coeffs: ModalCoefficients, params: BeamParameters, grid: Grid
 ) -> GridState:
     """Sample the real part of a modal state onto the grid."""
+    _check_length(grid, params)
     comps = reconstruct(coeffs, params, grid.nodes).real
     return GridState(grid, *(np.ascontiguousarray(c) for c in comps))
 

@@ -639,6 +639,32 @@ class TestPhaseIntegral:
         np.testing.assert_allclose(gram, gram.conj().T, rtol=1e-15, atol=0.0)
 
 
+def reference_static_solve(g, params, n):
+    """Finite-difference oracle for the position components of ``resolvent_at_zero``.
+
+    Solves ``K u'' = M (g3, g4)`` on ``n`` uniform cells for ``u = (v, p)``
+    with ``u(0) = 0`` and ``K u'(L) = -(g2(L) / (2 h**2)) (0, 1)``, where
+    ``M = diag(rho, mu)`` and ``K = [[alpha, -gamma beta], [-gamma beta, beta]]``
+    are assembled from ``params``.  The driven end carries a ghost node
+    ``u_{n+1} = u_{n-1} + 2 dx K^{-1} flux``, and the coupled ``2n x 2n``
+    system is solved densely.  Returns the nodes and ``(v, p)`` on them.
+    """
+    L, h = params.length, params.thickness
+    alpha = params.alpha1 + params.gamma**2 * params.beta
+    gb = params.gamma * params.beta
+    K = np.array([[alpha, -gb], [-gb, params.beta]])
+    x = np.linspace(0.0, L, n + 1)
+    dx = L / n
+    _, g2, g3, g4 = (np.asarray(c(x), dtype=float) for c in (g.v, g.p, g.vdot, g.pdot))
+    flux = -(g2[-1] / (2.0 * h**2)) * np.array([0.0, 1.0])
+    d2 = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / dx**2
+    d2[-1, -2] = 2.0 / dx**2  # ghost node mirrors node n-1
+    rhs = np.stack((params.rho * g3[1:], params.mu * g4[1:]))
+    rhs[:, -1] -= (2.0 / dx) * flux
+    u = np.linalg.solve(np.kron(K, d2), rhs.ravel()).reshape(2, n)
+    return x, np.hstack((np.zeros((2, 1)), u))
+
+
 class TestResolventAtZero:
     def test_zero_input(self, golden):
         U = resolvent_at_zero(StateFunctions.zero(), golden)
@@ -655,8 +681,9 @@ class TestResolventAtZero:
         )
         U = resolvent_at_zero(g, golden)
         x = np.linspace(0.0, 1.0, 257)
-        np.testing.assert_allclose(U.v(x), x - x**2 / 2.0, atol=1e-7)
-        np.testing.assert_allclose(U.p(x), -3.0 * (x - x**2 / 2.0), atol=1e-6)
+        # K^{-1} M (1, 0) = (1, 1) for unit parameters, and both ends are flux-free
+        np.testing.assert_allclose(U.v(x), -(x - x**2 / 2.0), atol=1e-7)
+        np.testing.assert_allclose(U.p(x), -(x - x**2 / 2.0), atol=1e-7)
         np.testing.assert_allclose(U.vdot(x), 0.0, atol=1e-15)
         np.testing.assert_allclose(U.pdot(x), 0.0, atol=1e-15)
 
@@ -694,3 +721,18 @@ class TestResolventAtZero:
         U = resolvent_at_zero(g, golden)
         assert abs(U.v(0.0)) < 1e-12
         assert abs(U.p(0.0)) < 1e-12
+
+    @pytest.mark.parametrize("beam", ["golden", "ratio_half", "random"])
+    def test_matches_reference(self, beam, request):
+        """Interior values agree with an independent finite-difference solve."""
+        if beam == "random":
+            rng = np.random.default_rng(11)
+            params = BeamParameters(*rng.uniform(0.3, 3.0, 7))
+        else:
+            params = request.getfixturevalue(beam)
+        g = StateFunctions(np.sin, np.square, lambda x: np.cos(3.0 * x), lambda x: np.exp(-x))
+        x, u = reference_static_solve(g, params, 800)
+        U = resolvent_at_zero(g, params)
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs(U.v(x) - u[0])) <= 2e-6 * scale
+        assert np.max(np.abs(U.p(x) - u[1])) <= 2e-6 * scale

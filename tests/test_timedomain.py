@@ -244,6 +244,27 @@ class TestInitialData:
             state_from_samples(Grid(16), x, x, x, np.full(5, math.nan), x)
 
 
+class TestGridLength:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda grid, p: simulate(GridState.zero(grid), p, SimConfig(T=0.1)),
+            lambda grid, p: grid_state_from_modal(
+                ModalCoefficients.single(ModeIndex(1, 1, 1), J=1), p, grid
+            ),
+            lambda grid, p: discrete_energy(GridState.zero(grid), p),
+            lambda grid, p: classical_energy(GridState.zero(grid), p),
+        ],
+        ids=["simulate", "grid_state_from_modal", "discrete_energy", "classical_energy"],
+    )
+    def test_grid_must_span_the_beam(self, call):
+        """A unit grid would run or sample a length-2 beam as a length-1 one."""
+        long_beam = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0, length=2.0)
+        with pytest.raises(ValueError, match="grid length 1.0 differs from beam length 2.0"):
+            call(Grid(64), long_beam)
+        call(Grid(64, length=2.0 * (1.0 + 1e-13)), long_beam)
+
+
 class TestSimConfig:
     @pytest.mark.parametrize("mode", ["closed", "classical"])
     def test_voltage_only_in_open_mode(self, mode):
