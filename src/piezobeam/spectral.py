@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import QuadratureFailure
 from .params import BeamParameters, DerivedConstants, derive_constants
@@ -122,7 +121,8 @@ class StateFunctions:
     """A beam state ``(v, p, vdot, pdot)`` on ``[0, L]``.
 
     Components are callables mapping position arrays to values; states given
-    as grid samples are wrapped with linear interpolation.  Membership in the
+    as grid samples are wrapped with linear interpolation, complex samples
+    staying complex and all others becoming float.  Membership in the
     energy space requires ``v(0) = p(0) = 0``.
     """
 
@@ -138,12 +138,12 @@ class StateFunctions:
     @classmethod
     def from_samples(cls, x, v, p, vdot, pdot) -> "StateFunctions":
         x = np.asarray(x, dtype=float)
-        comps = [np.asarray(a, dtype=float) for a in (v, p, vdot, pdot)]
 
         def interp(values):
+            values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
             return lambda xs: np.interp(np.asarray(xs, dtype=float), x, values)
 
-        return cls(*(interp(a) for a in comps))
+        return cls(*(interp(a) for a in (v, p, vdot, pdot)))
 
     @classmethod
     def from_modal(cls, coeffs: "ModalCoefficients", params: BeamParameters) -> "StateFunctions":
@@ -478,6 +478,12 @@ def output_energy(coeffs: ModalCoefficients, params: BeamParameters, T: float) -
     return max(float(total), 0.0)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)`` along the last axis."""
+    s = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros_like(s[..., :1]), s), axis=-1)
+
+
 def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctions:
     """Solve ``A_d U = G`` for the damped generator at zero frequency.
 
@@ -506,8 +512,7 @@ def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctio
     f = model.decouple @ np.stack((g3, g4))
     flux = -(g2[-1] / (2.0 * params.thickness**2)) * model.drive
     # int_0^L min(x, r) f(r) dr = int_0^x r f + x * int_x^L f
-    rf = cumulative_trapezoid(x * f, x, initial=0.0)
-    tot = cumulative_trapezoid(f, x, initial=0.0)
+    rf, tot = _cumulative_trapezoid(np.stack((x * f, f)), x)
     w = (np.outer(flux, x) - (rf + x * (tot[:, -1:] - tot))) / model.lam[:, None]
     if not np.all(np.isfinite(w)):
         raise QuadratureFailure("kernel integrals produced non-finite values")

@@ -45,6 +45,7 @@ driven end absorbs incoming waves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,10 +140,12 @@ class SimConfig:
     mode takes ``forcing``; ``k`` is the feedback gain of closed and
     classical mode (default ``1/(2h)``) and is not used in open mode.
     Setting ``voltage`` or ``forcing`` for another mode raises
-    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  The time
-    step is ``cfl`` times the stability bound ``dx * zeta2`` (or
-    ``dx * sqrt(rho/alpha1)`` for the classical model), shortened so that a
-    whole number of steps spans ``T``.
+    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  Snapshots
+    are taken every ``snapshot_dt`` (finite and > 0; ``None`` takes none) and
+    the energy is recorded every ``energy_stride`` steps (an integer >= 1);
+    other values raise ``ValueError``.  The time step is ``cfl`` times the
+    stability bound ``dx * zeta2`` (or ``dx * sqrt(rho/alpha1)`` for the
+    classical model), shortened so that a whole number of steps spans ``T``.
     """
 
     mode: str = "open"
@@ -167,8 +170,10 @@ class SimConfig:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if self.k is not None and not math.isfinite(self.k):
             raise MalformedValue(f"k must be a finite number, got {self.k}")
-        if self.energy_stride < 1:
-            raise ValueError("energy_stride must be >= 1")
+        if self.snapshot_dt is not None and not 0 < self.snapshot_dt < math.inf:
+            raise ValueError(f"snapshot_dt must be None or finite and > 0, got {self.snapshot_dt}")
+        if not isinstance(self.energy_stride, numbers.Integral) or self.energy_stride < 1:
+            raise ValueError(f"energy_stride must be an integer >= 1, got {self.energy_stride!r}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from piezobeam import (
     BeamParameters,
@@ -30,7 +31,7 @@ from piezobeam import (
     sigma,
 )
 from piezobeam import observability, spectral
-from piezobeam.spectral import _output_weights, phase_integral
+from piezobeam.spectral import _cumulative_trapezoid, _output_weights, phase_integral
 from conftest import energy_inner_quadrature
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -722,6 +723,13 @@ class TestResolventAtZero:
         assert abs(U.v(0.0)) < 1e-12
         assert abs(U.p(0.0)) < 1e-12
 
+    def test_complex_input_stays_complex(self, golden):
+        g = StateFunctions(lambda x: 1j * np.sin(x), *(np.zeros_like,) * 3)
+        U = resolvent_at_zero(g, golden)
+        x = np.linspace(0.0, golden.length, spectral.DEFAULT_QUADRATURE_CELLS + 1)
+        np.testing.assert_array_equal(U.vdot(x), 1j * np.sin(x))
+        np.testing.assert_array_equal(U.v(x), 0.0)
+
     @pytest.mark.parametrize("beam", ["golden", "ratio_half", "random"])
     def test_matches_reference(self, beam, request):
         """Interior values agree with an independent finite-difference solve."""
@@ -736,3 +744,19 @@ class TestResolventAtZero:
         scale = np.max(np.abs(u))
         assert np.max(np.abs(U.v(x) - u[0])) <= 2e-6 * scale
         assert np.max(np.abs(U.p(x) - u[1])) <= 2e-6 * scale
+
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "nonuniform"])
+def test_cumulative_trapezoid_matches_scipy_bitwise(kind):
+    """The private trapezoid of ``resolvent_at_zero`` is SciPy's, bit for bit."""
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 1.7, 2049)
+    if kind == "nonuniform":
+        x = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.7, 2047)), [1.7]))
+    y = rng.standard_normal((2, 2049))
+    if kind == "complex":
+        y = y + 1j * rng.standard_normal((2, 2049))
+    ours, ref = _cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+    assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape)
+    assert ours.tobytes() == ref.tobytes()

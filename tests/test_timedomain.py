@@ -276,6 +276,21 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="forcing"):
             SimConfig(mode=mode, forcing=math.sin)
 
+    @pytest.mark.parametrize("snapshot_dt", [0.0, -1.0, math.nan, math.inf])
+    def test_snapshot_dt_must_be_finite_and_positive(self, snapshot_dt):
+        """``0`` or ``-1`` would snapshot every step and ``nan`` only the last."""
+        with pytest.raises(ValueError, match="snapshot_dt"):
+            SimConfig(snapshot_dt=snapshot_dt)
+
+    @pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0, math.nan, "2"])
+    def test_energy_stride_must_be_an_integer(self, stride):
+        with pytest.raises(ValueError, match="energy_stride"):
+            SimConfig(energy_stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 8, 10**9, np.int64(4)])
+    def test_integer_energy_stride_accepted(self, stride):
+        assert SimConfig(energy_stride=stride).energy_stride == stride
+
     def test_step_is_not_an_option(self):
         """``cfl`` sets the step; there is no ``dt`` to force."""
         with pytest.raises(TypeError):
