@@ -8,7 +8,7 @@ Current feedback V = pdot(L)/(2h) damps the beam:
 * golden-ratio speeds: every state decays, but along the approximant states
   the fitted rate degrades toward zero - strong but not exponential.
 
-Run:  python demos/03_closed_loop_decay.py       (about a minute)
+Run:  python demos/03_closed_loop_decay.py       (a few seconds)
 """
 
 from pathlib import Path

@@ -20,26 +20,43 @@ second difference, so the discrete spectrum is the two decoupled families
 ``lam_k * ((2/dx) * sin(sigma_j * dx/2))**2``, each within O(dx^2) of
 ``(sigma_j / zeta_k)**2``.
 
-*Ghost node.*  The ``m`` modal fields lie back to back in one contiguous
-``(m, N+2)`` buffer.  Node ``N+1`` of each field is a ghost that mirrors node
-``N-1``, so the zero-flux end is part of the bulk three-point stencil and
-the voltage enters as a load on node ``N``.  The stencil runs over the
-flattened buffer; a per-node coefficient ``dt**2 * lam_k / dx**2`` that is
-zero at the fixed nodes and the ghosts keeps the fields apart.
+*Sine modes.*  Time stepping is leapfrog (velocity Verlet), and it is
+carried out in the sine basis, where it needs no stencil.  Let
+``mu = dt**2 * lam_k * ((2/dx) * sin(sigma_j * dx/2))**2`` be the step's
+eigenvalue of mode ``(k, j)`` and ``s = sqrt(mu * (1 - mu/4))``.  With
+``a`` the sine amplitude of ``w_k`` and ``p = dt * da/dt`` at a whole step,
+one unforced step maps ``s*a - i*p`` to ``lam * (s*a - i*p)``, with the
+rotation ``lam = (1 - mu/2) + i*s`` of modulus one: the leapfrog's discrete
+phase, built without ``arccos``.  Each of the ``m*N`` modes is thus one
+complex amplitude, rotated once per step.  With no voltage each modulus is
+conserved, and the recorded energy stays within O(dt^2) of its start.
 
-*Staggered velocity.*  Time stepping is leapfrog, velocity Verlet with its
-two half-kicks merged: ``q = dt * wd`` lives at half steps, and each step is
-one kick of ``q`` followed by ``w += q``.  It conserves the discrete energy
-to O(dt^2) when the voltage is off.  The velocity at a whole step, needed
-only for recorded steps, snapshots and the final state, is the mean of the
-half-step velocities around it.  The kick at ``t_n`` uses the voltage
+*Driven end.*  The zero-flux end mirrors node ``N-1`` onto ``N+1``, so the
+voltage enters the second difference as a load ``-(2 dt**2 / (dx h)) P^T c``
+on node ``N`` alone, whose sine amplitudes are ``(-1)**(j+1) / N``: a
+rank-one load.  Each amplitude is stored divided by its mode's image of a
+unit voltage, so a kick by ``V_n`` adds the scalar ``V_n`` to every mode.
 ``V_n = k * trace + f(t_n)``, where ``f`` is the prescribed voltage (open
 loop, ``k = 0``) or the external input (closed loop), and ``trace`` is the
 end velocity at ``t_n`` of the row that feeds back (``pdot`` coupled,
-``vdot`` classical).  That velocity is linear in ``V_n``, so the loop is
-closed on it exactly with one scalar division, which keeps the step stable
-at any gain ``k >= 0``.  With the impedance-matched gain the classical
-driven end absorbs incoming waves.
+``vdot`` classical), one sum over the modes.  The whole-step velocity holds
+half of the kick of ``V_n``, so the trace is linear in ``V_n`` and the loop
+is closed on it exactly with one scalar division, which keeps the step
+stable at any gain ``k >= 0``.  With the impedance-matched gain the
+classical driven end absorbs incoming waves.
+
+*Energy meter.*  The recorded energy is
+``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2`` with the trapezoid rule
+over nodes ``0..N`` and the slopes of ``np.gradient``: centered inside,
+one-sided at the ends.  The sines are orthogonal under these weights, and so
+are the cosines of their centered slopes, so the meter is diagonal in the
+sine amplitudes, plus one rank-one term per family from the one-sided slope
+at node ``N``.  A recorded step reads it from the amplitudes alone.
+:func:`discrete_energy` and :func:`classical_energy` evaluate the same form.
+
+*Transform.*  States enter and leave the sine basis through a quarter-wave
+sine transform: both directions are sums of ``sin(pi * i * l / (2N))``,
+taken by one real FFT of length ``4N``.
 """
 
 from __future__ import annotations
@@ -195,41 +212,74 @@ class Trajectory:
     snapshots: list[tuple[float, GridState]] = field(default_factory=list)
 
 
-def _modal(decouple: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Modal fields ``P^T M u`` in an ``(m, N+2)`` buffer with a zero ghost column."""
-    w = np.zeros((u.shape[0], u.shape[1] + 1))
-    np.matmul(decouple, u, out=w[:, :-1])
-    return w
+def _half_angles(n: int, length: float) -> np.ndarray:
+    """``sigma_j * dx / 2`` for ``j = 1..n`` on ``n`` cells of ``[0, length]``."""
+    return (0.5 * length / n) * sigma(np.arange(1, n + 1), length)
 
 
-def _energy_meter(lam: np.ndarray, h: float, dx: float, n: int):
-    """``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2`` on modal ``(m, N+2)`` buffers.
+def _sine_sums(c: np.ndarray, n: int) -> np.ndarray:
+    """``sum_l c[..., l] * sin(pi * i * l / (2n))`` for ``i = 0..2n``, by one real FFT."""
+    return -np.fft.rfft(c, 4 * n).imag
 
-    Slopes are those of ``np.gradient``: centered differences inside and
-    first-order one-sided differences at the ends.  The integral is the
-    trapezoid rule over nodes ``0..N``; the ghost column has zero weight.
-    The buffers are allocated once, so a recorded step allocates nothing.
+
+def _to_sines(u, ud, model, pos, vel) -> np.ndarray:
+    """Flat amplitudes ``vel * adot + 1j * pos * a`` of the modal fields of ``(u, ud)``.
+
+    ``a`` and ``adot`` are the amplitudes in ``sum_j a_j sin(sigma_j x)`` of
+    ``P^T M u`` and ``P^T M ud`` on nodes ``0..N``.  The sines are orthogonal
+    with squared norm ``N/2`` under the weights 1 on nodes ``1..N-1`` and 1/2
+    on node ``N``; they vanish on node 0, which is not read.  ``pos`` and
+    ``vel`` are per-mode scales of shape ``(m, N)``, or scalars.
     """
-    weights = np.full(n + 2, 0.5 * h * dx)
-    weights[[0, n]] *= 0.5
-    weights[n + 1] = 0.0
-    slope = np.full(n + 2, 0.25 / dx**2)  # the centered slope is (w[i+1] - w[i-1]) / (2 dx)
-    slope[[0, n]] = 1.0 / dx**2
-    kinetic = np.tile(weights, lam.size)
-    strain = (lam[:, None] * (weights * slope)).ravel()
-    diff = np.zeros((lam.size, n + 2))
-    flat = diff.ravel()
-    square = np.empty_like(flat)
+    m, n = model.lam.size, u.shape[-1] - 1
+    w = np.vstack((model.decouple @ u, model.decouple @ ud))
+    w[:, n] *= 0.5
+    hat = (2.0 / n) * _sine_sums(w, n)[:, 1 : 2 * n : 2]
+    return (vel * hat[m:] + 1j * pos * hat[:m]).ravel()
 
-    def energy(w: np.ndarray, wd: np.ndarray) -> float:
-        wf = w.ravel()
-        np.subtract(wf[2:], wf[:-2], out=flat[1:-1])
-        np.subtract(w[:, 1], w[:, 0], out=diff[:, 0])
-        np.subtract(w[:, n], w[:, n - 1], out=diff[:, n])
-        np.multiply(flat, flat, out=square)
-        potential = square.dot(strain)
-        np.multiply(wd.ravel(), wd.ravel(), out=square)
-        return float(potential + square.dot(kinetic))
+
+def _from_sines(z, model, pos, vel):
+    """Physical fields ``(u, ud)`` on nodes ``0..N`` of the amplitudes :func:`_to_sines` returns."""
+    m = model.lam.size
+    z = z.reshape(m, -1)
+    n = z.shape[1]
+    c = np.zeros((2 * m, 2 * n))
+    c[:m, 1::2] = z.imag / pos
+    c[m:, 1::2] = z.real / vel
+    w = _sine_sums(c, n)[:, : n + 1]
+    return model.modes @ w[:m], model.modes @ w[m:]
+
+
+def _sine_meter(lam: np.ndarray, h: float, grid: Grid, pos, vel):
+    """``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2`` on the amplitudes of :func:`_to_sines`.
+
+    The integral is the trapezoid rule over nodes ``0..N`` and the slopes are
+    those of ``np.gradient``: centered inside, first-order one-sided at the
+    ends.  The kinetic part is ``(h L/4) * sum adot**2``.  The centered slope
+    of ``sin(sigma_j x)`` is ``cos(sigma_j x) * sin(sigma_j dx) / dx``, which
+    at node 0 equals the one-sided slope, and the cosines are orthogonal with
+    squared norm ``N/2`` under the trapezoid weights.  The one-sided
+    slope at node ``N`` is ``sum_j (-1)**(j+1) * (1 - cos(sigma_j dx)) / dx * a_j``,
+    one rank-one term per family.  Returns ``energy(z)`` for flat complex
+    ``z``; a call allocates nothing of size ``N``.
+    """
+    m, n, dx = lam.size, grid.n, grid.dx
+    theta = _half_angles(n, grid.length)
+    quarter = 0.25 * h * grid.length
+    weights = np.empty((m, n), dtype=complex)
+    weights.real = quarter / vel**2
+    weights.imag = quarter * lam[:, None] * (np.sin(2.0 * theta) / dx) ** 2 / pos**2
+    weights = weights.ravel().view(np.float64)
+    end = (-1.0) ** np.arange(n) * (2.0 * np.sin(theta) ** 2 / dx)  # one-sided slope at node N
+    slope = 1j * np.sqrt(0.25 * h * dx * lam)[:, None] * end / pos
+    rank = (np.eye(m)[:, :, None] * slope).reshape(m, -1).view(np.float64)  # one row per family
+    square = np.empty_like(weights)
+
+    def energy(z: np.ndarray) -> float:
+        zf = z.view(np.float64)
+        np.multiply(zf, zf, out=square)
+        r = rank @ zf
+        return float(square @ weights + r @ r)
 
     return energy
 
@@ -250,22 +300,26 @@ def _check_length(grid: Grid, params: BeamParameters) -> None:
 def _state_energy(state: GridState, params: BeamParameters, classical: bool) -> float:
     _check_length(state.grid, params)
     model = _model(params, classical)
-    u, ud = _fields(state, model.lam.size)
-    energy = _energy_meter(model.lam, params.thickness, state.grid.dx, state.grid.n)
-    return energy(_modal(model.decouple, u), _modal(model.decouple, ud))
+    z = _to_sines(*_fields(state, model.lam.size), model, 1.0, 1.0)
+    return _sine_meter(model.lam, params.thickness, state.grid, 1.0, 1.0)(z)
 
 
 def discrete_energy(state: GridState, params: BeamParameters) -> float:
     """Stored energy of the coupled model on the grid.
 
     ``(h/2) * int rho vdot^2 + mu pdot^2 + alpha1 v_x^2 + beta (gamma v_x - p_x)^2``;
-    the strain term is ``u_x.K u_x`` with ``u = (v, p)``.
+    the strain term is ``u_x.K u_x`` with ``u = (v, p)``.  It is the meter
+    :func:`simulate` records (see *Energy meter* in the module docstring);
+    node 0 is the fixed end, and its values are not read.
     """
     return _state_energy(state, params, classical=False)
 
 
 def classical_energy(state: GridState, params: BeamParameters) -> float:
-    """Stored energy ``(h/2) * int rho vdot^2 + alpha1 v_x^2`` of the classical model."""
+    """Stored energy ``(h/2) * int rho vdot^2 + alpha1 v_x^2`` of the classical model.
+
+    Evaluated as :func:`discrete_energy` is; node 0 is not read.
+    """
     return _state_energy(state, params, classical=True)
 
 
@@ -296,8 +350,13 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     """Integrate the beam dynamics from ``initial`` over ``[0, cfg.T]``.
 
     The step is ``cfg.cfl`` times the stability bound (see
-    :class:`SimConfig`), shortened to divide ``cfg.T`` evenly.  Returns a
-    :class:`Trajectory` with per-step energies and output samples.  Raises
+    :class:`SimConfig`), shortened to divide ``cfg.T`` evenly.  The initial
+    modal fields are transformed once into their ``m*N`` sine amplitudes; a
+    step rotates each amplitude by its leapfrog phase and adds the voltage's
+    kick (see *Sine modes* and *Driven end* in the module docstring).
+    Recorded steps and snapshots only read the amplitudes, so
+    ``energy_stride`` and ``snapshot_dt`` leave the run bitwise unchanged.
+    Returns a :class:`Trajectory` with per-step energies and output samples.  Raises
     :class:`NonFiniteState` with the step index if the update blows up: at
     the first recorded step whose energy is not finite (step 0 for bad
     initial data), or at the latest multiple of 512 steps.
@@ -323,40 +382,33 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     u[:, 0] = 0.0
     ud[:, 0] = 0.0
     initial_state = _as_state(grid, u, ud, initial.t)
-    w = _modal(model.decouple, u)
-    vel = _modal(model.decouple, ud)  # modal velocity at the latest recorded or snapshot step
-    energy = _energy_meter(model.lam, h, dx, n)
 
-    coef = np.zeros_like(w)
-    coef[:, 1 : n + 1] = (dt / dx) ** 2 * model.lam[:, None]
-    acc = np.zeros_like(w)  # stencil kick of q, zero at fixed nodes and ghosts
-    wf, cf, af = w.ravel(), coef.ravel()[1:-1], acc.ravel()[1:-1]
-    ghost, mirror, acc_end, vel_end = w[:, n + 1], w[:, n - 1], acc[:, n], vel[:, n]
-    load = -(2.0 * dt**2 / (dx * h)) * model.drive  # kick of q at node N per unit voltage
-    # The trace is (q + acc/2 + load*V/2)[N] . feedback / dt, linear in V.
-    trace_q = model.feedback / dt
-    trace_acc = 0.5 * trace_q
-    trace_load = float(trace_acc @ load)
+    theta = _half_angles(n, grid.length)
+    mu = model.lam[:, None] * ((2.0 * dt / dx) * np.sin(theta)) ** 2
+    sine = np.sqrt(mu * (1.0 - 0.25 * mu))
+    rotation = ((1.0 - 0.5 * mu) + 1j * sine).ravel()
+    load = -(2.0 * dt**2 / (dx * h)) * model.drive  # kick of dt * wd at node N per unit voltage
+    image = np.outer(load / n, (-1.0) ** np.arange(n))
+    # xi = (dt * adot + 1j * sine * a) / image rotates by `rotation`, and a kick by V adds V
+    pos, vel = sine / image, dt / image
+    xi = _to_sines(u, ud, model, pos, vel)
+    now = np.empty_like(xi)  # xi at the latest recorded or snapshot step
+    xi_re, now_re = xi.real, now.real
+    energy = _sine_meter(model.lam, h, grid, pos, vel)
+    end = np.repeat(load / (n * dt), n)  # end velocity of each family per unit Re(xi)
+    trace_xi = end * np.repeat(model.feedback, n)
+    output = end * np.repeat(model.drive / h, n)
+    # the whole-step trace holds half the kick of V: trace = trace_xi . Re(xi) + trace_load * V
+    trace_load = 0.5 * float(model.feedback @ load) / dt
     trace_gain = 1.0 / (1.0 - trace_load * k)
-    output = model.drive / h
-
-    def stencil():
-        np.copyto(ghost, mirror)
-        np.add(wf[:-2], wf[2:], out=af)
-        np.subtract(af, wf[1:-1], out=af)
-        np.subtract(af, wf[1:-1], out=af)
-        np.multiply(af, cf, out=af)
 
     def record(step: int, t: float, f: float) -> None:
-        e = energy(w, vel)
+        e = energy(now)
         if not math.isfinite(e):
             raise NonFiniteState(f"non-finite state at step {step}")
         times.append(t)
         energies.append(e)
-        ys.append(float(output.dot(vel_end)) + (f if forced else 0.0))
-
-    def physical():
-        return model.modes @ w[:, : n + 1], model.modes @ vel[:, : n + 1]
+        ys.append(float(now_re.dot(output)) + (f if forced else 0.0))
 
     stride = cfg.energy_stride
     times: list[float] = []
@@ -366,42 +418,32 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     snap_next = cfg.snapshot_dt
 
     f = external(0.0) if external is not None else 0.0
-    voltage = k * float(model.feedback @ vel_end) + f
+    voltage = k * float(xi_re.dot(trace_xi)) + f
+    np.copyto(now, xi)
     record(0, 0.0, f)
-    stencil()
-    q = dt * vel + 0.5 * acc
-    q[:, n] += 0.5 * voltage * load
-    q_end = q[:, n]
+    xi += 0.5 * voltage
     for step in range(1, nsteps + 1):
-        w += q
-        stencil()
+        xi *= rotation
         t = step * dt
         if driven:
             f = external(t) if external is not None else 0.0
             voltage = f
             if k:
-                trace = (trace_q.dot(q_end) + trace_acc.dot(acc_end) + trace_load * f) * trace_gain
-                voltage += k * trace
+                voltage += k * (xi_re.dot(trace_xi) + trace_load * f) * trace_gain
         keep = step % stride == 0 or step == nsteps
         snap = snap_next is not None and (t + 1e-12 >= snap_next or step == nsteps)
         if keep or snap:
-            # the velocity at t is the mean of q / dt before and after this kick
-            np.multiply(acc, 0.5, out=vel)
-            vel += q
-            if driven:
-                vel_end += 0.5 * voltage * load
-            vel /= dt
+            np.add(xi, 0.5 * voltage, out=now)
         if keep:
             record(step, t, f)
-        q += acc
         if driven:
-            q_end += voltage * load
+            xi += voltage
         if snap:
-            snapshots.append((t, _as_state(grid, *physical(), t)))
+            snapshots.append((t, _as_state(grid, *_from_sines(now, model, pos, vel), t)))
             snap_next += cfg.snapshot_dt
         if step % 512 == 0:
-            _check_finite((w, q), step)
-    u, ud = physical()
+            _check_finite((xi,), step)
+    u, ud = _from_sines(now, model, pos, vel)
     _check_finite((u, ud), nsteps)
     return Trajectory(
         t=np.asarray(times),
@@ -490,9 +532,7 @@ def operator_eigenvalues(
     if count != int(count) or not 1 <= count <= 2 * n_cells:
         raise ValueError(f"count must be an integer in 1..{2 * n_cells}, got {count}")
     lam = _model(params, classical=False).lam  # validates params
-    dx = params.length / n_cells
-    s = sigma(np.arange(1, n_cells + 1), params.length)
-    wavenumber = (2.0 / dx) * np.sin(0.5 * dx * s)
+    wavenumber = (2.0 * n_cells / params.length) * np.sin(_half_angles(n_cells, params.length))
     return np.sort(np.outer(lam, wavenumber**2), axis=None)[:count]
 
 

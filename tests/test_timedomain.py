@@ -152,19 +152,21 @@ def rich_state(grid):
 
 class TestReferenceStepper:
     @pytest.mark.parametrize(
-        "params_name, cfg",
+        "params_name, cfg, n, T",
         [
-            ("golden", dict(mode="open", voltage=math.sin)),
-            ("ratio_half", dict(mode="closed", forcing=math.cos, k=20.0)),
-            ("golden", dict(mode="classical", k=0.7)),
+            ("golden", dict(mode="open", voltage=math.sin), 64, 5.0),
+            ("ratio_half", dict(mode="closed", forcing=math.cos, k=20.0), 64, 5.0),
+            ("golden", dict(mode="classical", k=0.7), 64, 5.0),
+            # about 8,000 steps: long enough to see the rounding of each mode's phase
+            ("ratio_half", dict(mode="closed"), 256, 20.0),
         ],
-        ids=["open", "closed", "classical"],
+        ids=["open", "closed", "classical", "closed_long"],
     )
-    def test_matches_physical_velocity_verlet(self, request, params_name, cfg):
-        """The decoupled staggered kernel is the physical stepper up to rounding."""
+    def test_matches_physical_velocity_verlet(self, request, params_name, cfg, n, T):
+        """Stepping the sine modes is the physical stepper up to rounding."""
         params = request.getfixturevalue(params_name)
-        state = rich_state(Grid(64))
-        sim = SimConfig(T=5.0, **cfg)
+        state = rich_state(Grid(n))
+        sim = SimConfig(T=T, **cfg)
         traj = simulate(state, params, sim)
         t, energy, y, u, ud = reference_simulate(state, params, sim)
         np.testing.assert_array_equal(traj.t, t)
@@ -186,6 +188,30 @@ class TestReferenceStepper:
         for t, snap in traj.snapshots:
             (i,) = np.flatnonzero(traj.t == t)
             assert traj.energy[i] == pytest.approx(stored(snap, golden), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(mode="open", voltage=math.sin),
+            dict(mode="closed", forcing=math.cos),
+            dict(mode="classical", k=0.7),
+        ],
+        ids=["open", "closed", "classical"],
+    )
+    def test_recording_does_not_change_the_run(self, golden, cfg):
+        """Energy strides and snapshots only read the state: the final state is bitwise equal."""
+        state = rich_state(Grid(64))
+        runs = [
+            simulate(state, golden, SimConfig(T=2.0, energy_stride=stride, snapshot_dt=snap, **cfg))
+            for stride in (1, 4, 10**9)
+            for snap in (None, 0.3)
+        ]
+        first = runs[0]
+        for traj in runs[1:]:
+            for name in ("v", "p", "vdot", "pdot"):
+                np.testing.assert_array_equal(getattr(traj.final, name), getattr(first.final, name))
+            assert traj.energy[-1] == first.energy[-1]
+            assert traj.y[-1] == first.y[-1]
 
 
 class TestNonFiniteState:
