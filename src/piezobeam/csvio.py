@@ -7,8 +7,9 @@ polyline with axis annotations, no plotting dependency.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,22 +24,26 @@ def format_value(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _row_template(row) -> str:
-    """``%``-template applying :func:`format_value`'s rule to each value of ``row``."""
-    return ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
+@functools.lru_cache
+def _row_template(types: tuple[type, ...]) -> str:
+    """``%``-template applying :func:`format_value`'s rule to a row of value ``types``."""
+    return ",".join(["%.17g" if issubclass(t, float) else "%s" for t in types]) + "\n"
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write rows with fixed formatting and Unix newlines (byte-reproducible).
 
-    Each row is formatted by one ``%`` template built from its value types,
-    so columns that mix floats with labels follow :func:`format_value`.
+    Each chunk of rows is formatted by one ``%`` over its rows' templates,
+    joined; a row's template follows :func:`format_value` per value and is
+    cached by the row's tuple of value types, so columns that mix floats with
+    labels need no second code path.
     """
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         while chunk := list(islice(rows, _CHUNK_ROWS)):
-            f.write("".join([_row_template(row) % tuple(row) for row in chunk]))
+            template = "".join([_row_template(tuple(map(type, row))) for row in chunk])
+            f.write(template % tuple(chain.from_iterable(chunk)))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

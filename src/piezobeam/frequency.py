@@ -24,11 +24,13 @@ the external input reaches the electrode-current trace through ``G / (1 + G/2)``
 
 from __future__ import annotations
 
+import cmath
 import functools
+import numbers
+import operator
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import PoleProximity, SingularSystem
 from .params import BeamParameters, DerivedConstants, derive_constants
@@ -57,18 +59,39 @@ def _residues(params: BeamParameters, dc: DerivedConstants) -> tuple[np.ndarray,
     return zl, r
 
 
+@functools.lru_cache
+def _scalar_residues(params: BeamParameters, dc: DerivedConstants) -> tuple[tuple[float, ...], ...]:
+    """:func:`_residues` as Python floats ``((zeta_k L, ...), (r_k, ...))``."""
+    return tuple(tuple(a.tolist()) for a in _residues(params, dc))
+
+
 def transfer_closed(
     s: complex | np.ndarray, params: BeamParameters, dc: DerivedConstants | None = None
 ) -> complex | np.ndarray:
     """Closed-form transfer from electrode voltage to electrode current.
 
     ``s`` is a scalar or an array: a scalar gives a Python ``complex``, an
-    array gives a complex array of the same shape.  Intended for
+    array gives a complex array of the same shape.  A finite scalar is
+    summed in ``cmath``, which agrees with the array path to rounding
+    (about 1e-15 relative) and keeps ``G(conj s) == conj G(s)`` exact.  Intended for
     ``Re s > 0``; on the imaginary axis, an ``s`` next to a pole
     (``|tanh| > 1/_POLE_TOL``, so ``|cosh| < ~_POLE_TOL``) raises
     :class:`PoleProximity` naming the first offending ``s`` (in C order).
     """
-    zl, r = _residues(params, dc or derive_constants(params))
+    dc = dc or derive_constants(params)
+    if isinstance(s, numbers.Number):
+        # One point: ``cmath`` on Python floats, with no NumPy dispatch.  A
+        # non-finite ``zeta_k L s`` falls through to the array path, which
+        # keeps its nan/inf results and warnings.
+        s = complex(s)
+        zl, r = _scalar_residues(params, dc)
+        z = [k * s for k in zl]
+        if all(map(cmath.isfinite, z)):
+            t = list(map(cmath.tanh, z))
+            if max(map(abs, t)) > 1.0 / _POLE_TOL:
+                raise PoleProximity(f"s={s} is within tolerance of a pole")
+            return sum(map(operator.mul, r, t))
+    zl, r = _residues(params, dc)
     s = np.asarray(s, dtype=complex)
     t = np.tanh(np.multiply.outer(zl, s))  # shape (2, *s.shape)
     near = np.abs(t) > 1.0 / _POLE_TOL
@@ -87,6 +110,8 @@ def _bvp_solve(s: complex, params: BeamParameters, n: int, damped: bool) -> comp
     voltage contains the state feedback ``(s / 2h) Z(L)``, which moves one
     term onto the matrix diagonal.
     """
+    from scipy.linalg import solve_banded  # SciPy loads only when the oracle runs
+
     if n < 64:
         raise ValueError(f"need n >= 64 cells, got {n}")
     s = complex(s)

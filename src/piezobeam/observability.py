@@ -294,7 +294,7 @@ def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> Fr
     s = np.asarray(exponents, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("exponents must be a non-empty 1-d sequence")
-    delta = _snapped_differences(s, T)
+    delta = _snapped_differences(s, T)[0]
     eig = np.linalg.eigvalsh(sinc_gram(delta, T))
     return FrameBounds(
         cmin=max(float(eig[0]), 0.0),

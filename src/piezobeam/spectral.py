@@ -410,20 +410,23 @@ def _frequencies(zeta: np.ndarray, J: int, length: float) -> np.ndarray:
     return _BRANCH_SIGN * (sigma(np.arange(1, J + 1), length) / zeta[:, None, None])
 
 
-def _snapped_differences(freqs: np.ndarray, T: float) -> np.ndarray:
-    """Pairwise differences ``freqs[m] - freqs[n]`` for a Gram on ``[0, T]``.
+def _snapped_differences(freqs: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise differences ``freqs[m] - freqs[n]`` for a Gram on ``[0, T]``, and their moduli.
 
     Differences below ``1e-12 * max(1, max |freqs|)`` are snapped to exactly
-    0, so numerically coincident frequencies integrate to exactly ``T``; the
-    zero entries are then exactly the coincident pairs.  Raises
-    ``ValueError`` unless ``0 < T < inf``.
+    0, in both arrays, so numerically coincident frequencies integrate to
+    exactly ``T``; the zero entries are then exactly the coincident pairs.
+    Raises ``ValueError`` unless ``0 < T < inf``.
     """
     if not 0 < T < np.inf:
         raise ValueError(f"T must be finite and > 0, got {T}")
     scale = max(1.0, float(np.max(np.abs(freqs), initial=0.0)))
     delta = freqs[:, None] - freqs[None, :]
-    delta[np.abs(delta) < 1e-12 * scale] = 0.0
-    return delta
+    gap = np.abs(delta)
+    snapped = gap < 1e-12 * scale
+    np.copyto(delta, 0.0, where=snapped)
+    np.copyto(gap, 0.0, where=snapped)
+    return delta, gap
 
 
 def _output_weights(coeffs: ModalCoefficients, params: BeamParameters):
@@ -465,10 +468,11 @@ def output_energy(coeffs: ModalCoefficients, params: BeamParameters, T: float) -
       pair and no complex ``(n, n)`` array.
     """
     freqs, weights = _output_weights(coeffs, params)
-    delta = _snapped_differences(freqs, T)
+    delta, gap = _snapped_differences(freqs, T)
     if freqs.size == 0:
         return 0.0
-    near = np.abs(delta) * T < 1.0
+    near = np.multiply(gap, T, out=gap) < 1.0
+    del gap  # one (n, n) float array at a time beside delta
     m, n = np.nonzero(near)
     total = np.sum(np.real(weights[m] * np.conj(weights[n]) * phase_integral(delta[m, n], T)))
     inverse = np.divide(1.0, delta, out=np.zeros_like(delta), where=~near)

@@ -22,7 +22,7 @@ from piezobeam import (
 )
 from piezobeam.cli import run
 from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
-from piezobeam.csvio import format_value, read_csv, write_csv
+from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_csv
 
 MINIMAL = """\
 # unit beam
@@ -459,6 +459,23 @@ class TestSweeps:
 )
 def test_format_value_exact_strings(value, text):
     assert format_value(value) == text
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(i / 7.0, -1.0 / (i + 1), math.pi * i) for i in range(_CHUNK_ROWS + 1)],
+        [(i, f"f{i}", i / 3.0) if i % 3 else (0.1, i, "x") for i in range(50)],
+        list(zip(np.linspace(-1.0, 1.0, 9), np.arange(9), np.float32(0.1) * np.arange(9))),
+        [],
+    ],
+    ids=["floats_across_a_chunk", "signature_changes_mid_chunk", "numpy_scalars", "empty"],
+)
+def test_write_csv_equals_format_value_per_value(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b", "c"], iter(rows))
+    want = "a,b,c\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_write_csv_follows_format_value_per_row(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,48 @@ class TestClosedForm:
         assert type(transfer_closed(s, golden)) is complex
         assert type(transfer_damped(s, golden)) is complex
         assert type(damped_trace_gain(s, golden)) is complex
+
+    def test_scalar_conjugate_symmetry_is_bitwise(self, golden):
+        rng = np.random.default_rng(12)
+        for params in [golden, *seeded_beams(3, seed=4)]:
+            dc = derive_constants(params)
+            for s in rng.uniform(1e-3, 10.0, 500) + 1j * rng.uniform(-100.0, 100.0, 500):
+                assert transfer_closed(s.conjugate(), params, dc) == transfer_closed(s, params, dc).conjugate()
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_scalar_pole_named_as_in_an_array(self, golden, golden_dc, family):
+        """A scalar at a zero of either cosh raises the array path's message."""
+        zeta = golden_dc.zeta1 if family == 1 else golden_dc.zeta2
+        pole = 1j * math.pi / (2.0 * zeta * golden.length)
+        with pytest.raises(PoleProximity) as array_error:
+            transfer_closed(np.array([pole]), golden)
+        with pytest.raises(PoleProximity) as scalar_error:
+            transfer_closed(pole, golden)
+        assert str(scalar_error.value) == str(array_error.value) == f"s={pole} is within tolerance of a pole"
+
+    @pytest.mark.parametrize(
+        "s, value",
+        [
+            (math.nan, complex(math.nan, math.nan)),
+            (math.inf, complex(G_INF_GOLDEN, 0.0)),
+            (-math.inf, complex(-G_INF_GOLDEN, 0.0)),
+            (1j * math.inf, complex(math.nan, math.nan)),
+            (1 + math.nan * 1j, complex(math.nan, math.nan)),
+        ],
+        ids=["nan", "inf", "-inf", "j_inf", "nan_imag"],
+    )
+    def test_non_finite_scalar_matches_zero_d_array(self, golden, s, value):
+        """Non-finite scalars give the recorded values, and the warnings, of 0-d arrays."""
+        results = []
+        for arg in (s, np.asarray(s)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append((transfer_closed(arg, golden), [str(w.message) for w in caught]))
+        (g, messages), (g_array, array_messages) = results
+        assert type(g) is complex
+        np.testing.assert_allclose(g, value, rtol=1e-15)
+        np.testing.assert_equal(g, g_array)
+        assert messages == array_messages
 
     def test_pole_in_an_array_is_named(self, golden, golden_dc):
         """The first entry in C order at a zero of either cosh is named."""
