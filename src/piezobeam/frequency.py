@@ -13,10 +13,12 @@ the imaginary axis, at the zeros of ``cosh(zeta_k s L)``.
 
 ``transfer_closed``, ``transfer_damped`` and ``damped_trace_gain`` take a
 scalar ``s`` and return a Python ``complex``, or an array of any shape and
-return a complex array of that shape.  ``transfer_bvp`` solves the
-boundary-value problem, assembled from the PDE coefficients, by finite
-differences: an independent oracle that, like ``transfer_damped_bvp``, takes
-a scalar ``s`` only.  The damped loop (feedback ``-pdot(L)/(2h)`` plus an
+return a complex array of that shape; the residues are memoised per
+``params``, so no function takes derived constants (the ``dc`` of
+``transfer_closed`` and ``transfer_damped`` is ignored).  ``transfer_bvp``
+solves the boundary-value problem, assembled from the PDE coefficients, by
+finite differences: an independent oracle that, like ``transfer_damped_bvp``,
+takes a scalar ``s`` only.  The damped loop (feedback ``-pdot(L)/(2h)`` plus an
 external input) has input-output transfer ``G_d = (1 - G/2) / (1 + G/2)``, a
 Cayley transform that maps the positive-real ``G`` into the closed unit disk;
 the external input reaches the electrode-current trace through ``G / (1 + G/2)``.
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PoleProximity, SingularSystem
-from .params import BeamParameters, DerivedConstants, derive_constants
+from .params import BeamParameters, DerivedConstants
 from .spectral import _families
 
 __all__ = [
@@ -51,18 +53,18 @@ _POLE_TOL = 1e-12
 
 
 @functools.lru_cache
-def _residues(params: BeamParameters, dc: DerivedConstants) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(zeta_k L, r_k)`` per family, memoised per ``(params, dc)``."""
-    zeta, b, w = _families(params, dc)
+def _residues(params: BeamParameters) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(zeta_k L, r_k)`` per family, memoised per ``params``."""
+    zeta, b, w = _families(params)
     zl, r = zeta * params.length, zeta * b**2 / (params.thickness**2 * w)
     zl.flags.writeable = r.flags.writeable = False
     return zl, r
 
 
 @functools.lru_cache
-def _scalar_residues(params: BeamParameters, dc: DerivedConstants) -> tuple[tuple[float, ...], ...]:
+def _scalar_residues(params: BeamParameters) -> tuple[tuple[float, ...], ...]:
     """:func:`_residues` as Python floats ``((zeta_k L, ...), (r_k, ...))``."""
-    return tuple(tuple(a.tolist()) for a in _residues(params, dc))
+    return tuple(tuple(a.tolist()) for a in _residues(params))
 
 
 def transfer_closed(
@@ -77,21 +79,21 @@ def transfer_closed(
     ``Re s > 0``; on the imaginary axis, an ``s`` next to a pole
     (``|tanh| > 1/_POLE_TOL``, so ``|cosh| < ~_POLE_TOL``) raises
     :class:`PoleProximity` naming the first offending ``s`` (in C order).
+    ``dc`` is accepted for compatibility and ignored.
     """
-    dc = dc or derive_constants(params)
     if isinstance(s, numbers.Number):
         # One point: ``cmath`` on Python floats, with no NumPy dispatch.  A
         # non-finite ``zeta_k L s`` falls through to the array path, which
         # keeps its nan/inf results and warnings.
         s = complex(s)
-        zl, r = _scalar_residues(params, dc)
+        zl, r = _scalar_residues(params)
         z = [k * s for k in zl]
         if all(map(cmath.isfinite, z)):
             t = list(map(cmath.tanh, z))
             if max(map(abs, t)) > 1.0 / _POLE_TOL:
                 raise PoleProximity(f"s={s} is within tolerance of a pole")
             return sum(map(operator.mul, r, t))
-    zl, r = _residues(params, dc)
+    zl, r = _residues(params)
     s = np.asarray(s, dtype=complex)
     t = np.tanh(np.multiply.outer(zl, s))  # shape (2, *s.shape)
     near = np.abs(t) > 1.0 / _POLE_TOL
@@ -174,21 +176,20 @@ def transfer_damped(
     eliminating the plant gives the Cayley transform of ``G/2``.  Since ``G``
     is positive-real on the open right half-plane, ``|G_d| <= 1`` there,
     including arbitrarily close to the imaginary-axis poles of ``G``.
+    ``dc`` is accepted for compatibility and ignored.
     """
-    g = transfer_closed(s, params, dc)
+    g = transfer_closed(s, params)
     return (1.0 - 0.5 * g) / (1.0 + 0.5 * g)
 
 
-def damped_trace_gain(
-    s: complex | np.ndarray, params: BeamParameters, dc: DerivedConstants | None = None
-) -> complex | np.ndarray:
+def damped_trace_gain(s: complex | np.ndarray, params: BeamParameters) -> complex | np.ndarray:
     """Transfer from the damped loop's external input to the current trace.
 
     ``u -> pdot(L)/h`` has transfer ``G / (1 + G/2)``: zero at ``s = 0`` and
     saturating at ``G_inf / (1 + G_inf/2)`` for large real ``s``.  Unlike the
     full input-output map it is not contractive near the poles of ``G``.
     """
-    g = transfer_closed(s, params, dc)
+    g = transfer_closed(s, params)
     return g / (1.0 + 0.5 * g)
 
 
@@ -207,9 +208,7 @@ class ScanResult(NamedTuple):
     bound: float
 
 
-def analytic_line_bound(
-    s1: float, params: BeamParameters, dc: DerivedConstants | None = None
-) -> float:
+def analytic_line_bound(s1: float, params: BeamParameters) -> float:
     """Explicit bound for ``sup |G|`` on the vertical line ``Re s = s1 > 0``.
 
     Uses ``|tanh(w)| <= 2 / (1 - exp(-2 Re w))`` term by term; the residues
@@ -218,26 +217,25 @@ def analytic_line_bound(
     """
     if not s1 > 0:
         raise ValueError(f"s1 must be > 0, got {s1}")
-    zl, r = _residues(params, dc or derive_constants(params))
+    zl, r = _residues(params)
     return float(np.sum(r * 2.0 / (1.0 - np.exp(-2.0 * s1 * zl))))
 
 
-def boundedness_scan(
-    s1: float,
-    im_max: float,
-    n: int,
-    params: BeamParameters,
-    dc: DerivedConstants | None = None,
-) -> ScanResult:
+def boundedness_scan(s1: float, im_max: float, n: int, params: BeamParameters) -> ScanResult:
     """Sample ``|G|`` on the segment ``Re s = s1``, ``|Im s| <= im_max``.
 
     Returns the supremum over the ``n`` sample points, its location, and the
-    analytic line bound, which the supremum is checked against.
+    analytic line bound, which the supremum is checked against.  Raises
+    ``ValueError`` unless ``s1 > 0``, ``im_max`` is finite and >= 0, and
+    ``n`` is an integer >= 1.
     """
-    dc = dc or derive_constants(params)
-    bound = analytic_line_bound(s1, params, dc)
+    if not 0 <= im_max < np.inf:
+        raise ValueError(f"im_max must be finite and >= 0, got {im_max}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    bound = analytic_line_bound(s1, params)
     ims = np.linspace(-im_max, im_max, n)
-    values = np.abs(transfer_closed(s1 + 1j * ims, params, dc))
+    values = np.abs(transfer_closed(s1 + 1j * ims, params))
     idx = int(np.argmax(values))
     sup = float(values[idx])
     if sup > bound * (1.0 + 1e-9):

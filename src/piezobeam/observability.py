@@ -205,7 +205,7 @@ def near_unobservable_state(
         raise TruncationTooSmall(
             f"approximant ({p},{q}) needs J >= {max(j1, j2)}, got {J}"
         )
-    _, b, _ = _families(params, derive_constants(params))
+    _, b, _ = _families(params)
     branches = np.zeros((2, 2, J), dtype=complex)
     branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(q), -_kappa(p)]) / b
     return ModalCoefficients(*branches.reshape(4, J))
@@ -230,10 +230,10 @@ def quotient_bound(approx: OddApproximant, params: BeamParameters, T: float) -> 
     ``pi * cq2 / (2 L zeta2 q)``, so the output energy over ``[0, T]`` is at
     most ``pi^2 T^3 cq2^2 / (12 L^2 h^2 zeta2^2 q^2)``.
     """
-    dc = derive_constants(params)
+    zeta2 = float(_families(params)[0][1])
     L, h = params.length, params.thickness
     return (math.pi**2 * T**3 * approx.cq2**2) / (
-        12.0 * L**2 * h**2 * dc.zeta2**2 * approx.q**2
+        12.0 * L**2 * h**2 * zeta2**2 * approx.q**2
     )
 
 
@@ -268,7 +268,7 @@ def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
 
 def exponent_family(params: BeamParameters, J: int) -> np.ndarray:
     """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``."""
-    zeta, _, _ = _families(params, derive_constants(params))
+    zeta, _, _ = _families(params)
     return np.sort(_frequencies(zeta, J, params.length), axis=None)
 
 

@@ -24,6 +24,7 @@ Everything is pure and immutable; all operations may run concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import QuadratureFailure
-from .params import BeamParameters, DerivedConstants, derive_constants
+from .params import BeamParameters, derive_constants
 
 __all__ = [
     "ModeIndex",
@@ -186,16 +187,19 @@ def sigma(j, length: float):
     return (2.0 * np.asarray(j) - 1.0) * np.pi / (2.0 * length)
 
 
-def _families(params: BeamParameters, dc: DerivedConstants):
+@functools.lru_cache
+def _families(params: BeamParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-family constants ``zeta``, ``b`` and mass weight ``w = rho + mu * b**2``.
 
-    Each is a length-2 array indexed by ``family - 1``, the layout of axis 0
-    of :attr:`ModalCoefficients.branches`.  ``w_k`` is the squared norm of the
-    mixing vector ``(1, b_k)`` in the mass ``diag(rho, mu)``.
+    Each is a read-only length-2 array indexed by ``family - 1``, the layout
+    of axis 0 of :attr:`ModalCoefficients.branches`, memoised per ``params``;
+    ``w_k`` is the squared norm of the mixing vector ``(1, b_k)`` in ``diag(rho, mu)``.
     """
-    zeta = np.array([dc.zeta1, dc.zeta2])
-    b = np.array([dc.b1, dc.b2])
-    return zeta, b, params.rho + params.mu * b**2
+    dc = derive_constants(params)
+    zeta, b = np.array([dc.zeta1, dc.zeta2]), np.array([dc.b1, dc.b2])
+    w = params.rho + params.mu * b**2
+    zeta.flags.writeable = b.flags.writeable = w.flags.writeable = False
+    return zeta, b, w
 
 
 class _Model(NamedTuple):
@@ -223,7 +227,7 @@ def _model(params: BeamParameters, classical: bool) -> _Model:
         mass, lam = np.array([rho]), np.array([params.alpha1 / rho])
         c, slowness = np.array([params.gamma]), math.sqrt(rho / params.alpha1)
     else:
-        zeta, b, w = _families(params, derive_constants(params))
+        zeta, b, w = _families(params)
         mass = np.array([params.rho, params.mu])
         modes = np.vstack((np.ones(2), b)) / np.sqrt(w)
         lam = 1.0 / zeta**2
@@ -239,7 +243,7 @@ def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    zeta, _, _ = _families(params, derive_constants(params))
+    zeta, _, _ = _families(params)
     return [
         (ModeIndex(family, sign, j), sign * 1j * sigma(j, params.length) / zeta[family - 1])
         for j in range(1, J + 1)
@@ -272,7 +276,7 @@ def reconstruct(
     (cosine profiles), which is what the energy quadratures need.
     Returns a complex array of shape ``(4, len(x))``.
     """
-    zeta, b, _ = _families(params, derive_constants(params))
+    zeta, b, _ = _families(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s = sigma(np.arange(1, coeffs.truncation + 1), params.length)  # (J,)
     profile = np.cos(np.outer(s, x)) * s[:, None] if derivative else np.sin(np.outer(s, x))
@@ -317,7 +321,7 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    zeta, b, w = _families(params, derive_constants(params))
+    zeta, b, w = _families(params)
     rho, mu, L = params.rho, params.mu, params.length
     cells = max(J, DEFAULT_QUADRATURE_CELLS)
     x = np.linspace(0.0, L, cells + 1)
@@ -362,7 +366,7 @@ def propagate(coeffs: ModalCoefficients, params: BeamParameters, t: float) -> Mo
     Each branch picks up a unit-modulus phase, so the modal energy norm is
     conserved exactly.
     """
-    zeta, _, _ = _families(params, derive_constants(params))
+    zeta, _, _ = _families(params)
     J = coeffs.truncation
     phase = np.exp(1j * sigma(np.arange(1, J + 1), params.length) * t / zeta[:, None])
     c, d = coeffs.branches.swapaxes(0, 1)
@@ -378,7 +382,7 @@ def modal_norm_sq(coeffs: ModalCoefficients, params: BeamParameters) -> float:
 
     The physical energy is ``(thickness / 2) * N^2``.
     """
-    _, _, w = _families(params, derive_constants(params))
+    _, _, w = _families(params)
     branch_sums = np.sum(np.abs(coeffs.branches) ** 2, axis=2)  # (family, branch)
     return float(params.length * np.sum(w * (branch_sums[:, 0] + branch_sums[:, 1])))
 
@@ -437,7 +441,7 @@ def _output_weights(coeffs: ModalCoefficients, params: BeamParameters):
     ``+/- sigma_j / zeta_k`` and weights proportional to ``b_k`` and the
     boundary sign ``sin(sigma_j L) = (-1)**(j+1)``.
     """
-    zeta, b, _ = _families(params, derive_constants(params))
+    zeta, b, _ = _families(params)
     j = np.arange(1, coeffs.truncation + 1)
     bsign = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
     freqs = _frequencies(zeta, coeffs.truncation, params.length)

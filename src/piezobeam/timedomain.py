@@ -95,16 +95,16 @@ MIN_CELLS = 16
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial grid with ``n`` cells on ``[0, length]``."""
+    """Uniform grid of an integer ``n >= MIN_CELLS`` cells on a finite ``[0, length]``."""
 
     n: int
     length: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < MIN_CELLS:
-            raise ValueError(f"grid needs at least {MIN_CELLS} cells, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+        if not isinstance(self.n, numbers.Integral) or self.n < MIN_CELLS:
+            raise ValueError(f"grid needs an integer n >= {MIN_CELLS} cells, got {self.n!r}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be finite and > 0, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -131,19 +131,12 @@ class GridState:
     t: float = 0.0
 
     def copy(self) -> "GridState":
-        return GridState(
-            self.grid,
-            self.v.copy(),
-            self.p.copy(),
-            self.vdot.copy(),
-            self.pdot.copy(),
-            self.t,
-        )
+        arrays = (self.v, self.p, self.vdot, self.pdot)
+        return GridState(self.grid, *(a.copy() for a in arrays), self.t)
 
     @classmethod
     def zero(cls, grid: Grid) -> "GridState":
-        z = np.zeros(grid.n + 1)
-        return cls(grid, z.copy(), z.copy(), z.copy(), z.copy())
+        return cls(grid, *(np.zeros(grid.n + 1) for _ in range(4)))
 
 
 @dataclass

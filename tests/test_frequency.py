@@ -120,13 +120,13 @@ class TestModalSum:
             )
             for s1 in (0.05, 1.0, 10.0):
                 np.testing.assert_allclose(
-                    analytic_line_bound(s1, params, dc), reference_line_bound(s1, params, dc),
+                    analytic_line_bound(s1, params), reference_line_bound(s1, params, dc),
                     rtol=1e-12, atol=0,
                 )
 
     def test_residues_positive_and_sum_to_the_limit(self, golden):
         for params in [golden, *seeded_beams(10, seed=1)]:
-            zl, r = _residues(params, derive_constants(params))
+            zl, r = _residues(params)
             assert zl.shape == r.shape == (2,)
             assert np.all(r > 0)
             if 60.0 * zl.min() > 20.0:  # tanh(60 zeta L) == 1 in floats
@@ -139,12 +139,30 @@ class TestModalSum:
             ss = ss + 1j * rng.uniform(-100.0, 100.0, 10_000)
             assert np.all(transfer_closed(ss, params).real >= 0.0)
 
-    def test_memoised_residues_are_read_only(self, golden, golden_dc):
-        zl, r = _residues(golden, golden_dc)
-        assert _residues(golden, golden_dc)[1] is r
+    def test_memoised_residues_are_read_only(self, golden):
+        zl, r = _residues(golden)
+        assert _residues(golden)[1] is r
         for a in (zl, r):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("call", [transfer_closed, transfer_damped])
+    def test_inert_dc_changes_nothing(self, golden, golden_dc, call):
+        """``dc`` is accepted and ignored: omitted, correct or another beam's."""
+        other = derive_constants(seeded_beams(1, seed=3)[0])
+        for s in (complex(0.7, -3.1), np.array([0.2 + 5.0j, 4.0 - 0.5j])):
+            expected = np.atleast_1d(call(s, golden)).tobytes()
+            for dc in (golden_dc, other):
+                assert np.atleast_1d(call(s, golden, dc)).tobytes() == expected
+
+    @pytest.mark.parametrize("call", [
+        lambda g, dc: damped_trace_gain(1.0, g, dc),
+        lambda g, dc: analytic_line_bound(1.0, g, dc),
+        lambda g, dc: boundedness_scan(1.0, 10.0, 11, g, dc),
+    ], ids=["damped_trace_gain", "analytic_line_bound", "boundedness_scan"])
+    def test_removed_dc_raises_type_error(self, golden, golden_dc, call):
+        with pytest.raises(TypeError):
+            call(golden, golden_dc)
 
 
 class TestClosedForm:
@@ -364,3 +382,17 @@ class TestBoundednessScan:
         for s1 in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="s1 must be > 0"):
                 analytic_line_bound(s1, golden)
+
+    @pytest.mark.parametrize("im_max", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_segment(self, golden, im_max):
+        with pytest.raises(ValueError, match="im_max must be finite and >= 0"):
+            boundedness_scan(1.0, im_max, 101, golden)
+
+    @pytest.mark.parametrize("n", [0, -3, 101.0, np.float64(5.0)])
+    def test_rejects_bad_sample_count(self, golden, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            boundedness_scan(1.0, 10.0, n, golden)
+
+    def test_accepts_a_point_and_numpy_integers(self, golden):
+        assert boundedness_scan(1.0, 0.0, 1, golden).argmax == 1.0
+        assert boundedness_scan(1.0, 10.0, np.int64(11), golden) == boundedness_scan(1.0, 10.0, 11, golden)

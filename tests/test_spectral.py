@@ -14,6 +14,7 @@ from piezobeam import (
     BeamParameters,
     ModalCoefficients,
     ModeIndex,
+    NonPositiveParameter,
     StateFunctions,
     derive_constants,
     eigenfunction,
@@ -30,8 +31,8 @@ from piezobeam import (
     resolvent_at_zero,
     sigma,
 )
-from piezobeam import observability, spectral
-from piezobeam.spectral import _cumulative_trapezoid, _output_weights, phase_integral
+from piezobeam import frequency, observability, spectral
+from piezobeam.spectral import _cumulative_trapezoid, _families, _output_weights, phase_integral
 from conftest import energy_inner_quadrature
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -360,12 +361,36 @@ def test_removed_options_raise_type_error(golden):
         project(StateFunctions.zero(), golden, J=2, cells=4096)
 
 
-@pytest.mark.parametrize("module", [spectral, observability], ids=lambda m: m.__name__)
+# ``bench/workloads.py`` still passes ``dc`` to these two, which ignore it.
+INERT_DC = {"transfer_closed", "transfer_damped"}
+
+
+@pytest.mark.parametrize("module", [spectral, observability, frequency], ids=lambda m: m.__name__)
 def test_no_public_callable_takes_dc_or_cells(module):
     for name in module.__all__:
         obj = getattr(module, name)
         if callable(obj):
-            assert not {"dc", "cells"} & set(inspect.signature(obj).parameters), name
+            taken = {"dc", "cells"} & set(inspect.signature(obj).parameters)
+            assert taken <= ({"dc"} if name in INERT_DC else set()), name
+
+
+def test_families_memoised_read_only(golden):
+    arrays = _families(golden)
+    equal = replace(golden)
+    assert equal is not golden and all(a is b for a, b in zip(_families(equal), arrays))
+    dc = derive_constants(golden)
+    np.testing.assert_array_equal(arrays[0], [dc.zeta1, dc.zeta2])
+    np.testing.assert_array_equal(arrays[1], [dc.b1, dc.b2])
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_families_raise_for_invalid_params_on_every_call(golden):
+    bad = replace(golden, mu=-1.0)
+    for _ in range(2):
+        with pytest.raises(NonPositiveParameter):
+            _families(bad)
 
 
 class TestEigenvalues:

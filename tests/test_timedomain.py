@@ -290,6 +290,19 @@ class TestGridLength:
             call(Grid(64), long_beam)
         call(Grid(64, length=2.0 * (1.0 + 1e-13)), long_beam)
 
+    @pytest.mark.parametrize("n", [100.0, 15, 0, np.float64(64.0), "64"])
+    def test_cell_count_must_be_an_integer_of_at_least_min_cells(self, n):
+        with pytest.raises(ValueError, match="integer n >= 16"):
+            Grid(n)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0])
+    def test_length_must_be_finite_and_positive(self, length):
+        with pytest.raises(ValueError, match="length must be finite and > 0"):
+            Grid(64, length)
+
+    def test_numpy_integer_cell_count(self):
+        assert Grid(np.int64(16)).nodes.size == 17
+
 
 class TestSimConfig:
     @pytest.mark.parametrize("mode", ["closed", "classical"])
