@@ -12,6 +12,12 @@ eigenbasis, unitary modal propagation, energy norms, the output energy of the
 electrode-current observation, and the inverse of the damped generator at
 zero frequency.
 
+The modal sine tables cost no transcendental per entry.  Reconstruction
+takes its sine and cosine profiles from the waves ``exp(i sigma_j x)``, built
+by phase doubling from ``log2(J)`` exponentials of the positions.  Projection
+sends the trapezoid-weighted samples through one quarter-wave sine transform,
+a real FFT of length ``4 * cells``, whose odd entries are the mode amplitudes.
+
 The output energy integrates the exponential polynomial of the observation
 pair by pair.  Pairs of frequencies closer than ``1/T`` take the exact phase
 integral ``exp(i delta T/2) * T * sinc``; all others take
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -66,8 +73,8 @@ class ModeIndex:
             raise ValueError(f"family must be 1 or 2, got {self.family}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.j < 1:
-            raise ValueError(f"mode index j must be >= 1, got {self.j}")
+        if not isinstance(self.j, numbers.Integral) or self.j < 1:
+            raise ValueError(f"mode index j must be an integer >= 1, got {self.j!r}")
 
 
 class ModalCoefficients:
@@ -187,6 +194,47 @@ def sigma(j, length: float):
     return (2.0 * np.asarray(j) - 1.0) * np.pi / (2.0 * length)
 
 
+def _waves(J: int, x: np.ndarray, length: float) -> np.ndarray:
+    """``exp(1j * sigma_j * x)`` for ``j = 1..J``, shape ``(J, len(x))``.
+
+    Built by doubling rather than one transcendental per entry: row 0 is
+    ``exp(1j * theta)`` with ``theta = pi * x / (2 * length)``, and rows
+    ``n..2n-1`` are rows ``0..n-1`` times ``exp(2j * n * theta)``, whose
+    argument is exact because ``n`` is a power of two.  That is ``log2(J)``
+    exponentials of ``len(x)`` entries; the error of row ``j`` stays at the
+    rounding of its argument, ``eps * |sigma_j * x|``.
+    """
+    theta = (np.pi / (2.0 * length)) * x
+    waves = np.empty((J, x.size), dtype=complex)
+    if J:
+        waves[0] = np.exp(1j * theta)
+    n = 1
+    while n < J:
+        m = min(n, J - n)
+        np.multiply(waves[:m], np.exp((2j * n) * theta), out=waves[n : n + m])
+        n *= 2
+    return waves
+
+
+def _sine_sums(c: np.ndarray, n: int) -> np.ndarray:
+    """``sum_l c[..., l] * sin(pi * i * l / (2n))`` for ``i = 0..2n``, by one real FFT.
+
+    The quarter-wave sine transform of both :func:`project` and the
+    time-domain sine basis; ``c`` holds at most ``4n`` entries per row.
+    """
+    return -np.fft.rfft(c, 4 * n).imag
+
+
+def _check_mode_count(J) -> None:
+    if not isinstance(J, numbers.Integral) or J < 1:
+        raise ValueError(f"J must be >= 1 and an integer, got {J!r}")
+
+
+def _check_time(t) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
 @functools.lru_cache
 def _families(params: BeamParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-family constants ``zeta``, ``b`` and mass weight ``w = rho + mu * b**2``.
@@ -239,10 +287,10 @@ def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex
     """Eigenvalues ``sign * i * sigma_j / zeta_family`` for ``j = 1..J``.
 
     All are purely imaginary and come in conjugate pairs; within a family the
-    spacing of the imaginary parts is ``pi / (L * zeta_family)``.
+    spacing of the imaginary parts is ``pi / (L * zeta_family)``.  Raises
+    ``ValueError`` unless ``J >= 1`` is an integer.
     """
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
+    _check_mode_count(J)
     zeta, _, _ = _families(params)
     return [
         (ModeIndex(family, sign, j), sign * 1j * sigma(j, params.length) / zeta[family - 1])
@@ -273,34 +321,39 @@ def reconstruct(
     """Evaluate the modal sum at positions ``x`` and time ``t``.
 
     With ``derivative=True`` the x-derivative of each component is returned
-    (cosine profiles), which is what the energy quadratures need.
-    Returns a complex array of shape ``(4, len(x))``.
+    (cosine profiles), which is what the energy quadratures need.  The
+    profiles are the imaginary (sine) or real (cosine) parts of
+    :func:`_waves`.  Family ``k`` contributes ``S_k = (c_k + d_k) / lam_k``
+    to the positions and ``D_k = c_k - d_k`` to the velocities along the
+    mixing vector ``(1, b_k)``; the four mixed coefficient rows, real and
+    imaginary parts stacked, take one real product with the profiles.
+    Returns a complex array of shape ``(4, len(x))``.  Raises ``ValueError``
+    unless ``t`` is finite.
     """
+    _check_time(t)
     zeta, b, _ = _families(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = sigma(np.arange(1, coeffs.truncation + 1), params.length)  # (J,)
-    profile = np.cos(np.outer(s, x)) * s[:, None] if derivative else np.sin(np.outer(s, x))
-    profile = profile.astype(complex)  # once, not once per mixed-type product below
-    out = np.zeros((4, x.size), dtype=complex)
-    for (c, d), b_k, zeta_k in zip(coeffs.branches, b, zeta):
-        lam = 1j * s / zeta_k
-        phase = np.exp(lam * t)
-        cp, dm = c * phase, d / phase
-        position = ((cp + dm) / lam) @ profile
-        velocity = (cp - dm) @ profile
-        out[0] += position
-        out[1] += b_k * position
-        out[2] += velocity
-        out[3] += b_k * velocity
-    return out
+    J = coeffs.truncation
+    s = sigma(np.arange(1, J + 1), params.length)  # (J,)
+    waves = _waves(J, x, params.length)
+    profile = waves.real * s[:, None] if derivative else waves.imag
+    lam = 1j * s / zeta[:, None]  # (family, J)
+    phase = np.exp(lam * t)
+    c, d = coeffs.branches.swapaxes(0, 1)
+    cp, dm = c * phase, d / phase
+    # rows (position, b * position, velocity, b * velocity), summed over families
+    rows = np.vstack((np.ones(2), b)) @ np.stack(((cp + dm) / lam, cp - dm))
+    fields = np.vstack((rows.real, rows.imag)).reshape(8, J) @ profile
+    return fields[:4] + 1j * fields[4:]
 
 
 def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoefficients:
     """Project a state onto the first ``J`` modes of each branch.
 
-    One real product of the samples, real and imaginary parts stacked, with
-    the trapezoid-weighted kernel ``(2/L) sin(sigma_j x)`` gives the sine
-    amplitudes ``a_v, a_p, a_vd, a_pd`` of all four components.  The rule on
+    The trapezoid-weighted samples, real and imaginary parts stacked, go
+    through one quarter-wave sine transform (:func:`_sine_sums`), whose odd
+    entries are the sine amplitudes ``a_v, a_p, a_vd, a_pd`` of all four
+    components against ``(2/L) sin(sigma_j x)``.  The rule on
     ``cells = max(J, DEFAULT_QUADRATURE_CELLS)`` uniform cells is exact on
     this family: a product of modes ``j`` and ``k`` is half the difference of
     ``cos(m pi x / L)`` at ``m = j - k`` and ``m = j + k - 1``, which it
@@ -318,20 +371,19 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
 
     and ``c_k = (lam_k S_k + D_k) / 2``, ``d_k = (lam_k S_k - D_k) / 2``.
     Reconstructing and re-projecting is the identity on the truncated span.
+    Raises ``ValueError`` unless ``J >= 1`` is an integer.
     """
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
+    _check_mode_count(J)
     zeta, b, w = _families(params)
     rho, mu, L = params.rho, params.mu, params.length
     cells = max(J, DEFAULT_QUADRATURE_CELLS)
     x = np.linspace(0.0, L, cells + 1)
     s = sigma(np.arange(1, J + 1), L)
-    kernel = np.sin(np.outer(s, x)) * (2.0 / cells)
-    kernel[:, -1] *= 0.5  # trapezoid end weight; the sines vanish at x = 0
     samples = state.sample(x)
-    # (real, imaginary) pairs from one real product: BLAS sums it more
-    # accurately than a complex one, and real division rounds once
-    amps = np.vstack((samples.real, samples.imag)) @ kernel.T
+    # (real, imaginary) pairs in real arithmetic: real division rounds once
+    rows = np.vstack((samples.real, samples.imag))
+    rows[:, -1] *= 0.5  # trapezoid end weight; the sines vanish at x = 0
+    amps = (2.0 / cells) * _sine_sums(rows, cells)[:, 1 : 2 * J : 2]
     a_v, a_p, a_vd, a_pd = amps.reshape(2, 4, J).swapaxes(0, 1)
     branches = []
     for b_k, zeta_k, w_k in zip(b, zeta, w):
@@ -364,8 +416,9 @@ def propagate(coeffs: ModalCoefficients, params: BeamParameters, t: float) -> Mo
     """Advance modal coefficients by time ``t`` (a group: ``t < 0`` rewinds).
 
     Each branch picks up a unit-modulus phase, so the modal energy norm is
-    conserved exactly.
+    conserved exactly.  Raises ``ValueError`` unless ``t`` is finite.
     """
+    _check_time(t)
     zeta, _, _ = _families(params)
     J = coeffs.truncation
     phase = np.exp(1j * sigma(np.arange(1, J + 1), params.length) * t / zeta[:, None])

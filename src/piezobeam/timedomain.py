@@ -56,7 +56,8 @@ at node ``N``.  A recorded step reads it from the amplitudes alone.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
 sine transform: both directions are sums of ``sin(pi * i * l / (2N))``,
-taken by one real FFT of length ``4N``.
+taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`,
+which :func:`piezobeam.spectral.project` shares).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import numpy as np
 
 from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters
-from .spectral import ModalCoefficients, _model, reconstruct, sigma
+from .spectral import ModalCoefficients, _model, _sine_sums, reconstruct, sigma
 
 __all__ = [
     "Grid",
@@ -208,11 +209,6 @@ class Trajectory:
 def _half_angles(n: int, length: float) -> np.ndarray:
     """``sigma_j * dx / 2`` for ``j = 1..n`` on ``n`` cells of ``[0, length]``."""
     return (0.5 * length / n) * sigma(np.arange(1, n + 1), length)
-
-
-def _sine_sums(c: np.ndarray, n: int) -> np.ndarray:
-    """``sum_l c[..., l] * sin(pi * i * l / (2n))`` for ``i = 0..2n``, by one real FFT."""
-    return -np.fft.rfft(c, 4 * n).imag
 
 
 def _to_sines(u, ud, model, pos, vel) -> np.ndarray:
@@ -520,9 +516,9 @@ def operator_eigenvalues(
     docstring).  Raises ``ValueError`` unless ``n_cells >= 1`` and
     ``1 <= count <= 2 * n_cells`` are integers.
     """
-    if n_cells != int(n_cells) or n_cells < 1:
+    if not (n_cells >= 1 and float(n_cells).is_integer()):
         raise ValueError(f"n_cells must be an integer >= 1, got {n_cells}")
-    if count != int(count) or not 1 <= count <= 2 * n_cells:
+    if not (float(count).is_integer() and 1 <= count <= 2 * n_cells):
         raise ValueError(f"count must be an integer in 1..{2 * n_cells}, got {count}")
     lam = _model(params, classical=False).lam  # validates params
     wavenumber = (2.0 * n_cells / params.length) * np.sin(_half_angles(n_cells, params.length))

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from piezobeam import BeamParameters, derive_constants, parameters_for_ratio
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run (the default
+# example counts, no example database); the default profile draws fresh ones.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -577,6 +577,10 @@ class TestSpatialOperator:
             (8, 0, "count"),
             (8, 17, "count"),
             (8, 2.5, "count"),
+            (math.inf, 1, "n_cells"),
+            (math.nan, 1, "n_cells"),
+            (8, math.inf, "count"),
+            (8, math.nan, "count"),
         ],
     )
     def test_invalid_arguments_named(self, golden, n_cells, count, name):
