@@ -5,9 +5,9 @@ term, so ``transfer_closed`` evaluates the modal sum
 
     G(s) = sum_k r_k tanh(zeta_k s L),   r_k = zeta_k b_k^2 / (h^2 w_k),
 
-with the per-family constants ``zeta_k``, ``b_k`` and mass weight
-``w_k = rho + mu b_k^2`` of :func:`piezobeam.spectral._families`.  Every
-residue ``r_k`` is positive, so ``G`` is positive-real (``Re tanh > 0`` on
+with the speed ``1/zeta_k``, mixing column ``(1, b_k)`` and mass weight
+``w_k = rho + mu b_k^2`` of each family of :func:`piezobeam.spectral._model`.
+Every residue ``r_k`` is positive, so ``G`` is positive-real (``Re tanh > 0`` on
 ``Re s > 0``), saturates at ``G(inf) = sum_k r_k``, and has its only poles on
 the imaginary axis, at the zeros of ``cosh(zeta_k s L)``.
 
@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PoleProximity, SingularSystem
-from .params import BeamParameters, DerivedConstants
-from .spectral import _families
+from .params import BeamParameters, DerivedConstants, _check_integer
+from .spectral import _model
 
 __all__ = [
     "transfer_closed",
@@ -55,8 +55,9 @@ _POLE_TOL = 1e-12
 @functools.lru_cache
 def _residues(params: BeamParameters) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(zeta_k L, r_k)`` per family, memoised per ``params``."""
-    zeta, b, w = _families(params)
-    zl, r = zeta * params.length, zeta * b**2 / (params.thickness**2 * w)
+    model = _model(params)
+    zeta, b = model.zeta, model.mix[-1]
+    zl, r = zeta * params.length, zeta * b**2 / (params.thickness**2 * model.w)
     zl.flags.writeable = r.flags.writeable = False
     return zl, r
 
@@ -114,8 +115,7 @@ def _bvp_solve(s: complex, params: BeamParameters, n: int, damped: bool) -> comp
     """
     from scipy.linalg import solve_banded  # SciPy loads only when the oracle runs
 
-    if n < 64:
-        raise ValueError(f"need n >= 64 cells, got {n}")
+    _check_integer(n, "n", 64)
     s = complex(s)
     rho, a1, beta, gamma, mu = params.rho, params.alpha1, params.beta, params.gamma, params.mu
     L, h = params.length, params.thickness
@@ -163,6 +163,7 @@ def transfer_bvp(s: complex, params: BeamParameters, n: int = 4096) -> complex:
 
     Independent of the closed form; the discretization error is O(n^-2), so
     Richardson steps (doubling ``n``) shrink the disagreement by ~4x.
+    Raises ``ValueError`` unless ``n >= 64`` is an integer.
     """
     return -complex(s) * _bvp_solve(s, params, n, damped=False) / params.thickness
 
@@ -213,10 +214,10 @@ def analytic_line_bound(s1: float, params: BeamParameters) -> float:
 
     Uses ``|tanh(w)| <= 2 / (1 - exp(-2 Re w))`` term by term; the residues
     ``r_k`` are positive, so no moduli are needed.  Raises ``ValueError``
-    unless ``s1 > 0``.
+    unless ``0 < s1 < inf``.
     """
-    if not s1 > 0:
-        raise ValueError(f"s1 must be > 0, got {s1}")
+    if not 0 < s1 < np.inf:
+        raise ValueError(f"s1 must be > 0 and finite, got {s1}")
     zl, r = _residues(params)
     return float(np.sum(r * 2.0 / (1.0 - np.exp(-2.0 * s1 * zl))))
 
@@ -226,13 +227,12 @@ def boundedness_scan(s1: float, im_max: float, n: int, params: BeamParameters) -
 
     Returns the supremum over the ``n`` sample points, its location, and the
     analytic line bound, which the supremum is checked against.  Raises
-    ``ValueError`` unless ``s1 > 0``, ``im_max`` is finite and >= 0, and
-    ``n`` is an integer >= 1.
+    ``ValueError`` unless ``s1`` is finite and > 0, ``im_max`` is finite and
+    >= 0, and ``n`` is an integer >= 1.
     """
     if not 0 <= im_max < np.inf:
         raise ValueError(f"im_max must be finite and >= 0, got {im_max}")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_integer(n, "n")
     bound = analytic_line_bound(s1, params)
     ims = np.linspace(-im_max, im_max, n)
     values = np.abs(transfer_closed(s1 + 1j * ims, params))

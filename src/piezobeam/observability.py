@@ -27,11 +27,11 @@ from .errors import (
     TruncationTooSmall,
     ZeroState,
 )
-from .params import BeamParameters, _mixed_parity_gap, derive_constants
+from .params import BeamParameters, _check_integer, _mixed_parity_gap, derive_constants
 from .spectral import (
     ModalCoefficients,
-    _families,
     _frequencies,
+    _model,
     _snapped_differences,
     modal_norm_sq,
     output_energy,
@@ -147,13 +147,13 @@ def odd_odd_approximants(
 
     Returns up to ``count`` approximants with strictly increasing ``q``.
     Warns with :class:`ExhaustedBudget` if the budget runs out first.
-    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1``,
-    ``qmax >= 1`` and ``zeta * qmax < 2**52``.
+    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1``
+    and ``qmax >= 1`` are integers and ``zeta * qmax < 2**52``.
     """
     if not 0 < zeta < math.inf:
         raise InvalidBudget(f"target must be finite and > 0, got {zeta}")
-    if count < 1 or qmax < 1:
-        raise InvalidBudget(f"need count >= 1 and qmax >= 1, got {count}, {qmax}")
+    _check_integer(count, "count", error=InvalidBudget)
+    _check_integer(qmax, "qmax", error=InvalidBudget)
     if qmax >= 2**52 or zeta * qmax >= 2**52:
         raise InvalidBudget(f"need zeta * qmax < 2**52 for an exact search, got {zeta!r} * {qmax}")
     records: list[OddApproximant] = []
@@ -187,8 +187,10 @@ def near_unobservable_state(
     frequencies differ by O(err/q).  Its energy norm is
     ``L * (2*mu + rho * (1/b1^2 + 1/b2^2))``, independent of the approximant.
 
-    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime and
-    :class:`ParityViolation` unless both are odd.
+    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime,
+    :class:`ParityViolation` unless both are odd, and
+    :class:`TruncationTooSmall` unless ``J`` (when given) is an integer
+    ``>= max(j1, j2)``, the larger of the two mode indices.
     """
     p, q = approx.p, approx.q
     if p < 1 or q < 1:
@@ -201,11 +203,8 @@ def near_unobservable_state(
     j2 = (p + 1) // 2
     if J is None:
         J = max(j1, j2)
-    if max(j1, j2) > J:
-        raise TruncationTooSmall(
-            f"approximant ({p},{q}) needs J >= {max(j1, j2)}, got {J}"
-        )
-    _, b, _ = _families(params)
+    _check_integer(J, f"J for approximant ({p},{q})", max(j1, j2), TruncationTooSmall)
+    b = _model(params).mix[-1]
     branches = np.zeros((2, 2, J), dtype=complex)
     branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(q), -_kappa(p)]) / b
     return ModalCoefficients(*branches.reshape(4, J))
@@ -228,9 +227,12 @@ def quotient_bound(approx: OddApproximant, params: BeamParameters, T: float) -> 
 
     The two active phasors differ in frequency by at most
     ``pi * cq2 / (2 L zeta2 q)``, so the output energy over ``[0, T]`` is at
-    most ``pi^2 T^3 cq2^2 / (12 L^2 h^2 zeta2^2 q^2)``.
+    most ``pi^2 T^3 cq2^2 / (12 L^2 h^2 zeta2^2 q^2)``.  Raises
+    ``ValueError`` unless ``0 < T < inf``.
     """
-    zeta2 = float(_families(params)[0][1])
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
+    zeta2 = float(_model(params).zeta[-1])
     L, h = params.length, params.thickness
     return (math.pi**2 * T**3 * approx.cq2**2) / (
         12.0 * L**2 * h**2 * zeta2**2 * approx.q**2
@@ -267,9 +269,12 @@ def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
 
 
 def exponent_family(params: BeamParameters, J: int) -> np.ndarray:
-    """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``."""
-    zeta, _, _ = _families(params)
-    return np.sort(_frequencies(zeta, J, params.length), axis=None)
+    """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``.
+
+    Raises ``ValueError`` unless ``J >= 1`` is an integer.
+    """
+    _check_integer(J, "J")
+    return np.sort(_frequencies(_model(params).zeta, J, params.length), axis=None)
 
 
 class FrameBounds(NamedTuple):

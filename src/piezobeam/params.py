@@ -12,6 +12,7 @@ stabilize the beam strongly, exponentially, or not at all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -79,6 +80,15 @@ class BeamParameters:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(BeamParameters))
+
+
+def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a ``numbers.Integral`` >= ``minimum``.
+
+    Integral floats such as ``2.0`` are rejected like any other float.
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -218,9 +228,11 @@ def classify_stability(
       ``min_time = 2*pi/gap``.
 
     With no match the closed loop is strongly but not exponentially stable.
-    Raises :class:`InvalidBudget` unless ``qmax >= 1`` and ``0 < tol < inf``.
+    Raises :class:`InvalidBudget` unless ``qmax >= 1`` is an integer and
+    ``0 < tol < inf``.
     """
-    if qmax < 1 or not 0 < tol < math.inf:
+    _check_integer(qmax, "qmax", error=InvalidBudget)
+    if not 0 < tol < math.inf:
         raise InvalidBudget(f"need qmax >= 1 and 0 < tol < inf, got qmax={qmax}, tol={tol}")
     ratio = dc.ratio
     frac = Fraction(ratio).limit_denominator(qmax)

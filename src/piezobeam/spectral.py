@@ -10,13 +10,14 @@ so projection inverts the sine amplitudes family by family in closed form.
 This module provides the eigen-decomposition, projection of states onto the
 eigenbasis, unitary modal propagation, energy norms, the output energy of the
 electrode-current observation, and the inverse of the damped generator at
-zero frequency.
+zero frequency.  The wave families are described once, by :func:`_model`.
 
 The modal sine tables cost no transcendental per entry.  Reconstruction
 takes its sine and cosine profiles from the waves ``exp(i sigma_j x)``, built
 by phase doubling from ``log2(J)`` exponentials of the positions.  Projection
-sends the trapezoid-weighted samples through one quarter-wave sine transform,
-a real FFT of length ``4 * cells``, whose odd entries are the mode amplitudes.
+sends the trapezoid-weighted samples through one quarter-wave sine transform
+(:func:`_sine_amplitudes`), a real FFT of length ``4 * cells``, whose odd
+entries are the mode amplitudes.
 
 The output energy integrates the exponential polynomial of the observation
 pair by pair.  Pairs of frequencies closer than ``1/T`` take the exact phase
@@ -32,14 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import QuadratureFailure
-from .params import BeamParameters, derive_constants
+from .params import BeamParameters, _check_integer, derive_constants
 
 __all__ = [
     "ModeIndex",
@@ -73,8 +73,7 @@ class ModeIndex:
             raise ValueError(f"family must be 1 or 2, got {self.family}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not isinstance(self.j, numbers.Integral) or self.j < 1:
-            raise ValueError(f"mode index j must be an integer >= 1, got {self.j!r}")
+        _check_integer(self.j, "mode index j")
 
 
 class ModalCoefficients:
@@ -225,9 +224,16 @@ def _sine_sums(c: np.ndarray, n: int) -> np.ndarray:
     return -np.fft.rfft(c, 4 * n).imag
 
 
-def _check_mode_count(J) -> None:
-    if not isinstance(J, numbers.Integral) or J < 1:
-        raise ValueError(f"J must be >= 1 and an integer, got {J!r}")
+def _sine_amplitudes(rows: np.ndarray, n: int, J: int) -> np.ndarray:
+    """Amplitudes ``a_j``, ``j = 1..J``, of ``sum_j a_j sin(sigma_j x)`` through ``rows``.
+
+    ``rows[..., l]`` samples ``x_l = l * L / n``, ``l = 0..n``.  Under the
+    trapezoid weights, 1/2 on node ``n``, the sines are orthogonal with squared
+    norm ``n/2``; node 0, where they vanish, is not read.
+    """
+    weighted = rows.copy()
+    weighted[..., n] *= 0.5  # trapezoid end weight
+    return (2.0 / n) * _sine_sums(weighted, n)[..., 1 : 2 * J : 2]
 
 
 def _check_time(t) -> None:
@@ -235,52 +241,53 @@ def _check_time(t) -> None:
         raise ValueError(f"t must be finite, got {t}")
 
 
-@functools.lru_cache
-def _families(params: BeamParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-family constants ``zeta``, ``b`` and mass weight ``w = rho + mu * b**2``.
-
-    Each is a read-only length-2 array indexed by ``family - 1``, the layout
-    of axis 0 of :attr:`ModalCoefficients.branches`, memoised per ``params``;
-    ``w_k`` is the squared norm of the mixing vector ``(1, b_k)`` in ``diag(rho, mu)``.
-    """
-    dc = derive_constants(params)
-    zeta, b = np.array([dc.zeta1, dc.zeta2]), np.array([dc.b1, dc.b2])
-    w = params.rho + params.mu * b**2
-    zeta.flags.writeable = b.flags.writeable = w.flags.writeable = False
-    return zeta, b, w
-
-
 class _Model(NamedTuple):
-    """Modal form ``u = P w`` of ``M u_tt = K u_xx``, ``K u_x(L) = -(V/h) c``.
+    """The wave families of ``M u_tt = K u_xx``, ``K u_x(L) = -(V/h) c``.
 
-    ``P^T M P = I`` and ``P^T K P = diag(lam)``.  Coupled, ``u = (v, p)``:
-    ``M = diag(rho, mu)``, ``K = [[alpha, -gamma*beta], [-gamma*beta, beta]]``,
-    ``c = (0, 1)``, columns ``(1, b_k) / sqrt(w_k)`` of ``P`` and
-    ``lam_k = 1 / zeta_k**2``.  Classical, ``u = (v,)``: ``M = rho``,
-    ``K = alpha1``, ``c = gamma``, ``P = 1/sqrt(rho)`` and ``lam = alpha1/rho``.
+    Family ``k`` sits at index ``k - 1``, as on axis 0 of
+    :attr:`ModalCoefficients.branches`: reciprocal speed ``zeta_k``, mixing
+    column ``mix[:, k - 1]``, orthogonal in ``M`` with squared norm ``w_k``.
+    ``u = P w`` with ``P = mix / sqrt(w)``, ``P^T M P = I``, ``P^T K P = diag(lam)``.
+    Coupled, ``u = (v, p)``: ``M = diag(rho, mu)``, ``c = (0, 1)``,
+    ``K = [[alpha, -gamma*beta], [-gamma*beta, beta]]``, ``mix = [[1, 1], [b1, b2]]``
+    and ``lam = 1 / zeta**2``.  Classical, ``u = (v,)``: ``M = rho``,
+    ``K = alpha1``, ``c = gamma``, ``mix = 1`` and ``lam = alpha1 / rho``.
+    ``modes[-1]`` is the row fed back, and ``dt <= zeta[-1] * dx``.  Read-only.
     """
 
+    zeta: np.ndarray  # (m,) reciprocal wave speeds
+    mix: np.ndarray  # (fields, m) mixing columns
+    w: np.ndarray  # (m,) squared M-norms of the mixing columns
     modes: np.ndarray  # P: u = P w
     decouple: np.ndarray  # P^T M: w = P^T M u
-    lam: np.ndarray  # squared modal speeds
+    lam: np.ndarray  # (m,) squared modal speeds
     drive: np.ndarray  # P^T c, the modal driven-end vector
-    feedback: np.ndarray  # the row of P whose end velocity feeds back
-    slowness: float  # dt_max / dx
 
 
-def _model(params: BeamParameters, classical: bool) -> _Model:
+@functools.lru_cache
+def _model(params: BeamParameters, classical: bool = False) -> _Model:
+    """The coupled or the classical :class:`_Model` of ``params``, memoised.
+
+    Callers write ``_model(params)`` or ``_model(params, classical=True)``.
+    """
     if classical:
+        params.validate()
         rho = params.rho
-        modes = np.array([[1.0 / math.sqrt(rho)]])
-        mass, lam = np.array([rho]), np.array([params.alpha1 / rho])
-        c, slowness = np.array([params.gamma]), math.sqrt(rho / params.alpha1)
+        zeta = np.array([math.sqrt(rho / params.alpha1)])
+        lam = np.array([params.alpha1 / rho])  # as given, not 1 / zeta**2 rounded twice
+        mix, mass, c = [[1.0]], [rho], [params.gamma]
     else:
-        zeta, b, w = _families(params)
-        mass = np.array([params.rho, params.mu])
-        modes = np.vstack((np.ones(2), b)) / np.sqrt(w)
+        dc = derive_constants(params)
+        zeta = np.array([dc.zeta1, dc.zeta2])
         lam = 1.0 / zeta**2
-        c, slowness = np.array([0.0, 1.0]), float(zeta[1])
-    return _Model(modes, modes.T * mass, lam, modes.T @ c, modes[-1], slowness)
+        mix, mass, c = [[1.0, 1.0], [dc.b1, dc.b2]], [params.rho, params.mu], [0.0, 1.0]
+    mix, mass = np.array(mix), np.array(mass)
+    w = np.sum(mass[:, None] * mix**2, axis=0)
+    modes = mix / np.sqrt(w)
+    model = _Model(zeta, mix, w, modes, modes.T * mass, lam, modes.T @ np.array(c))
+    for a in model:
+        a.flags.writeable = False
+    return model
 
 
 def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex]]:
@@ -290,8 +297,8 @@ def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex
     spacing of the imaginary parts is ``pi / (L * zeta_family)``.  Raises
     ``ValueError`` unless ``J >= 1`` is an integer.
     """
-    _check_mode_count(J)
-    zeta, _, _ = _families(params)
+    _check_integer(J, "J")
+    zeta = _model(params).zeta
     return [
         (ModeIndex(family, sign, j), sign * 1j * sigma(j, params.length) / zeta[family - 1])
         for j in range(1, J + 1)
@@ -331,18 +338,18 @@ def reconstruct(
     unless ``t`` is finite.
     """
     _check_time(t)
-    zeta, b, _ = _families(params)
+    model = _model(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     J = coeffs.truncation
     s = sigma(np.arange(1, J + 1), params.length)  # (J,)
     waves = _waves(J, x, params.length)
     profile = waves.real * s[:, None] if derivative else waves.imag
-    lam = 1j * s / zeta[:, None]  # (family, J)
+    lam = 1j * s / model.zeta[:, None]  # (family, J)
     phase = np.exp(lam * t)
     c, d = coeffs.branches.swapaxes(0, 1)
     cp, dm = c * phase, d / phase
     # rows (position, b * position, velocity, b * velocity), summed over families
-    rows = np.vstack((np.ones(2), b)) @ np.stack(((cp + dm) / lam, cp - dm))
+    rows = model.mix @ np.stack(((cp + dm) / lam, cp - dm))
     fields = np.vstack((rows.real, rows.imag)).reshape(8, J) @ profile
     return fields[:4] + 1j * fields[4:]
 
@@ -350,10 +357,10 @@ def reconstruct(
 def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoefficients:
     """Project a state onto the first ``J`` modes of each branch.
 
-    The trapezoid-weighted samples, real and imaginary parts stacked, go
-    through one quarter-wave sine transform (:func:`_sine_sums`), whose odd
-    entries are the sine amplitudes ``a_v, a_p, a_vd, a_pd`` of all four
-    components against ``(2/L) sin(sigma_j x)``.  The rule on
+    The samples, real and imaginary parts stacked, go through one
+    quarter-wave sine analysis (:func:`_sine_amplitudes`), which gives the
+    sine amplitudes of all four components against ``(2/L) sin(sigma_j x)``
+    by the trapezoid rule.  The rule on
     ``cells = max(J, DEFAULT_QUADRATURE_CELLS)`` uniform cells is exact on
     this family: a product of modes ``j`` and ``k`` is half the difference of
     ``cos(m pi x / L)`` at ``m = j - k`` and ``m = j + k - 1``, which it
@@ -362,37 +369,25 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     rounding for every ``J``.
 
     Family ``k`` adds ``S_k = (c_k + d_k) / lam_k`` to the position amplitudes
-    and ``D_k = c_k - d_k`` to the velocity amplitudes, both along the mixing
-    vector ``(1, b_k)``.  These vectors are orthogonal in the mass
-    ``diag(rho, mu)`` because ``b1 * b2 = -rho / mu``, so with
-    ``w_k = rho + mu * b_k**2``
-
-        S_k = (rho a_v + mu b_k a_p) / w_k,   D_k = (rho a_vd + mu b_k a_pd) / w_k,
-
-    and ``c_k = (lam_k S_k + D_k) / 2``, ``d_k = (lam_k S_k - D_k) / 2``.
-    Reconstructing and re-projecting is the identity on the truncated span.
-    Raises ``ValueError`` unless ``J >= 1`` is an integer.
+    and ``D_k = c_k - d_k`` to the velocity amplitudes along its mixing column
+    of :class:`_Model`; the columns are orthogonal in the mass ``M``, so
+    ``(S, D) = (mix^T M / w) (a_pos, a_vel)`` and ``c_k = (lam_k S_k + D_k) / 2``,
+    ``d_k = (lam_k S_k - D_k) / 2``.  Reconstructing and re-projecting is the
+    identity on the truncated span.  Raises ``ValueError`` unless ``J >= 1``
+    is an integer.
     """
-    _check_mode_count(J)
-    zeta, b, w = _families(params)
-    rho, mu, L = params.rho, params.mu, params.length
+    _check_integer(J, "J")
+    model = _model(params)
+    L = params.length
     cells = max(J, DEFAULT_QUADRATURE_CELLS)
-    x = np.linspace(0.0, L, cells + 1)
-    s = sigma(np.arange(1, J + 1), L)
-    samples = state.sample(x)
-    # (real, imaginary) pairs in real arithmetic: real division rounds once
-    rows = np.vstack((samples.real, samples.imag))
-    rows[:, -1] *= 0.5  # trapezoid end weight; the sines vanish at x = 0
-    amps = (2.0 / cells) * _sine_sums(rows, cells)[:, 1 : 2 * J : 2]
-    a_v, a_p, a_vd, a_pd = amps.reshape(2, 4, J).swapaxes(0, 1)
-    branches = []
-    for b_k, zeta_k, w_k in zip(b, zeta, w):
-        s_k = (rho * a_v + mu * b_k * a_p) / w_k
-        d_k = (rho * a_vd + mu * b_k * a_pd) / w_k
-        lam_s = (1j * s / zeta_k) * (s_k[0] + 1j * s_k[1])
-        d = d_k[0] + 1j * d_k[1]
-        branches += [(lam_s + d) / 2, (lam_s - d) / 2]
-    return ModalCoefficients(*branches)
+    samples = state.sample(np.linspace(0.0, L, cells + 1))
+    # real and imaginary parts in real arithmetic: (part, position/velocity, field, j)
+    amps = _sine_amplitudes(np.vstack((samples.real, samples.imag)), cells, J)
+    unmix = model.decouple / np.sqrt(model.w)[:, None]  # mix^T M / w
+    (s_re, d_re), (s_im, d_im) = unmix @ amps.reshape(2, 2, 2, J)
+    lam_s = (1j * sigma(np.arange(1, J + 1), L) / model.zeta[:, None]) * (s_re + 1j * s_im)
+    d = d_re + 1j * d_im
+    return ModalCoefficients(*np.stack(((lam_s + d) / 2, (lam_s - d) / 2), axis=1).reshape(4, J))
 
 
 def projection_residual(
@@ -419,7 +414,7 @@ def propagate(coeffs: ModalCoefficients, params: BeamParameters, t: float) -> Mo
     conserved exactly.  Raises ``ValueError`` unless ``t`` is finite.
     """
     _check_time(t)
-    zeta, _, _ = _families(params)
+    zeta = _model(params).zeta
     J = coeffs.truncation
     phase = np.exp(1j * sigma(np.arange(1, J + 1), params.length) * t / zeta[:, None])
     c, d = coeffs.branches.swapaxes(0, 1)
@@ -435,7 +430,7 @@ def modal_norm_sq(coeffs: ModalCoefficients, params: BeamParameters) -> float:
 
     The physical energy is ``(thickness / 2) * N^2``.
     """
-    _, _, w = _families(params)
+    w = _model(params).w
     branch_sums = np.sum(np.abs(coeffs.branches) ** 2, axis=2)  # (family, branch)
     return float(params.length * np.sum(w * (branch_sums[:, 0] + branch_sums[:, 1])))
 
@@ -494,13 +489,12 @@ def _output_weights(coeffs: ModalCoefficients, params: BeamParameters):
     ``+/- sigma_j / zeta_k`` and weights proportional to ``b_k`` and the
     boundary sign ``sin(sigma_j L) = (-1)**(j+1)``.
     """
-    zeta, b, _ = _families(params)
+    model = _model(params)
     j = np.arange(1, coeffs.truncation + 1)
     bsign = np.where(j % 2 == 1, 1.0, -1.0)  # (-1)**(j+1)
-    freqs = _frequencies(zeta, coeffs.truncation, params.length)
-    weights = (
-        (_BRANCH_SIGN * (bsign * b[:, None, None])) * coeffs.branches * (-1.0 / params.thickness)
-    )
+    freqs = _frequencies(model.zeta, coeffs.truncation, params.length)
+    b = model.mix[-1][:, None, None]  # the charge row, b_k
+    weights = (_BRANCH_SIGN * (bsign * b)) * coeffs.branches * (-1.0 / params.thickness)
     keep = weights != 0
     return freqs[keep], weights[keep]
 
@@ -567,7 +561,7 @@ def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctio
     QuadratureFailure
         If the supplied samples produce non-finite integrals.
     """
-    model = _model(params, classical=False)
+    model = _model(params)
     x = np.linspace(0.0, params.length, DEFAULT_QUADRATURE_CELLS + 1)
     g1, g2, g3, g4 = g.sample(x)
     f = model.decouple @ np.stack((g3, g4))

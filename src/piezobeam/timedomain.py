@@ -5,9 +5,9 @@ the coupled stretching system and ``(v,)`` for the classical
 magnetically-static comparison model, with the end ``u(0) = 0`` fixed and
 the driven-end flux ``K u_x(L) = -(V / h) c``.
 
-*Modal decoupling.*  :func:`piezobeam.spectral._model` gives ``M``, ``K``,
-``c`` and the basis ``u = P w`` with ``P^T M P = I`` and
-``P^T K P = diag(lam)`` of both models.  Each modal field then obeys the
+*Modal decoupling.*  :func:`piezobeam.spectral._model` describes the wave
+families of both models: ``M``, ``K``, ``c`` and the basis ``u = P w`` with
+``P^T M P = I`` and ``P^T K P = diag(lam)``.  Each modal field then obeys the
 scalar wave equation ``w_tt = lam_k w_xx``, and the fields meet only in the
 driven-end load ``-(V/h) P^T c``.  Space is discretized with second-order
 centered differences, which act node by node and so commute with ``P``:
@@ -56,22 +56,22 @@ at node ``N``.  A recorded step reads it from the amplitudes alone.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
 sine transform: both directions are sums of ``sin(pi * i * l / (2N))``,
-taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`,
-which :func:`piezobeam.spectral.project` shares).
+taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`),
+and states enter by the sine analysis that :func:`piezobeam.spectral.project`
+shares (:func:`piezobeam.spectral._sine_amplitudes`).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
-from .params import BeamParameters
-from .spectral import ModalCoefficients, _model, _sine_sums, reconstruct, sigma
+from .params import BeamParameters, _check_integer
+from .spectral import ModalCoefficients, _model, _sine_amplitudes, _sine_sums, reconstruct, sigma
 
 __all__ = [
     "Grid",
@@ -102,8 +102,7 @@ class Grid:
     length: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or self.n < MIN_CELLS:
-            raise ValueError(f"grid needs an integer n >= {MIN_CELLS} cells, got {self.n!r}")
+        _check_integer(self.n, "n", MIN_CELLS)
         if not 0 < self.length < math.inf:
             raise ValueError(f"length must be finite and > 0, got {self.length}")
 
@@ -183,8 +182,7 @@ class SimConfig:
             raise MalformedValue(f"k must be a finite number, got {self.k}")
         if self.snapshot_dt is not None and not 0 < self.snapshot_dt < math.inf:
             raise ValueError(f"snapshot_dt must be None or finite and > 0, got {self.snapshot_dt}")
-        if not isinstance(self.energy_stride, numbers.Integral) or self.energy_stride < 1:
-            raise ValueError(f"energy_stride must be an integer >= 1, got {self.energy_stride!r}")
+        _check_integer(self.energy_stride, "energy_stride")
 
 
 @dataclass
@@ -215,15 +213,12 @@ def _to_sines(u, ud, model, pos, vel) -> np.ndarray:
     """Flat amplitudes ``vel * adot + 1j * pos * a`` of the modal fields of ``(u, ud)``.
 
     ``a`` and ``adot`` are the amplitudes in ``sum_j a_j sin(sigma_j x)`` of
-    ``P^T M u`` and ``P^T M ud`` on nodes ``0..N``.  The sines are orthogonal
-    with squared norm ``N/2`` under the weights 1 on nodes ``1..N-1`` and 1/2
-    on node ``N``; they vanish on node 0, which is not read.  ``pos`` and
-    ``vel`` are per-mode scales of shape ``(m, N)``, or scalars.
+    ``P^T M u`` and ``P^T M ud`` on nodes ``0..N``, by :func:`_sine_amplitudes`;
+    node 0 is not read.  ``pos`` and ``vel`` are per-mode scales of shape
+    ``(m, N)``, or scalars.
     """
     m, n = model.lam.size, u.shape[-1] - 1
-    w = np.vstack((model.decouple @ u, model.decouple @ ud))
-    w[:, n] *= 0.5
-    hat = (2.0 / n) * _sine_sums(w, n)[:, 1 : 2 * n : 2]
+    hat = _sine_amplitudes(np.vstack((model.decouple @ u, model.decouple @ ud)), n, n)
     return (vel * hat[m:] + 1j * pos * hat[:m]).ravel()
 
 
@@ -286,9 +281,8 @@ def _check_length(grid: Grid, params: BeamParameters) -> None:
         raise ValueError(f"grid length {grid.length} differs from beam length {params.length}")
 
 
-def _state_energy(state: GridState, params: BeamParameters, classical: bool) -> float:
+def _state_energy(state: GridState, params: BeamParameters, model) -> float:
     _check_length(state.grid, params)
-    model = _model(params, classical)
     z = _to_sines(*_fields(state, model.lam.size), model, 1.0, 1.0)
     return _sine_meter(model.lam, params.thickness, state.grid, 1.0, 1.0)(z)
 
@@ -301,7 +295,7 @@ def discrete_energy(state: GridState, params: BeamParameters) -> float:
     :func:`simulate` records (see *Energy meter* in the module docstring);
     node 0 is the fixed end, and its values are not read.
     """
-    return _state_energy(state, params, classical=False)
+    return _state_energy(state, params, _model(params))
 
 
 def classical_energy(state: GridState, params: BeamParameters) -> float:
@@ -309,7 +303,7 @@ def classical_energy(state: GridState, params: BeamParameters) -> float:
 
     Evaluated as :func:`discrete_energy` is; node 0 is not read.
     """
-    return _state_energy(state, params, classical=True)
+    return _state_energy(state, params, _model(params, classical=True))
 
 
 def absorbing_gain(params: BeamParameters) -> float:
@@ -354,8 +348,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     grid = initial.grid
     _check_length(grid, params)
     n, dx, h = grid.n, grid.dx, params.thickness
-    model = _model(params, cfg.mode == "classical")
-    dt = cfg.cfl * (dx * model.slowness)
+    model = _model(params, classical=True) if cfg.mode == "classical" else _model(params)
+    dt = cfg.cfl * (dx * model.zeta[-1])
     nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
     dt = cfg.T / nsteps
 
@@ -385,10 +379,10 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     xi_re, now_re = xi.real, now.real
     energy = _sine_meter(model.lam, h, grid, pos, vel)
     end = np.repeat(load / (n * dt), n)  # end velocity of each family per unit Re(xi)
-    trace_xi = end * np.repeat(model.feedback, n)
+    trace_xi = end * np.repeat(model.modes[-1], n)  # the row of P that feeds back
     output = end * np.repeat(model.drive / h, n)
     # the whole-step trace holds half the kick of V: trace = trace_xi . Re(xi) + trace_load * V
-    trace_load = 0.5 * float(model.feedback @ load) / dt
+    trace_load = 0.5 * float(model.modes[-1] @ load) / dt
     trace_gain = 1.0 / (1.0 - trace_load * k)
 
     def record(step: int, t: float, f: float) -> None:
@@ -458,15 +452,17 @@ def energy_balance_residual(
         ||z(T)||^2 + int_0^T |y|^2 = ||z0||^2 + int_0^T |u|^2
 
     in the energy norm ``||z||^2 = (2/h) * E``.  Returns the left side minus
-    the right side, with time integrals by the trapezoid rule; the magnitude
-    measures the discretization's conservativity defect.  ``u`` is None (no
-    input) or a callable of time, evaluated at ``traj.t``.
+    the right side as a Python ``float``, with time integrals by the
+    trapezoid rule; the magnitude measures the discretization's
+    conservativity defect.  ``E(0)`` and ``E(T)`` are the energies the run
+    recorded, ``traj.energy[0]`` and ``traj.energy[-1]`` (for a coupled run
+    the meter of :func:`discrete_energy`).  ``u`` is None (no input) or a callable of
+    time, evaluated at ``traj.t``.
     """
     h = params.thickness
     t = traj.t
     u_samples = np.zeros_like(t) if u is None else np.asarray([u(tt) for tt in t])
-    e0 = discrete_energy(traj.initial, params)
-    eT = discrete_energy(traj.final, params)
+    e0, eT = float(traj.energy[0]), float(traj.energy[-1])
     y_int = float(np.trapezoid(traj.y**2, t))
     u_int = float(np.trapezoid(u_samples**2, t))
     return (2.0 / h) * eT + y_int - (2.0 / h) * e0 - u_int
@@ -516,11 +512,11 @@ def operator_eigenvalues(
     docstring).  Raises ``ValueError`` unless ``n_cells >= 1`` and
     ``1 <= count <= 2 * n_cells`` are integers.
     """
-    if not (n_cells >= 1 and float(n_cells).is_integer()):
-        raise ValueError(f"n_cells must be an integer >= 1, got {n_cells}")
-    if not (float(count).is_integer() and 1 <= count <= 2 * n_cells):
-        raise ValueError(f"count must be an integer in 1..{2 * n_cells}, got {count}")
-    lam = _model(params, classical=False).lam  # validates params
+    _check_integer(n_cells, "n_cells")
+    _check_integer(count, "count")
+    if count > 2 * n_cells:
+        raise ValueError(f"count must be at most 2 * n_cells = {2 * n_cells}, got {count}")
+    lam = _model(params).lam  # validates params
     wavenumber = (2.0 * n_cells / params.length) * np.sin(_half_angles(n_cells, params.length))
     return np.sort(np.outer(lam, wavenumber**2), axis=None)[:count]
 
@@ -557,19 +553,23 @@ def sine_velocity_state(grid: Grid, j: int = 1) -> GridState:
 
     Raises ``ValueError`` unless ``j >= 1`` is an integer.
     """
-    if not (j >= 1 and float(j).is_integer()):
-        raise ValueError(f"mode index j must be an integer >= 1, got {j}")
-    s = (2 * j - 1) * math.pi / (2.0 * grid.length)
+    _check_integer(j, "mode index j")
     state = GridState.zero(grid)
-    state.vdot = np.sin(s * grid.nodes)
+    state.vdot = np.sin(sigma(j, grid.length) * grid.nodes)
     return state
 
 
 def gaussian_velocity_state(grid: Grid, center: float = 0.25, width: float = 0.04) -> GridState:
     """Zero displacement with a unit-height Gaussian bump in ``vdot``.
 
-    Defaults keep the bump supported well inside the left half of the beam.
+    ``center`` and ``width`` are fractions of the length; defaults keep the
+    bump supported well inside the left half of the beam.  Raises
+    ``ValueError`` unless ``center`` is finite and ``0 < width < inf``.
     """
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be finite and > 0, got {width}")
     state = GridState.zero(grid)
     x = grid.nodes
     state.vdot = np.exp(-0.5 * ((x - center * grid.length) / (width * grid.length)) ** 2)

@@ -304,6 +304,12 @@ class TestBoundaryValueOracle:
         assert transfer_bvp(s, params, n) == -s * reference_bvp(s, params, n, False) / h
         assert transfer_damped_bvp(s, params, n) == s * reference_bvp(s, params, n, True) / h + 1.0
 
+    @pytest.mark.parametrize("n", [100.0, np.float64(128.0), 63, math.nan])
+    @pytest.mark.parametrize("solve", [transfer_bvp, transfer_damped_bvp])
+    def test_cell_count_must_be_an_integer_of_at_least_64(self, golden, solve, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 64"):
+            solve(1.0, golden, n)
+
     def test_decoupled_limit_matches_scalar_line(self):
         """Tiny coupling reduces to the single charge-wave transfer."""
         params = BeamParameters(rho=1.0, alpha1=1.0, beta=1.0, gamma=1e-8, mu=4.0)
@@ -379,7 +385,9 @@ class TestBoundednessScan:
     def test_rejects_nonpositive_line(self, golden):
         with pytest.raises(ValueError):
             boundedness_scan(0.0, 10.0, 101, golden)
-        for s1 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="s1 must be > 0 and finite"):
+            boundedness_scan(math.inf, 1.0, 3, golden)
+        for s1 in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="s1 must be > 0"):
                 analytic_line_bound(s1, golden)
 

@@ -129,6 +129,16 @@ class TestApproximants:
         with pytest.raises(InvalidBudget):
             odd_odd_approximants(0.5, 0)
 
+    @pytest.mark.parametrize(
+        "count, qmax, name",
+        [(2.5, 100, "count"), (math.nan, 100, "count"), (3.0, 100, "count"),
+         (3, 100.5, "qmax"), (3, math.nan, "qmax"), (3, 100.0, "qmax")],
+    )
+    def test_budget_must_be_integers(self, count, qmax, name):
+        """A fractional or NaN budget is not rounded or run: it is an invalid budget."""
+        with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
+            odd_odd_approximants(0.618, count, qmax=qmax)
+
     @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0])
     def test_target_must_be_finite_and_positive(self, zeta):
         with pytest.raises(InvalidBudget, match="target must be finite and > 0"):
@@ -203,6 +213,12 @@ class TestCounterexampleStates:
         with pytest.raises(TruncationTooSmall):
             near_unobservable_state(approx, golden, J=3)
 
+    @pytest.mark.parametrize("J", [5.5, 6.0, math.nan])
+    def test_truncation_must_be_an_integer(self, golden, J):
+        approx = OddApproximant(p=1, q=9, err=0.0, cq2=0.0)
+        with pytest.raises(TruncationTooSmall, match="J for approximant"):
+            near_unobservable_state(approx, golden, J=J)
+
     @pytest.mark.parametrize(
         "p, q, error",
         [
@@ -257,6 +273,12 @@ class TestQuotients:
         qs = np.log([a.q for a in approx])
         slope = np.polyfit(qs, np.log(quotients), 1)[0]
         assert -2.3 < slope < -1.7
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    def test_bound_window_must_be_finite_and_positive(self, golden, T):
+        approx = OddApproximant(p=1, q=3, err=0.1, cq2=0.9)
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            quotient_bound(approx, golden, T)
 
     def test_mean_value_bound_holds_at_every_record(self, golden):
         T = 10.0
@@ -358,3 +380,9 @@ class TestFrameBounds:
             g[~keep] = 0.0
             quotient = np.real(np.conj(g) @ gram @ g) / np.real(np.conj(g) @ g)
             assert out.cmin * (1 - 1e-12) <= quotient <= out.cmax * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("J", [0, -1, 2.5, 3.0, math.nan])
+def test_exponent_family_needs_an_integer_mode_count(ratio_half, J):
+    with pytest.raises(ValueError, match="J must be an integer >= 1"):
+        exponent_family(ratio_half, J)

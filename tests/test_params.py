@@ -109,6 +109,11 @@ class TestClassifier:
         with pytest.raises(InvalidBudget):
             classify_stability(golden_dc, tol=0.0)
 
+    @pytest.mark.parametrize("qmax", [10.5, 100.0, math.nan, math.inf])
+    def test_qmax_must_be_an_integer(self, golden_dc, qmax):
+        with pytest.raises(InvalidBudget, match="qmax must be an integer >= 1"):
+            classify_stability(golden_dc, qmax=qmax)
+
     def test_infinite_tol_rejected(self, golden_dc):
         """An infinite tolerance would match any ratio, the golden one included."""
         with pytest.raises(InvalidBudget, match="0 < tol < inf"):

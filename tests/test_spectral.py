@@ -34,7 +34,7 @@ from piezobeam import (
 from piezobeam import frequency, observability, spectral
 from piezobeam.spectral import (
     _cumulative_trapezoid,
-    _families,
+    _model,
     _output_weights,
     _waves,
     phase_integral,
@@ -109,7 +109,8 @@ def reference_reconstruct(coeffs, params, x, t=0.0, derivative=False):
 def mpmath_reconstruct(coeffs, params, x, t, derivative, dps=40):
     """The modal sum of ``reconstruct`` at ``dps`` digits, from the float
     coefficients, constants, positions and time taken as exact."""
-    zeta, b, _ = _families(params)
+    model = _model(params)
+    zeta, b = model.zeta, model.mix[-1]
     with mpmath.workdps(dps):
         xs = [mpmath.mpf(float(v)) for v in x]
         fields = [[mpmath.mpc(0)] * len(xs) for _ in range(4)]
@@ -382,7 +383,7 @@ class TestModalCoefficients:
     ids=["project_J_0"],
 )
 def test_empty_quadrature_rejected(call, golden):
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
         call(golden)
 
 
@@ -408,23 +409,43 @@ def test_no_public_callable_takes_dc_or_cells(module):
             assert taken <= ({"dc"} if name in INERT_DC else set()), name
 
 
+MODEL_FORMS = ({}, {"classical": True})  # the coupled and the classical model
+
+
 def test_families_memoised_read_only(golden):
-    arrays = _families(golden)
-    equal = replace(golden)
-    assert equal is not golden and all(a is b for a, b in zip(_families(equal), arrays))
+    """``_model`` of equal parameters is one object with read-only arrays."""
     dc = derive_constants(golden)
-    np.testing.assert_array_equal(arrays[0], [dc.zeta1, dc.zeta2])
-    np.testing.assert_array_equal(arrays[1], [dc.b1, dc.b2])
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    expected = {
+        False: ([dc.zeta1, dc.zeta2], [[1.0, 1.0], [dc.b1, dc.b2]]),
+        True: ([math.sqrt(golden.rho / golden.alpha1)], [[1.0]]),
+    }
+    for kwargs in MODEL_FORMS:
+        model = _model(golden, **kwargs)
+        equal = replace(golden)
+        assert equal is not golden and _model(equal, **kwargs) is model
+        zeta, mix = expected[bool(kwargs)]
+        np.testing.assert_array_equal(model.zeta, zeta)
+        np.testing.assert_array_equal(model.mix, mix)
+        for a in model:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
 
 
 def test_families_raise_for_invalid_params_on_every_call(golden):
     bad = replace(golden, mu=-1.0)
-    for _ in range(2):
-        with pytest.raises(NonPositiveParameter):
-            _families(bad)
+    for kwargs in MODEL_FORMS:
+        for _ in range(2):
+            with pytest.raises(NonPositiveParameter):
+                _model(bad, **kwargs)
+
+
+def test_classical_model_constants_are_exact():
+    """The one classical family: ``lam``, ``P`` and ``zeta`` as written, not rederived."""
+    params = BeamParameters(rho=3.0, alpha1=7.0, beta=1.0, gamma=0.3, mu=1.0)
+    model = _model(params, classical=True)
+    assert model.lam.tolist() == [7.0 / 3.0]
+    assert model.modes.tolist() == [[1.0 / math.sqrt(3.0)]]
+    assert model.zeta.tolist() == [math.sqrt(3.0 / 7.0)]
 
 
 class TestWaves:
@@ -455,9 +476,9 @@ class TestWaves:
 class TestModeCounts:
     @pytest.mark.parametrize("J", [0, -1, 2.5, 3.0, math.nan, math.inf, np.float64(4.0)])
     def test_eigenvalues_and_project_name_bad_J(self, golden, J):
-        with pytest.raises(ValueError, match="J must be >= 1 and an integer"):
+        with pytest.raises(ValueError, match="J must be an integer >= 1"):
             eigenvalues(golden, J)
-        with pytest.raises(ValueError, match="J must be >= 1 and an integer"):
+        with pytest.raises(ValueError, match="J must be an integer >= 1"):
             project(StateFunctions.zero(), golden, J)
 
     def test_numpy_integers_accepted(self, golden):

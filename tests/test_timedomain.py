@@ -230,10 +230,29 @@ class TestNonFiniteState:
 
 
 class TestInitialData:
-    @pytest.mark.parametrize("j", [0, -2, 1.5, math.inf, math.nan])
+    @pytest.mark.parametrize("j", [0, -2, 1.5, math.inf, math.nan, 2.0, np.float64(3.0)])
     def test_sine_mode_index_must_be_positive_integer(self, j):
         with pytest.raises(ValueError, match="mode index j must be an integer >= 1"):
             sine_velocity_state(Grid(16), j=j)
+
+    def test_sine_mode_accepts_numpy_integers(self):
+        state = sine_velocity_state(Grid(16), j=np.int64(3))
+        np.testing.assert_array_equal(state.vdot, sine_velocity_state(Grid(16), j=3).vdot)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(width=0.0), "width"),
+            (dict(width=-0.1), "width"),
+            (dict(width=math.inf), "width"),
+            (dict(width=math.nan), "width"),
+            (dict(center=math.nan), "center"),
+            (dict(center=math.inf), "center"),
+        ],
+    )
+    def test_gaussian_bump_needs_finite_center_and_positive_width(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            gaussian_velocity_state(Grid(16), **kwargs)
 
 
     def test_samples_interpolate_onto_the_grid(self):
@@ -292,7 +311,7 @@ class TestGridLength:
 
     @pytest.mark.parametrize("n", [100.0, 15, 0, np.float64(64.0), "64"])
     def test_cell_count_must_be_an_integer_of_at_least_min_cells(self, n):
-        with pytest.raises(ValueError, match="integer n >= 16"):
+        with pytest.raises(ValueError, match="n must be an integer >= 16"):
             Grid(n)
 
     @pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0])
@@ -581,6 +600,9 @@ class TestSpatialOperator:
             (math.nan, 1, "n_cells"),
             (8, math.inf, "count"),
             (8, math.nan, "count"),
+            (8, 4.0, "count"),
+            (64.0, 3, "n_cells"),
+            (np.float64(8.0), 3, "n_cells"),
         ],
     )
     def test_invalid_arguments_named(self, golden, n_cells, count, name):
