@@ -195,6 +195,8 @@ def near_unobservable_state(
     p, q = approx.p, approx.q
     if p < 1 or q < 1:
         raise InvalidBudget(f"need positive p, q; got ({p}, {q})")
+    _check_integer(p, "p", error=InvalidBudget)
+    _check_integer(q, "q", error=InvalidBudget)
     if p % 2 == 0 or q % 2 == 0:
         raise ParityViolation(f"({p}, {q}) must both be odd to pair two modes")
     if math.gcd(p, q) != 1:
@@ -250,13 +252,16 @@ def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
     and the Ingham frame bounds hold for every window longer than
     ``Tmin = 2 pi / gamma``.  Returns ``(gamma, Tmin)``.
 
-    Raises :class:`ParityViolation` for odd/odd fractions (frequencies
+    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime
+    integers, :class:`ParityViolation` for odd/odd fractions (frequencies
     collide; there is no gap) and :class:`NotRational` if the fraction does
     not match the actual ratio to 1e-9.
     """
     dc = derive_constants(params)
-    if p < 1 or q < 1 or math.gcd(p, q) != 1:
-        raise InvalidBudget(f"need coprime positive p, q; got ({p}, {q})")
+    _check_integer(p, "p", error=InvalidBudget)
+    _check_integer(q, "q", error=InvalidBudget)
+    if math.gcd(p, q) != 1:
+        raise InvalidBudget(f"need coprime p, q; got ({p}, {q})")
     if p % 2 == 1 and q % 2 == 1:
         raise ParityViolation(
             f"({p}, {q}) are both odd: eigenvalues collide and no gap exists"
@@ -294,11 +299,12 @@ def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> Fr
     ``cmin`` is clamped at 0.  Exponents closer than ``1e-12`` times the
     largest are snapped together and flagged in ``has_collisions``; a
     collision shows up as a zero eigenvalue.  ``trials`` is accepted for
-    compatibility and ignored.
+    compatibility and ignored.  Raises ``ValueError`` unless the exponents
+    form a non-empty 1-d sequence of finite values.
     """
     s = np.asarray(exponents, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("exponents must be a non-empty 1-d sequence")
+    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
+        raise ValueError("exponents must be a non-empty 1-d sequence of finite values")
     delta = _snapped_differences(s, T)[0]
     eig = np.linalg.eigvalsh(sinc_gram(delta, T))
     return FrameBounds(

@@ -12,6 +12,12 @@ eigenbasis, unitary modal propagation, energy norms, the output energy of the
 electrode-current observation, and the inverse of the damped generator at
 zero frequency.  The wave families are described once, by :func:`_model`.
 
+The spectrum is one table, :func:`_frequencies`: ``sign * sigma_j / zeta_k``
+on the ``(family, branch, j)`` axes of :attr:`ModalCoefficients.branches`,
+the branch sign a broadcast axis.  :func:`eigenvalues` are ``i`` times it,
+:func:`propagate` multiplies by ``exp(i t freq)``, and :func:`reconstruct`
+(through :func:`propagate`), :func:`project` and the output energy read it.
+
 The modal sine tables cost no transcendental per entry.  Reconstruction
 takes its sine and cosine profiles from the waves ``exp(i sigma_j x)``, built
 by phase doubling from ``log2(J)`` exponentials of the positions.  Projection
@@ -69,8 +75,10 @@ class ModeIndex:
     j: int
 
     def __post_init__(self) -> None:
+        _check_integer(self.family, "family")
         if self.family not in (1, 2):
             raise ValueError(f"family must be 1 or 2, got {self.family}")
+        _check_integer(self.sign, "sign", minimum=-1)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         _check_integer(self.j, "mode index j")
@@ -112,12 +120,14 @@ class ModalCoefficients:
 
     @classmethod
     def zeros(cls, J: int) -> "ModalCoefficients":
+        _check_integer(J, "J", minimum=0)
         z = np.zeros(J, dtype=complex)
         return cls(z, z, z, z)
 
     @classmethod
     def single(cls, mode: ModeIndex, J: int, amplitude: complex = 1.0) -> "ModalCoefficients":
         """Coefficient set with a single active mode."""
+        _check_integer(J, "J", minimum=0)
         if mode.j > J:
             raise ValueError(f"j={mode.j} exceeds truncation J={J}")
         branches = np.zeros((2, 2, J), dtype=complex)
@@ -191,6 +201,14 @@ def _real_if_exact(samples: np.ndarray) -> np.ndarray:
 def sigma(j, length: float):
     """Spatial frequencies ``(2j - 1) * pi / (2 * length)`` of the sine basis."""
     return (2.0 * np.asarray(j) - 1.0) * np.pi / (2.0 * length)
+
+
+_BRANCH_SIGN = np.array([1.0, -1.0])[:, None]  # the + and - branches of axis 1
+
+
+def _frequencies(zeta: np.ndarray, J: int, length: float) -> np.ndarray:
+    """Frequencies ``sign * sigma_j / zeta_k`` of shape ``(family, branch, j)``."""
+    return _BRANCH_SIGN * (sigma(np.arange(1, J + 1), length) / zeta[:, None, None])
 
 
 def _waves(J: int, x: np.ndarray, length: float) -> np.ndarray:
@@ -291,16 +309,17 @@ def _model(params: BeamParameters, classical: bool = False) -> _Model:
 
 
 def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex]]:
-    """Eigenvalues ``sign * i * sigma_j / zeta_family`` for ``j = 1..J``.
+    """Eigenvalues ``i * sign * sigma_j / zeta_family`` for ``j = 1..J``.
 
-    All are purely imaginary and come in conjugate pairs; within a family the
-    spacing of the imaginary parts is ``pi / (L * zeta_family)``.  Raises
+    The imaginary parts are the :func:`_frequencies` table and every real part
+    is ``+0.0``.  They come in conjugate pairs; within a family the spacing of
+    the imaginary parts is ``pi / (L * zeta_family)``.  Raises
     ``ValueError`` unless ``J >= 1`` is an integer.
     """
     _check_integer(J, "J")
-    zeta = _model(params).zeta
+    freqs = _frequencies(_model(params).zeta, J, params.length).tolist()
     return [
-        (ModeIndex(family, sign, j), sign * 1j * sigma(j, params.length) / zeta[family - 1])
+        (ModeIndex(family, sign, j), complex(0.0, freqs[family - 1][(1 - sign) // 2][j - 1]))
         for j in range(1, J + 1)
         for family in (1, 2)
         for sign in (+1, -1)
@@ -330,26 +349,25 @@ def reconstruct(
     With ``derivative=True`` the x-derivative of each component is returned
     (cosine profiles), which is what the energy quadratures need.  The
     profiles are the imaginary (sine) or real (cosine) parts of
-    :func:`_waves`.  Family ``k`` contributes ``S_k = (c_k + d_k) / lam_k``
-    to the positions and ``D_k = c_k - d_k`` to the velocities along the
-    mixing vector ``(1, b_k)``; the four mixed coefficient rows, real and
-    imaginary parts stacked, take one real product with the profiles.
-    Returns a complex array of shape ``(4, len(x))``.  Raises ``ValueError``
-    unless ``t`` is finite.
+    :func:`_waves`.  The phase is :func:`propagate`'s, so time ``t`` is
+    bitwise ``reconstruct(propagate(coeffs, params, t), params, x)``.  A
+    coefficient ``a`` adds ``sign * a / (i * freq)`` to the positions and
+    ``sign * a`` to the velocities along its family's mixing column
+    ``(1, b_k)``.  The branches are summed and the families mixed into four
+    rows, whose real and imaginary parts, stacked, take one real product with
+    the profiles.  Returns a complex array of shape ``(4, len(x))``.  Raises
+    ``ValueError`` unless ``t`` is finite.
     """
-    _check_time(t)
     model = _model(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     J = coeffs.truncation
     s = sigma(np.arange(1, J + 1), params.length)  # (J,)
     waves = _waves(J, x, params.length)
     profile = waves.real * s[:, None] if derivative else waves.imag
-    lam = 1j * s / model.zeta[:, None]  # (family, J)
-    phase = np.exp(lam * t)
-    c, d = coeffs.branches.swapaxes(0, 1)
-    cp, dm = c * phase, d / phase
-    # rows (position, b * position, velocity, b * velocity), summed over families
-    rows = model.mix @ np.stack(((cp + dm) / lam, cp - dm))
+    velocity = _BRANCH_SIGN * propagate(coeffs, params, t).branches  # (family, branch, J)
+    amps = np.stack((velocity / (1j * _frequencies(model.zeta, J, params.length)), velocity))
+    # rows (position, b * position, velocity, b * velocity): branches summed, families mixed
+    rows = model.mix @ amps.sum(axis=2)
     fields = np.vstack((rows.real, rows.imag)).reshape(8, J) @ profile
     return fields[:4] + 1j * fields[4:]
 
@@ -368,13 +386,14 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     projecting a state in the span of the first ``J`` modes is exact to
     rounding for every ``J``.
 
-    Family ``k`` adds ``S_k = (c_k + d_k) / lam_k`` to the position amplitudes
-    and ``D_k = c_k - d_k`` to the velocity amplitudes along its mixing column
-    of :class:`_Model`; the columns are orthogonal in the mass ``M``, so
-    ``(S, D) = (mix^T M / w) (a_pos, a_vel)`` and ``c_k = (lam_k S_k + D_k) / 2``,
-    ``d_k = (lam_k S_k - D_k) / 2``.  Reconstructing and re-projecting is the
-    identity on the truncated span.  Raises ``ValueError`` unless ``J >= 1``
-    is an integer.
+    Family ``k`` adds ``S_k = sum sign * a / (i * freq)`` to the position
+    amplitudes and ``D_k = sum sign * a`` to the velocity amplitudes along its
+    mixing column of :class:`_Model`, summed over its two branches (see
+    :func:`reconstruct`); the columns are orthogonal in the mass ``M``, so
+    ``(S, D) = (mix^T M / w) (a_pos, a_vel)``, and one broadcast over the
+    branch axis inverts the sums: ``a = 0.5 * sign * (i * freq * S_k + D_k)``.
+    Reconstructing and re-projecting is the identity on the truncated span.
+    Raises ``ValueError`` unless ``J >= 1`` is an integer.
     """
     _check_integer(J, "J")
     model = _model(params)
@@ -384,10 +403,10 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     # real and imaginary parts in real arithmetic: (part, position/velocity, field, j)
     amps = _sine_amplitudes(np.vstack((samples.real, samples.imag)), cells, J)
     unmix = model.decouple / np.sqrt(model.w)[:, None]  # mix^T M / w
-    (s_re, d_re), (s_im, d_im) = unmix @ amps.reshape(2, 2, 2, J)
-    lam_s = (1j * sigma(np.arange(1, J + 1), L) / model.zeta[:, None]) * (s_re + 1j * s_im)
-    d = d_re + 1j * d_im
-    return ModalCoefficients(*np.stack(((lam_s + d) / 2, (lam_s - d) / 2), axis=1).reshape(4, J))
+    re, im = unmix @ amps.reshape(2, 2, 2, J)  # (position/velocity, family, j)
+    S, D = (re + 1j * im)[:, :, None]  # broadcast over the branch axis
+    branches = 0.5 * _BRANCH_SIGN * (1j * _frequencies(model.zeta, J, L) * S + D)
+    return ModalCoefficients(*branches.reshape(4, J))
 
 
 def projection_residual(
@@ -410,15 +429,15 @@ def projection_residual(
 def propagate(coeffs: ModalCoefficients, params: BeamParameters, t: float) -> ModalCoefficients:
     """Advance modal coefficients by time ``t`` (a group: ``t < 0`` rewinds).
 
-    Each branch picks up a unit-modulus phase, so the modal energy norm is
-    conserved exactly.  Raises ``ValueError`` unless ``t`` is finite.
+    Each branch picks up the unit-modulus phase ``exp(i * t * freq)``, with
+    ``freq = sign * sigma_j / zeta_k`` from :func:`_frequencies`, so the modal
+    energy norm is conserved exactly.  Raises ``ValueError`` unless ``t`` is
+    finite.
     """
     _check_time(t)
-    zeta = _model(params).zeta
     J = coeffs.truncation
-    phase = np.exp(1j * sigma(np.arange(1, J + 1), params.length) * t / zeta[:, None])
-    c, d = coeffs.branches.swapaxes(0, 1)
-    return ModalCoefficients(*np.stack((c * phase, d / phase), axis=1).reshape(4, J))
+    phase = np.exp(1j * t * _frequencies(_model(params).zeta, J, params.length))
+    return ModalCoefficients(*(coeffs.branches * phase).reshape(4, J))
 
 
 def modal_norm_sq(coeffs: ModalCoefficients, params: BeamParameters) -> float:
@@ -452,14 +471,6 @@ def phase_integral(delta, T: float) -> np.ndarray:
     and coincident frequencies (``delta == 0``) integrate to exactly ``T``.
     """
     return np.exp(0.5j * T * np.asarray(delta, dtype=float)) * sinc_gram(delta, T)
-
-
-_BRANCH_SIGN = np.array([1.0, -1.0])[:, None]  # the + and - branches of axis 1
-
-
-def _frequencies(zeta: np.ndarray, J: int, length: float) -> np.ndarray:
-    """Frequencies ``sign * sigma_j / zeta_k`` of shape ``(family, branch, j)``."""
-    return _BRANCH_SIGN * (sigma(np.arange(1, J + 1), length) / zeta[:, None, None])
 
 
 def _snapped_differences(freqs: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:

@@ -310,8 +310,10 @@ def absorbing_gain(params: BeamParameters) -> float:
     """Feedback gain that makes the classical driven end perfectly absorbing.
 
     Matching the boundary impedance of right-going d'Alembert waves gives
-    ``k = h * sqrt(rho * alpha1) / gamma``.
+    ``k = h * sqrt(rho * alpha1) / gamma``.  Raises as
+    :meth:`BeamParameters.validate` does for invalid parameters.
     """
+    params.validate()
     return params.thickness * math.sqrt(params.rho * params.alpha1) / params.gamma
 
 
@@ -477,7 +479,7 @@ def decay_rate(energies, times) -> tuple[float, float]:
     Raises
     ------
     NonPositiveEnergy
-        If any energy in the fitted window is not strictly positive.
+        If any energy in the fitted window is not strictly positive (or is NaN).
     """
     energies = np.asarray(energies, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -486,7 +488,7 @@ def decay_rate(energies, times) -> tuple[float, float]:
     start = energies.size // 2
     e = energies[start:]
     t = times[start:]
-    if np.any(e <= 0):
+    if not np.all(e > 0):
         raise NonPositiveEnergy("energies must be positive to fit log decay")
     logs = np.log(e)
     design = np.vstack([t, np.ones_like(t)]).T

@@ -234,6 +234,11 @@ class TestCounterexampleStates:
         with pytest.raises(error):
             near_unobservable_state(OddApproximant(p=p, q=q, err=0.0, cq2=0.0), golden)
 
+    @pytest.mark.parametrize("p, q, name", [(1.0, 3, "p"), (1, 3.0, "q"), (1.5, 3, "p")])
+    def test_pair_must_be_integers(self, golden, p, q, name):
+        with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
+            near_unobservable_state(OddApproximant(p=p, q=q, err=0.0, cq2=0.0), golden)
+
 
 class TestQuotients:
     def test_exact_resonance_gives_zero(self, ratio_third):
@@ -309,6 +314,11 @@ class TestInghamGap:
         with pytest.raises(NotRational):
             ingham_gap(ratio_half, 1, 4)
 
+    @pytest.mark.parametrize("p, q, name", [(1.0, 2, "p"), (1, 2.0, "q"), (0, 2, "p"), (1, -2, "q")])
+    def test_fraction_must_be_positive_integers(self, ratio_half, p, q, name):
+        with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
+            ingham_gap(ratio_half, p, q)
+
     def test_family_gaps_respect_the_bound(self, ratio_half):
         gap, _ = ingham_gap(ratio_half, 1, 2)
         freqs = exponent_family(ratio_half, 200)
@@ -340,6 +350,11 @@ class TestFrameBounds:
         out = ingham_frame_bounds([1.7], T=2.5)
         np.testing.assert_allclose([out.cmin, out.cmax], [2.5, 2.5], rtol=1e-12)
         assert not out.has_collisions
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite values"):
+            ingham_frame_bounds([1.0, bad], 1.0)
 
     def test_coincident_pair_collapses(self):
         out = ingham_frame_bounds([1.0, 1.0], T=3.0)

@@ -145,6 +145,25 @@ def reference_propagate(coeffs, params, t):
     )
 
 
+def mpmath_phase_error_units(moved, coeffs, params, t, dps=40):
+    """``|moved - a exp(i sign sigma_j t / zeta_k)|`` per coefficient ``a``, at ``dps``
+    digits with the float constants and ``t`` taken as exact, in units of
+    ``eps * (|sigma_j t / zeta_k| + 1) * |a|``; 0 where ``a`` is 0."""
+    zeta = _model(params).zeta
+    eps = np.finfo(float).eps
+    units = np.zeros(coeffs.branches.shape)
+    with mpmath.workdps(dps):
+        for (k, branch, i), a in np.ndenumerate(coeffs.branches):
+            if a == 0:
+                continue
+            s = (2 * i + 1) * mpmath.pi / (2 * mpmath.mpf(params.length))
+            theta = (1 - 2 * branch) * s * mpmath.mpf(t) / mpmath.mpf(float(zeta[k]))
+            exact = mpmath.mpc(complex(a)) * mpmath.expj(theta)
+            err = abs(mpmath.mpc(complex(moved.branches[k, branch, i])) - exact)
+            units[k, branch, i] = float(err / (eps * (abs(theta) + 1) * abs(a)))
+    return units
+
+
 def reference_modal_norm_sq(coeffs, params):
     """Family by family, ``c`` then ``d``: the oracle for ``modal_norm_sq``."""
     dc = derive_constants(params)
@@ -286,10 +305,25 @@ class TestReferences:
                 assert err <= 2.0 * ref_err + 1e-15 * np.max(np.abs(exact)), (name, t, err, ref_err)
 
     @pytest.mark.parametrize("params, coeffs", random_beam_cases())
-    def test_propagate_equals_reference(self, params, coeffs):
-        for t in (0.0, 1.3, -0.7):
-            got, want = propagate(coeffs, params, t), reference_propagate(coeffs, params, t)
-            assert np.array_equal(got.branches, want.branches)
+    def test_propagate_as_accurate_as_reference(self, params, coeffs):
+        """Against a 40-digit phase, ``propagate`` and the reference each err by
+        at most ``2 eps (|sigma_j t / zeta_k| + 1) |a|`` per coefficient ``a``;
+        ``t = 0`` is the identity bitwise."""
+        assert np.array_equal(propagate(coeffs, params, 0.0).branches, coeffs.branches)
+        for t in (1.3, -0.7, 250.0, -250.0):
+            for moved in (propagate(coeffs, params, t), reference_propagate(coeffs, params, t)):
+                units = mpmath_phase_error_units(moved, coeffs, params, t)
+                assert np.max(units) <= 2.0, (t, np.max(units))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("params, coeffs", random_beam_cases()[::2])
+    def test_reconstruct_at_t_is_reconstruct_of_propagate(self, params, coeffs, derivative):
+        """Reconstruction at time ``t`` takes its phase from :func:`propagate`, bitwise."""
+        x = np.linspace(0.0, params.length, 33)
+        for t in (1.3, -0.7, 250.0):
+            got = reconstruct(coeffs, params, x, t=t, derivative=derivative)
+            want = reconstruct(propagate(coeffs, params, t), params, x, derivative=derivative)
+            assert np.array_equal(got, want), t
 
     @pytest.mark.parametrize("params, coeffs", random_beam_cases())
     def test_modal_norm_sq_equals_reference(self, params, coeffs):
@@ -490,6 +524,23 @@ class TestModeCounts:
     def test_mode_index_rejects_non_integer_j(self, j):
         with pytest.raises(ValueError, match="mode index j must be an integer >= 1"):
             ModeIndex(1, 1, j)
+
+    @pytest.mark.parametrize(
+        "family, sign, name", [(1.0, 1, "family"), (2, -1.0, "sign"), (np.float64(2.0), 1, "family")]
+    )
+    def test_mode_index_rejects_float_family_and_sign(self, family, sign, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ModeIndex(family, sign, 1)
+
+    @pytest.mark.parametrize("J", [2.5, 3.0, math.nan])
+    def test_single_needs_an_integer_truncation(self, J):
+        with pytest.raises(ValueError, match="J must be an integer >= 0"):
+            ModalCoefficients.single(ModeIndex(1, 1, 3), J)
+
+    @pytest.mark.parametrize("J", [2.5, 3.0, -1])
+    def test_zeros_needs_an_integer_truncation(self, J):
+        with pytest.raises(ValueError, match="J must be an integer >= 0"):
+            ModalCoefficients.zeros(J)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

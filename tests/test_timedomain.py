@@ -1,6 +1,7 @@
 """Finite-difference simulation: conservation, dissipation, balance, absorption."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from scipy.linalg import eig_banded
 
 from piezobeam import (
     BeamParameters,
+    DegenerateCoupling,
     Grid,
     GridState,
     ModalCoefficients,
     ModeIndex,
     NonFiniteState,
     NonPositiveEnergy,
+    NonPositiveParameter,
     SimConfig,
     absorbing_gain,
     classical_energy,
@@ -500,6 +503,19 @@ class TestClassicalModel:
         assert after.size > 0
         assert np.max(after) < 1e-6 * traj.energy[0]
 
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("gamma", 0.0, DegenerateCoupling, "gamma = 0"),
+            ("rho", -1.0, NonPositiveParameter, "rho must be > 0"),
+            ("rho", math.nan, NonPositiveParameter, "rho must be > 0"),
+            ("alpha1", math.inf, NonPositiveParameter, "alpha1 must be > 0"),
+        ],
+    )
+    def test_absorbing_gain_validates_parameters(self, golden, field, value, error, message):
+        with pytest.raises(error, match=message):
+            absorbing_gain(replace(golden, **{field: value}))
+
     def test_energy_constant_before_boundary_contact(self, golden):
         grid = Grid(512)
         state = gaussian_velocity_state(grid, center=0.5, width=0.05)
@@ -545,6 +561,13 @@ class TestDecayRate:
         t = np.linspace(0.0, 5.0, 20)
         e = np.exp(-t)
         e[-1] = 0.0
+        with pytest.raises(NonPositiveEnergy):
+            decay_rate(e, t)
+
+    def test_nan_energy_rejected(self):
+        t = np.linspace(0.0, 5.0, 20)
+        e = np.exp(-t)
+        e[15] = math.nan
         with pytest.raises(NonPositiveEnergy):
             decay_rate(e, t)
 
