@@ -1,7 +1,8 @@
 """Line-based ``key = value`` run configuration.
 
 Seven physical keys are required (rho, alpha1, beta, gamma, mu, length,
-thickness); numeric options are optional with documented defaults.  Comments
+thickness); numeric options are optional, defaulting to the fields of
+:class:`RunConfig`.  Comments
 start with ``#``.  Parsing validates everything before any computation and
 reports the offending line in every error: every number must be finite, the
 physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J``, ``N``,
@@ -23,16 +24,6 @@ INT_KEYS = ("J", "N", "qmax")
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
 POSITIVE_KEYS = PHYSICAL_KEYS + ("T", "sample_dt", "tol")
 
-DEFAULTS = {
-    "J": 64,
-    "N": 2048,
-    "T": 10.0,
-    "cfl": 0.9,
-    "sample_dt": 0.05,
-    "qmax": 10_000,
-    "tol": 1e-9,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -44,14 +35,14 @@ class RunConfig:
     """
 
     params: BeamParameters
-    J: int = DEFAULTS["J"]
-    n: int = DEFAULTS["N"]
-    T: float = DEFAULTS["T"]
+    J: int = 64
+    n: int = 2048  # the key N
+    T: float = 10.0
     k: float | None = None
-    cfl: float = DEFAULTS["cfl"]
-    sample_dt: float = DEFAULTS["sample_dt"]
-    qmax: int = DEFAULTS["qmax"]
-    tol: float = DEFAULTS["tol"]
+    cfl: float = 0.9
+    sample_dt: float = 0.05
+    qmax: int = 10_000
+    tol: float = 1e-9
     _matched_gain: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -108,21 +99,8 @@ def parse_config(text: str) -> RunConfig:
         return number
 
     params = BeamParameters(**{key: as_number(key) for key in PHYSICAL_KEYS})
-    options = dict(DEFAULTS)
-    for key in INT_KEYS + FLOAT_KEYS:
-        if key in entries:
-            options[key] = as_number(key)
-    cfg = RunConfig(
-        params=params,
-        J=options["J"],
-        n=options["N"],
-        T=options["T"],
-        k=options.get("k"),
-        cfl=options["cfl"],
-        sample_dt=options["sample_dt"],
-        qmax=options["qmax"],
-        tol=options["tol"],
-    )
+    given = [key for key in INT_KEYS + FLOAT_KEYS if key in entries]
+    cfg = RunConfig(params=params, **{"n" if key == "N" else key: as_number(key) for key in given})
     if not math.isfinite(cfg.k):  # a given k is finite, so this is the default
         lineno, value = entries["thickness"]
         raise MalformedValue(f"line {lineno}: thickness = {value!r} gives an infinite default k")

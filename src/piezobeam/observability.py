@@ -209,7 +209,7 @@ def near_unobservable_state(
     b = _model(params).mix[-1]
     branches = np.zeros((2, 2, J), dtype=complex)
     branches[[0, 1], 0, [j1 - 1, j2 - 1]] = np.array([_kappa(q), -_kappa(p)]) / b
-    return ModalCoefficients(*branches.reshape(4, J))
+    return ModalCoefficients._from_branches(branches)
 
 
 def observability_quotient(coeffs: ModalCoefficients, params: BeamParameters, T: float) -> float:

@@ -85,9 +85,10 @@ _FIELD_NAMES = tuple(f.name for f in fields(BeamParameters))
 def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a ``numbers.Integral`` >= ``minimum``.
 
-    Integral floats such as ``2.0`` are rejected like any other float.
+    Integral floats such as ``2.0`` are rejected like any other float, and
+    ``bool`` like any other non-number.
     """
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 

@@ -109,6 +109,14 @@ class ModalCoefficients:
         self.branches = np.stack(arrays).reshape(2, 2, *arrays[0].shape)
         self.branches.flags.writeable = False
 
+    @classmethod
+    def _from_branches(cls, branches: np.ndarray) -> "ModalCoefficients":
+        """Wrap a fresh complex ``(family, branch, j)`` array, uncopied; it becomes read-only."""
+        coeffs = cls.__new__(cls)
+        coeffs.branches = branches
+        branches.flags.writeable = False
+        return coeffs
+
     c1 = property(lambda self: self.branches[0, 0])
     d1 = property(lambda self: self.branches[0, 1])
     c2 = property(lambda self: self.branches[1, 0])
@@ -121,8 +129,7 @@ class ModalCoefficients:
     @classmethod
     def zeros(cls, J: int) -> "ModalCoefficients":
         _check_integer(J, "J", minimum=0)
-        z = np.zeros(J, dtype=complex)
-        return cls(z, z, z, z)
+        return cls._from_branches(np.zeros((2, 2, J), dtype=complex))
 
     @classmethod
     def single(cls, mode: ModeIndex, J: int, amplitude: complex = 1.0) -> "ModalCoefficients":
@@ -132,13 +139,14 @@ class ModalCoefficients:
             raise ValueError(f"j={mode.j} exceeds truncation J={J}")
         branches = np.zeros((2, 2, J), dtype=complex)
         branches[mode.family - 1, (1 - mode.sign) // 2, mode.j - 1] = amplitude
-        return cls(*branches.reshape(4, J))
+        return cls._from_branches(branches)
+
 
 class StateFunctions:
     """A beam state ``(v, p, vdot, pdot)`` on ``[0, L]``.
 
     Components are callables mapping position arrays to values; states given
-    as grid samples are wrapped with linear interpolation, complex samples
+    as samples are wrapped with linear interpolation, complex samples
     staying complex and all others becoming float.  Membership in the
     energy space requires ``v(0) = p(0) = 0``.
     """
@@ -154,13 +162,22 @@ class StateFunctions:
 
     @classmethod
     def from_samples(cls, x, v, p, vdot, pdot) -> "StateFunctions":
+        """Interpolate the samples at the nodes ``x`` linearly.
+
+        Raises ``ValueError`` unless all five are finite, 1-d and of one
+        length >= 2, with ``x`` strictly increasing.
+        """
         x = np.asarray(x, dtype=float)
-
-        def interp(values):
-            values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
-            return lambda xs: np.interp(np.asarray(xs, dtype=float), x, values)
-
-        return cls(*(interp(a) for a in (v, p, vdot, pdot)))
+        fields = [
+            np.asarray(a, complex if np.iscomplexobj(a) else float) for a in (v, p, vdot, pdot)
+        ]
+        if x.ndim != 1 or x.size < 2 or any(a.shape != x.shape for a in fields):
+            raise ValueError("samples must be five 1-d arrays of one length >= 2")
+        if not all(np.all(np.isfinite(a)) for a in (x, *fields)):
+            raise ValueError("samples must be finite")
+        if not np.all(np.diff(x) > 0):
+            raise ValueError("x must increase strictly")
+        return cls(*(functools.partial(np.interp, xp=x, fp=a) for a in fields))
 
     @classmethod
     def from_modal(cls, coeffs: "ModalCoefficients", params: BeamParameters) -> "StateFunctions":
@@ -254,9 +271,9 @@ def _sine_amplitudes(rows: np.ndarray, n: int, J: int) -> np.ndarray:
     return (2.0 / n) * _sine_sums(weighted, n)[..., 1 : 2 * J : 2]
 
 
-def _check_time(t) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+def _quadrature_nodes(length: float, J: int = 0) -> np.ndarray:
+    """``max(J, DEFAULT_QUADRATURE_CELLS) + 1`` uniform nodes on ``[0, length]``."""
+    return np.linspace(0.0, length, max(J, DEFAULT_QUADRATURE_CELLS) + 1)
 
 
 class _Model(NamedTuple):
@@ -378,13 +395,12 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     The samples, real and imaginary parts stacked, go through one
     quarter-wave sine analysis (:func:`_sine_amplitudes`), which gives the
     sine amplitudes of all four components against ``(2/L) sin(sigma_j x)``
-    by the trapezoid rule.  The rule on
-    ``cells = max(J, DEFAULT_QUADRATURE_CELLS)`` uniform cells is exact on
-    this family: a product of modes ``j`` and ``k`` is half the difference of
-    ``cos(m pi x / L)`` at ``m = j - k`` and ``m = j + k - 1``, which it
-    integrates exactly for ``|m| < 2 * cells``.  Since ``J <= cells``,
-    projecting a state in the span of the first ``J`` modes is exact to
-    rounding for every ``J``.
+    by the trapezoid rule on the ``cells = max(J, DEFAULT_QUADRATURE_CELLS)``
+    of :func:`_quadrature_nodes`, exact on this family: a product of modes
+    ``j`` and ``k`` is half the difference of ``cos(m pi x / L)`` at
+    ``m = j - k`` and ``m = j + k - 1``, which it integrates exactly for
+    ``|m| < 2 * cells``.  Since ``J <= cells``, projecting a state in the
+    span of the first ``J`` modes is exact to rounding for every ``J``.
 
     Family ``k`` adds ``S_k = sum sign * a / (i * freq)`` to the position
     amplitudes and ``D_k = sum sign * a`` to the velocity amplitudes along its
@@ -398,15 +414,15 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     _check_integer(J, "J")
     model = _model(params)
     L = params.length
-    cells = max(J, DEFAULT_QUADRATURE_CELLS)
-    samples = state.sample(np.linspace(0.0, L, cells + 1))
+    x = _quadrature_nodes(L, J)
+    samples = state.sample(x)
     # real and imaginary parts in real arithmetic: (part, position/velocity, field, j)
-    amps = _sine_amplitudes(np.vstack((samples.real, samples.imag)), cells, J)
+    amps = _sine_amplitudes(np.vstack((samples.real, samples.imag)), x.size - 1, J)
     unmix = model.decouple / np.sqrt(model.w)[:, None]  # mix^T M / w
     re, im = unmix @ amps.reshape(2, 2, 2, J)  # (position/velocity, family, j)
     S, D = (re + 1j * im)[:, :, None]  # broadcast over the branch axis
     branches = 0.5 * _BRANCH_SIGN * (1j * _frequencies(model.zeta, J, L) * S + D)
-    return ModalCoefficients(*branches.reshape(4, J))
+    return ModalCoefficients._from_branches(branches)
 
 
 def projection_residual(
@@ -414,12 +430,12 @@ def projection_residual(
 ) -> float:
     """Relative L2 mismatch between a state and its truncated reconstruction.
 
-    Trapezoid rule on ``DEFAULT_QUADRATURE_CELLS`` uniform cells.
+    Trapezoid rule on the nodes that :func:`project` samples at the
+    truncation ``J`` of ``coeffs``, so no mode of the span aliases another.
     """
-    x = np.linspace(0.0, params.length, DEFAULT_QUADRATURE_CELLS + 1)
+    x = _quadrature_nodes(params.length, coeffs.truncation)
     original = state.sample(x)
-    rebuilt = reconstruct(coeffs, params, x)
-    diff = np.abs(np.asarray(original, dtype=complex) - rebuilt) ** 2
+    diff = np.abs(original - reconstruct(coeffs, params, x)) ** 2
     denom = np.trapezoid(np.sum(np.abs(original) ** 2, axis=0), x)
     if denom == 0:
         return 0.0
@@ -434,10 +450,10 @@ def propagate(coeffs: ModalCoefficients, params: BeamParameters, t: float) -> Mo
     energy norm is conserved exactly.  Raises ``ValueError`` unless ``t`` is
     finite.
     """
-    _check_time(t)
-    J = coeffs.truncation
-    phase = np.exp(1j * t * _frequencies(_model(params).zeta, J, params.length))
-    return ModalCoefficients(*(coeffs.branches * phase).reshape(4, J))
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    phase = np.exp(1j * t * _frequencies(_model(params).zeta, coeffs.truncation, params.length))
+    return ModalCoefficients._from_branches(coeffs.branches * phase)
 
 
 def modal_norm_sq(coeffs: ModalCoefficients, params: BeamParameters) -> float:
@@ -564,17 +580,19 @@ def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctio
 
         w_k = (flux_k x - int_0^L min(x, r) f_k(r) dr) / lam_k,   u = P w.
 
-    The integrals use the trapezoid rule on ``DEFAULT_QUADRATURE_CELLS``
-    uniform cells; the result interpolates linearly between those nodes.
+    The integrals use the trapezoid rule on the :func:`_quadrature_nodes` at
+    ``J = 0``; the result interpolates linearly between those nodes.
 
     Raises
     ------
     QuadratureFailure
-        If the supplied samples produce non-finite integrals.
+        If a sample of ``g`` is not finite, or the integrals overflow.
     """
     model = _model(params)
-    x = np.linspace(0.0, params.length, DEFAULT_QUADRATURE_CELLS + 1)
-    g1, g2, g3, g4 = g.sample(x)
+    x = _quadrature_nodes(params.length)
+    g1, g2, g3, g4 = samples = g.sample(x)
+    if not np.all(np.isfinite(samples)):
+        raise QuadratureFailure("g has non-finite samples")
     f = model.decouple @ np.stack((g3, g4))
     flux = -(g2[-1] / (2.0 * params.thickness**2)) * model.drive
     # int_0^L min(x, r) f(r) dr = int_0^x r f + x * int_x^L f

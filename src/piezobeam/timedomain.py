@@ -71,7 +71,8 @@ import numpy as np
 
 from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, _check_integer
-from .spectral import ModalCoefficients, _model, _sine_amplitudes, _sine_sums, reconstruct, sigma
+from .spectral import ModalCoefficients, StateFunctions, reconstruct, sigma
+from .spectral import _model, _sine_amplitudes, _sine_sums
 
 __all__ = [
     "Grid",
@@ -480,6 +481,8 @@ def decay_rate(energies, times) -> tuple[float, float]:
     ------
     NonPositiveEnergy
         If any energy in the fitted window is not strictly positive (or is NaN).
+    ValueError
+        If the series are unaligned or shorter than 10, or not finite in the window.
     """
     energies = np.asarray(energies, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -490,6 +493,9 @@ def decay_rate(energies, times) -> tuple[float, float]:
     t = times[start:]
     if not np.all(e > 0):
         raise NonPositiveEnergy("energies must be positive to fit log decay")
+    for name, values in (("energies", e), ("times", t)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} in the fitted window must be finite")
     logs = np.log(e)
     design = np.vstack([t, np.ones_like(t)]).T
     coef, _, _, _ = np.linalg.lstsq(design, logs, rcond=None)
@@ -533,21 +539,17 @@ def grid_state_from_modal(
 
 
 def state_from_samples(grid: Grid, x, v, p, vdot, pdot) -> GridState:
-    """Interpolate sampled fields linearly onto the grid nodes.
+    """Interpolate sampled fields linearly onto the grid nodes; keeps real parts.
 
-    Raises ``ValueError`` unless the five arrays are finite, one-dimensional
-    and of one length of at least 2, with ``x`` strictly increasing from
-    ``<= 0`` to ``>= L`` (up to a relative ``1e-12``): linear interpolation
-    would otherwise extrapolate silently.
+    Raises ``ValueError`` where :meth:`StateFunctions.from_samples` does, and
+    unless ``x`` runs from ``<= 0`` to ``>= L`` (up to a relative ``1e-12``):
+    linear interpolation would otherwise extrapolate silently.
     """
-    x, *fields = (np.asarray(a, dtype=float) for a in (x, v, p, vdot, pdot))
-    if x.ndim != 1 or x.size < 2 or any(a.shape != x.shape for a in fields):
-        raise ValueError("samples must be five 1-d arrays of one length >= 2")
-    if not all(np.all(np.isfinite(a)) for a in (x, *fields)):
-        raise ValueError("samples must be finite")
-    if not (np.all(np.diff(x) > 0) and x[0] <= 0 and x[-1] >= grid.length * (1.0 - 1e-12)):
+    state = StateFunctions.from_samples(x, v, p, vdot, pdot)
+    x = np.asarray(x, dtype=float)
+    if not (x[0] <= 0 and x[-1] >= grid.length * (1.0 - 1e-12)):
         raise ValueError(f"x must increase strictly from <= 0 to >= L = {grid.length}")
-    return GridState(grid, *(np.interp(grid.nodes, x, a) for a in fields))
+    return GridState(grid, *(np.ascontiguousarray(c) for c in state.sample(grid.nodes).real))
 
 
 def sine_velocity_state(grid: Grid, j: int = 1) -> GridState:

@@ -304,7 +304,7 @@ class TestBoundaryValueOracle:
         assert transfer_bvp(s, params, n) == -s * reference_bvp(s, params, n, False) / h
         assert transfer_damped_bvp(s, params, n) == s * reference_bvp(s, params, n, True) / h + 1.0
 
-    @pytest.mark.parametrize("n", [100.0, np.float64(128.0), 63, math.nan])
+    @pytest.mark.parametrize("n", [100.0, np.float64(128.0), 63, math.nan, True])
     @pytest.mark.parametrize("solve", [transfer_bvp, transfer_damped_bvp])
     def test_cell_count_must_be_an_integer_of_at_least_64(self, golden, solve, n):
         with pytest.raises(ValueError, match="n must be an integer >= 64"):

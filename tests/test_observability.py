@@ -132,7 +132,8 @@ class TestApproximants:
     @pytest.mark.parametrize(
         "count, qmax, name",
         [(2.5, 100, "count"), (math.nan, 100, "count"), (3.0, 100, "count"),
-         (3, 100.5, "qmax"), (3, math.nan, "qmax"), (3, 100.0, "qmax")],
+         (3, 100.5, "qmax"), (3, math.nan, "qmax"), (3, 100.0, "qmax"), (True, 100, "count"),
+         (3, True, "qmax")],
     )
     def test_budget_must_be_integers(self, count, qmax, name):
         """A fractional or NaN budget is not rounded or run: it is an invalid budget."""
@@ -213,7 +214,7 @@ class TestCounterexampleStates:
         with pytest.raises(TruncationTooSmall):
             near_unobservable_state(approx, golden, J=3)
 
-    @pytest.mark.parametrize("J", [5.5, 6.0, math.nan])
+    @pytest.mark.parametrize("J", [5.5, 6.0, math.nan, True])
     def test_truncation_must_be_an_integer(self, golden, J):
         approx = OddApproximant(p=1, q=9, err=0.0, cq2=0.0)
         with pytest.raises(TruncationTooSmall, match="J for approximant"):
@@ -234,7 +235,7 @@ class TestCounterexampleStates:
         with pytest.raises(error):
             near_unobservable_state(OddApproximant(p=p, q=q, err=0.0, cq2=0.0), golden)
 
-    @pytest.mark.parametrize("p, q, name", [(1.0, 3, "p"), (1, 3.0, "q"), (1.5, 3, "p")])
+    @pytest.mark.parametrize("p, q, name", [(1.0, 3, "p"), (1, 3.0, "q"), (1.5, 3, "p"), (True, 3, "p")])
     def test_pair_must_be_integers(self, golden, p, q, name):
         with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
             near_unobservable_state(OddApproximant(p=p, q=q, err=0.0, cq2=0.0), golden)
@@ -314,7 +315,9 @@ class TestInghamGap:
         with pytest.raises(NotRational):
             ingham_gap(ratio_half, 1, 4)
 
-    @pytest.mark.parametrize("p, q, name", [(1.0, 2, "p"), (1, 2.0, "q"), (0, 2, "p"), (1, -2, "q")])
+    @pytest.mark.parametrize(
+        "p, q, name", [(1.0, 2, "p"), (1, 2.0, "q"), (0, 2, "p"), (1, -2, "q"), (True, 2, "p")]
+    )
     def test_fraction_must_be_positive_integers(self, ratio_half, p, q, name):
         with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
             ingham_gap(ratio_half, p, q)
@@ -397,7 +400,7 @@ class TestFrameBounds:
             assert out.cmin * (1 - 1e-12) <= quotient <= out.cmax * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("J", [0, -1, 2.5, 3.0, math.nan])
+@pytest.mark.parametrize("J", [0, -1, 2.5, 3.0, math.nan, True])
 def test_exponent_family_needs_an_integer_mode_count(ratio_half, J):
     with pytest.raises(ValueError, match="J must be an integer >= 1"):
         exponent_family(ratio_half, J)

@@ -109,7 +109,7 @@ class TestClassifier:
         with pytest.raises(InvalidBudget):
             classify_stability(golden_dc, tol=0.0)
 
-    @pytest.mark.parametrize("qmax", [10.5, 100.0, math.nan, math.inf])
+    @pytest.mark.parametrize("qmax", [10.5, 100.0, math.nan, math.inf, True])
     def test_qmax_must_be_an_integer(self, golden_dc, qmax):
         with pytest.raises(InvalidBudget, match="qmax must be an integer >= 1"):
             classify_stability(golden_dc, qmax=qmax)

@@ -15,6 +15,8 @@ from piezobeam import (
     ModalCoefficients,
     ModeIndex,
     NonPositiveParameter,
+    OddApproximant,
+    QuadratureFailure,
     StateFunctions,
     derive_constants,
     eigenfunction,
@@ -408,6 +410,22 @@ class TestModalCoefficients:
             ModalCoefficients(np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(2))
         assert ModalCoefficients.zeros(0).branches.shape == (2, 2, 0)
 
+    @pytest.mark.parametrize("params", [pytest.param(p, id=n) for n, p in reference_params()])
+    def test_producers_match_the_four_array_path(self, params):
+        """Each producer's ``(family, branch, j)`` array is read-only and bitwise the four-array one."""
+        J = 24
+        produced = [ModalCoefficients.zeros(J), ModalCoefficients.single(ModeIndex(2, -1, 5), J, 2 - 0.5j)]
+        for state in reference_states(params, J).values():
+            coeffs = project(state, params, J)
+            produced += [coeffs, propagate(coeffs, params, 1.3)]
+        approx = OddApproximant(p=1, q=3, err=0.0, cq2=0.0)
+        produced.append(near_unobservable_state(approx, params, J=J))
+        for coeffs in produced:
+            four = ModalCoefficients(coeffs.c1, coeffs.d1, coeffs.c2, coeffs.d2)
+            assert coeffs.branches.dtype == complex and coeffs.branches.shape == (2, 2, J)
+            assert not coeffs.branches.flags.writeable
+            assert coeffs.branches.tobytes() == four.branches.tobytes()
+
 
 @pytest.mark.parametrize(
     "call",
@@ -508,7 +526,7 @@ class TestWaves:
 
 
 class TestModeCounts:
-    @pytest.mark.parametrize("J", [0, -1, 2.5, 3.0, math.nan, math.inf, np.float64(4.0)])
+    @pytest.mark.parametrize("J", [0, -1, 2.5, 3.0, math.nan, math.inf, np.float64(4.0), True])
     def test_eigenvalues_and_project_name_bad_J(self, golden, J):
         with pytest.raises(ValueError, match="J must be an integer >= 1"):
             eigenvalues(golden, J)
@@ -520,24 +538,26 @@ class TestModeCounts:
         assert project(StateFunctions.zero(), golden, np.int32(3)).truncation == 3
         assert ModeIndex(1, 1, np.int64(2)).j == 2
 
-    @pytest.mark.parametrize("j", [0, 2.5, 2.0, math.nan])
+    @pytest.mark.parametrize("j", [0, 2.5, 2.0, math.nan, True])
     def test_mode_index_rejects_non_integer_j(self, j):
         with pytest.raises(ValueError, match="mode index j must be an integer >= 1"):
             ModeIndex(1, 1, j)
 
     @pytest.mark.parametrize(
-        "family, sign, name", [(1.0, 1, "family"), (2, -1.0, "sign"), (np.float64(2.0), 1, "family")]
+        "family, sign, name",
+        [(1.0, 1, "family"), (2, -1.0, "sign"), (np.float64(2.0), 1, "family"), (True, 1, "family"),
+         (2, True, "sign")],
     )
     def test_mode_index_rejects_float_family_and_sign(self, family, sign, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ModeIndex(family, sign, 1)
 
-    @pytest.mark.parametrize("J", [2.5, 3.0, math.nan])
+    @pytest.mark.parametrize("J", [2.5, 3.0, math.nan, True])
     def test_single_needs_an_integer_truncation(self, J):
         with pytest.raises(ValueError, match="J must be an integer >= 0"):
             ModalCoefficients.single(ModeIndex(1, 1, 3), J)
 
-    @pytest.mark.parametrize("J", [2.5, 3.0, -1])
+    @pytest.mark.parametrize("J", [2.5, 3.0, -1, False])
     def test_zeros_needs_an_integer_truncation(self, J):
         with pytest.raises(ValueError, match="J must be an integer >= 0"):
             ModalCoefficients.zeros(J)
@@ -671,6 +691,23 @@ class TestProjection:
         coeffs = ModalCoefficients.single(ModeIndex(family, sign, J), J)
         back = project(StateFunctions.from_modal(coeffs, golden), golden, J)
         assert np.max(np.abs(back.branches - coeffs.branches)) <= 1e-11
+
+    def test_residual_does_not_alias_above_default_cells(self, golden, golden_dc):
+        """The residual samples the nodes of ``project``, widened with ``J``.
+
+        On 2,049 nodes family-1 mode ``j`` aliases mode ``4097 - j`` with the
+        opposite sign, so mode 1000 at -1 would nearly match mode 3097.  The
+        two are orthogonal, and the rows of mode ``j`` are ``(1, b1, 1, b1)``
+        times ``(1/freq_j, 1/freq_j, 1, 1)``: the residual is
+        ``sqrt(1 + weight_1000 / weight_3097)``, within 1e-7 of ``sqrt(2)``.
+        """
+        J = 3097
+        state = StateFunctions.from_modal(ModalCoefficients.single(ModeIndex(1, 1, J), J), golden)
+        wrong = ModalCoefficients.single(ModeIndex(1, 1, 1000), J, amplitude=-1.0)
+        weight = 1.0 + (golden_dc.zeta1 / sigma(np.array([1000, J]), golden.length)) ** 2
+        residual = projection_residual(state, wrong, golden)
+        assert residual == pytest.approx(math.sqrt(1.0 + weight[0] / weight[1]), abs=1e-9)
+        assert residual == pytest.approx(math.sqrt(2.0), abs=1e-7)
 
     def test_reconstruct_without_modes(self, golden):
         x = np.linspace(0.0, golden.length, 7)
@@ -927,6 +964,14 @@ class TestResolventAtZero:
         x = np.linspace(0.0, golden.length, spectral.DEFAULT_QUADRATURE_CELLS + 1)
         np.testing.assert_array_equal(U.vdot(x), 1j * np.sin(x))
         np.testing.assert_array_equal(U.v(x), 0.0)
+
+    @pytest.mark.parametrize("row", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, golden, row, value):
+        rows = [np.zeros_like] * 4
+        rows[row] = lambda x: np.where(x > 0.5, value, 0.0)
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            resolvent_at_zero(StateFunctions(*rows), golden)
 
     @pytest.mark.parametrize("beam", ["golden", "ratio_half", "random"])
     def test_matches_reference(self, beam, request):

@@ -18,6 +18,7 @@ from piezobeam import (
     NonPositiveEnergy,
     NonPositiveParameter,
     SimConfig,
+    StateFunctions,
     absorbing_gain,
     classical_energy,
     decay_rate,
@@ -233,7 +234,7 @@ class TestNonFiniteState:
 
 
 class TestInitialData:
-    @pytest.mark.parametrize("j", [0, -2, 1.5, math.inf, math.nan, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("j", [0, -2, 1.5, math.inf, math.nan, 2.0, np.float64(3.0), True])
     def test_sine_mode_index_must_be_positive_integer(self, j):
         with pytest.raises(ValueError, match="mode index j must be an integer >= 1"):
             sine_velocity_state(Grid(16), j=j)
@@ -273,6 +274,7 @@ class TestInitialData:
             ([[0.0, 1.0]], "one length >= 2"),
             ([0.0, 0.5, 0.5, 1.0], "increase strictly"),
             ([0.0, 0.7, 0.5, 1.0], "increase strictly"),
+            ([1.0, 0.5, 0.0], "increase strictly"),
             ([0.1, 0.5, 1.0], "increase strictly"),
             ([0.0, 0.5, 0.99], "increase strictly"),
             ([0.0, math.nan, 1.0], "finite"),
@@ -283,6 +285,24 @@ class TestInitialData:
         x = np.asarray(x)
         with pytest.raises(ValueError, match=message):
             state_from_samples(Grid(16), x, *(np.zeros_like(x),) * 4)
+
+    @pytest.mark.parametrize(
+        "x, cut, message",
+        [
+            ([1.0, 0.75, 0.5, 0.25, 0.0], 0, "x must increase strictly"),
+            ([0.0, 0.5, 0.5, 1.0], 0, "x must increase strictly"),
+            ([0.0, math.nan, 1.0], 0, "samples must be finite"),
+            ([0.0, 0.5, 1.0], 1, "samples must be five 1-d arrays of one length >= 2"),
+        ],
+    )
+    def test_state_functions_check_samples_alike(self, x, cut, message):
+        """``StateFunctions.from_samples`` runs the checks of ``state_from_samples``."""
+        x = np.asarray(x)
+        fields = (x, x, x, x[: x.size - cut])
+        with pytest.raises(ValueError, match=message):
+            StateFunctions.from_samples(x, *fields)
+        with pytest.raises(ValueError, match=message):
+            state_from_samples(Grid(16), x, *fields)
 
     def test_sample_arrays_must_share_one_length(self):
         x = np.linspace(0.0, 1.0, 5)
@@ -343,7 +363,7 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="snapshot_dt"):
             SimConfig(snapshot_dt=snapshot_dt)
 
-    @pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0, math.nan, "2"])
+    @pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0, math.nan, "2", True])
     def test_energy_stride_must_be_an_integer(self, stride):
         with pytest.raises(ValueError, match="energy_stride"):
             SimConfig(energy_stride=stride)
@@ -570,6 +590,14 @@ class TestDecayRate:
         e[15] = math.nan
         with pytest.raises(NonPositiveEnergy):
             decay_rate(e, t)
+
+    @pytest.mark.parametrize("which, value", [("energies", math.inf), ("times", math.nan), ("times", -math.inf)])
+    def test_non_finite_window_rejected(self, which, value):
+        series = {"times": np.linspace(0.0, 5.0, 20)}
+        series["energies"] = np.exp(-series["times"])
+        series[which][15] = value
+        with pytest.raises(ValueError, match=f"{which} in the fitted window must be finite"):
+            decay_rate(series["energies"], series["times"])
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
