@@ -28,8 +28,13 @@ eigenvalue of mode ``(k, j)`` and ``s = sqrt(mu * (1 - mu/4))``.  With
 one unforced step maps ``s*a - i*p`` to ``lam * (s*a - i*p)``, with the
 rotation ``lam = (1 - mu/2) + i*s`` of modulus one: the leapfrog's discrete
 phase, built without ``arccos``.  Each of the ``m*N`` modes is thus one
-complex amplitude, rotated once per step.  With no voltage each modulus is
-conserved, and the recorded energy stays within O(dt^2) of its start.
+complex amplitude ``xi``, rotated once per step, and each step's voltage
+``V_n`` adds one scalar to all of them (below).  So :data:`BLOCK` ``= B``
+steps fold into closed form, ``xi <- rotation**B * xi + V @ U`` with ``U``
+the rows ``rotation**(B-1) .. rotation**0``: one pass and one
+matrix-vector product per block where stepping takes three passes per step.
+With no voltage each modulus is conserved, and the recorded energy stays
+within O(dt^2) of its start.
 
 *Driven end.*  The zero-flux end mirrors node ``N-1`` onto ``N+1``, so the
 voltage enters the second difference as a load ``-(2 dt**2 / (dx h)) P^T c``
@@ -42,8 +47,16 @@ end velocity at ``t_n`` of the row that feeds back (``pdot`` coupled,
 ``vdot`` classical), one sum over the modes.  The whole-step velocity holds
 half of the kick of ``V_n``, so the trace is linear in ``V_n`` and the loop
 is closed on it exactly with one scalar division, which keeps the step
-stable at any gain ``k >= 0``.  With the impedance-matched gain the
-classical driven end absorbs incoming waves.
+stable at any gain ``k >= 0``.  Within a block the trace at step ``l`` is
+``F_l . xi``, the trace of ``rotation**l * xi``, plus the earlier kicks of
+the block through the kernel ``g_m = trace_xi . Re(rotation**m)``, so the
+block's voltages solve a unit lower-triangular Toeplitz system:
+``V = A @ xi + w`` with the constant table ``A = c (I - c G)^{-1} F``, ``G``
+the strictly lower Toeplitz matrix of ``g`` and ``c`` the closed-loop gain.
+The part ``w`` that the input drives is solved by forward substitution, so
+a non-finite input leaves the voltages before it finite.  Open loop has
+``A = 0`` and ``V = f``.  With the impedance-matched gain the classical
+driven end absorbs incoming waves.
 
 *Energy meter.*  The recorded energy is
 ``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2`` with the trapezoid rule
@@ -51,7 +64,10 @@ over nodes ``0..N`` and the slopes of ``np.gradient``: centered inside,
 one-sided at the ends.  The sines are orthogonal under these weights, and so
 are the cosines of their centered slopes, so the meter is diagonal in the
 sine amplitudes, plus one rank-one term per family from the one-sided slope
-at node ``N``.  A recorded step reads it from the amplitudes alone.
+at node ``N``.  A recorded step reads it from the amplitudes alone: the
+amplitudes at a step inside a block follow from the block's start and its
+known voltages, and the meter and the output take one square and two
+products over a buffer of such rows.
 :func:`discrete_energy` and :func:`classical_energy` evaluate the same form.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
@@ -69,6 +85,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, _check_integer
 from .spectral import ModalCoefficients, StateFunctions, reconstruct, sigma
@@ -93,6 +110,7 @@ __all__ = [
 ]
 
 MIN_CELLS = 16
+BLOCK = 8  # steps that simulate folds into one update; a divisor of 512
 
 
 @dataclass(frozen=True)
@@ -157,11 +175,12 @@ class SimConfig:
     other values raise ``ValueError``.  The time step is ``cfl`` times the
     stability bound ``dx * zeta2`` (or ``dx * sqrt(rho/alpha1)`` for the
     classical model), shortened so that a whole number of steps spans ``T``.
+    ``T`` and ``cfl`` default to the run defaults of :class:`RunConfig`.
     """
 
     mode: str = "open"
-    T: float = 10.0
-    cfl: float = 0.9
+    T: float = RunConfig.T
+    cfl: float = RunConfig.cfl
     k: float | None = None
     voltage: Callable[[float], float] | None = None
     forcing: Callable[[float], float] | None = None
@@ -235,7 +254,7 @@ def _from_sines(z, model, pos, vel):
     return model.modes @ w[:m], model.modes @ w[m:]
 
 
-def _sine_meter(lam: np.ndarray, h: float, grid: Grid, pos, vel):
+def _sine_meter(lam: np.ndarray, h: float, grid: Grid, pos, vel, output=0.0):
     """``(h/2) * sum_k int wd_k**2 + lam_k (w_k)_x**2`` on the amplitudes of :func:`_to_sines`.
 
     The integral is the trapezoid rule over nodes ``0..N`` and the slopes are
@@ -245,8 +264,9 @@ def _sine_meter(lam: np.ndarray, h: float, grid: Grid, pos, vel):
     at node 0 equals the one-sided slope, and the cosines are orthogonal with
     squared norm ``N/2`` under the trapezoid weights.  The one-sided
     slope at node ``N`` is ``sum_j (-1)**(j+1) * (1 - cos(sigma_j dx)) / dx * a_j``,
-    one rank-one term per family.  Returns ``energy(z)`` for flat complex
-    ``z``; a call allocates nothing of size ``N``.
+    one rank-one term per family.  Returns ``meter(z)`` for complex ``z`` of
+    shape ``(R, m*N)``: the energy of each row and ``Re(z) @ output``, from
+    one square and two products.
     """
     m, n, dx = lam.size, grid.n, grid.dx
     theta = _half_angles(n, grid.length)
@@ -257,16 +277,17 @@ def _sine_meter(lam: np.ndarray, h: float, grid: Grid, pos, vel):
     weights = weights.ravel().view(np.float64)
     end = (-1.0) ** np.arange(n) * (2.0 * np.sin(theta) ** 2 / dx)  # one-sided slope at node N
     slope = 1j * np.sqrt(0.25 * h * dx * lam)[:, None] * end / pos
-    rank = (np.eye(m)[:, :, None] * slope).reshape(m, -1).view(np.float64)  # one row per family
-    square = np.empty_like(weights)
+    probe = np.zeros((m + 1, m * n), dtype=complex)  # one row per family, then the output
+    probe[:m] = (np.eye(m)[:, :, None] * slope).reshape(m, -1)
+    probe[m].real = output
+    probe = probe.view(np.float64).T
 
-    def energy(z: np.ndarray) -> float:
+    def meter(z: np.ndarray):
         zf = z.view(np.float64)
-        np.multiply(zf, zf, out=square)
-        r = rank @ zf
-        return float(square @ weights + r @ r)
+        r = zf @ probe
+        return (zf * zf) @ weights + (r[:, :m] ** 2).sum(axis=1), r[:, m]
 
-    return energy
+    return meter
 
 
 def _fields(state: GridState, m: int):
@@ -285,7 +306,7 @@ def _check_length(grid: Grid, params: BeamParameters) -> None:
 def _state_energy(state: GridState, params: BeamParameters, model) -> float:
     _check_length(state.grid, params)
     z = _to_sines(*_fields(state, model.lam.size), model, 1.0, 1.0)
-    return _sine_meter(model.lam, params.thickness, state.grid, 1.0, 1.0)(z)
+    return float(_sine_meter(model.lam, params.thickness, state.grid, 1.0, 1.0)(z[None])[0][0])
 
 
 def discrete_energy(state: GridState, params: BeamParameters) -> float:
@@ -332,20 +353,51 @@ def _as_state(grid: Grid, u, ud, t: float) -> GridState:
     return GridState(grid, v, p, vdot, pdot, t)
 
 
+def _block_tables(rotation: np.ndarray, trace_xi: np.ndarray, gain: float):
+    """Constant tables of :data:`BLOCK` closed-loop steps.
+
+    ``powers[l] = rotation**l`` for ``l = 0..BLOCK``, and ``kicks`` holds the
+    float views of ``rotation**(BLOCK-1) .. rotation**0``: the amplitudes
+    after a block are ``powers[BLOCK] * xi + V @ kicks``.  ``kernel[l]`` is
+    ``gain * trace_xi . Re(rotation**l)``, the feedback at a step of a unit
+    kick ``l`` steps before.  ``feedback`` is the ``BLOCK x 2mN`` table with
+    ``V = feedback @ xi.view(float)`` for an unforced block:
+    ``gain * (I - G)^{-1} F``, with ``F`` the traces of ``rotation**l * xi``
+    for ``l = 1..BLOCK`` and ``G`` the strictly lower Toeplitz matrix of
+    ``kernel``, solved by forward substitution.
+    """
+    powers = np.empty((BLOCK + 1, rotation.size), dtype=complex)
+    powers[0] = 1.0
+    for l in range(BLOCK):
+        np.multiply(powers[l], rotation, out=powers[l + 1])
+    kicks = np.ascontiguousarray(powers[BLOCK - 1 :: -1]).view(np.float64)
+    kernel = gain * (powers[:BLOCK].real @ trace_xi)
+    feedback = np.empty((BLOCK, rotation.size), dtype=complex)
+    feedback.real = gain * trace_xi * powers[1:].real
+    feedback.imag = -gain * trace_xi * powers[1:].imag
+    feedback = feedback.view(np.float64)
+    for l in range(1, BLOCK):
+        feedback[l] += kernel[l:0:-1] @ feedback[:l]
+    return powers, kicks, kernel, feedback
+
+
 def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Trajectory:
     """Integrate the beam dynamics from ``initial`` over ``[0, cfg.T]``.
 
     The step is ``cfg.cfl`` times the stability bound (see
     :class:`SimConfig`), shortened to divide ``cfg.T`` evenly.  The initial
-    modal fields are transformed once into their ``m*N`` sine amplitudes; a
-    step rotates each amplitude by its leapfrog phase and adds the voltage's
-    kick (see *Sine modes* and *Driven end* in the module docstring).
-    Recorded steps and snapshots only read the amplitudes, so
-    ``energy_stride`` and ``snapshot_dt`` leave the run bitwise unchanged.
-    Returns a :class:`Trajectory` with per-step energies and output samples.  Raises
-    :class:`NonFiniteState` with the step index if the update blows up: at
-    the first recorded step whose energy is not finite (step 0 for bad
-    initial data), or at the latest multiple of 512 steps.
+    modal fields are transformed once into their ``m*N`` sine amplitudes.
+    Each block of :data:`BLOCK` steps (fewer at the end) solves its voltages
+    and advances the amplitudes in closed form (see *Sine modes* and *Driven
+    end* in the module docstring).  Recorded steps and snapshots are built
+    from the block's start and its known voltages and only read them, and
+    the final step is always metered alone, so ``energy_stride`` and
+    ``snapshot_dt`` leave the run, ``energy[-1]`` and ``y[-1]`` bitwise
+    unchanged.  Returns a :class:`Trajectory` with per-step energies and
+    output samples.  Raises :class:`NonFiniteState` with the step index if
+    the update blows up: at the first recorded step whose energy is not
+    finite (step 0 for bad initial data), or at the latest multiple of 512
+    steps.
     """
     params.validate()
     grid = initial.grid
@@ -378,57 +430,100 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     # xi = (dt * adot + 1j * sine * a) / image rotates by `rotation`, and a kick by V adds V
     pos, vel = sine / image, dt / image
     xi = _to_sines(u, ud, model, pos, vel)
-    now = np.empty_like(xi)  # xi at the latest recorded or snapshot step
-    xi_re, now_re = xi.real, now.real
-    energy = _sine_meter(model.lam, h, grid, pos, vel)
     end = np.repeat(load / (n * dt), n)  # end velocity of each family per unit Re(xi)
     trace_xi = end * np.repeat(model.modes[-1], n)  # the row of P that feeds back
-    output = end * np.repeat(model.drive / h, n)
+    meter = _sine_meter(model.lam, h, grid, pos, vel, end * np.repeat(model.drive / h, n))
     # the whole-step trace holds half the kick of V: trace = trace_xi . Re(xi) + trace_load * V
     trace_load = 0.5 * float(model.modes[-1] @ load) / dt
-    trace_gain = 1.0 / (1.0 - trace_load * k)
-
-    def record(step: int, t: float, f: float) -> None:
-        e = energy(now)
-        if not math.isfinite(e):
-            raise NonFiniteState(f"non-finite state at step {step}")
-        times.append(t)
-        energies.append(e)
-        ys.append(float(now_re.dot(output)) + (f if forced else 0.0))
-
+    gain = k / (1.0 - trace_load * k)  # V = f + gain * (trace_xi . Re(xi) + trace_load * f)
+    powers, kicks, kernel, feedback = _block_tables(rotation, trace_xi, gain)
     stride = cfg.energy_stride
     times: list[float] = []
     energies: list[float] = []
     ys: list[float] = []
     snapshots: list[tuple[float, GridState]] = []
     snap_next = cfg.snapshot_dt
+    rows = np.empty((BLOCK, xi.size), dtype=complex)  # recorded whole-step amplitudes not yet metered
+    pending: list[int] = []  # their steps
+    inputs: list[float] = []  # and the inputs at those steps
+    windows = np.arange(BLOCK) + np.arange(BLOCK + 1)[:, None]  # row l: the kicks of steps 1..l, right-aligned
 
-    f = external(0.0) if external is not None else 0.0
-    voltage = k * float(xi_re.dot(trace_xi)) + f
-    np.copyto(now, xi)
-    record(0, 0.0, f)
-    xi += 0.5 * voltage
-    for step in range(1, nsteps + 1):
-        xi *= rotation
-        t = step * dt
+    def record(steps, z, f) -> None:
+        e, y = meter(z)
+        finite = np.isfinite(e)
+        if not finite.all():
+            raise NonFiniteState(f"non-finite state at step {steps[int(np.argmin(finite))]}")
+        times.extend(step * dt for step in steps)
+        energies.extend(e.tolist())
+        ys.extend((y + f if forced else y).tolist())
+
+    def flush() -> None:
+        if pending:
+            record(pending, rows[: len(pending)], np.array(inputs))
+            pending.clear()
+            inputs.clear()
+
+    def whole(at: range, voltage: np.ndarray, out: np.ndarray) -> None:
+        """Whole-step amplitudes at the block offsets ``at``: ``rotation**l * xi``
+        plus the block's kicks of steps ``1..l``, the last one halved."""
+        np.multiply(powers[at.start : at.stop : at.step], xi, out=out)
         if driven:
-            f = external(t) if external is not None else 0.0
-            voltage = f
-            if k:
-                voltage += k * (xi_re.dot(trace_xi) + trace_load * f) * trace_gain
-        keep = step % stride == 0 or step == nsteps
-        snap = snap_next is not None and (t + 1e-12 >= snap_next or step == nsteps)
-        if keep or snap:
-            np.add(xi, 0.5 * voltage, out=now)
-        if keep:
-            record(step, t, f)
+            top = BLOCK - at[-1]
+            taps = np.concatenate((np.zeros(BLOCK), voltage))[windows[at.start : at.stop : at.step, top:]]
+            taps[:, -1] *= 0.5
+            of = out.view(np.float64)
+            of += taps @ kicks[top:]
+
+    f0 = external(0.0) if external is not None else 0.0
+    record([0], xi[None], f0)
+    xi += 0.5 * (k * float(xi.real @ trace_xi) + f0)
+    f = np.zeros(BLOCK)  # the inputs of the block's steps
+    xf = xi.view(np.float64)
+    done = 0
+    while done < nsteps:
+        span = min(BLOCK, nsteps - done)
+        voltage = feedback[:span] @ xf if k else np.zeros(span)
+        if external is not None:
+            f = np.array([external((done + l) * dt) for l in range(1, span + 1)])
+            forcing = (1.0 + gain * trace_load) * f
+            if k:  # forward substitution: a non-finite input spoils no earlier voltage
+                for l in range(1, span):
+                    forcing[l] += kernel[l:0:-1] @ forcing[:l]
+            voltage += forcing
+        last = span - (done + span == nsteps)  # the final step is recorded after the loop
+        at = range(stride - done % stride, last + 1, stride)
+        at_end = len(at) > 0 and at[-1] == span
+        mid = at[:-1] if at_end else at
+        if len(pending) + len(at) > BLOCK:
+            flush()
+        if mid:
+            whole(mid, voltage, rows[len(pending) : len(pending) + len(mid)])
+            pending.extend(done + l for l in mid)
+            inputs.extend(f[l - 1] for l in mid)
+        if snap_next is not None:
+            for l in range(1, last + 1):
+                if (done + l) * dt + 1e-12 >= snap_next:
+                    now = np.empty((1, xi.size), dtype=complex)
+                    whole(range(l, l + 1), voltage, now)
+                    t = (done + l) * dt
+                    snapshots.append((t, _as_state(grid, *_from_sines(now[0], model, pos, vel), t)))
+                    snap_next += cfg.snapshot_dt
+        xi *= powers[span]
         if driven:
-            xi += voltage
-        if snap:
-            snapshots.append((t, _as_state(grid, *_from_sines(now, model, pos, vel), t)))
-            snap_next += cfg.snapshot_dt
-        if step % 512 == 0:
-            _check_finite((xi,), step)
+            xf += voltage @ kicks[BLOCK - span :]
+        done += span
+        if at_end:
+            np.subtract(xi, 0.5 * voltage[-1], out=rows[len(pending)])
+            pending.append(done)
+            inputs.append(f[-1])
+        if done % 512 == 0:
+            flush()
+            _check_finite((xi,), done)
+    flush()
+    now = xi - 0.5 * voltage[-1]
+    record([nsteps], now[None], f[-1:])
+    if snap_next is not None:
+        snapshots.append((nsteps * dt, _as_state(grid, *_from_sines(now, model, pos, vel), nsteps * dt)))
     u, ud = _from_sines(now, model, pos, vel)
     _check_finite((u, ud), nsteps)
     return Trajectory(

@@ -1,7 +1,7 @@
 """Finite-difference simulation: conservation, dissipation, balance, absorption."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,6 +36,8 @@ from piezobeam import (
     sine_velocity_state,
     state_from_samples,
 )
+from piezobeam.config import RunConfig
+from piezobeam.timedomain import BLOCK
 
 
 def eigenmode_state(params, grid, family=1, j=1):
@@ -203,19 +205,27 @@ class TestReferenceStepper:
         ids=["open", "closed", "classical"],
     )
     def test_recording_does_not_change_the_run(self, golden, cfg):
-        """Energy strides and snapshots only read the state: the final state is bitwise equal."""
+        """Energy strides and snapshots only read the state: the final state, energy and output
+        are bitwise equal, and a stride records the stride-1 samples."""
         state = rich_state(Grid(64))
+        strides = (1, 3, 4, 5, 8, 10**9)
         runs = [
-            simulate(state, golden, SimConfig(T=2.0, energy_stride=stride, snapshot_dt=snap, **cfg))
-            for stride in (1, 4, 10**9)
+            (stride, simulate(state, golden, SimConfig(T=2.0, energy_stride=stride, snapshot_dt=snap, **cfg)))
+            for stride in strides
             for snap in (None, 0.3)
         ]
-        first = runs[0]
-        for traj in runs[1:]:
+        first = runs[0][1]
+        assert round(2.0 / first.dt) % BLOCK != 0  # the last block is a short one
+        snapped = [round(t / first.dt) for t, _ in runs[1][1].snapshots]
+        assert any(step % BLOCK for step in snapped[:-1])  # snapshots inside a block
+        for stride, traj in runs[1:]:
             for name in ("v", "p", "vdot", "pdot"):
                 np.testing.assert_array_equal(getattr(traj.final, name), getattr(first.final, name))
             assert traj.energy[-1] == first.energy[-1]
             assert traj.y[-1] == first.y[-1]
+            np.testing.assert_array_equal(traj.t[:-1], first.t[::stride][: traj.t.size - 1])
+            np.testing.assert_allclose(traj.energy[:-1], first.energy[::stride][: traj.t.size - 1], rtol=1e-13)
+            np.testing.assert_allclose(traj.y[:-1], first.y[::stride][: traj.t.size - 1], rtol=0, atol=1e-13)
 
 
 class TestNonFiniteState:
@@ -225,12 +235,24 @@ class TestNonFiniteState:
         with pytest.raises(NonFiniteState, match=r"step 0$"):
             simulate(state, golden, SimConfig(mode="closed", T=1.0))
 
-    def test_first_bad_step_named_exactly(self, golden):
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_first_bad_step_named_exactly(self, golden, stride):
+        """A non-finite input spoils no earlier step of its block: the first
+        recorded step at or after it is named."""
         state = gaussian_velocity_state(Grid(64))
         dt = simulate(state, golden, SimConfig(mode="closed", T=1.0)).dt
         bad = lambda t: math.nan if t > 0.5 else 0.0  # noqa: E731
-        with pytest.raises(NonFiniteState, match=rf"step {math.floor(0.5 / dt) + 1}$"):
-            simulate(state, golden, SimConfig(mode="closed", T=1.0, forcing=bad))
+        first = math.floor(0.5 / dt) + 1
+        assert first % BLOCK not in (0, 1)  # inside a block, after its first step
+        named = -(-first // stride) * stride
+        with pytest.raises(NonFiniteState, match=rf"step {named}$"):
+            simulate(state, golden, SimConfig(mode="closed", T=1.0, forcing=bad, energy_stride=stride))
+
+    def test_unrecorded_blow_up_named_at_a_multiple_of_512(self, golden):
+        state = gaussian_velocity_state(Grid(64))
+        bad = lambda t: math.nan if t > 1.0 else 0.0  # noqa: E731
+        with pytest.raises(NonFiniteState, match=r"step 512$"):
+            simulate(state, golden, SimConfig(mode="closed", T=10.0, forcing=bad, energy_stride=10**9))
 
 
 class TestInitialData:
@@ -371,6 +393,11 @@ class TestSimConfig:
     @pytest.mark.parametrize("stride", [1, 8, 10**9, np.int64(4)])
     def test_integer_energy_stride_accepted(self, stride):
         assert SimConfig(energy_stride=stride).energy_stride == stride
+
+    def test_run_defaults_are_the_run_configs(self):
+        """Library runs and CLI runs share one table of defaults."""
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        assert (SimConfig().T, SimConfig().cfl) == (defaults["T"], defaults["cfl"])
 
     def test_step_is_not_an_option(self):
         """``cfl`` sets the step; there is no ``dt`` to force."""
