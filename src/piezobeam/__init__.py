@@ -9,6 +9,7 @@ energy-conserving integrator, evaluates the boundary transfer function, and
 constructs the Diophantine observability certificates and counterexamples.
 """
 
+from . import _heap
 from .config import RunConfig, load_config, parse_config
 from .errors import (
     CflViolation,
@@ -98,3 +99,5 @@ from .timedomain import (
 )
 
 __version__ = "0.1.0"
+
+_heap.fix_mmap_threshold()

@@ -16,18 +16,30 @@ scalar ``s`` and return a Python ``complex``, or an array of any shape and
 return a complex array of that shape; the residues are memoised per
 ``params``, so no function takes derived constants (the ``dc`` of
 ``transfer_closed`` and ``transfer_damped`` is ignored).  ``transfer_bvp``
-solves the boundary-value problem, assembled from the PDE coefficients, by
-finite differences: an independent oracle that, like ``transfer_damped_bvp``,
-takes a scalar ``s`` only.  The damped loop (feedback ``-pdot(L)/(2h)`` plus an
-external input) has input-output transfer ``G_d = (1 - G/2) / (1 + G/2)``, a
-Cayley transform that maps the positive-real ``G`` into the closed unit disk;
-the external input reaches the electrode-current trace through ``G / (1 + G/2)``.
+is an independent oracle that, like ``transfer_damped_bvp``, takes a scalar
+``s`` only.  It solves the ``n``-cell finite-difference system of the
+boundary-value problem, assembled from the PDE coefficients, exactly and one
+wave family at a time,
+
+    G_n(s) = sum_k R_k tanh(2 n phi_k) / cosh(phi_k),   phi_k = asinh(s zeta_k L / (2n)),
+
+at a cost that does not grow with ``n``.  Its families come from the grid's
+own 2x2 matrix, decomposed from the raw parameters rather than read from
+``_model``, so the oracle shares no code with the closed form it checks.
+
+The damped loop (feedback ``-pdot(L)/(2h)`` plus an external input) has
+input-output transfer ``G_d = (1 - G/2) / (1 + G/2)``, a Cayley transform that
+maps the positive-real ``G`` into the closed unit disk; the external input
+reaches the electrode-current trace through ``G / (1 + G/2)``.  On the grid
+the feedback is a rank-one change of the driven end, so the discrete loop is
+the same transform of ``G_n``.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import numbers
 import operator
 from typing import NamedTuple
@@ -106,66 +118,95 @@ def transfer_closed(
 
 
 def _bvp_solve(s: complex, params: BeamParameters, n: int, damped: bool) -> complex:
-    """Finite-difference solve of the boundary-value problem; returns Z(L).
+    """Exact solution of the finite-difference boundary-value system.
 
-    Unknowns are interleaved ``(Y_i, Z_i)`` for ``i = 1..n``; the driven-end
-    flux conditions enter through ghost nodes.  For the damped loop the
-    voltage contains the state feedback ``(s / 2h) Z(L)``, which moves one
-    term onto the matrix diagonal.
+    Returns the grid transfer ``G_n`` or, with ``damped``, the damped loop's
+    ``(1 - G_n/2) / (1 + G_n/2)``.  With ``K = [[alpha, -gamma beta], [-gamma
+    beta, beta]]``, ``alpha = alpha1 + gamma^2 beta``, and ``M = diag(rho,
+    mu)``, the unknowns ``u_i = (Y_i, Z_i)`` at the nodes ``i dx``, ``dx =
+    L/n``, satisfy
+
+        K (u_{i-1} - 2 u_i + u_{i+1}) / dx^2 = s^2 M u_i      (0 < i < n),
+        u_0 = 0,
+        2 K (u_{n-1} - u_n) / dx^2 - s^2 M u_n = (0, 2/(h dx)),
+
+    the last row being the driven-end flux condition through a ghost node,
+    and ``G_n = -s Z_n / h``.  The eigenvectors ``v_k`` of ``K^-1 M``, with
+    eigenvalues ``zeta_k^2`` and scaled to ``v_k^T K v_k = 1`` (so ``v_k^T M
+    v_k = zeta_k^2``), decouple the rows.  Family ``k`` is ``A_k sinh(i
+    theta_k)`` with ``2 (cosh theta_k - 1) = (s dx zeta_k)^2``, i.e. ``theta_k
+    = 2 phi_k``, ``phi_k = asinh(s dx zeta_k / 2)``.  Its end row reads ``-2
+    A_k sinh(theta_k) cosh(n theta_k) / dx^2 = (2/(h dx)) v_kZ``: the mass
+    term cancels against ``cosh theta_k - 1``, so the 2x2 end system is
+    diagonal and
+
+        G_n = sum_k R_k tanh(2 n phi_k) / cosh(phi_k),
+        R_k = zeta_k v_kZ^2 / (h^2 (rho v_kY^2 + mu v_kZ^2)).
+
+    A zero of ``sinh(2 n phi_k)`` is harmless, and ``phi_k = 0`` gives
+    ``G_n(0) = 0``.  The damped loop's feedback ``-s Z_n / (h^2 dx)`` is a
+    rank-one change of the driven end, which maps ``G_n`` to its Cayley
+    transform.  :class:`SingularSystem` is raised within ``_POLE_TOL`` of a
+    zero of ``cosh(2 n phi_k)`` (undamped) or of ``1 + G_n/2`` (damped).
     """
-    from scipy.linalg import solve_banded  # SciPy loads only when the oracle runs
-
     _check_integer(n, "n", 64)
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    params.validate()
     rho, a1, beta, gamma, mu = params.rho, params.alpha1, params.beta, params.gamma, params.mu
-    L, h = params.length, params.thickness
-    alpha = a1 + gamma**2 * beta
-    gb = gamma * beta
-    dx = L / n
-    fac = 1.0 / dx**2
-    size = 2 * n
-    # (l, u) = (3, 3) storage: matrix entry (r, c) sits at bands[3 + r - c, c].
-    # Y_i is unknown 2(i-1) (even columns), Z_i is 2(i-1)+1 (odd columns).
-    bands = np.zeros((7, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-    s2 = s * s
-    left = np.ones(n - 1)
-    left[-1] = 2.0  # at node n the ghost doubles the inner neighbor
-    bands[3, 0::2] = -2.0 * alpha * fac - rho * s2
-    bands[3, 1::2] = -2.0 * beta * fac - mu * s2
-    bands[2, 1::2] = 2.0 * gb * fac  # Y row, own Z
-    bands[4, 0::2] = 2.0 * gb * fac  # Z row, own Y
-    bands[5, 0:-2:2] = left * alpha * fac  # Y row, Y of node i-1
-    bands[4, 1:-2:2] = -left * gb * fac  # Y row, Z of node i-1
-    bands[5, 1:-2:2] = left * beta * fac  # Z row, Z of node i-1
-    bands[6, 0:-2:2] = -left * gb * fac  # Z row, Y of node i-1
-    bands[1, 2::2] = alpha * fac  # Y row, Y of node i+1
-    bands[0, 3::2] = -gb * fac  # Y row, Z of node i+1
-    bands[1, 3::2] = beta * fac  # Z row, Z of node i+1
-    bands[2, 2::2] = -gb * fac  # Z row, Y of node i+1
-    # driven end: the Y-row ghost contributions cancel exactly; the Z-row
-    # carries the physical flux -V/h with unit input
-    zn = size - 1
-    rhs[zn] = 2.0 / (h * dx)
-    if damped:
-        bands[3, zn] += -s / (h**2 * dx)
-    try:
-        sol = solve_banded((3, 3), bands, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(sol.view(float))):
+    # K^-1 M = [[a11, a12], [a21, a22]], whose off-diagonal entries are positive.
+    a11, a12, a21 = rho / a1, gamma * mu / a1, gamma * rho / a1
+    a22 = (a1 + gamma**2 * beta) * mu / (a1 * beta)
+    d = a11 - a22
+    r = math.hypot(d, 2.0 * math.sqrt(a12 * a21))
+    lam = 0.5 * (a11 + a22 + r)  # the larger eigenvalue; their product is rho mu / (a1 beta)
+    # w = lam - a22 = a11 - (smaller) if d >= 0, else lam - a11 = a22 - (smaller),
+    # formed without cancellation
+    w = 0.5 * (abs(d) + r)
+    # eigenvectors (v_kY, v_kZ) of the larger and the smaller eigenvalue, up to sign and scale
+    large, small = ((w, a21), (a12, w)) if d >= 0 else ((a12, w), (w, a21))
+    families = ((lam, large), (rho * mu / (a1 * beta * lam), small))
+    half_dx = 0.5 * params.length / n
+    g = 0j
+    for lam_k, (vy, vz) in families:
+        zeta = math.sqrt(lam_k)
+        z = s * (half_dx * zeta)
+        if not cmath.isfinite(z):
+            raise ValueError(f"s={s} is too large: s dx zeta_k overflows")
+        phi = cmath.asinh(z)
+        t = cmath.tanh(2 * n * phi)
+        if not damped and abs(t) > 1.0 / _POLE_TOL:
+            raise SingularSystem(f"discrete system singular near s={s}")
+        g += zeta * vz**2 / (rho * vy**2 + mu * vz**2) * t / cmath.cosh(phi)
+    g /= params.thickness**2
+    if not damped:
+        return g
+    den = 1.0 + 0.5 * g
+    if abs(den) <= _POLE_TOL * (1.0 + abs(0.5 * g)):
         raise SingularSystem(f"discrete system singular near s={s}")
-    return complex(sol[zn])
+    return (1.0 - 0.5 * g) / den
 
 
 def transfer_bvp(s: complex, params: BeamParameters, n: int = 4096) -> complex:
-    """Transfer function via a direct second-order boundary-value solve.
+    """Transfer function of the ``n``-cell finite-difference boundary-value problem.
 
-    Independent of the closed form; the discretization error is O(n^-2), so
-    Richardson steps (doubling ``n``) shrink the disagreement by ~4x.
-    Raises ``ValueError`` unless ``n >= 64`` is an integer.
+    The grid system, assembled from the PDE coefficients, is solved exactly
+    one wave family at a time (see :func:`_bvp_solve`):
+
+        G_n(s) = sum_k R_k tanh(2 n phi_k) / cosh(phi_k),   phi_k = asinh(s zeta_k L / (2n)),
+
+    a few complex functions per family, so the cost does not grow with ``n``.
+    The families are decomposed from the raw parameters, not read from
+    :func:`piezobeam.spectral._model` or :func:`derive_constants`, so the
+    oracle shares no code with the closed form it checks.  The
+    discretization error is O(n^-2), so Richardson steps (doubling ``n``)
+    shrink the disagreement by ~4x.  Raises ``ValueError`` unless ``n >= 64``
+    is an integer and ``s`` is finite, the errors of
+    :meth:`BeamParameters.validate`, and :class:`SingularSystem` next to a
+    pole of ``G_n`` (on the imaginary axis).
     """
-    return -complex(s) * _bvp_solve(s, params, n, damped=False) / params.thickness
+    return _bvp_solve(s, params, n, damped=False)
 
 
 def transfer_damped(
@@ -195,12 +236,15 @@ def damped_trace_gain(s: complex | np.ndarray, params: BeamParameters) -> comple
 
 
 def transfer_damped_bvp(s: complex, params: BeamParameters, n: int = 4096) -> complex:
-    """Damped-loop transfer by a direct solve with the feedback in the boundary.
+    """Damped-loop transfer of the grid system with the feedback in the driven end.
 
-    Cross-check for :func:`transfer_damped`: the discrete loop reproduces
-    ``(1 - G/2)/(1 + G/2)`` to O(n^-2).
+    Cross-check for :func:`transfer_damped`: the discrete loop is exactly
+    ``(1 - G_n/2)/(1 + G_n/2)`` for the ``G_n`` of :func:`transfer_bvp`, so it
+    reproduces ``(1 - G/2)/(1 + G/2)`` to O(n^-2).  It stays finite at the
+    poles of ``G_n`` and raises :class:`SingularSystem` where ``G_n = -2``;
+    otherwise it raises as :func:`transfer_bvp` does.
     """
-    return complex(s) * _bvp_solve(s, params, n, damped=True) / params.thickness + 1.0
+    return _bvp_solve(s, params, n, damped=True)
 
 
 class ScanResult(NamedTuple):

@@ -4,13 +4,16 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from piezobeam import (
     BeamParameters,
+    DegenerateCoupling,
     PoleProximity,
+    SingularSystem,
     analytic_line_bound,
     boundedness_scan,
     damped_trace_gain,
@@ -23,6 +26,7 @@ from piezobeam import (
 from piezobeam.frequency import _residues
 
 G_INF_GOLDEN = 3.0 / math.sqrt(5.0)
+GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0  # zeta1 of the unit beam; zeta2 = 1/zeta1
 G_AT_ONE_GOLDEN = 1.176144180642303  # recorded from the Richardson-extrapolated BVP oracle
 
 
@@ -72,6 +76,46 @@ def reference_bvp(s, params, n, damped):
     if damped:
         bands[u_band, zn] += -s / (h**2 * dx)
     return complex(solve_banded((3, 3), bands, rhs)[zn])
+
+
+def mpmath_bvp(s, params, n, dps=40):
+    """``(G_n, G_d)`` of the same grid system, shot in ``dps``-digit arithmetic.
+
+    The interior rows, solved for ``u_{i+1}``, carry the two solutions with
+    ``u_0 = 0`` and ``u_1 = (1, 0)`` or ``(0, 1)`` from node 1 to node ``n``;
+    the driven-end row, with and without the damped loop's feedback, then
+    fixes their combination.
+    """
+    with mpmath.workdps(dps):
+        rho, a1, beta, gamma, mu, L, h = map(mpmath.mpf, (
+            params.rho, params.alpha1, params.beta, params.gamma, params.mu,
+            params.length, params.thickness,
+        ))
+        alpha, gb = a1 + gamma**2 * beta, gamma * beta
+        s = mpmath.mpc(s)
+        dx = L / n
+        # (s dx)^2 K^-1 M, with K = [[alpha, -gb], [-gb, beta]] and M = diag(rho, mu)
+        c = (s * dx) ** 2 / (alpha * beta - gb**2)
+        m11, m12, m21, m22 = c * beta * rho, c * gb * mu, c * gb * rho, c * alpha * mu
+        shots = []
+        for y, z in ((mpmath.mpf(1), mpmath.mpf(0)), (mpmath.mpf(0), mpmath.mpf(1))):
+            y0 = z0 = mpmath.mpf(0)
+            for _ in range(n - 1):
+                y0, z0, y, z = y, z, 2 * y - y0 + m11 * y + m12 * z, 2 * z - z0 + m21 * y + m22 * z
+            shots.append((y0, z0, y, z))
+        out = []
+        for feedback in (0, s / (h**2 * dx)):
+            rows = []
+            for y0, z0, y, z in shots:
+                dy, dz = 2 * (y0 - y) / dx**2, 2 * (z0 - z) / dx**2
+                rows.append((alpha * dy - gb * dz - s**2 * rho * y,
+                             -gb * dy + beta * dz - s**2 * mu * z - feedback * z))
+            (p11, p21), (p12, p22) = rows
+            rhs = 2 / (h * dx)
+            det = p11 * p22 - p12 * p21
+            zn = (-p12 * shots[0][3] + p11 * shots[1][3]) * rhs / det
+            out.append(s * zn / h)
+        return complex(-out[0]), complex(1 + out[1])
 
 
 def reference_transfer_closed(s, params, dc):
@@ -267,12 +311,20 @@ class TestClosedForm:
 
 class TestBoundaryValueOracle:
     def test_agreement_with_richardson(self, golden):
-        """Closed form matches the mesh-extrapolated direct solve to 1e-8."""
+        """Closed form matches the mesh-extrapolated grid solve to 1e-11."""
         coarse = transfer_bvp(1.0, golden, 2048)
         fine = transfer_bvp(1.0, golden, 4096)
         extrapolated = (4.0 * fine - coarse) / 3.0
         np.testing.assert_allclose(
-            transfer_closed(1.0, golden), extrapolated, rtol=1e-8
+            transfer_closed(1.0, golden), extrapolated, rtol=1e-11
+        )
+
+    @pytest.mark.parametrize("s", [0.1 + 3.0j, 0.1 - 3.0j, 0.2 + 0.1j])
+    def test_agreement_with_richardson_near_the_axis(self, golden, s):
+        coarse = transfer_bvp(s, golden, 2048)
+        fine = transfer_bvp(s, golden, 4096)
+        np.testing.assert_allclose(
+            transfer_closed(s, golden), (4.0 * fine - coarse) / 3.0, rtol=1e-10
         )
 
     def test_second_order_convergence(self, golden):
@@ -298,11 +350,96 @@ class TestBoundaryValueOracle:
             (BeamParameters(0.8, 1.4, 0.6, 1.3, 0.9, length=0.6, thickness=2.5), 0.01 + 7.0j, 333),
         ],
     )
-    def test_matches_reference_loop_assembly(self, params, s, n):
-        """The strided band assembly solves the same system bit for bit."""
+    def test_agrees_with_reference_loop_assembly(self, params, s, n):
+        """The closed-form grid solution and a banded LU solve of the
+        node-by-node assembly agree to the LU's round-off."""
         h = params.thickness
-        assert transfer_bvp(s, params, n) == -s * reference_bvp(s, params, n, False) / h
-        assert transfer_damped_bvp(s, params, n) == s * reference_bvp(s, params, n, True) / h + 1.0
+        np.testing.assert_allclose(
+            transfer_bvp(s, params, n), -s * reference_bvp(s, params, n, False) / h, rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            transfer_damped_bvp(s, params, n), s * reference_bvp(s, params, n, True) / h + 1.0, rtol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "params, s, n",
+        [
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 1.0, 64),
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 50.0, 64),
+            (BeamParameters(1.0, 1.0, 1.0, math.sqrt(0.5), 1.0), 0.3 - 2.5j, 333),
+            (BeamParameters(0.8, 1.4, 0.6, 1.3, 0.9, length=0.6, thickness=2.5), 0.01 + 7.0j, 333),
+            (BeamParameters(2.3, 0.7, 1.9, 0.4, 3.1, length=1.7, thickness=0.3), 1.0 + 3.0j, 1024),
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 0.05 + 20.0j, 1024),
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 50.0 + 3.0j, 4096),
+            (BeamParameters(2.3, 0.7, 1.9, 0.4, 3.1, length=1.7, thickness=0.3), 0.01 - 0.5j, 4096),
+            # n theta_k = i pi: family k's grid wave vanishes at the driven end
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 128j * math.sin(math.pi / 128) / GOLDEN_RATIO, 64),
+            (BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0), 128j * math.sin(math.pi / 128) * GOLDEN_RATIO, 64),
+        ],
+    )
+    def test_matches_mpmath_recurrence(self, params, s, n):
+        """Both transfers agree to 1e-13 with a 40-digit shot of the same rows,
+        also where a family's ``sinh(n theta_k)`` vanishes."""
+        g, gd = mpmath_bvp(s, params, n)
+        np.testing.assert_allclose(transfer_bvp(s, params, n), g, rtol=1e-13)
+        np.testing.assert_allclose(transfer_damped_bvp(s, params, n), gd, rtol=1e-13)
+
+    @pytest.mark.parametrize("s", [0, 0.0, -0.0, 0j])
+    def test_exact_at_zero(self, golden, s):
+        for n in (64, 4096):
+            assert transfer_bvp(s, golden, n) == 0
+            assert transfer_damped_bvp(s, golden, n) == 1
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_pole_of_the_grid_is_singular(self, golden, golden_dc, family):
+        """At a zero of ``cosh(n theta_k)`` the undamped end system is singular;
+        the damped loop stays on the unit circle there."""
+        n = 64
+        zeta = golden_dc.zeta1 if family == 1 else golden_dc.zeta2
+        s = 2j * math.sin(math.pi / (4 * n)) * n / (golden.length * zeta)
+        with pytest.raises(SingularSystem, match=re.escape(f"near s={complex(s)}")):
+            transfer_bvp(s, golden, n)
+        gd = transfer_damped_bvp(s, golden, n)
+        np.testing.assert_allclose(gd, mpmath_bvp(s, golden, n)[1], rtol=1e-13)
+        assert abs(abs(gd) - 1.0) < 1e-14
+
+    def test_damped_loop_singular_where_g_is_minus_two(self, golden, golden_dc):
+        """``G_n`` is odd in ``s``; where ``G_n(s) = 2`` the damped end system at
+        ``-s`` is singular."""
+        n = 64
+        pole = 1j * math.pi / (2.0 * golden_dc.zeta2 * golden.length)
+        s0, s1 = pole + 0.3, pole + 0.35
+        f0, f1 = transfer_bvp(s0, golden, n) - 2.0, transfer_bvp(s1, golden, n) - 2.0
+        while abs(f1) > 1e-15 and f1 != f0:  # secant steps
+            s0, s1 = s1, s1 - f1 * (s1 - s0) / (f1 - f0)
+            f0, f1 = f1, transfer_bvp(s1, golden, n) - 2.0
+        assert abs(f1) < 1e-14
+        assert transfer_bvp(-s1, golden, n) == -transfer_bvp(s1, golden, n)
+        with pytest.raises(SingularSystem):
+            transfer_damped_bvp(-s1, golden, n)
+        assert abs(transfer_damped_bvp(s1, golden, n)) < 1e-14
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(1.0, math.inf), complex(math.nan, 1.0)])
+    @pytest.mark.parametrize("solve", [transfer_bvp, transfer_damped_bvp])
+    def test_non_finite_s_rejected(self, golden, solve, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            solve(s, golden, 64)
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_huge_s_sees_the_end_mass(self, golden, n):
+        """For ``|s| -> inf`` only the driven node moves: ``G_n -> 2n / (s L h^2 mu)``."""
+        for s in (1e308, -1e308, 1e200 + 1e200j):
+            np.testing.assert_allclose(transfer_bvp(s, golden, n), 2.0 * n / s, rtol=1e-12)
+            np.testing.assert_allclose(transfer_damped_bvp(s, golden, n), 1.0, rtol=1e-15)
+        long_beam = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0, length=1e300)
+        with pytest.raises(ValueError, match=re.escape(f"s={complex(1e308)} is too large")):
+            transfer_bvp(1e308, long_beam, n)
+
+    def test_parameters_validated_like_the_closed_form(self):
+        params = BeamParameters(1.0, 1.0, 1.0, 0.0, 1.0)
+        for call in (transfer_closed, transfer_bvp, transfer_damped_bvp):
+            with pytest.raises(DegenerateCoupling):
+                call(1.0, params)
 
     @pytest.mark.parametrize("n", [100.0, np.float64(128.0), 63, math.nan, True])
     @pytest.mark.parametrize("solve", [transfer_bvp, transfer_damped_bvp])
