@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import observability as obs
 from . import spectral
 from .config import RunConfig, load_config
-from .csvio import _CHUNK_ROWS, read_csv, write_csv, write_svg
+from .csvio import read_csv, write_columns, write_csv, write_svg
 from .errors import (
     MalformedValue,
     NonPositiveParameter,
@@ -33,6 +34,7 @@ from .sweeps import SWEEP_METRICS, run_sweep
 from .timedomain import (
     Grid,
     SimConfig,
+    _time_step,
     decay_rate,
     gaussian_velocity_state,
     grid_state_from_modal,
@@ -107,17 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; must be >= 1; points always run serially",
     )
     return parser
-
-
-def _rows(*columns):
-    """Rows of equal-length NumPy ``columns`` as lists of Python values, for :func:`write_csv`.
-
-    Each chunk of rows is converted by one ``tolist``, so the writer formats
-    Python floats and no column is held whole as a list (at 50,001 rows that
-    would add about 8 MiB to the peak memory).
-    """
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield from np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns]).tolist()
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -201,38 +192,32 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         snapshot_dt=cfg.sample_dt if args.snapshots else None,
     )
     initial = _parse_initial(args.initial, args.mode, cfg, grid)
-    traj = simulate(initial, params, sim)
-    stride = max(1, int(round(cfg.sample_dt / traj.dt)))
-    idx = np.arange(0, traj.t.size, stride)
-    if idx[-1] != traj.t.size - 1:
-        idx = np.append(idx, traj.t.size - 1)
+    dt, nsteps = _time_step(grid, params, sim)
+    stride = max(1, round(cfg.sample_dt / dt))  # the CSV's rows: every stride-th step and the last
+    traj = simulate(initial, params, replace(sim, energy_stride=stride))
     path = _out_path(args, "trajectory.csv")
-    write_csv(
-        path,
-        ["time", "energy", "y"],
-        _rows(traj.t[idx], traj.energy[idx], traj.y[idx]),
-    )
+    write_columns(path, ["time", "energy", "y"], [traj.t, traj.energy, traj.y])
     if traj.energy.size >= 10 and np.all(traj.energy > 0):
         rate, r2 = decay_rate(traj.energy, traj.t)
     else:
         rate, r2 = 0.0, 0.0
     if args.svg:
-        write_svg(args.svg, traj.t[idx], traj.energy[idx], title="energy")
+        write_svg(args.svg, traj.t, traj.energy, title="energy")
     if args.snapshots:
         snap_dir = Path(args.snapshots)
         snap_dir.mkdir(parents=True, exist_ok=True)
         index_rows = []
         for i, (t, state) in enumerate(traj.snapshots):
             name = f"state_{i:04d}.csv"
-            write_csv(
+            write_columns(
                 snap_dir / name,
                 ["x", "v", "p", "vdot", "pdot"],
-                _rows(state.grid.nodes, state.v, state.p, state.vdot, state.pdot),
+                [state.grid.nodes, state.v, state.p, state.vdot, state.pdot],
             )
             index_rows.append((i, t, name))
         write_csv(snap_dir / "index.csv", ["index", "time", "file"], index_rows)
     print(
-        f"mode={args.mode} steps={traj.t.size - 1} E0={traj.energy[0]:.6g} "
+        f"mode={args.mode} steps={nsteps} E0={traj.energy[0]:.6g} "
         f"ET={traj.energy[-1]:.6g} decay_rate={rate:.6g} r2={r2:.4f} "
         f"max|y|={np.max(np.abs(traj.y)):.6g} -> {path}"
     )
@@ -251,8 +236,8 @@ def _cmd_transfer(args, cfg: RunConfig) -> int:
     abs_g = np.abs(g)
     idx = np.argmax(abs_g)
     path = _out_path(args, "frequency.csv")
-    write_csv(path, ["re_s", "im_s", "re_G", "im_G", "abs_G"],
-              _rows(s.real, s.imag, g.real, g.imag, abs_g))
+    write_columns(path, ["re_s", "im_s", "re_G", "im_G", "abs_G"],
+                  [s.real, s.imag, g.real, g.imag, abs_g])
     print(f"sup|G|={abs_g[idx]:.6g} at s={s[idx].real:g}{s[idx].imag:+g}j -> {path}")
     return EXIT_OK
 

@@ -1,8 +1,13 @@
 """Deterministic CSV and minimal SVG emission.
 
 Floats are printed with 17 significant digits so CSV artifacts round-trip to
-the exact binary value and byte-compare across runs.  SVG output is a plain
-polyline with axis annotations, no plotting dependency.
+the exact binary value and byte-compare across runs.  Two writers share that
+per-value rule (:func:`format_value`, applied through :func:`_row_template`):
+:func:`write_csv` takes rows of mixed Python or NumPy values and picks each
+row's template from its value types, and :func:`write_columns` takes
+equal-length float64 or integer NumPy columns, whose types fix one template
+for the whole table.  Both format :data:`_CHUNK_ROWS` rows per write.  SVG
+output is a plain polyline with axis annotations, no plotting dependency.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["format_value", "write_csv", "read_csv", "write_svg"]
+import numpy as np
+
+__all__ = ["format_value", "write_csv", "write_columns", "read_csv", "write_svg"]
 
 
 # Rows formatted per write: bounds the text held in memory for long tables.
@@ -44,6 +51,34 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             template = "".join([_row_template(tuple(map(type, row))) for row in chunk])
             f.write(template % tuple(chain.from_iterable(chunk)))
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write one row per index of equal-length NumPy ``columns``, with the bytes of
+    :func:`write_csv` on the zipped rows.
+
+    Each column must be a 1-d float64 or integer array; anything else raises
+    ``TypeError`` (a float32 value would print with the digits of its float64
+    widening) or ``ValueError`` naming the column.  The row template follows
+    from the column types once; each chunk takes one ``tolist`` per column and
+    one ``%``, so no whole column is held as a list.
+    """
+    if not columns or len(header) != len(columns):
+        raise ValueError(f"need one header name per column, got {len(header)} for {len(columns)}")
+    for name, column in zip(header, columns):
+        kind = getattr(column, "dtype", type(column).__name__)
+        if not isinstance(column, np.ndarray) or not (kind == np.float64 or kind.kind in "iu"):
+            raise TypeError(f"column {name!r} must be a float64 or integer array, got {kind}")
+        if column.ndim != 1:
+            raise ValueError(f"column {name!r} must be 1-d, got shape {column.shape}")
+        if len(column) != len(columns[0]):
+            raise ValueError(f"column {name!r} has {len(column)} rows, not {len(columns[0])}")
+    row = _row_template(tuple(float if column.dtype.kind == "f" else int for column in columns))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [column[start : start + _CHUNK_ROWS].tolist() for column in columns]
+            f.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

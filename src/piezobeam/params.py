@@ -88,7 +88,10 @@ def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = 
     Integral floats such as ``2.0`` are rejected like any other float, and
     ``bool`` like any other non-number.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    integral = type(value) is int or (  # an exact int skips the slower ABC check
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    if not integral or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 

@@ -381,6 +381,15 @@ def _block_tables(rotation: np.ndarray, trace_xi: np.ndarray, gain: float):
     return powers, kicks, kernel, feedback
 
 
+def _time_step(grid: Grid, params: BeamParameters, cfg: SimConfig) -> tuple[float, int]:
+    """``(dt, nsteps)`` of :func:`simulate` on ``grid``: ``cfg.cfl`` times the stability
+    bound ``dx * zeta`` of the fastest family, shortened so ``nsteps`` steps span ``cfg.T``."""
+    model = _model(params, classical=True) if cfg.mode == "classical" else _model(params)
+    dt = cfg.cfl * (grid.dx * model.zeta[-1])
+    nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
+    return cfg.T / nsteps, nsteps
+
+
 def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Trajectory:
     """Integrate the beam dynamics from ``initial`` over ``[0, cfg.T]``.
 
@@ -404,9 +413,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     _check_length(grid, params)
     n, dx, h = grid.n, grid.dx, params.thickness
     model = _model(params, classical=True) if cfg.mode == "classical" else _model(params)
-    dt = cfg.cfl * (dx * model.zeta[-1])
-    nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
-    dt = cfg.T / nsteps
+    dt, nsteps = _time_step(grid, params, cfg)
 
     if cfg.mode == "open":
         k, external = 0.0, cfg.voltage

@@ -1,6 +1,7 @@
 """Config parsing, CLI subcommands, sweeps, determinism of artifacts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from piezobeam import (
 )
 from piezobeam.cli import run
 from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
-from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_csv
+from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_columns, write_csv
+from piezobeam.frequency import transfer_closed
+from piezobeam.timedomain import Grid, SimConfig, decay_rate, simulate, sine_velocity_state
 
 MINIMAL = """\
 # unit beam
@@ -224,6 +227,56 @@ class TestCommands:
         assert header == ["re_s", "im_s", "re_G", "im_G", "abs_G"]
         assert len(rows) == 51
 
+    def test_transfer_csv_bytes_across_a_chunk(self, half_cfg, tmp_path, capsys):
+        """5,000 rows cross a chunk of the column writer; the bytes are ``write_csv``'s."""
+        out_csv = tmp_path / "freq.csv"
+        assert run(["transfer", "--config", str(half_cfg), "--s1", "0.5", "--im-max", "40",
+                    "--n-points", "5000", "--out", str(out_csv)]) == 0
+        s = np.empty(5000, dtype=complex)
+        s.real, s.imag = 0.5, np.linspace(-40.0, 40.0, 5000)
+        g = transfer_closed(s, load_config(str(half_cfg)).params)
+        want = tmp_path / "want.csv"
+        write_csv(want, ["re_s", "im_s", "re_G", "im_G", "abs_G"], zip(s.real, s.imag, g.real, g.imag, np.abs(g)))
+        assert out_csv.read_bytes() == want.read_bytes()
+
+    def test_simulate_records_at_the_csv_stride(self, half_cfg, tmp_path, capsys):
+        """The CSV holds every recorded row of a run at the CSV's stride; ``steps=`` counts
+        time steps and ``decay_rate`` is fitted on the CSV's columns."""
+        out_csv = tmp_path / "traj.csv"
+        assert run(["simulate", "--config", str(half_cfg), "--mode", "closed", "--N", "128",
+                    "--T", "3", "--initial", "sine:1", "--out", str(out_csv)]) == 0
+        summary = dict(field.split("=", 1) for field in capsys.readouterr().out.split() if "=" in field)
+        cfg = load_config(str(half_cfg))
+        grid = Grid(128, cfg.params.length)
+        sim = SimConfig(mode="closed", T=3.0, cfl=cfg.cfl, k=cfg.k)
+        every = simulate(sine_velocity_state(grid, 1), cfg.params, sim)
+        stride = round(cfg.sample_dt / every.dt)
+        assert stride > 1
+        traj = simulate(sine_velocity_state(grid, 1), cfg.params, replace(sim, energy_stride=stride))
+        header, rows = read_csv(out_csv)
+        assert header == ["time", "energy", "y"]
+        columns = np.array(rows, dtype=float).T
+        np.testing.assert_array_equal(columns, [traj.t, traj.energy, traj.y])
+        assert int(summary["steps"]) == every.t.size - 1
+        assert summary["decay_rate"] == f"{decay_rate(columns[1], columns[0])[0]:.6g}"
+
+    def test_snapshot_bytes(self, half_cfg, tmp_path, capsys):
+        """A snapshot state file has the bytes of ``write_csv`` on its ``GridState`` fields."""
+        snap_dir = tmp_path / "snaps"
+        assert run(["simulate", "--config", str(half_cfg), "--mode", "closed", "--N", "128",
+                    "--T", "0.2", "--initial", "sine:1", "--out", str(tmp_path / "a.csv"),
+                    "--snapshots", str(snap_dir)]) == 0
+        cfg = load_config(str(half_cfg))
+        grid = Grid(128, cfg.params.length)
+        sim = SimConfig(mode="closed", T=0.2, cfl=cfg.cfl, k=cfg.k, snapshot_dt=cfg.sample_dt)
+        snapshots = simulate(sine_velocity_state(grid, 1), cfg.params, sim).snapshots
+        assert len(snapshots) == len(read_csv(snap_dir / "index.csv")[1]) > 1
+        want = tmp_path / "want.csv"
+        for i, (_, state) in enumerate(snapshots):
+            write_csv(want, ["x", "v", "p", "vdot", "pdot"],
+                      zip(state.grid.nodes, state.v, state.p, state.vdot, state.pdot))
+            assert (snap_dir / f"state_{i:04d}.csv").read_bytes() == want.read_bytes()
+
     def test_observability_csv(self, tmp_path, capsys):
         cfg = tmp_path / "golden.cfg"
         cfg.write_text(MINIMAL)
@@ -368,8 +421,6 @@ class TestSweeps:
         ratios = [r[1] for r in rows]
         assert all(e == "" for _, _, e in rows)
         for value, ratio in zip(values, ratios):
-            from dataclasses import replace
-
             dc = derive_constants(replace(cfg.params, gamma=value))
             assert ratio == dc.ratio
         assert all(b < a for a, b in zip(ratios, ratios[1:]))  # coupling splits speeds
@@ -487,3 +538,53 @@ def test_write_csv_follows_format_value_per_row(tmp_path):
     write_csv(path, ["i", "value", "x"], iter(rows))
     want = "i,value,x\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+                1e308, -1e308, 0.1, 1.0 / 3.0]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    length=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
+    kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4),
+    floats=st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=8),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_columns_equals_write_csv_of_rows(tmp_path, length, kinds, floats, ints, seed):
+    """Float64 columns (nan, infinities, -0.0, subnormals, +-1e308) and int64 columns, at
+    lengths around a chunk, give the bytes of ``write_csv`` on the zipped rows."""
+    rng = np.random.default_rng(seed)
+    pools = {"float": np.array(floats, dtype=np.float64), "int": np.array(ints, dtype=np.int64)}
+    columns = [rng.choice(pools[kind], length) for kind in kinds]
+    header = [f"c{i}" for i in range(len(columns))]
+    write_columns(tmp_path / "columns.csv", header, columns)
+    write_csv(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "second, error, message",
+    [
+        (np.float32([0.1, 0.2]), TypeError, "column 'b' must be a float64 or integer array, got float32"),
+        (np.array([0.1, "x"], dtype=object), TypeError, "column 'b' .* got object"),
+        (np.array([True, False]), TypeError, "column 'b' .* got bool"),
+        ([0.1, 0.2], TypeError, "column 'b' .* got list"),
+        (np.zeros((2, 1)), ValueError, r"column 'b' must be 1-d, got shape \(2, 1\)"),
+        (np.zeros(3), ValueError, "column 'b' has 3 rows, not 2"),
+    ],
+    ids=["float32", "object", "bool", "list", "two_d", "unequal_length"],
+)
+def test_write_columns_rejects_other_columns(tmp_path, second, error, message):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(error, match=message):
+        write_columns(path, ["a", "b"], [np.zeros(2), second])
+    assert not path.exists()
+
+
+def test_write_columns_needs_one_name_per_column(tmp_path):
+    with pytest.raises(ValueError, match="one header name per column"):
+        write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2)])
+    with pytest.raises(ValueError, match="one header name per column"):
+        write_columns(tmp_path / "bad.csv", [], [])

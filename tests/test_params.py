@@ -19,6 +19,7 @@ from piezobeam import (
     derive_constants,
     parameters_for_ratio,
 )
+from piezobeam.params import _check_integer
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -139,3 +140,21 @@ class TestClassifier:
         for ratio in (0.5, 1.0 / 3.0, 3.0 / 8.0, 0.9):
             dc = derive_constants(parameters_for_ratio(ratio))
             np.testing.assert_allclose(dc.ratio, ratio, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "value, minimum, accepted",
+    [
+        (1, 1, True), (0, 1, False), (-1, -1, True), (-2, -1, False), (True, 1, False),
+        (False, 0, False), (np.int64(3), 1, True), (np.int64(-1), -1, True), (np.uint8(0), 1, False),
+        (2.0, 1, False), (np.float64(2.0), 1, False), ("2", 1, False),
+    ],
+)
+def test_check_integer_takes_integers_not_bools_or_floats(value, minimum, accepted):
+    """Exact ints take a fast path; bools, NumPy integers and integral floats are judged
+    as before."""
+    if accepted:
+        _check_integer(value, "count", minimum)
+    else:
+        with pytest.raises(ValueError, match=f"count must be an integer >= {minimum}"):
+            _check_integer(value, "count", minimum)

@@ -537,6 +537,7 @@ class TestModeCounts:
         assert len(eigenvalues(golden, np.int64(3))) == 12
         assert project(StateFunctions.zero(), golden, np.int32(3)).truncation == 3
         assert ModeIndex(1, 1, np.int64(2)).j == 2
+        assert ModeIndex(1, np.int64(-1), 1).sign == -1
 
     @pytest.mark.parametrize("j", [0, 2.5, 2.0, math.nan, True])
     def test_mode_index_rejects_non_integer_j(self, j):
