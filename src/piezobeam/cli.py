@@ -3,8 +3,9 @@
 Subcommands: ``constants``, ``classify``, ``spectrum``, ``simulate``,
 ``transfer``, ``observability``, ``sweep``.  Each reads the beam description
 from a ``key = value`` config file and prints a one-line summary; all but
-``classify`` also write a CSV (``simulate`` optionally an SVG and state
-snapshots).  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+``classify`` also write a CSV (``simulate`` optionally an SVG and the state
+at each row of its CSV).  Exit codes: 0 success, 2 invalid input, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial data: eigenmode:F,J | sine:J | bump | oddpair:P,Q | file:STATE.csv",
     )
     p.add_argument("--svg", default=None, help="write an energy-history SVG here")
-    p.add_argument("--snapshots", default=None, help="directory for state snapshots")
+    p.add_argument("--snapshots", default=None, help="directory for the state at every CSV row")
 
     p = sub.add_parser("transfer", help="transfer function on a vertical line")
     common(p)
@@ -189,11 +190,11 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         T=args.T if args.T is not None else cfg.T,
         cfl=args.cfl if args.cfl is not None else cfg.cfl,
         k=args.k if args.k is not None else cfg.k,
-        snapshot_dt=cfg.sample_dt if args.snapshots else None,
+        snapshots=bool(args.snapshots),
     )
     initial = _parse_initial(args.initial, args.mode, cfg, grid)
     dt, nsteps = _time_step(grid, params, sim)
-    stride = max(1, round(cfg.sample_dt / dt))  # the CSV's rows: every stride-th step and the last
+    stride = max(1, round(cfg.sample_dt / dt))  # the rows: every stride-th step and the last
     traj = simulate(initial, params, replace(sim, energy_stride=stride))
     path = _out_path(args, "trajectory.csv")
     write_columns(path, ["time", "energy", "y"], [traj.t, traj.energy, traj.y])

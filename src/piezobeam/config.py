@@ -5,15 +5,16 @@ thickness); numeric options are optional, defaulting to the fields of
 :class:`RunConfig`.  Comments
 start with ``#``.  Parsing validates everything before any computation and
 reports the offending line in every error: every number must be finite, the
-physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J``, ``N``,
-``qmax`` at least 1, ``cfl`` inside (0, 1), and the default gain
-``k = 1/(2*thickness)`` finite.
+physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J`` and
+``qmax`` at least 1, ``N`` at least :data:`MIN_CELLS`, ``cfl`` inside
+(0, 1), and, when no ``k`` is given, the default gain ``1/(2*thickness)``
+finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CflViolation, DuplicateKey, MalformedValue, MissingKey, NonPositiveParameter
 from .params import BeamParameters, _FIELD_NAMES as PHYSICAL_KEYS
@@ -23,15 +24,17 @@ __all__ = ["RunConfig", "parse_config", "load_config"]
 INT_KEYS = ("J", "N", "qmax")
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
 POSITIVE_KEYS = PHYSICAL_KEYS + ("T", "sample_dt", "tol")
+MIN_CELLS = 16  # the fewest grid cells a time-domain run takes (the key N)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration: beam parameters plus numeric options.
 
-    ``k = None`` (the default) stands for the gain ``1/(2*thickness)``; such a
-    matched gain follows the thickness of each point of a sweep, while a given
-    ``k`` stays fixed at every point.
+    ``k = None`` (the default) stands for the gain ``1/(2*thickness)``, which
+    :func:`piezobeam.timedomain.simulate` resolves for the beam it runs; such
+    a matched gain follows the thickness of each point of a sweep, while a
+    given ``k`` stays fixed at every point.
     """
 
     params: BeamParameters
@@ -43,12 +46,6 @@ class RunConfig:
     sample_dt: float = 0.05
     qmax: int = 10_000
     tol: float = 1e-9
-    _matched_gain: bool = field(default=False, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.k is None:
-            object.__setattr__(self, "_matched_gain", True)
-            object.__setattr__(self, "k", 1.0 / (2.0 * self.params.thickness))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -56,9 +53,9 @@ def parse_config(text: str) -> RunConfig:
 
     Raises :class:`MissingKey`, :class:`DuplicateKey`, :class:`MalformedValue`
     (not a finite number, not an integer, or a ``thickness`` so small that
-    the default ``k`` overflows), :class:`NonPositiveParameter`
-    or :class:`CflViolation` (``cfl`` outside (0, 1)); messages carry the line
-    number.
+    the default ``k`` overflows), :class:`NonPositiveParameter` (``N``
+    below :data:`MIN_CELLS` too) or :class:`CflViolation` (``cfl`` outside
+    (0, 1)); messages carry the line number.
     """
     entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -90,8 +87,9 @@ def parse_config(text: str) -> RunConfig:
             if number != int(number):
                 raise MalformedValue(f"line {lineno}: {key} = {value!r} is not an integer")
             number = int(number)
-            if number < 1:
-                raise NonPositiveParameter(f"line {lineno}: {key} must be >= 1, got {number}")
+            least = MIN_CELLS if key == "N" else 1
+            if number < least:
+                raise NonPositiveParameter(f"line {lineno}: {key} must be >= {least}, got {number}")
         if key in POSITIVE_KEYS and not number > 0:
             raise NonPositiveParameter(f"line {lineno}: {key} must be > 0, got {number}")
         if key == "cfl" and not 0 < number < 1:
@@ -100,11 +98,11 @@ def parse_config(text: str) -> RunConfig:
 
     params = BeamParameters(**{key: as_number(key) for key in PHYSICAL_KEYS})
     given = [key for key in INT_KEYS + FLOAT_KEYS if key in entries]
-    cfg = RunConfig(params=params, **{"n" if key == "N" else key: as_number(key) for key in given})
-    if not math.isfinite(cfg.k):  # a given k is finite, so this is the default
+    options = {"n" if key == "N" else key: as_number(key) for key in given}
+    if "k" not in options and not math.isfinite(1.0 / (2.0 * params.thickness)):
         lineno, value = entries["thickness"]
         raise MalformedValue(f"line {lineno}: thickness = {value!r} gives an infinite default k")
-    return cfg
+    return RunConfig(params=params, **options)
 
 
 def load_config(path: str) -> RunConfig:

@@ -54,8 +54,8 @@ def run_sweep(
     """Evaluate ``metric`` at each parameter value; rows come back in input order.
 
     Returns rows ``(value, metric, error)`` where failed points carry
-    ``nan`` and the error message.  A gain left at its default
-    ``1/(2*thickness)`` is resolved again at every point, so a ``thickness``
+    ``nan`` and the error message.  A gain left at its default ``None``
+    stands for each point's own ``1/(2*thickness)``, so a ``thickness``
     sweep uses each beam's own matched gain; a given ``k`` is held fixed.
     Points always run serially; ``workers`` is accepted for compatibility,
     must be at least 1 and is otherwise ignored.
@@ -69,7 +69,7 @@ def run_sweep(
 
     def task(value):
         params = replace(cfg.params, **{param_name: value})
-        point = replace(cfg, params=params, k=None if cfg._matched_gain else cfg.k)
+        point = replace(cfg, params=params)
         try:
             return (value, evaluate_metric(point, metric), "")
         except (PiezoBeamError, ValueError) as exc:

@@ -67,7 +67,10 @@ sine amplitudes, plus one rank-one term per family from the one-sided slope
 at node ``N``.  A recorded step reads it from the amplitudes alone: the
 amplitudes at a step inside a block follow from the block's start and its
 known voltages, and the meter and the output take one square and two
-products over a buffer of such rows.
+products over a buffer of such rows.  The recorded steps are the run's only
+samples: step 0, every ``energy_stride``-th step and the final step.  Kept
+snapshots are the states of those same rows, one inverse transform of the
+buffer per reading of the meter.
 :func:`discrete_energy` and :func:`classical_energy` evaluate the same form.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
@@ -85,7 +88,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MIN_CELLS, RunConfig
 from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, _check_integer
 from .spectral import ModalCoefficients, StateFunctions, reconstruct, sigma
@@ -109,7 +112,6 @@ __all__ = [
     "gaussian_velocity_state",
 ]
 
-MIN_CELLS = 16
 BLOCK = 8  # steps that simulate folds into one update; a divisor of 512
 
 
@@ -169,10 +171,11 @@ class SimConfig:
     mode takes ``forcing``; ``k`` is the feedback gain of closed and
     classical mode (default ``1/(2h)``) and is not used in open mode.
     Setting ``voltage`` or ``forcing`` for another mode raises
-    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  Snapshots
-    are taken every ``snapshot_dt`` (finite and > 0; ``None`` takes none) and
-    the energy is recorded every ``energy_stride`` steps (an integer >= 1);
-    other values raise ``ValueError``.  The time step is ``cfl`` times the
+    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  The energy
+    and output are recorded at step 0, every ``energy_stride`` steps (an
+    integer >= 1) and at the final step; ``snapshots=True`` also keeps the
+    state at each of those steps.  A non-integer stride or a non-bool
+    ``snapshots`` raises ``ValueError``.  The time step is ``cfl`` times the
     stability bound ``dx * zeta2`` (or ``dx * sqrt(rho/alpha1)`` for the
     classical model), shortened so that a whole number of steps spans ``T``.
     ``T`` and ``cfl`` default to the run defaults of :class:`RunConfig`.
@@ -184,7 +187,7 @@ class SimConfig:
     k: float | None = None
     voltage: Callable[[float], float] | None = None
     forcing: Callable[[float], float] | None = None
-    snapshot_dt: float | None = None
+    snapshots: bool = False
     energy_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -200,8 +203,8 @@ class SimConfig:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if self.k is not None and not math.isfinite(self.k):
             raise MalformedValue(f"k must be a finite number, got {self.k}")
-        if self.snapshot_dt is not None and not 0 < self.snapshot_dt < math.inf:
-            raise ValueError(f"snapshot_dt must be None or finite and > 0, got {self.snapshot_dt}")
+        if not isinstance(self.snapshots, bool):
+            raise ValueError(f"snapshots must be True or False, got {self.snapshots!r}")
         _check_integer(self.energy_stride, "energy_stride")
 
 
@@ -213,6 +216,8 @@ class Trajectory:
     ``energy_stride`` steps plus the final one).  ``y`` is the observation:
     ``pdot(L)/h`` for the coupled model (plus the external input in forced
     closed-loop runs) and ``gamma*vdot(L)/h`` for the classical model.
+    ``snapshots`` holds ``(t, state)`` at each recorded step when
+    ``SimConfig.snapshots`` is set, and is empty otherwise.
     """
 
     t: np.ndarray
@@ -243,15 +248,16 @@ def _to_sines(u, ud, model, pos, vel) -> np.ndarray:
 
 
 def _from_sines(z, model, pos, vel):
-    """Physical fields ``(u, ud)`` on nodes ``0..N`` of the amplitudes :func:`_to_sines` returns."""
+    """Physical fields ``(u, ud)``, each of shape ``(R, m, N+1)`` on nodes ``0..N``, of the
+    rows ``z`` of shape ``(R, m*N)`` of the amplitudes :func:`_to_sines` returns."""
     m = model.lam.size
-    z = z.reshape(m, -1)
-    n = z.shape[1]
-    c = np.zeros((2 * m, 2 * n))
-    c[:m, 1::2] = z.imag / pos
-    c[m:, 1::2] = z.real / vel
-    w = _sine_sums(c, n)[:, : n + 1]
-    return model.modes @ w[:m], model.modes @ w[m:]
+    z = z.reshape(len(z), m, -1)
+    n = z.shape[-1]
+    c = np.zeros((len(z), 2 * m, 2 * n))
+    c[:, :m, 1::2] = z.imag / pos
+    c[:, m:, 1::2] = z.real / vel
+    w = _sine_sums(c, n)[..., : n + 1]
+    return model.modes @ w[:, :m], model.modes @ w[:, m:]
 
 
 def _sine_meter(lam: np.ndarray, h: float, grid: Grid, pos, vel, output=0.0):
@@ -398,12 +404,14 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     modal fields are transformed once into their ``m*N`` sine amplitudes.
     Each block of :data:`BLOCK` steps (fewer at the end) solves its voltages
     and advances the amplitudes in closed form (see *Sine modes* and *Driven
-    end* in the module docstring).  Recorded steps and snapshots are built
-    from the block's start and its known voltages and only read them, and
-    the final step is always metered alone, so ``energy_stride`` and
-    ``snapshot_dt`` leave the run, ``energy[-1]`` and ``y[-1]`` bitwise
-    unchanged.  Returns a :class:`Trajectory` with per-step energies and
-    output samples.  Raises :class:`NonFiniteState` with the step index if
+    end* in the module docstring).  Recorded steps are built from the
+    block's start and its known voltages and only read them, and the final
+    step is always metered alone, so ``energy_stride`` and ``snapshots``
+    leave the run, ``energy[-1]`` and ``y[-1]`` bitwise unchanged.  With
+    ``cfg.snapshots`` each batch of recorded rows the meter reads is also
+    transformed back to the grid, so the snapshots are the states at
+    ``Trajectory.t``.  Returns a :class:`Trajectory` with per-step energies
+    and output samples.  Raises :class:`NonFiniteState` with the step index if
     the update blows up: at the first recorded step whose energy is not
     finite (step 0 for bad initial data), or at the latest multiple of 512
     steps.
@@ -419,6 +427,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         k, external = 0.0, cfg.voltage
     else:
         k = cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
+        if not math.isfinite(k):  # the default gain of a subnormal thickness
+            raise MalformedValue(f"k must be a finite number, got {k}")
         external = cfg.forcing
     driven = k != 0.0 or external is not None
     forced = cfg.mode == "closed"
@@ -449,7 +459,6 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     energies: list[float] = []
     ys: list[float] = []
     snapshots: list[tuple[float, GridState]] = []
-    snap_next = cfg.snapshot_dt
     rows = np.empty((BLOCK, xi.size), dtype=complex)  # recorded whole-step amplitudes not yet metered
     pending: list[int] = []  # their steps
     inputs: list[float] = []  # and the inputs at those steps
@@ -460,26 +469,19 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         finite = np.isfinite(e)
         if not finite.all():
             raise NonFiniteState(f"non-finite state at step {steps[int(np.argmin(finite))]}")
-        times.extend(step * dt for step in steps)
+        ts = [step * dt for step in steps]
+        times.extend(ts)
         energies.extend(e.tolist())
         ys.extend((y + f if forced else y).tolist())
+        if cfg.snapshots:
+            us, uds = _from_sines(z, model, pos, vel)
+            snapshots.extend((t, _as_state(grid, u, ud, t)) for t, u, ud in zip(ts, us, uds))
 
     def flush() -> None:
         if pending:
             record(pending, rows[: len(pending)], np.array(inputs))
             pending.clear()
             inputs.clear()
-
-    def whole(at: range, voltage: np.ndarray, out: np.ndarray) -> None:
-        """Whole-step amplitudes at the block offsets ``at``: ``rotation**l * xi``
-        plus the block's kicks of steps ``1..l``, the last one halved."""
-        np.multiply(powers[at.start : at.stop : at.step], xi, out=out)
-        if driven:
-            top = BLOCK - at[-1]
-            taps = np.concatenate((np.zeros(BLOCK), voltage))[windows[at.start : at.stop : at.step, top:]]
-            taps[:, -1] *= 0.5
-            of = out.view(np.float64)
-            of += taps @ kicks[top:]
 
     f0 = external(0.0) if external is not None else 0.0
     record([0], xi[None], f0)
@@ -503,18 +505,17 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         mid = at[:-1] if at_end else at
         if len(pending) + len(at) > BLOCK:
             flush()
-        if mid:
-            whole(mid, voltage, rows[len(pending) : len(pending) + len(mid)])
+        if mid:  # rotation**l * xi plus the block's kicks of steps 1..l, the last one halved
+            out = rows[len(pending) : len(pending) + len(mid)]
+            picks = slice(mid.start, mid.stop, mid.step)
+            np.multiply(powers[picks], xi, out=out)
+            if driven:
+                top = BLOCK - mid[-1]
+                taps = np.concatenate((np.zeros(BLOCK), voltage))[windows[picks, top:]]
+                taps[:, -1] *= 0.5
+                out.view(np.float64)[:] += taps @ kicks[top:]
             pending.extend(done + l for l in mid)
             inputs.extend(f[l - 1] for l in mid)
-        if snap_next is not None:
-            for l in range(1, last + 1):
-                if (done + l) * dt + 1e-12 >= snap_next:
-                    now = np.empty((1, xi.size), dtype=complex)
-                    whole(range(l, l + 1), voltage, now)
-                    t = (done + l) * dt
-                    snapshots.append((t, _as_state(grid, *_from_sines(now[0], model, pos, vel), t)))
-                    snap_next += cfg.snapshot_dt
         xi *= powers[span]
         if driven:
             xf += voltage @ kicks[BLOCK - span :]
@@ -527,10 +528,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
             flush()
             _check_finite((xi,), done)
     flush()
-    now = xi - 0.5 * voltage[-1]
-    record([nsteps], now[None], f[-1:])
-    if snap_next is not None:
-        snapshots.append((nsteps * dt, _as_state(grid, *_from_sines(now, model, pos, vel), nsteps * dt)))
+    now = (xi - 0.5 * voltage[-1])[None]
+    record([nsteps], now, f[-1:])
     u, ud = _from_sines(now, model, pos, vel)
     _check_finite((u, ud), nsteps)
     return Trajectory(
@@ -539,7 +538,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         y=np.asarray(ys),
         dt=dt,
         initial=initial_state,
-        final=_as_state(grid, u, ud, nsteps * dt),
+        final=_as_state(grid, u[0], ud[0], nsteps * dt),
         snapshots=snapshots,
     )
 

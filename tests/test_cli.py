@@ -22,10 +22,10 @@ from piezobeam import (
     run_sweep,
 )
 from piezobeam.cli import run
-from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
+from piezobeam.config import FLOAT_KEYS, INT_KEYS, MIN_CELLS, PHYSICAL_KEYS, RunConfig, load_config
 from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_columns, write_csv
 from piezobeam.frequency import transfer_closed
-from piezobeam.timedomain import Grid, SimConfig, decay_rate, simulate, sine_velocity_state
+from piezobeam.timedomain import Grid, SimConfig, _time_step, decay_rate, simulate, sine_velocity_state
 
 MINIMAL = """\
 # unit beam
@@ -55,15 +55,19 @@ class TestParseConfig:
         assert cfg.J == 64 and cfg.n == 2048
         assert cfg.cfl == 0.9 and cfg.qmax == 10_000
         assert cfg.tol == 1e-9
-        assert cfg.k == 0.5  # 1/(2*thickness)
+        assert cfg.k is None  # 1/(2*thickness), resolved by simulate
         dc = derive_constants(cfg.params)
         assert dc.zeta1 == pytest.approx((1 + math.sqrt(5)) / 2)
 
     def test_default_gain_follows_thickness_without_the_parser(self):
+        """An unset gain stays ``None`` and runs as ``1/(2*thickness)``; a given one is kept."""
         params = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0, thickness=0.25)
-        parsed = parse_config(MINIMAL.replace("thickness = 1", "thickness = 0.25"))
-        assert RunConfig(params=params).k == parsed.k == 2.0
+        parsed = parse_config(MINIMAL.replace("thickness = 1", "thickness = 0.25") + "N = 64\nT = 2\n")
+        assert RunConfig(params=params).k is None and parsed.k is None
         assert RunConfig(params=params, k=3.0).k == 3.0
+        rate = evaluate_metric(parsed, "decay_rate")
+        assert rate == evaluate_metric(replace(parsed, k=2.0), "decay_rate")
+        assert rate != evaluate_metric(replace(parsed, k=3.0), "decay_rate")
 
     def test_missing_key(self):
         text = "\n".join(l for l in MINIMAL.splitlines() if not l.startswith("mu"))
@@ -105,6 +109,7 @@ class TestParseConfig:
             ("rho = inf", MalformedValue),
             ("J = 0", NonPositiveParameter),
             ("N = -4", NonPositiveParameter),
+            ("N = 15", NonPositiveParameter),  # below MIN_CELLS
             ("qmax = 0", NonPositiveParameter),
             ("T = -1", NonPositiveParameter),
             ("sample_dt = 0", NonPositiveParameter),
@@ -158,7 +163,8 @@ class TestParseConfig:
         params = [getattr(cfg.params, key) for key in PHYSICAL_KEYS]
         assert all(math.isfinite(v) and v > 0 for v in params + [cfg.T, cfg.sample_dt, cfg.tol])
         assert all(type(v) is int and v >= 1 for v in (cfg.J, cfg.n, cfg.qmax))
-        assert math.isfinite(cfg.k) and 0 < cfg.cfl < 1
+        assert cfg.n >= MIN_CELLS
+        assert (cfg.k is None or math.isfinite(cfg.k)) and 0 < cfg.cfl < 1
 
 
 class TestCommands:
@@ -261,16 +267,25 @@ class TestCommands:
         assert summary["decay_rate"] == f"{decay_rate(columns[1], columns[0])[0]:.6g}"
 
     def test_snapshot_bytes(self, half_cfg, tmp_path, capsys):
-        """A snapshot state file has the bytes of ``write_csv`` on its ``GridState`` fields."""
+        """There is one state file per row of the trajectory CSV, ``index.csv`` carries the
+        CSV's time strings, and a state file has the bytes of ``write_csv`` on the fields of
+        the ``GridState`` at that row."""
         snap_dir = tmp_path / "snaps"
+        out_csv = tmp_path / "a.csv"
         assert run(["simulate", "--config", str(half_cfg), "--mode", "closed", "--N", "128",
-                    "--T", "0.2", "--initial", "sine:1", "--out", str(tmp_path / "a.csv"),
+                    "--T", "0.2", "--initial", "sine:1", "--out", str(out_csv),
                     "--snapshots", str(snap_dir)]) == 0
         cfg = load_config(str(half_cfg))
         grid = Grid(128, cfg.params.length)
-        sim = SimConfig(mode="closed", T=0.2, cfl=cfg.cfl, k=cfg.k, snapshot_dt=cfg.sample_dt)
-        snapshots = simulate(sine_velocity_state(grid, 1), cfg.params, sim).snapshots
-        assert len(snapshots) == len(read_csv(snap_dir / "index.csv")[1]) > 1
+        sim = SimConfig(mode="closed", T=0.2, cfl=cfg.cfl, k=cfg.k, snapshots=True)
+        stride = round(cfg.sample_dt / _time_step(grid, cfg.params, sim)[0])
+        snapshots = simulate(sine_velocity_state(grid, 1), cfg.params, replace(sim, energy_stride=stride)).snapshots
+        times = [row[0] for row in read_csv(out_csv)[1]]
+        header, index = read_csv(snap_dir / "index.csv")
+        assert header == ["index", "time", "file"]
+        assert [row[1] for row in index] == times and times[0] == "0"
+        assert len(snapshots) == len(times) > 2
+        assert sorted(path.name for path in snap_dir.iterdir()) == sorted([row[2] for row in index] + ["index.csv"])
         want = tmp_path / "want.csv"
         for i, (_, state) in enumerate(snapshots):
             write_csv(want, ["x", "v", "p", "vdot", "pdot"],
@@ -479,6 +494,23 @@ class TestSweeps:
         assert header == ["value", "metric", "error"]
         assert len(rows) == 3
 
+    def test_too_few_cells_exits_2(self, tmp_path, capsys):
+        """``N`` below ``MIN_CELLS`` fails at parse time, naming its line, instead of
+        leaving NaN rows in a decay-rate sweep."""
+        path = tmp_path / "coarse.cfg"
+        path.write_text(MINIMAL + "N = 8\n")
+        out_csv = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(path), "--param", "gamma", "--values", "0.5,0.9",
+                    "--metric", "decay_rate", "--out", str(out_csv)]) == 2
+        assert "line 9: N must be >= 16, got 8" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_overflowing_default_gain_is_a_row_error(self):
+        """A point whose default ``1/(2*thickness)`` overflows fails on its own row."""
+        rows = run_sweep(parse_config(MINIMAL + "N = 64\nT = 1\n"), "thickness", [1e-320, 1.0], "decay_rate")
+        assert rows[0][2] == "MalformedValue: k must be a finite number, got inf"
+        assert math.isnan(rows[0][1]) and rows[1][2] == ""
+
     @pytest.mark.parametrize("gain", [pytest.param("", id="default"), pytest.param("k = 0.8\n", id="given")])
     def test_thickness_sweep_gain(self, gain):
         """An unset gain is each point's own ``1/(2h)``, as in a config parsed at that
@@ -487,9 +519,9 @@ class TestSweeps:
         base = parse_config(text)
         for value, rate, error in run_sweep(base, "thickness", [0.5, 2.0], "decay_rate"):
             point = parse_config(text.replace("thickness = 1", f"thickness = {value}"))
-            assert point.k == (0.8 if gain else 1.0 / (2.0 * value))
+            assert point.k == (0.8 if gain else None)
             assert error == "" and rate == evaluate_metric(point, "decay_rate")
-            held = RunConfig(params=point.params, n=base.n, T=base.T, k=base.k)
+            held = RunConfig(params=point.params, n=base.n, T=base.T, k=0.8 if gain else 0.5)
             assert (rate == evaluate_metric(held, "decay_rate")) == bool(gain)
 
 

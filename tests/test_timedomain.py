@@ -185,15 +185,22 @@ class TestReferenceStepper:
         np.testing.assert_allclose(traj.energy, energy, rtol=1e-11, atol=0)
         np.testing.assert_allclose(traj.y, y, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("mode", ["closed", "classical"])
+    @pytest.mark.parametrize("mode", ["open", "closed", "classical"])
     def test_recorded_energy_is_snapshot_energy(self, golden, mode):
+        """A snapshot is the state of each recorded row, at its time and with its energy;
+        the last one is the final state."""
         state = rich_state(Grid(64))
-        traj = simulate(state, golden, SimConfig(mode=mode, T=2.0, snapshot_dt=0.5))
+        traj = simulate(state, golden, SimConfig(mode=mode, T=2.0, energy_stride=3, snapshots=True))
         stored = classical_energy if mode == "classical" else discrete_energy
-        assert len(traj.snapshots) == 4
-        for t, snap in traj.snapshots:
-            (i,) = np.flatnonzero(traj.t == t)
-            assert traj.energy[i] == pytest.approx(stored(snap, golden), rel=1e-12)
+        steps = np.rint(traj.t / traj.dt).astype(int)
+        assert np.any(steps[:-1] % BLOCK)  # rows inside a block
+        assert [t for t, _ in traj.snapshots] == traj.t.tolist()
+        for (t, snap), energy in zip(traj.snapshots, traj.energy):
+            assert snap.t == t
+            assert energy == pytest.approx(stored(snap, golden), rel=1e-12)
+        _, last = traj.snapshots[-1]
+        for name in ("v", "p", "vdot", "pdot"):
+            np.testing.assert_array_equal(getattr(last, name), getattr(traj.final, name))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -210,15 +217,14 @@ class TestReferenceStepper:
         state = rich_state(Grid(64))
         strides = (1, 3, 4, 5, 8, 10**9)
         runs = [
-            (stride, simulate(state, golden, SimConfig(T=2.0, energy_stride=stride, snapshot_dt=snap, **cfg)))
+            (stride, simulate(state, golden, SimConfig(T=2.0, energy_stride=stride, snapshots=snap, **cfg)))
             for stride in strides
-            for snap in (None, 0.3)
+            for snap in (False, True)
         ]
         first = runs[0][1]
         assert round(2.0 / first.dt) % BLOCK != 0  # the last block is a short one
-        snapped = [round(t / first.dt) for t, _ in runs[1][1].snapshots]
-        assert any(step % BLOCK for step in snapped[:-1])  # snapshots inside a block
         for stride, traj in runs[1:]:
+            assert len(traj.snapshots) in (0, traj.t.size)
             for name in ("v", "p", "vdot", "pdot"):
                 np.testing.assert_array_equal(getattr(traj.final, name), getattr(first.final, name))
             assert traj.energy[-1] == first.energy[-1]
@@ -379,11 +385,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="forcing"):
             SimConfig(mode=mode, forcing=math.sin)
 
-    @pytest.mark.parametrize("snapshot_dt", [0.0, -1.0, math.nan, math.inf])
-    def test_snapshot_dt_must_be_finite_and_positive(self, snapshot_dt):
-        """``0`` or ``-1`` would snapshot every step and ``nan`` only the last."""
-        with pytest.raises(ValueError, match="snapshot_dt"):
-            SimConfig(snapshot_dt=snapshot_dt)
+    @pytest.mark.parametrize("snapshots", [0, 1, 0.3, None, "yes", np.True_])
+    def test_snapshots_must_be_a_bool(self, snapshots):
+        with pytest.raises(ValueError, match="snapshots"):
+            SimConfig(snapshots=snapshots)
+
+    def test_snapshot_dt_is_gone(self):
+        """Snapshots follow the recorded rows; there is no second schedule to set."""
+        with pytest.raises(TypeError, match="snapshot_dt"):
+            SimConfig(snapshot_dt=0.5)
 
     @pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0, math.nan, "2", True])
     def test_energy_stride_must_be_an_integer(self, stride):
@@ -578,11 +588,9 @@ class TestClassicalModel:
 
     def test_snapshots_recorded(self, golden):
         state = gaussian_velocity_state(Grid(64), center=0.5, width=0.1)
-        traj = simulate(state, golden, SimConfig(mode="classical", T=1.0, snapshot_dt=0.25))
-        assert [round(t, 9) for t, _ in traj.snapshots] == [0.25, 0.5, 0.75, 1.0]
-        _, last = traj.snapshots[-1]
-        np.testing.assert_array_equal(last.vdot, traj.final.vdot)
-        assert not np.any(last.p) and not np.any(last.pdot)
+        traj = simulate(state, golden, SimConfig(mode="classical", T=1.0, energy_stride=10, snapshots=True))
+        assert len(traj.snapshots) == traj.t.size and traj.snapshots[0][0] == 0.0
+        assert not any(np.any(snap.p) or np.any(snap.pdot) for _, snap in traj.snapshots)
 
     def test_classical_energy_definition(self, golden):
         grid = Grid(64)
