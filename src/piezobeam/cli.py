@@ -20,7 +20,7 @@ import numpy as np
 
 from . import observability as obs
 from . import spectral
-from .config import RunConfig, load_config
+from .config import FLOAT_KEYS, INT_KEYS, RunConfig, _fields, load_config
 from .csvio import read_csv, write_columns, write_csv, write_svg
 from .errors import (
     MalformedValue,
@@ -34,12 +34,10 @@ from .params import StabilityClass, classify_stability, derive_constants
 from .sweeps import SWEEP_METRICS, run_sweep
 from .timedomain import (
     Grid,
-    SimConfig,
-    _time_step,
+    _run_config,
     decay_rate,
     gaussian_velocity_state,
     grid_state_from_modal,
-    simulate,
     sine_velocity_state,
     state_from_samples,
 )
@@ -67,20 +65,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stabilizability class of zeta2/zeta1")
     common(p, out=False)
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--qmax")
+    p.add_argument("--tol")
 
     p = sub.add_parser("spectrum", help="eigenvalues of the undamped generator")
     common(p)
-    p.add_argument("--jmax", type=int, default=None, help="modes per family (default J)")
+    p.add_argument("--jmax", dest="J", help="modes per family (the key J)")
 
     p = sub.add_parser("simulate", help="time-domain simulation")
     common(p)
     p.add_argument("--mode", choices=("open", "closed", "classical"), default="closed")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--cfl", type=float, default=None)
+    p.add_argument("--T")
+    p.add_argument("--N")
+    p.add_argument("--k")
+    p.add_argument("--cfl")
     p.add_argument(
         "--initial",
         default=None,
@@ -98,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("observability", help="odd/odd approximants and quotients")
     common(p)
     p.add_argument("--count", type=int, default=4)
-    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--T")
 
     p = sub.add_parser("sweep", help="parameter sweep")
     common(p)
@@ -130,9 +128,7 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
     dc = derive_constants(cfg.params)
-    qmax = args.qmax if args.qmax is not None else cfg.qmax
-    tol = args.tol if args.tol is not None else cfg.tol
-    report = classify_stability(dc, qmax=qmax, tol=tol, length=cfg.params.length)
+    report = classify_stability(dc, qmax=cfg.qmax, tol=cfg.tol, length=cfg.params.length)
     label = report.classification.value
     if report.classification is StabilityClass.EXPONENTIALLY_STABLE:
         a = report.approximant
@@ -141,17 +137,16 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         a = report.approximant
         print(f"{label} p={a.p} q={a.q} err={a.error:.3g}")
     else:
-        print(f"{label} ratio={report.ratio:.12g} qmax={qmax} tol={tol:g}")
+        print(f"{label} ratio={report.ratio:.12g} qmax={cfg.qmax} tol={cfg.tol:g}")
     return EXIT_OK
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    jmax = args.jmax if args.jmax is not None else cfg.J
-    modes = spectral.eigenvalues(cfg.params, jmax)
+    modes = spectral.eigenvalues(cfg.params, cfg.J)
     path = _out_path(args, "spectrum.csv")
     rows = [(m.family, m.sign, m.j, lam.imag) for m, lam in modes]
     write_csv(path, ["family", "sign", "j", "im_lambda"], rows)
-    print(f"wrote {len(rows)} eigenvalues (jmax={jmax}) -> {path}")
+    print(f"wrote {len(rows)} eigenvalues (jmax={cfg.J}) -> {path}")
     return EXIT_OK
 
 
@@ -183,19 +178,8 @@ def _parse_initial(spec_text: str | None, mode: str, cfg: RunConfig, grid: Grid)
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
-    params = cfg.params
-    grid = Grid(args.N if args.N is not None else cfg.n, params.length)
-    sim = SimConfig(
-        mode=args.mode,
-        T=args.T if args.T is not None else cfg.T,
-        cfl=args.cfl if args.cfl is not None else cfg.cfl,
-        k=args.k if args.k is not None else cfg.k,
-        snapshots=bool(args.snapshots),
-    )
-    initial = _parse_initial(args.initial, args.mode, cfg, grid)
-    dt, nsteps = _time_step(grid, params, sim)
-    stride = max(1, round(cfg.sample_dt / dt))  # the rows: every stride-th step and the last
-    traj = simulate(initial, params, replace(sim, energy_stride=stride))
+    initial = _parse_initial(args.initial, args.mode, cfg, Grid(cfg.n, cfg.params.length))
+    traj = _run_config(cfg, initial, args.mode, snapshots=bool(args.snapshots))
     path = _out_path(args, "trajectory.csv")
     write_columns(path, ["time", "energy", "y"], [traj.t, traj.energy, traj.y])
     if traj.energy.size >= 10 and np.all(traj.energy > 0):
@@ -218,7 +202,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
             index_rows.append((i, t, name))
         write_csv(snap_dir / "index.csv", ["index", "time", "file"], index_rows)
     print(
-        f"mode={args.mode} steps={nsteps} E0={traj.energy[0]:.6g} "
+        f"mode={args.mode} steps={round(cfg.T / traj.dt)} E0={traj.energy[0]:.6g} "
         f"ET={traj.energy[-1]:.6g} decay_rate={rate:.6g} r2={r2:.4f} "
         f"max|y|={np.max(np.abs(traj.y)):.6g} -> {path}"
     )
@@ -246,12 +230,11 @@ def _cmd_transfer(args, cfg: RunConfig) -> int:
 def _cmd_observability(args, cfg: RunConfig) -> int:
     params = cfg.params
     dc = derive_constants(params)
-    T = args.T if args.T is not None else cfg.T
     approximants = obs.odd_odd_approximants(dc.ratio, count=args.count, qmax=cfg.qmax)
     rows = []
     for a in approximants:
         state = obs.near_unobservable_state(a, params)
-        quotient = obs.observability_quotient(state, params, T)
+        quotient = obs.observability_quotient(state, params, cfg.T)
         rows.append((a.p, a.q, a.err, quotient))
     path = _out_path(args, "observability.csv")
     write_csv(path, ["p", "q", "err", "quotient"], rows)
@@ -285,19 +268,16 @@ def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a flag that sets a config key is checked by that key's rule and named in its error
+    flags = {key: (text, "--jmax" if key == "J" else f"--{key}")
+             for key in INT_KEYS + FLOAT_KEYS if (text := getattr(args, key, None)) is not None}
     try:
-        cfg = load_config(args.config)
+        cfg = replace(load_config(args.config), **_fields(flags))
         return _COMMANDS[args.command](args, cfg)
-    except ValidationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except PiezoBeamError as exc:  # pragma: no cover - safety net
+    except (PiezoBeamError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

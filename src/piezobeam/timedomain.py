@@ -83,7 +83,7 @@ shares (:func:`piezobeam.spectral._sine_amplitudes`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -541,6 +541,17 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         final=_as_state(grid, u[0], ud[0], nsteps * dt),
         snapshots=snapshots,
     )
+
+
+def _run_config(
+    cfg: RunConfig, initial: GridState, mode: str = "closed", snapshots: bool = False
+) -> Trajectory:
+    """Run ``cfg`` from ``initial``: its ``T``, ``cfl`` and ``k``, recorded every
+    ``round(cfg.sample_dt / dt)`` steps (at least 1).  The CLI's ``simulate`` and
+    the ``decay_rate`` sweep metric both sample a configuration this way."""
+    sim = SimConfig(mode=mode, T=cfg.T, cfl=cfg.cfl, k=cfg.k, snapshots=snapshots)
+    stride = max(1, round(cfg.sample_dt / _time_step(initial.grid, cfg.params, sim)[0]))
+    return simulate(initial, cfg.params, replace(sim, energy_stride=stride))
 
 
 def energy_balance_residual(

@@ -339,10 +339,10 @@ class TestCommands:
             (["transfer", "--s1", "nan"], "MalformedValue: --s1 must be a finite number"),
             (["transfer", "--im-max", "inf"], "MalformedValue: --im-max must be a finite number"),
             (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be >= 1"),
-            (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: k must be a finite number"),
-            (["simulate", "--N", "64", "--T", "inf"], "T must be finite and > 0"),
-            (["observability", "--T", "inf"], "T must be finite and > 0"),
-            (["observability", "--T", "nan"], "T must be finite and > 0"),
+            (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: --k: k = 'nan' is not a finite number"),
+            (["simulate", "--N", "64", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
+            (["observability", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
+            (["observability", "--T", "nan"], "MalformedValue: --T: T = 'nan' is not a finite number"),
         ],
     )
     def test_bad_numeric_flag_exits_2(self, argv, message, half_cfg, tmp_path, capsys):
@@ -353,9 +353,43 @@ class TestCommands:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--N", "8"),
+            ("simulate", "--N", "2.5"),
+            ("simulate", "--cfl", "1.5"),
+            ("simulate", "--T", "-1"),
+            ("simulate", "--k", "nan"),
+            ("spectrum", "--jmax", "0"),
+            ("classify", "--qmax", "0"),
+            ("classify", "--tol", "nan"),
+            ("observability", "--T", "0"),
+        ],
+    )
+    def test_key_flag_follows_its_key_rule(self, command, flag, value, half_cfg, tmp_path, capsys):
+        """A flag that sets a config key fails as that key's line would, with the same
+        class and the flag in place of the line number, and writes nothing."""
+        key = "J" if flag == "--jmax" else flag[2:]
+        with pytest.raises(ValidationError) as as_line:
+            parse_config(HALF + f"{key} = {value}\n")
+        out = [] if command == "classify" else ["--out", str(tmp_path / "out.csv")]
+        assert run([command, "--config", str(half_cfg), flag, value] + out) == 2
+        captured = capsys.readouterr()
+        assert f"error: {type(as_line.value).__name__}: {flag}: " in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == [half_cfg]
+
+    def test_integral_float_flag_is_accepted(self, half_cfg, tmp_path, capsys):
+        """``--N 128.0`` is ``N = 128``, as a config line would read it."""
+        paths = [tmp_path / "int.csv", tmp_path / "float.csv"]
+        for n, path in zip(["128", "128.0"], paths):
+            assert run(["simulate", "--config", str(half_cfg), "--N", n, "--T", "0.2",
+                        "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
         "preset, message",
         [
-            ("sine:0", "mode index j must be an integer >= 1, got 0"),
+            ("sine:0", "ValueError: mode index j must be an integer >= 1, got 0"),
             ("sine:-2", "mode index j must be an integer >= 1, got -2"),
             ("oddpair:2,4", "ParityViolation: (2, 4) must both be odd"),
             ("oddpair:3,9", "InvalidBudget: need coprime p, q; got (3, 9)"),
@@ -409,7 +443,7 @@ class TestCommands:
         cfg.write_text(MINIMAL)
         assert run(["classify", "--config", str(cfg), "--tol", "inf"]) == 2
         captured = capsys.readouterr()
-        assert "InvalidBudget: need qmax >= 1 and 0 < tol < inf" in captured.err
+        assert "MalformedValue: --tol: tol = 'inf' is not a finite number" in captured.err
         assert captured.out == ""
 
     def test_exit_code_missing_file(self, tmp_path, capsys):
@@ -504,6 +538,31 @@ class TestSweeps:
                     "--metric", "decay_rate", "--out", str(out_csv)]) == 2
         assert "line 9: N must be >= 16, got 8" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_decay_rate_sweep_fits_the_rows_simulate_writes(self, tmp_path, capsys):
+        """The ``decay_rate`` metric is the fit of the CSV that ``simulate --mode closed``
+        writes from the default bump, bitwise, and the sweep row prints as the summary's rate."""
+        path = tmp_path / "half.cfg"
+        path.write_text(HALF + "N = 128\nT = 3\n")
+        cfg = load_config(str(path))
+        traj_csv, sweep_csv = tmp_path / "traj.csv", tmp_path / "sweep.csv"
+        assert run(["simulate", "--config", str(path), "--mode", "closed", "--out", str(traj_csv)]) == 0
+        summary = dict(field.split("=", 1) for field in capsys.readouterr().out.split() if "=" in field)
+        assert run(["sweep", "--config", str(path), "--param", "gamma", "--values", repr(cfg.params.gamma),
+                    "--metric", "decay_rate", "--out", str(sweep_csv)]) == 0
+        columns = np.array(read_csv(traj_csv)[1], dtype=float).T
+        rate = evaluate_metric(cfg, "decay_rate")
+        assert rate == decay_rate(columns[1], columns[0])[0]
+        [(_, row_rate, error)] = read_csv(sweep_csv)[1]
+        assert error == "" and float(row_rate) == rate
+        assert summary["decay_rate"] == f"{float(row_rate):.6g}"
+
+    def test_short_run_is_a_row_error(self):
+        """A ``T`` that gives fewer than 10 recorded rows fails on its own row (here 8 rows,
+        where a fixed stride of 8 steps would give 36)."""
+        cfg = parse_config(MINIMAL + "N = 512\nT = 0.3\n")
+        [(_, rate, error)] = run_sweep(cfg, "gamma", [1.0], "decay_rate")
+        assert math.isnan(rate) and error == "ValueError: need aligned series of length >= 10"
 
     def test_overflowing_default_gain_is_a_row_error(self):
         """A point whose default ``1/(2*thickness)`` overflows fails on its own row."""
