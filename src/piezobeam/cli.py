@@ -155,16 +155,22 @@ def _parse_initial(spec_text: str | None, mode: str, cfg: RunConfig, grid: Grid)
     if text == "bump":
         return gaussian_velocity_state(grid)
     name, _, rest = text.partition(":")
+    form = {"sine": "sine:J", "eigenmode": "eigenmode:F,J", "oddpair": "oddpair:P,Q"}.get(name)
+    if form:  # as many integers as the form has fields; a bare "sine" is sine:1
+        try:
+            values = [int(v) for v in (rest or "1").split(",")]
+        except ValueError:
+            values = []
+        if len(values) != form.count(",") + 1:
+            raise MalformedValue(f"--initial {text!r} is not of the form {form}")
     if name == "sine":
-        return sine_velocity_state(grid, j=int(rest or 1))
+        return sine_velocity_state(grid, j=values[0])
     if name == "eigenmode":
-        fam, j = (int(v) for v in rest.split(","))
-        coeffs = spectral.ModalCoefficients.single(
-            spectral.ModeIndex(fam, +1, j), J=max(j, 1)
-        )
+        fam, j = values
+        coeffs = spectral.ModalCoefficients.single(spectral.ModeIndex(fam, +1, j), J=max(j, 1))
         return grid_state_from_modal(coeffs, cfg.params, grid)
     if name == "oddpair":
-        p, q = (int(v) for v in rest.split(","))
+        p, q = values
         approx = obs.OddApproximant(p=p, q=q, err=0.0, cq2=0.0)
         coeffs = obs.near_unobservable_state(approx, cfg.params)
         return grid_state_from_modal(coeffs, cfg.params, grid)

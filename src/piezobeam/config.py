@@ -2,14 +2,10 @@
 
 Seven physical keys are required (rho, alpha1, beta, gamma, mu, length,
 thickness); numeric options are optional, defaulting to the fields of
-:class:`RunConfig`.  Comments
-start with ``#``.  Parsing validates everything before any computation and
-reports the offending line in every error: every number must be finite, the
-physical keys and ``T``, ``sample_dt``, ``tol`` positive, ``J`` and
-``qmax`` at least 1, ``N`` at least :data:`MIN_CELLS`, ``cfl`` inside
-(0, 1), and, when no ``k`` is given, the default gain ``1/(2*thickness)``
-finite.  A CLI flag that sets a key is checked by the same rule and named
-in place of the line.
+:class:`RunConfig`.  Comments start with ``#``.  Before any computation,
+each value must be a finite number (an integer for ``J``, ``N``, ``qmax``)
+that passes its key's rule, :func:`piezobeam.params._check_option`; every
+error names the line, or the CLI flag that set the key.
 """
 
 from __future__ import annotations
@@ -17,15 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CflViolation, DuplicateKey, MalformedValue, MissingKey, NonPositiveParameter
-from .params import BeamParameters, _FIELD_NAMES as PHYSICAL_KEYS
+from .errors import DuplicateKey, MalformedValue, MissingKey
+from .params import BeamParameters, _check_option, _FIELD_NAMES as PHYSICAL_KEYS, _LEAST
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
-INT_KEYS = ("J", "N", "qmax")
+INT_KEYS = tuple(_LEAST)  # J, N, qmax
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
-POSITIVE_KEYS = PHYSICAL_KEYS + ("T", "sample_dt", "tol")
-MIN_CELLS = 16  # the fewest grid cells a time-domain run takes (the key N)
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,8 @@ class RunConfig:
 
 
 def _number(key: str, text: str, where: str) -> float | int:
-    """``text`` as the value of ``key``, checked by the key's rule; each error
-    starts with ``where`` (``line 8`` or ``--N``)."""
+    """``text`` as the value of ``key``, checked by :func:`_check_option`; each
+    error starts with ``where`` (``line 8`` or ``--N``)."""
     try:
         number = float(text)
     except ValueError as exc:
@@ -64,13 +58,7 @@ def _number(key: str, text: str, where: str) -> float | int:
         if number != int(number):
             raise MalformedValue(f"{where}: {key} = {text!r} is not an integer")
         number = int(number)
-        least = MIN_CELLS if key == "N" else 1
-        if number < least:
-            raise NonPositiveParameter(f"{where}: {key} must be >= {least}, got {number}")
-    if key in POSITIVE_KEYS and not number > 0:
-        raise NonPositiveParameter(f"{where}: {key} must be > 0, got {number}")
-    if key == "cfl" and not 0 < number < 1:
-        raise CflViolation(f"{where}: cfl must lie in (0, 1), got {number}")
+    _check_option(key, number, where)
     return number
 
 
@@ -84,9 +72,8 @@ def parse_config(text: str) -> RunConfig:
 
     Raises :class:`MissingKey`, :class:`DuplicateKey`, :class:`MalformedValue`
     (not a finite number, not an integer, or a ``thickness`` so small that
-    the default ``k`` overflows), :class:`NonPositiveParameter` (``N``
-    below :data:`MIN_CELLS` too) or :class:`CflViolation` (``cfl`` outside
-    (0, 1)); messages carry the line number.
+    the default ``k`` overflows) or what :func:`_check_option` raises for a
+    value out of its key's range; messages carry the line number.
     """
     keys = PHYSICAL_KEYS + INT_KEYS + FLOAT_KEYS  # in the order they are checked
     entries: dict[str, tuple[str, str]] = {}  # key -> (value, "line N")
@@ -109,9 +96,8 @@ def parse_config(text: str) -> RunConfig:
 
     fields = _fields({key: entries[key] for key in keys if key in entries})
     params = BeamParameters(**{key: fields.pop(key) for key in PHYSICAL_KEYS})
-    if "k" not in fields and not math.isfinite(1.0 / (2.0 * params.thickness)):
-        value, where = entries["thickness"]
-        raise MalformedValue(f"{where}: thickness = {value!r} gives an infinite default k")
+    if "k" not in fields:  # the default gain 1/(2*thickness), named at the thickness line
+        _check_option("k", 1.0 / (2.0 * params.thickness), entries["thickness"][1])
     return RunConfig(params=params, **fields)
 
 

@@ -3,7 +3,7 @@
 Two broad families: :class:`ValidationError` for inputs rejected before any
 numerics run, and :class:`NumericalError` for computations that failed or
 left the regime where results are trustworthy.  CLI entry points map these
-to exit codes 2 and 3 respectively.
+to exit codes 2 and 3; a :class:`ValidationError` is also a ``ValueError``.
 """
 
 
@@ -11,8 +11,8 @@ class PiezoBeamError(Exception):
     """Base class for all piezobeam errors."""
 
 
-class ValidationError(PiezoBeamError):
-    """Invalid input, rejected before computing anything."""
+class ValidationError(PiezoBeamError, ValueError):
+    """Invalid input, rejected before computing anything; a ``ValueError``."""
 
 
 class NumericalError(PiezoBeamError):
@@ -40,7 +40,7 @@ class DuplicateKey(ValidationError):
 
 
 class MalformedValue(ValidationError):
-    """Configuration entry that cannot be parsed."""
+    """A value of the wrong kind: not a number, not finite, or not an integer."""
 
 
 class ParityViolation(ValidationError):
@@ -61,7 +61,7 @@ class ZeroState(ValidationError):
 
 
 class CflViolation(ValidationError):
-    """Config ``cfl`` outside (0, 1), the fraction of the explicit stability bound."""
+    """``cfl`` outside (0, 1), the fraction of the explicit stability bound."""
 
 
 class NonPositiveEnergy(ValidationError):

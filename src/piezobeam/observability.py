@@ -27,7 +27,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroState,
 )
-from .params import BeamParameters, _check_integer, _mixed_parity_gap, derive_constants
+from .params import BeamParameters, _check_integer, _check_option, _mixed_parity_gap, derive_constants
 from .spectral import (
     ModalCoefficients,
     _frequencies,
@@ -147,13 +147,13 @@ def odd_odd_approximants(
 
     Returns up to ``count`` approximants with strictly increasing ``q``.
     Warns with :class:`ExhaustedBudget` if the budget runs out first.
-    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1``
-    and ``qmax >= 1`` are integers and ``zeta * qmax < 2**52``.
+    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1`` is an
+    integer and ``zeta * qmax < 2**52``; ``qmax`` is checked as its config key.
     """
     if not 0 < zeta < math.inf:
         raise InvalidBudget(f"target must be finite and > 0, got {zeta}")
     _check_integer(count, "count", error=InvalidBudget)
-    _check_integer(qmax, "qmax", error=InvalidBudget)
+    _check_option("qmax", qmax)
     if qmax >= 2**52 or zeta * qmax >= 2**52:
         raise InvalidBudget(f"need zeta * qmax < 2**52 for an exact search, got {zeta!r} * {qmax}")
     records: list[OddApproximant] = []
@@ -168,6 +168,14 @@ def odd_odd_approximants(
             )
         )
     return records
+
+
+def _check_pair(p, q) -> None:
+    """Raise :class:`InvalidBudget` unless ``p`` and ``q`` are coprime integers >= 1."""
+    _check_integer(p, "p", error=InvalidBudget)
+    _check_integer(q, "q", error=InvalidBudget)
+    if math.gcd(p, q) != 1:
+        raise InvalidBudget(f"need coprime p, q; got ({p}, {q})")
 
 
 def _kappa(odd: int) -> float:
@@ -187,20 +195,15 @@ def near_unobservable_state(
     frequencies differ by O(err/q).  Its energy norm is
     ``L * (2*mu + rho * (1/b1^2 + 1/b2^2))``, independent of the approximant.
 
-    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime,
+    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime integers,
     :class:`ParityViolation` unless both are odd, and
     :class:`TruncationTooSmall` unless ``J`` (when given) is an integer
     ``>= max(j1, j2)``, the larger of the two mode indices.
     """
     p, q = approx.p, approx.q
-    if p < 1 or q < 1:
-        raise InvalidBudget(f"need positive p, q; got ({p}, {q})")
-    _check_integer(p, "p", error=InvalidBudget)
-    _check_integer(q, "q", error=InvalidBudget)
+    _check_pair(p, q)
     if p % 2 == 0 or q % 2 == 0:
         raise ParityViolation(f"({p}, {q}) must both be odd to pair two modes")
-    if math.gcd(p, q) != 1:
-        raise InvalidBudget(f"need coprime p, q; got ({p}, {q})")
     j1 = (q + 1) // 2
     j2 = (p + 1) // 2
     if J is None:
@@ -229,11 +232,10 @@ def quotient_bound(approx: OddApproximant, params: BeamParameters, T: float) -> 
 
     The two active phasors differ in frequency by at most
     ``pi * cq2 / (2 L zeta2 q)``, so the output energy over ``[0, T]`` is at
-    most ``pi^2 T^3 cq2^2 / (12 L^2 h^2 zeta2^2 q^2)``.  Raises
-    ``ValueError`` unless ``0 < T < inf``.
+    most ``pi^2 T^3 cq2^2 / (12 L^2 h^2 zeta2^2 q^2)``.
+    A ``T`` <= 0 raises :class:`NonPositiveParameter`, a non-finite one :class:`MalformedValue`.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be finite and > 0, got {T}")
+    _check_option("T", T)
     zeta2 = float(_model(params).zeta[-1])
     L, h = params.length, params.thickness
     return (math.pi**2 * T**3 * approx.cq2**2) / (
@@ -258,10 +260,7 @@ def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
     not match the actual ratio to 1e-9.
     """
     dc = derive_constants(params)
-    _check_integer(p, "p", error=InvalidBudget)
-    _check_integer(q, "q", error=InvalidBudget)
-    if math.gcd(p, q) != 1:
-        raise InvalidBudget(f"need coprime p, q; got ({p}, {q})")
+    _check_pair(p, q)
     if p % 2 == 1 and q % 2 == 1:
         raise ParityViolation(
             f"({p}, {q}) are both odd: eigenvalues collide and no gap exists"
@@ -276,9 +275,9 @@ def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
 def exponent_family(params: BeamParameters, J: int) -> np.ndarray:
     """Sorted eigenfrequencies ``+/- sigma_j / zeta_k`` for ``j <= J``.
 
-    Raises ``ValueError`` unless ``J >= 1`` is an integer.
+    A ``J`` below 1 raises :class:`NonPositiveParameter`, a non-integer :class:`MalformedValue`.
     """
-    _check_integer(J, "J")
+    _check_option("J", J)
     return np.sort(_frequencies(_model(params).zeta, J, params.length), axis=None)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DegenerateCoupling, InvalidBudget, NonPositiveParameter
+from .errors import CflViolation, DegenerateCoupling, InvalidBudget, MalformedValue, NonPositiveParameter
 
 __all__ = [
     "BeamParameters",
@@ -52,9 +52,8 @@ class BeamParameters:
         Beam thickness.  A thin beam (``thickness << length``) is assumed by
         the model but not enforced.
 
-    All fields must be strictly positive; in particular ``gamma`` and ``mu``
-    must be positive for the two wave fields to be coupled.  Validation is
-    performed by :func:`derive_constants` and by the configuration parser.
+    All fields must be finite and > 0 (``gamma`` and ``mu`` > 0 couple the two
+    wave fields); :meth:`validate` checks each by its config key's rule.
     """
 
     rho: float
@@ -66,33 +65,54 @@ class BeamParameters:
     thickness: float = 1.0
 
     def validate(self) -> None:
-        """Raise if any field is non-positive (gamma=0 is reported separately)."""
-        if self.gamma == 0 and all(
-            getattr(self, k) > 0 for k in _FIELD_NAMES if k != "gamma"
-        ):
-            raise DegenerateCoupling(
-                "gamma = 0 decouples the displacement and charge waves"
-            )
+        """Raise for the first field, in field order, that :func:`_check_option` rejects."""
         for name in _FIELD_NAMES:
-            value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise NonPositiveParameter(f"{name} must be > 0, got {value!r}")
+            _check_option(name, getattr(self, name))
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(BeamParameters))
+MIN_CELLS = 16  # the fewest grid cells a time-domain run takes (the key N)
+_LEAST = {"J": 1, "N": MIN_CELLS, "qmax": 1}  # the integer run options and their least values
+_OPEN = {"cfl": (0.0, 1.0, "lie in (0, 1)"), "k": (-math.inf, math.inf, "be a finite number")}
+_POSITIVE = (0.0, math.inf, "be finite and > 0")  # the range of every other float option
+_RANGE_ERROR = {"cfl": CflViolation, "qmax": InvalidBudget, "tol": InvalidBudget}
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is a ``numbers.Integral`` but not a ``bool`` (an exact int skips the ABC)."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is a ``numbers.Integral`` >= ``minimum``.
-
-    Integral floats such as ``2.0`` are rejected like any other float, and
-    ``bool`` like any other non-number.
-    """
-    integral = type(value) is int or (  # an exact int skips the slower ABC check
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
-    if not integral or value < minimum:
+    """Raise ``error`` naming ``name`` unless ``value`` is a ``numbers.Integral`` >= ``minimum``;
+    integral floats such as ``2.0`` are rejected like any other float, and ``bool`` too."""
+    if not _integral(value) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_option(key: str, value, where: str = "") -> None:
+    """Raise unless ``value`` suits the run option ``key``: one rule for a config line, a
+    CLI flag and a library call.  ``J``, ``N``, ``qmax`` take integers (not floats) >= 1,
+    :data:`MIN_CELLS`, 1; ``cfl`` lies in (0, 1), ``k`` is finite and the rest are finite
+    and > 0.  A value not finite or not an integer raises :class:`MalformedValue`,
+    ``gamma = 0`` :class:`DegenerateCoupling` and one out of range :data:`_RANGE_ERROR`
+    or :class:`NonPositiveParameter`; the message names ``key`` after ``where`` (``--N``).
+    """
+    least = _LEAST.get(key)
+    if least is None:
+        low, high, rule = _OPEN.get(key, _POSITIVE)
+        if low < value < high:
+            return
+        malformed = not -math.inf < value < math.inf
+    elif _integral(value) and value >= least:
+        return
+    else:
+        rule, malformed = f"be an integer >= {least}", not _integral(value)
+    name = f"{where}: {key}" if where else key
+    if key == "gamma" and value == 0:
+        raise DegenerateCoupling(f"{name} = 0 decouples the displacement and charge waves")
+    error = MalformedValue if malformed else _RANGE_ERROR.get(key, NonPositiveParameter)
+    raise error(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +153,8 @@ def derive_constants(params: BeamParameters) -> DerivedConstants:
     ``(alpha1*zeta1**2 - rho)/(gamma*mu)`` and ``b2`` from the exact relation
     ``b1*b2 = -rho/mu``.
 
-    Raises
-    ------
-    DegenerateCoupling
-        If ``gamma == 0`` (the equations decouple and b1, b2 are undefined).
-    NonPositiveParameter
-        If any parameter is not strictly positive.
+    Raises what :meth:`BeamParameters.validate` raises; :class:`DegenerateCoupling`
+    for ``gamma == 0``, where the equations decouple and b1, b2 are undefined.
     """
     params.validate()
     rho, a1, beta, gamma, mu = (
@@ -232,12 +248,10 @@ def classify_stability(
       ``min_time = 2*pi/gap``.
 
     With no match the closed loop is strongly but not exponentially stable.
-    Raises :class:`InvalidBudget` unless ``qmax >= 1`` is an integer and
-    ``0 < tol < inf``.
+    ``qmax < 1`` or ``tol <= 0`` raises :class:`InvalidBudget` (:func:`_check_option`).
     """
-    _check_integer(qmax, "qmax", error=InvalidBudget)
-    if not 0 < tol < math.inf:
-        raise InvalidBudget(f"need qmax >= 1 and 0 < tol < inf, got qmax={qmax}, tol={tol}")
+    _check_option("qmax", qmax)
+    _check_option("tol", tol)
     ratio = dc.ratio
     frac = Fraction(ratio).limit_denominator(qmax)
     p, q = frac.numerator, frac.denominator

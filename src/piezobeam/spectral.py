@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import QuadratureFailure
-from .params import BeamParameters, _check_integer, derive_constants
+from .params import BeamParameters, _check_integer, _check_option, derive_constants
 
 __all__ = [
     "ModeIndex",
@@ -330,10 +330,10 @@ def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex
 
     The imaginary parts are the :func:`_frequencies` table and every real part
     is ``+0.0``.  They come in conjugate pairs; within a family the spacing of
-    the imaginary parts is ``pi / (L * zeta_family)``.  Raises
-    ``ValueError`` unless ``J >= 1`` is an integer.
+    the imaginary parts is ``pi / (L * zeta_family)``.
+    A ``J`` below 1 raises :class:`NonPositiveParameter`, a non-integer :class:`MalformedValue`.
     """
-    _check_integer(J, "J")
+    _check_option("J", J)
     freqs = _frequencies(_model(params).zeta, J, params.length).tolist()
     return [
         (ModeIndex(family, sign, j), complex(0.0, freqs[family - 1][(1 - sign) // 2][j - 1]))
@@ -409,9 +409,9 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     ``(S, D) = (mix^T M / w) (a_pos, a_vel)``, and one broadcast over the
     branch axis inverts the sums: ``a = 0.5 * sign * (i * freq * S_k + D_k)``.
     Reconstructing and re-projecting is the identity on the truncated span.
-    Raises ``ValueError`` unless ``J >= 1`` is an integer.
+    A ``J`` below 1 raises :class:`NonPositiveParameter`, a non-integer :class:`MalformedValue`.
     """
-    _check_integer(J, "J")
+    _check_option("J", J)
     model = _model(params)
     L = params.length
     x = _quadrature_nodes(L, J)
@@ -495,10 +495,9 @@ def _snapped_differences(freqs: np.ndarray, T: float) -> tuple[np.ndarray, np.nd
     Differences below ``1e-12 * max(1, max |freqs|)`` are snapped to exactly
     0, in both arrays, so numerically coincident frequencies integrate to
     exactly ``T``; the zero entries are then exactly the coincident pairs.
-    Raises ``ValueError`` unless ``0 < T < inf``.
+    A ``T`` <= 0 raises :class:`NonPositiveParameter`, a non-finite one :class:`MalformedValue`.
     """
-    if not 0 < T < np.inf:
-        raise ValueError(f"T must be finite and > 0, got {T}")
+    _check_option("T", T)
     scale = max(1.0, float(np.max(np.abs(freqs), initial=0.0)))
     delta = freqs[:, None] - freqs[None, :]
     gap = np.abs(delta)

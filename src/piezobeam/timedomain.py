@@ -88,9 +88,9 @@ from typing import Callable
 
 import numpy as np
 
-from .config import MIN_CELLS, RunConfig
-from .errors import MalformedValue, NonFiniteState, NonPositiveEnergy
-from .params import BeamParameters, _check_integer
+from .config import RunConfig
+from .errors import NonFiniteState, NonPositiveEnergy
+from .params import BeamParameters, _check_integer, _check_option
 from .spectral import ModalCoefficients, StateFunctions, reconstruct, sigma
 from .spectral import _model, _sine_amplitudes, _sine_sums
 
@@ -117,15 +117,14 @@ BLOCK = 8  # steps that simulate folds into one update; a divisor of 512
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of an integer ``n >= MIN_CELLS`` cells on a finite ``[0, length]``."""
+    """Uniform grid of ``n`` cells on ``[0, length]``, checked as the keys ``N`` and ``length``."""
 
     n: int
     length: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_integer(self.n, "n", MIN_CELLS)
-        if not 0 < self.length < math.inf:
-            raise ValueError(f"length must be finite and > 0, got {self.length}")
+        _check_option("N", self.n)
+        _check_option("length", self.length)
 
     @property
     def dx(self) -> float:
@@ -171,7 +170,7 @@ class SimConfig:
     mode takes ``forcing``; ``k`` is the feedback gain of closed and
     classical mode (default ``1/(2h)``) and is not used in open mode.
     Setting ``voltage`` or ``forcing`` for another mode raises
-    ``ValueError``; a non-finite ``k`` raises ``MalformedValue``.  The energy
+    ``ValueError``; ``T``, ``cfl`` and ``k`` are checked as their config keys.  The energy
     and output are recorded at step 0, every ``energy_stride`` steps (an
     integer >= 1) and at the final step; ``snapshots=True`` also keeps the
     state at each of those steps.  A non-integer stride or a non-bool
@@ -197,12 +196,10 @@ class SimConfig:
             raise ValueError(f"voltage is an open-loop input, not used in {self.mode} mode")
         if self.forcing is not None and self.mode != "closed":
             raise ValueError(f"forcing is a closed-loop input, not used in {self.mode} mode")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be finite and > 0, got {self.T}")
-        if not 0 < self.cfl < 1:
-            raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if self.k is not None and not math.isfinite(self.k):
-            raise MalformedValue(f"k must be a finite number, got {self.k}")
+        _check_option("T", self.T)
+        _check_option("cfl", self.cfl)
+        if self.k is not None:
+            _check_option("k", self.k)
         if not isinstance(self.snapshots, bool):
             raise ValueError(f"snapshots must be True or False, got {self.snapshots!r}")
         _check_integer(self.energy_stride, "energy_stride")
@@ -427,8 +424,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         k, external = 0.0, cfg.voltage
     else:
         k = cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
-        if not math.isfinite(k):  # the default gain of a subnormal thickness
-            raise MalformedValue(f"k must be a finite number, got {k}")
+        _check_option("k", k)  # the default gain of a subnormal thickness overflows
         external = cfg.forcing
     driven = k != 0.0 or external is not None
     forced = cfg.mode == "closed"

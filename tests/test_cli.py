@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from piezobeam import (
     BeamParameters,
     CflViolation,
+    DegenerateCoupling,
     DuplicateKey,
+    InvalidBudget,
     MalformedValue,
     MissingKey,
     NonPositiveParameter,
@@ -22,9 +24,18 @@ from piezobeam import (
     run_sweep,
 )
 from piezobeam.cli import run
-from piezobeam.config import FLOAT_KEYS, INT_KEYS, MIN_CELLS, PHYSICAL_KEYS, RunConfig, load_config
+from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
 from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_columns, write_csv
 from piezobeam.frequency import transfer_closed
+from piezobeam.observability import (
+    OddApproximant,
+    exponent_family,
+    ingham_frame_bounds,
+    odd_odd_approximants,
+    quotient_bound,
+)
+from piezobeam.params import MIN_CELLS, classify_stability
+from piezobeam.spectral import ModalCoefficients, StateFunctions, eigenvalues, output_energy, project
 from piezobeam.timedomain import Grid, SimConfig, _time_step, decay_rate, simulate, sine_velocity_state
 
 MINIMAL = """\
@@ -75,7 +86,7 @@ class TestParseConfig:
             parse_config(text)
 
     def test_zero_gamma_rejected(self):
-        with pytest.raises(NonPositiveParameter, match="gamma"):
+        with pytest.raises(DegenerateCoupling, match="line 5: gamma = 0 decouples"):
             parse_config(MINIMAL.replace("gamma = 1", "gamma = 0"))
 
     def test_duplicate_key(self):
@@ -110,10 +121,10 @@ class TestParseConfig:
             ("J = 0", NonPositiveParameter),
             ("N = -4", NonPositiveParameter),
             ("N = 15", NonPositiveParameter),  # below MIN_CELLS
-            ("qmax = 0", NonPositiveParameter),
+            ("qmax = 0", InvalidBudget),
             ("T = -1", NonPositiveParameter),
             ("sample_dt = 0", NonPositiveParameter),
-            ("tol = -1e-9", NonPositiveParameter),
+            ("tol = -1e-9", InvalidBudget),
             ("cfl = 0", CflViolation),
             ("cfl = 1", CflViolation),
             ("cfl = 1.5", CflViolation),
@@ -391,9 +402,14 @@ class TestCommands:
         [
             ("sine:0", "ValueError: mode index j must be an integer >= 1, got 0"),
             ("sine:-2", "mode index j must be an integer >= 1, got -2"),
-            ("oddpair:2,4", "ParityViolation: (2, 4) must both be odd"),
+            ("oddpair:2,4", "InvalidBudget: need coprime p, q; got (2, 4)"),
             ("oddpair:3,9", "InvalidBudget: need coprime p, q; got (3, 9)"),
-            ("oddpair:-1,3", "InvalidBudget: need positive p, q; got (-1, 3)"),
+            ("oddpair:-1,3", "InvalidBudget: p must be an integer >= 1, got -1"),
+            ("eigenmode:1", "MalformedValue: --initial 'eigenmode:1' is not of the form eigenmode:F,J"),
+            ("eigenmode:1,2,3", "MalformedValue: --initial 'eigenmode:1,2,3' is not of the form eigenmode:F,J"),
+            ("sine:abc", "MalformedValue: --initial 'sine:abc' is not of the form sine:J"),
+            ("sine:2.0", "MalformedValue: --initial 'sine:2.0' is not of the form sine:J"),
+            ("oddpair:", "MalformedValue: --initial 'oddpair:' is not of the form oddpair:P,Q"),
         ],
     )
     def test_invalid_initial_preset_exits_2(self, preset, message, half_cfg, tmp_path, capsys):
@@ -459,6 +475,81 @@ class TestCommands:
         monkeypatch.setitem(cli._COMMANDS, "constants", explode)
         assert run(["constants", "--config", str(half_cfg)]) == 3
         assert "PoleProximity" in capsys.readouterr().err
+
+
+_BEAM = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0)
+
+# every library home of each key that one has (sample_dt has none), as calls of the value
+_LIBRARY = {
+    **{key: [lambda v, key=key: replace(_BEAM, **{key: v}).validate(),
+             lambda v, key=key: derive_constants(replace(_BEAM, **{key: v}))] for key in PHYSICAL_KEYS},
+    "J": [lambda v: eigenvalues(_BEAM, v), lambda v: project(StateFunctions.zero(), _BEAM, v),
+          lambda v: exponent_family(_BEAM, v)],
+    "N": [lambda v: Grid(v)],
+    "qmax": [lambda v: classify_stability(derive_constants(_BEAM), qmax=v),
+             lambda v: odd_odd_approximants(0.618, 3, qmax=v)],
+    "tol": [lambda v: classify_stability(derive_constants(_BEAM), tol=v)],
+    "T": [lambda v: SimConfig(T=v), lambda v: output_energy(ModalCoefficients.zeros(2), _BEAM, v),
+          lambda v: quotient_bound(OddApproximant(p=1, q=3, err=0.1, cq2=0.9), _BEAM, v),
+          lambda v: ingham_frame_bounds(exponent_family(_BEAM, 2), v)],
+    "k": [lambda v: SimConfig(k=v)],
+    "cfl": [lambda v: SimConfig(cfl=v)],
+}
+_LIBRARY["length"].append(lambda v: Grid(64, v))
+# the subcommand and flag that set each key that has a flag
+_FLAGS = {"J": [("spectrum", "--jmax")], "N": [("simulate", "--N")], "k": [("simulate", "--k")],
+          "cfl": [("simulate", "--cfl")], "qmax": [("classify", "--qmax")], "tol": [("classify", "--tol")],
+          "T": [("simulate", "--T"), ("observability", "--T")]}
+# one bad value per failure kind of each key, and the class that rejects it
+_BAD_VALUES = [
+    *[(key, text, error) for key in PHYSICAL_KEYS
+      for text, error in (("-1", NonPositiveParameter), ("0", NonPositiveParameter), ("inf", MalformedValue))
+      if (key, text) != ("gamma", "0")],
+    ("gamma", "0", DegenerateCoupling),
+    ("J", "0", NonPositiveParameter), ("J", "2.5", MalformedValue),
+    ("N", "8", NonPositiveParameter), ("N", "2.5", MalformedValue),
+    ("qmax", "0", InvalidBudget), ("qmax", "2.5", MalformedValue),
+    ("tol", "-1", InvalidBudget), ("tol", "inf", MalformedValue),
+    ("T", "-1", NonPositiveParameter), ("T", "nan", MalformedValue),
+    ("k", "inf", MalformedValue),
+    ("cfl", "1.5", CflViolation), ("cfl", "0", CflViolation), ("cfl", "nan", MalformedValue),
+]
+
+
+class TestOneRulePerValue:
+    """A bad value gets one class whether it comes from a config line, the key's flag or a
+    library call, and each message names the key."""
+
+    def test_validation_errors_are_value_errors(self):
+        assert issubclass(ValidationError, ValueError)
+
+    def test_every_key_with_a_library_home_is_covered(self):
+        assert set(_LIBRARY) == set(PHYSICAL_KEYS + INT_KEYS + FLOAT_KEYS) - {"sample_dt"}
+        assert {key for key, _, _ in _BAD_VALUES} == set(_LIBRARY)
+
+    @pytest.mark.parametrize("key, text, error", _BAD_VALUES)
+    def test_line_flag_and_library_agree(self, key, text, error, tmp_path, capsys):
+        lines = [line for line in HALF.splitlines() if not line.startswith(f"{key} =")]
+        config = "\n".join(lines + [f"{key} = {text}"]) + "\n"
+        with pytest.raises(error) as as_line:
+            parse_config(config)
+        assert type(as_line.value) is error
+        assert str(as_line.value).startswith(f"line {len(lines) + 1}: {key} ")
+
+        path = tmp_path / "beam.cfg"
+        path.write_text(HALF)
+        for command, flag in _FLAGS.get(key, []):
+            out = [] if command == "classify" else ["--out", str(tmp_path / "out.csv")]
+            assert run([command, "--config", str(path), flag, text] + out) == 2
+            assert f"error: {error.__name__}: {flag}: {key} " in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [path]
+
+        value = int(text) if text.lstrip("-").isdigit() and key in INT_KEYS else float(text)
+        for call in _LIBRARY[key]:
+            with pytest.raises(error) as as_call:
+                call(value)
+            assert type(as_call.value) is error
+            assert str(as_call.value).startswith(f"{key} ")
 
 
 class TestSweeps:
@@ -536,7 +627,7 @@ class TestSweeps:
         out_csv = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", str(path), "--param", "gamma", "--values", "0.5,0.9",
                     "--metric", "decay_rate", "--out", str(out_csv)]) == 2
-        assert "line 9: N must be >= 16, got 8" in capsys.readouterr().err
+        assert "line 9: N must be an integer >= 16, got 8" in capsys.readouterr().err
         assert not out_csv.exists()
 
     def test_decay_rate_sweep_fits_the_rows_simulate_writes(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from piezobeam import (
     ExhaustedBudget,
     InvalidBudget,
+    MalformedValue,
     NotRational,
     OddApproximant,
     ParityViolation,
@@ -130,14 +131,16 @@ class TestApproximants:
             odd_odd_approximants(0.5, 0)
 
     @pytest.mark.parametrize(
-        "count, qmax, name",
-        [(2.5, 100, "count"), (math.nan, 100, "count"), (3.0, 100, "count"),
-         (3, 100.5, "qmax"), (3, math.nan, "qmax"), (3, 100.0, "qmax"), (True, 100, "count"),
-         (3, True, "qmax")],
+        "count, qmax, name, error",
+        [(2.5, 100, "count", InvalidBudget), (math.nan, 100, "count", InvalidBudget),
+         (3.0, 100, "count", InvalidBudget), (3, 100.5, "qmax", MalformedValue),
+         (3, math.nan, "qmax", MalformedValue), (3, 100.0, "qmax", MalformedValue),
+         (True, 100, "count", InvalidBudget), (3, True, "qmax", MalformedValue)],
     )
-    def test_budget_must_be_integers(self, count, qmax, name):
-        """A fractional or NaN budget is not rounded or run: it is an invalid budget."""
-        with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
+    def test_budget_must_be_integers(self, count, qmax, name, error):
+        """A fractional or NaN budget is not rounded or run: a count is an invalid budget,
+        and a ``qmax`` is malformed, as a ``qmax`` config line would be."""
+        with pytest.raises(error, match=f"{name} must be an integer >= 1"):
             odd_odd_approximants(0.618, count, qmax=qmax)
 
     @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0])
@@ -223,7 +226,7 @@ class TestCounterexampleStates:
     @pytest.mark.parametrize(
         "p, q, error",
         [
-            (2, 4, ParityViolation),
+            (2, 4, InvalidBudget),  # not coprime, as ingham_gap says
             (1, 2, ParityViolation),
             (4, 3, ParityViolation),
             (3, 9, InvalidBudget),

@@ -13,6 +13,7 @@ from piezobeam import (
     BeamParameters,
     DegenerateCoupling,
     InvalidBudget,
+    MalformedValue,
     NonPositiveParameter,
     StabilityClass,
     classify_stability,
@@ -112,12 +113,12 @@ class TestClassifier:
 
     @pytest.mark.parametrize("qmax", [10.5, 100.0, math.nan, math.inf, True])
     def test_qmax_must_be_an_integer(self, golden_dc, qmax):
-        with pytest.raises(InvalidBudget, match="qmax must be an integer >= 1"):
+        with pytest.raises(MalformedValue, match="qmax must be an integer >= 1"):
             classify_stability(golden_dc, qmax=qmax)
 
     def test_infinite_tol_rejected(self, golden_dc):
         """An infinite tolerance would match any ratio, the golden one included."""
-        with pytest.raises(InvalidBudget, match="0 < tol < inf"):
+        with pytest.raises(MalformedValue, match="tol must be finite and > 0, got inf"):
             classify_stability(golden_dc, tol=math.inf)
 
     @pytest.mark.parametrize("scale", [0.37, 3.0, 40.0])

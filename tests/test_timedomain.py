@@ -13,6 +13,7 @@ from piezobeam import (
     Grid,
     GridState,
     ModalCoefficients,
+    MalformedValue,
     ModeIndex,
     NonFiniteState,
     NonPositiveEnergy,
@@ -360,9 +361,13 @@ class TestGridLength:
             call(Grid(64), long_beam)
         call(Grid(64, length=2.0 * (1.0 + 1e-13)), long_beam)
 
-    @pytest.mark.parametrize("n", [100.0, 15, 0, np.float64(64.0), "64"])
-    def test_cell_count_must_be_an_integer_of_at_least_min_cells(self, n):
-        with pytest.raises(ValueError, match="n must be an integer >= 16"):
+    @pytest.mark.parametrize(
+        "n, error",
+        [(100.0, MalformedValue), (15, NonPositiveParameter), (0, NonPositiveParameter),
+         (np.float64(64.0), MalformedValue), ("64", MalformedValue)],
+    )
+    def test_cell_count_must_be_an_integer_of_at_least_min_cells(self, n, error):
+        with pytest.raises(error, match="N must be an integer >= 16"):
             Grid(n)
 
     @pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0])
@@ -564,9 +569,9 @@ class TestClassicalModel:
         "field, value, error, message",
         [
             ("gamma", 0.0, DegenerateCoupling, "gamma = 0"),
-            ("rho", -1.0, NonPositiveParameter, "rho must be > 0"),
-            ("rho", math.nan, NonPositiveParameter, "rho must be > 0"),
-            ("alpha1", math.inf, NonPositiveParameter, "alpha1 must be > 0"),
+            ("rho", -1.0, NonPositiveParameter, "rho must be finite and > 0, got -1.0"),
+            ("rho", math.nan, MalformedValue, "rho must be finite and > 0, got nan"),
+            ("alpha1", math.inf, MalformedValue, "alpha1 must be finite and > 0, got inf"),
         ],
     )
     def test_absorbing_gain_validates_parameters(self, golden, field, value, error, message):
