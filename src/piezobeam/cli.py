@@ -24,13 +24,12 @@ from .config import FLOAT_KEYS, INT_KEYS, RunConfig, _fields, load_config
 from .csvio import read_csv, write_columns, write_csv, write_svg
 from .errors import (
     MalformedValue,
-    NonPositiveParameter,
     NumericalError,
     PiezoBeamError,
     ValidationError,
 )
 from .frequency import transfer_closed
-from .params import StabilityClass, classify_stability, derive_constants
+from .params import StabilityClass, _check_integer, classify_stability, derive_constants
 from .sweeps import SWEEP_METRICS, run_sweep
 from .timedomain import (
     Grid,
@@ -155,32 +154,34 @@ def _parse_initial(spec_text: str | None, mode: str, cfg: RunConfig, grid: Grid)
     if text == "bump":
         return gaussian_velocity_state(grid)
     name, _, rest = text.partition(":")
-    form = {"sine": "sine:J", "eigenmode": "eigenmode:F,J", "oddpair": "oddpair:P,Q"}.get(name)
-    if form:  # as many integers as the form has fields; a bare "sine" is sine:1
-        try:
-            values = [int(v) for v in (rest or "1").split(",")]
-        except ValueError:
-            values = []
-        if len(values) != form.count(",") + 1:
-            raise MalformedValue(f"--initial {text!r} is not of the form {form}")
-    if name == "sine":
-        return sine_velocity_state(grid, j=values[0])
-    if name == "eigenmode":
-        fam, j = values
-        coeffs = spectral.ModalCoefficients.single(spectral.ModeIndex(fam, +1, j), J=max(j, 1))
-        return grid_state_from_modal(coeffs, cfg.params, grid)
-    if name == "oddpair":
-        p, q = values
-        approx = obs.OddApproximant(p=p, q=q, err=0.0, cq2=0.0)
-        coeffs = obs.near_unobservable_state(approx, cfg.params)
-        return grid_state_from_modal(coeffs, cfg.params, grid)
     if name == "file":
         header, rows = read_csv(rest)
         if header != ["x", "v", "p", "vdot", "pdot"] or any(len(row) != 5 for row in rows):
             raise ValidationError(f"{rest}: expected columns x,v,p,vdot,pdot")
         cols = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 5).T
         return state_from_samples(grid, *cols)
-    raise ValidationError(f"unknown initial-data preset {text!r}")
+    form = {"sine": "sine:J", "eigenmode": "eigenmode:F,J", "oddpair": "oddpair:P,Q"}.get(name)
+    if form is None:
+        raise ValidationError(f"unknown initial-data preset {text!r}")
+    try:  # as many integers as the form has fields; a bare "sine" is sine:1
+        values = [int(v) for v in (rest or "1").split(",")]
+    except ValueError:
+        values = []
+    if len(values) != form.count(",") + 1:
+        raise MalformedValue(f"--initial {text!r} is not of the form {form}")
+    try:  # a field the library rejects keeps its class and is named with the preset
+        if name == "sine":
+            return sine_velocity_state(grid, j=values[0])
+        if name == "eigenmode":
+            fam, j = values
+            coeffs = spectral.ModalCoefficients.single(spectral.ModeIndex(fam, +1, j), J=max(j, 1))
+        else:
+            p, q = values
+            approx = obs.OddApproximant(p=p, q=q, err=0.0, cq2=0.0)
+            coeffs = obs.near_unobservable_state(approx, cfg.params)
+        return grid_state_from_modal(coeffs, cfg.params, grid)
+    except (PiezoBeamError, ValueError) as exc:
+        raise type(exc)(f"--initial {text!r}: {exc}") from exc
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
@@ -219,8 +220,7 @@ def _cmd_transfer(args, cfg: RunConfig) -> int:
     for flag, value in (("--s1", args.s1), ("--im-max", args.im_max)):
         if not math.isfinite(value):
             raise MalformedValue(f"{flag} must be a finite number, got {value}")
-    if args.n_points < 1:
-        raise NonPositiveParameter(f"--n-points must be >= 1, got {args.n_points}")
+    _check_integer(args.n_points, "--n-points")
     s = np.empty(args.n_points, dtype=complex)
     s.real, s.imag = args.s1, np.linspace(-args.im_max, args.im_max, args.n_points)
     g = transfer_closed(s, cfg.params)

@@ -153,7 +153,6 @@ def _bvp_solve(s: complex, params: BeamParameters, n: int, damped: bool) -> comp
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    params.validate()
     rho, a1, beta, gamma, mu = params.rho, params.alpha1, params.beta, params.gamma, params.mu
     # K^-1 M = [[a11, a12], [a21, a22]], whose off-diagonal entries are positive.
     a11, a12, a21 = rho / a1, gamma * mu / a1, gamma * rho / a1
@@ -202,9 +201,9 @@ def transfer_bvp(s: complex, params: BeamParameters, n: int = 4096) -> complex:
     oracle shares no code with the closed form it checks.  The
     discretization error is O(n^-2), so Richardson steps (doubling ``n``)
     shrink the disagreement by ~4x.  Raises ``ValueError`` unless ``n >= 64``
-    is an integer and ``s`` is finite, the errors of
-    :meth:`BeamParameters.validate`, and :class:`SingularSystem` next to a
-    pole of ``G_n`` (on the imaginary axis).
+    is an integer (:class:`MalformedValue` for a non-integer) and ``s`` is
+    finite, and :class:`SingularSystem` next to a pole of ``G_n`` (on the
+    imaginary axis); ``params`` is valid by construction.
     """
     return _bvp_solve(s, params, n, damped=False)
 

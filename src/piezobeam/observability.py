@@ -147,8 +147,9 @@ def odd_odd_approximants(
 
     Returns up to ``count`` approximants with strictly increasing ``q``.
     Warns with :class:`ExhaustedBudget` if the budget runs out first.
-    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1`` is an
-    integer and ``zeta * qmax < 2**52``; ``qmax`` is checked as its config key.
+    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1`` and
+    ``zeta * qmax < 2**52``, and :class:`MalformedValue` for a ``count`` that is not
+    an integer; ``qmax`` is checked as its config key.
     """
     if not 0 < zeta < math.inf:
         raise InvalidBudget(f"target must be finite and > 0, got {zeta}")
@@ -171,7 +172,8 @@ def odd_odd_approximants(
 
 
 def _check_pair(p, q) -> None:
-    """Raise :class:`InvalidBudget` unless ``p`` and ``q`` are coprime integers >= 1."""
+    """Raise :class:`InvalidBudget` unless ``p`` and ``q`` are coprime integers >= 1 (a
+    non-integer raises :class:`MalformedValue`)."""
     _check_integer(p, "p", error=InvalidBudget)
     _check_integer(q, "q", error=InvalidBudget)
     if math.gcd(p, q) != 1:
@@ -195,10 +197,10 @@ def near_unobservable_state(
     frequencies differ by O(err/q).  Its energy norm is
     ``L * (2*mu + rho * (1/b1^2 + 1/b2^2))``, independent of the approximant.
 
-    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime integers,
-    :class:`ParityViolation` unless both are odd, and
-    :class:`TruncationTooSmall` unless ``J`` (when given) is an integer
-    ``>= max(j1, j2)``, the larger of the two mode indices.
+    Raises :class:`MalformedValue` unless ``p``, ``q`` and ``J`` (when given) are
+    integers, :class:`InvalidBudget` unless ``p, q >= 1`` are coprime,
+    :class:`ParityViolation` unless both are odd, and :class:`TruncationTooSmall`
+    unless ``J >= max(j1, j2)``, the larger of the two mode indices.
     """
     p, q = approx.p, approx.q
     _check_pair(p, q)
@@ -254,10 +256,10 @@ def ingham_gap(params: BeamParameters, p: int, q: int) -> tuple[float, float]:
     and the Ingham frame bounds hold for every window longer than
     ``Tmin = 2 pi / gamma``.  Returns ``(gamma, Tmin)``.
 
-    Raises :class:`InvalidBudget` unless ``p, q >= 1`` are coprime
-    integers, :class:`ParityViolation` for odd/odd fractions (frequencies
-    collide; there is no gap) and :class:`NotRational` if the fraction does
-    not match the actual ratio to 1e-9.
+    Raises :class:`MalformedValue` unless ``p`` and ``q`` are integers,
+    :class:`InvalidBudget` unless they are coprime and >= 1, :class:`ParityViolation`
+    for odd/odd fractions (frequencies collide; there is no gap) and
+    :class:`NotRational` if the fraction does not match the actual ratio to 1e-9.
     """
     dc = derive_constants(params)
     _check_pair(p, q)

@@ -53,7 +53,8 @@ class BeamParameters:
         the model but not enforced.
 
     All fields must be finite and > 0 (``gamma`` and ``mu`` > 0 couple the two
-    wave fields); :meth:`validate` checks each by its config key's rule.
+    wave fields); each is checked by its config key's rule at construction (and
+    so by ``dataclasses.replace``), and no computation checks an instance again.
     """
 
     rho: float
@@ -63,6 +64,9 @@ class BeamParameters:
     mu: float
     length: float = 1.0
     thickness: float = 1.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise for the first field, in field order, that :func:`_check_option` rejects."""
@@ -83,34 +87,32 @@ def _integral(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is a ``numbers.Integral`` >= ``minimum``;
-    integral floats such as ``2.0`` are rejected like any other float, and ``bool`` too."""
-    if not _integral(value) or value < minimum:
+def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = NonPositiveParameter) -> None:
+    """The rule for every integer argument ``name``: a value that is not a ``numbers.Integral``
+    (any float, even ``2.0``, or a ``bool``) raises :class:`MalformedValue`, one < ``minimum``
+    raises ``error``."""
+    if not (_integral(value) and value >= minimum):
+        error = error if _integral(value) else MalformedValue
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_option(key: str, value, where: str = "") -> None:
     """Raise unless ``value`` suits the run option ``key``: one rule for a config line, a
-    CLI flag and a library call.  ``J``, ``N``, ``qmax`` take integers (not floats) >= 1,
-    :data:`MIN_CELLS`, 1; ``cfl`` lies in (0, 1), ``k`` is finite and the rest are finite
+    CLI flag and a library call.  ``J``, ``N``, ``qmax`` take integers >= 1, :data:`MIN_CELLS`,
+    1 (:func:`_check_integer`); ``cfl`` lies in (0, 1), ``k`` is finite and the rest are finite
     and > 0.  A value not finite or not an integer raises :class:`MalformedValue`,
     ``gamma = 0`` :class:`DegenerateCoupling` and one out of range :data:`_RANGE_ERROR`
     or :class:`NonPositiveParameter`; the message names ``key`` after ``where`` (``--N``).
     """
-    least = _LEAST.get(key)
-    if least is None:
-        low, high, rule = _OPEN.get(key, _POSITIVE)
-        if low < value < high:
-            return
-        malformed = not -math.inf < value < math.inf
-    elif _integral(value) and value >= least:
-        return
-    else:
-        rule, malformed = f"be an integer >= {least}", not _integral(value)
     name = f"{where}: {key}" if where else key
+    if key in _LEAST:
+        return _check_integer(value, name, _LEAST[key], _RANGE_ERROR.get(key, NonPositiveParameter))
+    low, high, rule = _OPEN.get(key, _POSITIVE)
+    if low < value < high:
+        return
     if key == "gamma" and value == 0:
         raise DegenerateCoupling(f"{name} = 0 decouples the displacement and charge waves")
+    malformed = not -math.inf < value < math.inf
     error = MalformedValue if malformed else _RANGE_ERROR.get(key, NonPositiveParameter)
     raise error(f"{name} must {rule}, got {value!r}")
 
@@ -153,10 +155,9 @@ def derive_constants(params: BeamParameters) -> DerivedConstants:
     ``(alpha1*zeta1**2 - rho)/(gamma*mu)`` and ``b2`` from the exact relation
     ``b1*b2 = -rho/mu``.
 
-    Raises what :meth:`BeamParameters.validate` raises; :class:`DegenerateCoupling`
-    for ``gamma == 0``, where the equations decouple and b1, b2 are undefined.
+    ``params`` is valid by construction: ``gamma == 0``, where the equations decouple
+    and b1, b2 are undefined, raises :class:`DegenerateCoupling` as it is built.
     """
-    params.validate()
     rho, a1, beta, gamma, mu = (
         params.rho,
         params.alpha1,

@@ -303,10 +303,10 @@ class _Model(NamedTuple):
 def _model(params: BeamParameters, classical: bool = False) -> _Model:
     """The coupled or the classical :class:`_Model` of ``params``, memoised.
 
-    Callers write ``_model(params)`` or ``_model(params, classical=True)``.
+    Callers write ``_model(params)`` or ``_model(params, classical=True)``; a
+    :class:`BeamParameters` is valid by construction, so neither form checks it.
     """
     if classical:
-        params.validate()
         rho = params.rho
         zeta = np.array([math.sqrt(rho / params.alpha1)])
         lam = np.array([params.alpha1 / rho])  # as given, not 1 / zeta**2 rounded twice

@@ -66,9 +66,8 @@ def run_sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     def task(value):
-        params = replace(cfg.params, **{param_name: value})
-        point = replace(cfg, params=params)
-        try:
+        try:  # the point's beam is checked as it is built
+            point = replace(cfg, params=replace(cfg.params, **{param_name: value}))
             return (value, evaluate_metric(point, metric), "")
         except (PiezoBeamError, ValueError) as exc:
             return (value, float("nan"), f"{type(exc).__name__}: {exc}")

@@ -335,10 +335,8 @@ def absorbing_gain(params: BeamParameters) -> float:
     """Feedback gain that makes the classical driven end perfectly absorbing.
 
     Matching the boundary impedance of right-going d'Alembert waves gives
-    ``k = h * sqrt(rho * alpha1) / gamma``.  Raises as
-    :meth:`BeamParameters.validate` does for invalid parameters.
+    ``k = h * sqrt(rho * alpha1) / gamma``; ``params`` is valid by construction.
     """
-    params.validate()
     return params.thickness * math.sqrt(params.rho * params.alpha1) / params.gamma
 
 
@@ -413,7 +411,6 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     finite (step 0 for bad initial data), or at the latest multiple of 512
     steps.
     """
-    params.validate()
     grid = initial.grid
     _check_length(grid, params)
     n, dx, h = grid.n, grid.dx, params.thickness
@@ -632,7 +629,7 @@ def operator_eigenvalues(
     _check_integer(count, "count")
     if count > 2 * n_cells:
         raise ValueError(f"count must be at most 2 * n_cells = {2 * n_cells}, got {count}")
-    lam = _model(params).lam  # validates params
+    lam = _model(params).lam
     wavenumber = (2.0 * n_cells / params.length) * np.sin(_half_angles(n_cells, params.length))
     return np.sort(np.outer(lam, wavenumber**2), axis=None)[:count]
 

@@ -1,7 +1,7 @@
 """Config parsing, CLI subcommands, sweeps, determinism of artifacts."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -349,7 +349,7 @@ class TestCommands:
         [
             (["transfer", "--s1", "nan"], "MalformedValue: --s1 must be a finite number"),
             (["transfer", "--im-max", "inf"], "MalformedValue: --im-max must be a finite number"),
-            (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be >= 1"),
+            (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be an integer >= 1, got 0"),
             (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: --k: k = 'nan' is not a finite number"),
             (["simulate", "--N", "64", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
             (["observability", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
@@ -400,11 +400,14 @@ class TestCommands:
     @pytest.mark.parametrize(
         "preset, message",
         [
-            ("sine:0", "ValueError: mode index j must be an integer >= 1, got 0"),
+            ("sine:0", "NonPositiveParameter: --initial 'sine:0': mode index j must be an integer >= 1, got 0"),
             ("sine:-2", "mode index j must be an integer >= 1, got -2"),
-            ("oddpair:2,4", "InvalidBudget: need coprime p, q; got (2, 4)"),
-            ("oddpair:3,9", "InvalidBudget: need coprime p, q; got (3, 9)"),
-            ("oddpair:-1,3", "InvalidBudget: p must be an integer >= 1, got -1"),
+            ("oddpair:2,4", "InvalidBudget: --initial 'oddpair:2,4': need coprime p, q; got (2, 4)"),
+            ("oddpair:3,9", "InvalidBudget: --initial 'oddpair:3,9': need coprime p, q; got (3, 9)"),
+            ("oddpair:-1,3", "InvalidBudget: --initial 'oddpair:-1,3': p must be an integer >= 1, got -1"),
+            ("eigenmode:3,1", "ValueError: --initial 'eigenmode:3,1': family must be 1 or 2, got 3"),
+            ("eigenmode:1,0",
+             "NonPositiveParameter: --initial 'eigenmode:1,0': mode index j must be an integer >= 1, got 0"),
             ("eigenmode:1", "MalformedValue: --initial 'eigenmode:1' is not of the form eigenmode:F,J"),
             ("eigenmode:1,2,3", "MalformedValue: --initial 'eigenmode:1,2,3' is not of the form eigenmode:F,J"),
             ("sine:abc", "MalformedValue: --initial 'sine:abc' is not of the form sine:J"),
@@ -479,10 +482,11 @@ class TestCommands:
 
 _BEAM = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0)
 
-# every library home of each key that one has (sample_dt has none), as calls of the value
+# every library home of each key that one has (sample_dt has none), as calls of the value;
+# a physical key is checked where a beam is built: by the constructor and by replace
 _LIBRARY = {
-    **{key: [lambda v, key=key: replace(_BEAM, **{key: v}).validate(),
-             lambda v, key=key: derive_constants(replace(_BEAM, **{key: v}))] for key in PHYSICAL_KEYS},
+    **{key: [lambda v, key=key: BeamParameters(**{**asdict(_BEAM), key: v}),
+             lambda v, key=key: replace(_BEAM, **{key: v})] for key in PHYSICAL_KEYS},
     "J": [lambda v: eigenvalues(_BEAM, v), lambda v: project(StateFunctions.zero(), _BEAM, v),
           lambda v: exponent_family(_BEAM, v)],
     "N": [lambda v: Grid(v)],

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -435,11 +436,13 @@ class TestBoundaryValueOracle:
         with pytest.raises(ValueError, match=re.escape(f"s={complex(1e308)} is too large")):
             transfer_bvp(1e308, long_beam, n)
 
-    def test_parameters_validated_like_the_closed_form(self):
-        params = BeamParameters(1.0, 1.0, 1.0, 0.0, 1.0)
-        for call in (transfer_closed, transfer_bvp, transfer_damped_bvp):
-            with pytest.raises(DegenerateCoupling):
-                call(1.0, params)
+    def test_parameters_validated_like_the_closed_form(self, golden):
+        """The closed form and the oracle take the same beams: one with ``gamma = 0``
+        cannot be built, so none of them is handed one."""
+        with pytest.raises(DegenerateCoupling):
+            BeamParameters(1.0, 1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(DegenerateCoupling):
+            replace(golden, gamma=0.0)
 
     @pytest.mark.parametrize("n", [100.0, np.float64(128.0), 63, math.nan, True])
     @pytest.mark.parametrize("solve", [transfer_bvp, transfer_damped_bvp])

@@ -132,14 +132,14 @@ class TestApproximants:
 
     @pytest.mark.parametrize(
         "count, qmax, name, error",
-        [(2.5, 100, "count", InvalidBudget), (math.nan, 100, "count", InvalidBudget),
-         (3.0, 100, "count", InvalidBudget), (3, 100.5, "qmax", MalformedValue),
+        [(2.5, 100, "count", MalformedValue), (math.nan, 100, "count", MalformedValue),
+         (3.0, 100, "count", MalformedValue), (3, 100.5, "qmax", MalformedValue),
          (3, math.nan, "qmax", MalformedValue), (3, 100.0, "qmax", MalformedValue),
-         (True, 100, "count", InvalidBudget), (3, True, "qmax", MalformedValue)],
+         (True, 100, "count", MalformedValue), (3, True, "qmax", MalformedValue)],
     )
     def test_budget_must_be_integers(self, count, qmax, name, error):
-        """A fractional or NaN budget is not rounded or run: a count is an invalid budget,
-        and a ``qmax`` is malformed, as a ``qmax`` config line would be."""
+        """A fractional, NaN or bool budget is not rounded or run: a ``count`` or a ``qmax``
+        that is not an integer is malformed, as a ``qmax`` config line would be."""
         with pytest.raises(error, match=f"{name} must be an integer >= 1"):
             odd_odd_approximants(0.618, count, qmax=qmax)
 
@@ -220,7 +220,7 @@ class TestCounterexampleStates:
     @pytest.mark.parametrize("J", [5.5, 6.0, math.nan, True])
     def test_truncation_must_be_an_integer(self, golden, J):
         approx = OddApproximant(p=1, q=9, err=0.0, cq2=0.0)
-        with pytest.raises(TruncationTooSmall, match="J for approximant"):
+        with pytest.raises(MalformedValue, match="J for approximant"):
             near_unobservable_state(approx, golden, J=J)
 
     @pytest.mark.parametrize(
@@ -240,7 +240,7 @@ class TestCounterexampleStates:
 
     @pytest.mark.parametrize("p, q, name", [(1.0, 3, "p"), (1, 3.0, "q"), (1.5, 3, "p"), (True, 3, "p")])
     def test_pair_must_be_integers(self, golden, p, q, name):
-        with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
+        with pytest.raises(MalformedValue, match=f"{name} must be an integer >= 1"):
             near_unobservable_state(OddApproximant(p=p, q=q, err=0.0, cq2=0.0), golden)
 
 
@@ -322,7 +322,9 @@ class TestInghamGap:
         "p, q, name", [(1.0, 2, "p"), (1, 2.0, "q"), (0, 2, "p"), (1, -2, "q"), (True, 2, "p")]
     )
     def test_fraction_must_be_positive_integers(self, ratio_half, p, q, name):
-        with pytest.raises(InvalidBudget, match=f"{name} must be an integer >= 1"):
+        """A non-integer is malformed; an integer below 1 is an invalid budget."""
+        error = InvalidBudget if type(p) is type(q) is int else MalformedValue
+        with pytest.raises(error, match=f"{name} must be an integer >= 1"):
             ingham_gap(ratio_half, p, q)
 
     def test_family_gaps_respect_the_bound(self, ratio_half):

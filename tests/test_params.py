@@ -12,15 +12,33 @@ from hypothesis import strategies as st
 from piezobeam import (
     BeamParameters,
     DegenerateCoupling,
+    Grid,
     InvalidBudget,
     MalformedValue,
+    ModalCoefficients,
+    ModeIndex,
     NonPositiveParameter,
+    OddApproximant,
+    SimConfig,
     StabilityClass,
+    TruncationTooSmall,
+    absorbing_gain,
+    boundedness_scan,
     classify_stability,
     derive_constants,
+    gaussian_velocity_state,
+    ingham_gap,
+    near_unobservable_state,
+    odd_odd_approximants,
+    operator_eigenvalues,
     parameters_for_ratio,
+    simulate,
+    sine_velocity_state,
+    transfer_bvp,
+    transfer_damped_bvp,
 )
 from piezobeam.params import _check_integer
+from piezobeam.spectral import _model
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -159,3 +177,58 @@ def test_check_integer_takes_integers_not_bools_or_floats(value, minimum, accept
     else:
         with pytest.raises(ValueError, match=f"count must be an integer >= {minimum}"):
             _check_integer(value, "count", minimum)
+
+
+def test_a_built_beam_is_not_validated_again(monkeypatch):
+    """A :class:`BeamParameters` is checked once, when it is built: the computations
+    that take one do not call :meth:`BeamParameters.validate` again."""
+    params = BeamParameters(1.3, 0.7, 1.1, 0.9, 1.2)  # a beam no other test memoises
+    calls = []
+    monkeypatch.setattr(BeamParameters, "validate", lambda self: calls.append(self))
+    derive_constants(params)
+    _model(params, classical=True)
+    transfer_bvp(1.0 + 2.0j, params, 64)
+    transfer_damped_bvp(1.0 + 2.0j, params, 64)
+    absorbing_gain(params)
+    for mode in ("closed", "classical"):
+        simulate(gaussian_velocity_state(Grid(16)), params, SimConfig(T=0.1, mode=mode))
+    assert calls == []
+    replace(params, rho=2.0)
+    assert len(calls) == 1
+
+
+_GOLDEN = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0)
+_NINE = OddApproximant(p=1, q=9, err=0.0, cq2=0.0)  # modes j1 = 5, j2 = 1
+# every integer argument checked by _check_integer: (name, call of the value, minimum, range class)
+_INTEGER_ARGUMENTS = [
+    ("family", lambda v: ModeIndex(v, 1, 1), 1, NonPositiveParameter),
+    ("sign", lambda v: ModeIndex(1, v, 1), -1, NonPositiveParameter),
+    ("mode index j", lambda v: ModeIndex(1, 1, v), 1, NonPositiveParameter),
+    ("J", lambda v: ModalCoefficients.zeros(v), 0, NonPositiveParameter),
+    ("J", lambda v: ModalCoefficients.single(ModeIndex(1, 1, 1), v), 0, NonPositiveParameter),
+    ("count", lambda v: odd_odd_approximants(0.618, v), 1, InvalidBudget),
+    ("p", lambda v: ingham_gap(_GOLDEN, v, 2), 1, InvalidBudget),
+    ("q", lambda v: near_unobservable_state(OddApproximant(p=1, q=v, err=0.0, cq2=0.0), _GOLDEN), 1,
+     InvalidBudget),
+    ("J for approximant (1,9)", lambda v: near_unobservable_state(_NINE, _GOLDEN, J=v), 5, TruncationTooSmall),
+    ("n", lambda v: transfer_bvp(1.0, _GOLDEN, v), 64, NonPositiveParameter),
+    ("n", lambda v: boundedness_scan(1.0, 1.0, v, _GOLDEN), 1, NonPositiveParameter),
+    ("energy_stride", lambda v: SimConfig(energy_stride=v), 1, NonPositiveParameter),
+    ("n_cells", lambda v: operator_eigenvalues(_GOLDEN, v, 1), 1, NonPositiveParameter),
+    ("count", lambda v: operator_eigenvalues(_GOLDEN, 4, v), 1, NonPositiveParameter),
+    ("mode index j", lambda v: sine_velocity_state(Grid(16), v), 1, NonPositiveParameter),
+]
+
+
+@pytest.mark.parametrize("name, call, minimum, error", _INTEGER_ARGUMENTS,
+                         ids=[f"{i}-{row[0]}" for i, row in enumerate(_INTEGER_ARGUMENTS)])
+def test_every_integer_argument_follows_one_rule(name, call, minimum, error):
+    """A non-integer is malformed wherever it is passed; an integer below the minimum
+    raises the argument's range class; both messages have one form."""
+    with pytest.raises(MalformedValue) as malformed:
+        call(2.5)
+    assert str(malformed.value) == f"{name} must be an integer >= {minimum}, got 2.5"
+    with pytest.raises(error) as below:
+        call(minimum - 1)
+    assert type(below.value) is error
+    assert str(below.value) == f"{name} must be an integer >= {minimum}, got {minimum - 1}"
