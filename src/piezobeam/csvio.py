@@ -1,26 +1,25 @@
 """Deterministic CSV and minimal SVG emission.
 
 Floats are printed with 17 significant digits so CSV artifacts round-trip to
-the exact binary value and byte-compare across runs.  Two writers share that
-per-value rule (:func:`format_value`, applied through :func:`_row_template`):
-:func:`write_csv` takes rows of mixed Python or NumPy values and picks each
-row's template from its value types, and :func:`write_columns` takes
-equal-length float64 or integer NumPy columns, whose types fix one template
-for the whole table.  Both format :data:`_CHUNK_ROWS` rows per write.  SVG
-output is a plain polyline with axis annotations, no plotting dependency.
+the exact binary value and byte-compare across runs.  One writer,
+:func:`write_csv`, takes a table as equal-length columns and prints each cell
+by one of two rules: a float64 NumPy column prints ``%.17g`` of its values, and
+any other column (a tuple from ``zip(*rows)``, a list, a ``range`` or an array
+of another dtype) prints :func:`format_value` of each value, which is the same
+text for a float.  It formats :data:`_CHUNK_ROWS` rows per write.  SVG output
+is a plain polyline with axis annotations, no plotting dependency.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "write_columns", "read_csv", "write_svg"]
+__all__ = ["format_value", "write_csv", "read_csv", "write_svg"]
 
 
 # Rows formatted per write: bounds the text held in memory for long tables.
@@ -31,53 +30,32 @@ def format_value(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-@functools.lru_cache
-def _row_template(types: tuple[type, ...]) -> str:
-    """``%``-template applying :func:`format_value`'s rule to a row of value ``types``."""
-    return ",".join(["%.17g" if issubclass(t, float) else "%s" for t in types]) + "\n"
+def write_csv(path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """Write one row per index of equal-length 1-d ``columns``, with fixed formatting
+    and Unix newlines (byte-reproducible).
 
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows with fixed formatting and Unix newlines (byte-reproducible).
-
-    Each chunk of rows is formatted by one ``%`` over its rows' templates,
-    joined; a row's template follows :func:`format_value` per value and is
-    cached by the row's tuple of value types, so columns that mix floats with
-    labels need no second code path.
+    A float64 NumPy column prints ``%.17g`` over one ``tolist`` per chunk; any other
+    column prints :func:`format_value` of each value.  The row template follows from
+    the columns once; each chunk takes one slice per column and one ``%``.  No columns
+    at all is a table of no rows.  A column count other than the header's, a column
+    that is not 1-d or of another length raises ``ValueError`` naming the column,
+    before the file is opened.
     """
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            template = "".join([_row_template(tuple(map(type, row))) for row in chunk])
-            f.write(template % tuple(chain.from_iterable(chunk)))
-
-
-def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write one row per index of equal-length NumPy ``columns``, with the bytes of
-    :func:`write_csv` on the zipped rows.
-
-    Each column must be a 1-d float64 or integer array; anything else raises
-    ``TypeError`` (a float32 value would print with the digits of its float64
-    widening) or ``ValueError`` naming the column.  The row template follows
-    from the column types once; each chunk takes one ``tolist`` per column and
-    one ``%``, so no whole column is held as a list.
-    """
-    if not columns or len(header) != len(columns):
+    columns = list(columns)
+    if columns and len(header) != len(columns):
         raise ValueError(f"need one header name per column, got {len(header)} for {len(columns)}")
     for name, column in zip(header, columns):
-        kind = getattr(column, "dtype", type(column).__name__)
-        if not isinstance(column, np.ndarray) or not (kind == np.float64 or kind.kind in "iu"):
-            raise TypeError(f"column {name!r} must be a float64 or integer array, got {kind}")
-        if column.ndim != 1:
+        if getattr(column, "ndim", 1) != 1:
             raise ValueError(f"column {name!r} must be 1-d, got shape {column.shape}")
         if len(column) != len(columns[0]):
             raise ValueError(f"column {name!r} has {len(column)} rows, not {len(columns[0])}")
-    row = _row_template(tuple(float if column.dtype.kind == "f" else int for column in columns))
+    floats = [getattr(column, "dtype", None) == np.float64 for column in columns]
+    row = ",".join(["%.17g" if is_float else "%s" for is_float in floats]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = [column[start : start + _CHUNK_ROWS].tolist() for column in columns]
+        for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+            cells = [column[start : start + _CHUNK_ROWS] for column in columns]
+            chunk = [c.tolist() if is_float else list(map(format_value, c)) for c, is_float in zip(cells, floats)]
             f.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 

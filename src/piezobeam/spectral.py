@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import NonPositiveParameter, QuadratureFailure
 from .params import BeamParameters, _check_integer, _check_option, derive_constants
 
 __all__ = [
@@ -77,10 +77,10 @@ class ModeIndex:
     def __post_init__(self) -> None:
         _check_integer(self.family, "family")
         if self.family not in (1, 2):
-            raise ValueError(f"family must be 1 or 2, got {self.family}")
+            raise NonPositiveParameter(f"family must be 1 or 2, got {self.family}")
         _check_integer(self.sign, "sign", minimum=-1)
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+            raise NonPositiveParameter(f"sign must be +1 or -1, got {self.sign}")
         _check_integer(self.j, "mode index j")
 
 
@@ -364,9 +364,8 @@ def reconstruct(
     """Evaluate the modal sum at positions ``x`` and time ``t``.
 
     With ``derivative=True`` the x-derivative of each component is returned
-    (cosine profiles), which is what the energy quadratures need.  The
-    profiles are the imaginary (sine) or real (cosine) parts of
-    :func:`_waves`.  The phase is :func:`propagate`'s, so time ``t`` is
+    (cosine profiles).  The profiles are the imaginary (sine) or real (cosine)
+    parts of :func:`_waves`.  The phase is :func:`propagate`'s, so time ``t`` is
     bitwise ``reconstruct(propagate(coeffs, params, t), params, x)``.  A
     coefficient ``a`` adds ``sign * a / (i * freq)`` to the positions and
     ``sign * a`` to the velocities along its family's mixing column

@@ -541,7 +541,9 @@ def _run_config(
 ) -> Trajectory:
     """Run ``cfg`` from ``initial``: its ``T``, ``cfl`` and ``k``, recorded every
     ``round(cfg.sample_dt / dt)`` steps (at least 1).  The CLI's ``simulate`` and
-    the ``decay_rate`` sweep metric both sample a configuration this way."""
+    the ``decay_rate`` sweep metric both sample a configuration this way; ``sample_dt``
+    follows its config key's rule."""
+    _check_option("sample_dt", cfg.sample_dt)
     sim = SimConfig(mode=mode, T=cfg.T, cfl=cfg.cfl, k=cfg.k, snapshots=snapshots)
     stride = max(1, round(cfg.sample_dt / _time_step(initial.grid, cfg.params, sim)[0]))
     return simulate(initial, cfg.params, replace(sim, energy_stride=stride))

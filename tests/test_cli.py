@@ -25,18 +25,28 @@ from piezobeam import (
 )
 from piezobeam.cli import run
 from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
-from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_columns, write_csv
+from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_csv
 from piezobeam.frequency import transfer_closed
 from piezobeam.observability import (
     OddApproximant,
     exponent_family,
     ingham_frame_bounds,
+    near_unobservable_state,
+    observability_quotient,
     odd_odd_approximants,
     quotient_bound,
 )
 from piezobeam.params import MIN_CELLS, classify_stability
 from piezobeam.spectral import ModalCoefficients, StateFunctions, eigenvalues, output_energy, project
-from piezobeam.timedomain import Grid, SimConfig, _time_step, decay_rate, simulate, sine_velocity_state
+from piezobeam.timedomain import (
+    Grid,
+    SimConfig,
+    _run_config,
+    _time_step,
+    decay_rate,
+    simulate,
+    sine_velocity_state,
+)
 
 MINIMAL = """\
 # unit beam
@@ -178,6 +188,54 @@ class TestParseConfig:
         assert (cfg.k is None or math.isfinite(cfg.k)) and 0 < cfg.cfl < 1
 
 
+def _constants_rows(cfg):
+    dc = derive_constants(cfg.params)
+    return [(dc.alpha, dc.zeta1, dc.zeta2, dc.b1, dc.b2)]
+
+
+def _observability_rows(cfg):
+    approximants = odd_odd_approximants(derive_constants(cfg.params).ratio, count=3, qmax=cfg.qmax)
+    return [(a.p, a.q, a.err, observability_quotient(near_unobservable_state(a, cfg.params), cfg.params, 10.0))
+            for a in approximants]
+
+
+def _snapshot_index_rows(cfg):
+    cfg = replace(cfg, n=64, T=0.2)
+    traj = _run_config(cfg, sine_velocity_state(Grid(cfg.n, cfg.params.length), 1), "closed", snapshots=True)
+    return [(i, t, f"state_{i:04d}.csv") for i, (t, _) in enumerate(traj.snapshots)]
+
+
+# each CLI table built from rows: its command, its file, its header and its rows from the library
+_ROW_TABLES = [
+    pytest.param(["constants", "--out", "out.csv"], "out.csv", ["alpha", "zeta1", "zeta2", "b1", "b2"],
+                 _constants_rows, id="constants"),
+    pytest.param(["spectrum", "--jmax", "8", "--out", "out.csv"], "out.csv", ["family", "sign", "j", "im_lambda"],
+                 lambda cfg: [(m.family, m.sign, m.j, lam.imag) for m, lam in eigenvalues(cfg.params, 8)],
+                 id="spectrum"),
+    pytest.param(["observability", "--count", "3", "--T", "10", "--out", "out.csv"], "out.csv",
+                 ["p", "q", "err", "quotient"], _observability_rows, id="observability"),
+    pytest.param(["sweep", "--param", "gamma", "--values", "0.5,0,1.5", "--metric", "class", "--out", "out.csv"],
+                 "out.csv", ["value", "metric", "error"],
+                 lambda cfg: run_sweep(cfg, "gamma", [0.5, 0.0, 1.5], "class"), id="class_sweep"),
+    pytest.param(["simulate", "--mode", "closed", "--N", "64", "--T", "0.2", "--initial", "sine:1",
+                  "--out", "traj.csv", "--snapshots", "snaps"], "snaps/index.csv", ["index", "time", "file"],
+                 _snapshot_index_rows, id="snapshot_index"),
+]
+
+
+@pytest.mark.parametrize("argv, name, header, rows", _ROW_TABLES)
+def test_cli_table_bytes(argv, name, header, rows, tmp_path, monkeypatch, capsys):
+    """Each table the CLI builds from rows holds, byte for byte, ``format_value`` of the
+    library's own values joined by commas, one line per row."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "golden.cfg").write_text(MINIMAL)
+    assert run([argv[0], "--config", "golden.cfg", *argv[1:]]) == 0
+    table = rows(load_config("golden.cfg"))
+    assert len(table) > 1 or argv[0] == "constants"
+    want = ",".join(header) + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in table)
+    assert (tmp_path / name).read_bytes() == want.encode("utf-8")
+
+
 class TestCommands:
     def test_classify_summary_line(self, half_cfg, capsys):
         assert run(["classify", "--config", str(half_cfg)]) == 0
@@ -245,7 +303,8 @@ class TestCommands:
         assert len(rows) == 51
 
     def test_transfer_csv_bytes_across_a_chunk(self, half_cfg, tmp_path, capsys):
-        """5,000 rows cross a chunk of the column writer; the bytes are ``write_csv``'s."""
+        """5,000 rows cross a chunk of the writer; the bytes are ``write_csv``'s on list
+        columns, which print ``format_value`` of each value."""
         out_csv = tmp_path / "freq.csv"
         assert run(["transfer", "--config", str(half_cfg), "--s1", "0.5", "--im-max", "40",
                     "--n-points", "5000", "--out", str(out_csv)]) == 0
@@ -253,7 +312,8 @@ class TestCommands:
         s.real, s.imag = 0.5, np.linspace(-40.0, 40.0, 5000)
         g = transfer_closed(s, load_config(str(half_cfg)).params)
         want = tmp_path / "want.csv"
-        write_csv(want, ["re_s", "im_s", "re_G", "im_G", "abs_G"], zip(s.real, s.imag, g.real, g.imag, np.abs(g)))
+        write_csv(want, ["re_s", "im_s", "re_G", "im_G", "abs_G"],
+                  [list(column) for column in (s.real, s.imag, g.real, g.imag, np.abs(g))])
         assert out_csv.read_bytes() == want.read_bytes()
 
     def test_simulate_records_at_the_csv_stride(self, half_cfg, tmp_path, capsys):
@@ -280,7 +340,7 @@ class TestCommands:
     def test_snapshot_bytes(self, half_cfg, tmp_path, capsys):
         """There is one state file per row of the trajectory CSV, ``index.csv`` carries the
         CSV's time strings, and a state file has the bytes of ``write_csv`` on the fields of
-        the ``GridState`` at that row."""
+        the ``GridState`` at that row, as list columns."""
         snap_dir = tmp_path / "snaps"
         out_csv = tmp_path / "a.csv"
         assert run(["simulate", "--config", str(half_cfg), "--mode", "closed", "--N", "128",
@@ -300,7 +360,7 @@ class TestCommands:
         want = tmp_path / "want.csv"
         for i, (_, state) in enumerate(snapshots):
             write_csv(want, ["x", "v", "p", "vdot", "pdot"],
-                      zip(state.grid.nodes, state.v, state.p, state.vdot, state.pdot))
+                      [list(column) for column in (state.grid.nodes, state.v, state.p, state.vdot, state.pdot)])
             assert (snap_dir / f"state_{i:04d}.csv").read_bytes() == want.read_bytes()
 
     def test_observability_csv(self, tmp_path, capsys):
@@ -405,7 +465,7 @@ class TestCommands:
             ("oddpair:2,4", "InvalidBudget: --initial 'oddpair:2,4': need coprime p, q; got (2, 4)"),
             ("oddpair:3,9", "InvalidBudget: --initial 'oddpair:3,9': need coprime p, q; got (3, 9)"),
             ("oddpair:-1,3", "InvalidBudget: --initial 'oddpair:-1,3': p must be an integer >= 1, got -1"),
-            ("eigenmode:3,1", "ValueError: --initial 'eigenmode:3,1': family must be 1 or 2, got 3"),
+            ("eigenmode:3,1", "NonPositiveParameter: --initial 'eigenmode:3,1': family must be 1 or 2, got 3"),
             ("eigenmode:1,0",
              "NonPositiveParameter: --initial 'eigenmode:1,0': mode index j must be an integer >= 1, got 0"),
             ("eigenmode:1", "MalformedValue: --initial 'eigenmode:1' is not of the form eigenmode:F,J"),
@@ -482,8 +542,8 @@ class TestCommands:
 
 _BEAM = BeamParameters(1.0, 1.0, 1.0, 1.0, 1.0)
 
-# every library home of each key that one has (sample_dt has none), as calls of the value;
-# a physical key is checked where a beam is built: by the constructor and by replace
+# every library home of each key, as calls of the value; a physical key is checked where
+# a beam is built (by the constructor and by replace), sample_dt where a run is sampled
 _LIBRARY = {
     **{key: [lambda v, key=key: BeamParameters(**{**asdict(_BEAM), key: v}),
              lambda v, key=key: replace(_BEAM, **{key: v})] for key in PHYSICAL_KEYS},
@@ -498,6 +558,7 @@ _LIBRARY = {
           lambda v: ingham_frame_bounds(exponent_family(_BEAM, 2), v)],
     "k": [lambda v: SimConfig(k=v)],
     "cfl": [lambda v: SimConfig(cfl=v)],
+    "sample_dt": [lambda v: _run_config(RunConfig(_BEAM, sample_dt=v), sine_velocity_state(Grid(16), 1))],
 }
 _LIBRARY["length"].append(lambda v: Grid(64, v))
 # the subcommand and flag that set each key that has a flag
@@ -517,6 +578,8 @@ _BAD_VALUES = [
     ("T", "-1", NonPositiveParameter), ("T", "nan", MalformedValue),
     ("k", "inf", MalformedValue),
     ("cfl", "1.5", CflViolation), ("cfl", "0", CflViolation), ("cfl", "nan", MalformedValue),
+    ("sample_dt", "-1", NonPositiveParameter), ("sample_dt", "0", NonPositiveParameter),
+    ("sample_dt", "nan", MalformedValue), ("sample_dt", "inf", MalformedValue),
 ]
 
 
@@ -528,7 +591,7 @@ class TestOneRulePerValue:
         assert issubclass(ValidationError, ValueError)
 
     def test_every_key_with_a_library_home_is_covered(self):
-        assert set(_LIBRARY) == set(PHYSICAL_KEYS + INT_KEYS + FLOAT_KEYS) - {"sample_dt"}
+        assert set(_LIBRARY) == set(PHYSICAL_KEYS + INT_KEYS + FLOAT_KEYS)
         assert {key for key, _, _ in _BAD_VALUES} == set(_LIBRARY)
 
     @pytest.mark.parametrize("key, text, error", _BAD_VALUES)
@@ -592,7 +655,7 @@ class TestSweeps:
         for i in range(2):
             rows = run_sweep(cfg, "gamma", values, "zeta_ratio", workers=4)
             path = tmp_path / f"sweep_{i}.csv"
-            write_csv(path, ["value", "metric", "error"], rows)
+            write_csv(path, ["value", "metric", "error"], zip(*rows))
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -659,6 +722,19 @@ class TestSweeps:
         [(_, rate, error)] = run_sweep(cfg, "gamma", [1.0], "decay_rate")
         assert math.isnan(rate) and error == "ValueError: need aligned series of length >= 10"
 
+    @pytest.mark.parametrize("sample_dt, error", [
+        (-1.0, "NonPositiveParameter: sample_dt must be finite and > 0, got -1.0"),
+        (0.0, "NonPositiveParameter: sample_dt must be finite and > 0, got 0.0"),
+        (math.nan, "MalformedValue: sample_dt must be finite and > 0, got nan"),
+        (math.inf, "MalformedValue: sample_dt must be finite and > 0, got inf"),
+    ], ids=["negative", "zero", "nan", "inf"])
+    def test_bad_sample_dt_is_a_row_error(self, sample_dt, error):
+        """A library-built ``sample_dt`` follows its key's rule on each point's row, so an
+        infinite one fails its row instead of aborting the sweep."""
+        cfg = replace(parse_config(MINIMAL + "N = 64\nT = 1\n"), sample_dt=sample_dt)
+        [(_, rate, message)] = run_sweep(cfg, "gamma", [1.0], "decay_rate")
+        assert math.isnan(rate) and message == error
+
     def test_overflowing_default_gain_is_a_row_error(self):
         """A point whose default ``1/(2*thickness)`` overflows fails on its own row."""
         rows = run_sweep(parse_config(MINIMAL + "N = 64\nT = 1\n"), "thickness", [1e-320, 1.0], "decay_rate")
@@ -710,67 +786,96 @@ def test_format_value_exact_strings(value, text):
 )
 def test_write_csv_equals_format_value_per_value(tmp_path, rows):
     path = tmp_path / "rows.csv"
-    write_csv(path, ["a", "b", "c"], iter(rows))
+    write_csv(path, ["a", "b", "c"], zip(*rows))
     want = "a,b,c\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_write_csv_follows_format_value_per_row(tmp_path):
-    """Rows mixing floats, NumPy scalars, ints and labels in one column, more rows
-    than one write holds, give the bytes of joining ``format_value`` per value."""
+    """Columns mixing floats, NumPy scalars, ints and labels, more rows than one write
+    holds, give the bytes of joining ``format_value`` per value."""
     values = [0.1, math.nan, "failed: 50%", np.float64(-0.0), 3, np.float32(0.1), np.int64(7), True, math.inf]
     rows = [(i, values[i % len(values)], 1.0 / (i + 1)) for i in range(10_000)]
     path = tmp_path / "mixed.csv"
-    write_csv(path, ["i", "value", "x"], iter(rows))
+    write_csv(path, ["i", "value", "x"], zip(*rows))
     want = "i,value,x\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
 
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308,
                 1e308, -1e308, 0.1, 1.0 / 3.0]
+_LABELS = ["", "x", "failed: 50%", "DegenerateCoupling: gamma = 0"]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     length=st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
-    kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4),
+    kinds=st.lists(st.sampled_from(["float64", "int64", "float32", "object", "list"]), min_size=1, max_size=5),
     floats=st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=8),
     ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_write_columns_equals_write_csv_of_rows(tmp_path, length, kinds, floats, ints, seed):
-    """Float64 columns (nan, infinities, -0.0, subnormals, +-1e308) and int64 columns, at
-    lengths around a chunk, give the bytes of ``write_csv`` on the zipped rows."""
+def test_write_csv_equals_format_value_of_columns(tmp_path, length, kinds, floats, ints, seed):
+    """Float64 columns (nan, infinities, -0.0, subnormals, +-1e308), int64, float32, object
+    and list columns, at lengths around a chunk, give the bytes of joining ``format_value``
+    over each row's values."""
     rng = np.random.default_rng(seed)
-    pools = {"float": np.array(floats, dtype=np.float64), "int": np.array(ints, dtype=np.int64)}
+    mixed = np.array(floats + ints + _LABELS, dtype=object)
+    with np.errstate(over="ignore"):  # a float beyond float32's range is an infinity there
+        narrow = np.array(floats, dtype=np.float64).astype(np.float32)
+    pools = {"float64": np.array(floats, dtype=np.float64), "int64": np.array(ints, dtype=np.int64),
+             "float32": narrow, "object": mixed, "list": mixed}
     columns = [rng.choice(pools[kind], length) for kind in kinds]
+    columns = [column.tolist() if kind == "list" else column for kind, column in zip(kinds, columns)]
     header = [f"c{i}" for i in range(len(columns))]
-    write_columns(tmp_path / "columns.csv", header, columns)
-    write_csv(tmp_path / "rows.csv", header, zip(*columns))
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    path = tmp_path / "columns.csv"
+    write_csv(path, header, columns)
+    want = ",".join(header) + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in zip(*columns))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 @pytest.mark.parametrize(
-    "second, error, message",
+    "second, text",
     [
-        (np.float32([0.1, 0.2]), TypeError, "column 'b' must be a float64 or integer array, got float32"),
-        (np.array([0.1, "x"], dtype=object), TypeError, "column 'b' .* got object"),
-        (np.array([True, False]), TypeError, "column 'b' .* got bool"),
-        ([0.1, 0.2], TypeError, "column 'b' .* got list"),
-        (np.zeros((2, 1)), ValueError, r"column 'b' must be 1-d, got shape \(2, 1\)"),
-        (np.zeros(3), ValueError, "column 'b' has 3 rows, not 2"),
+        (np.float32([0.1, 0.2]), ["0.1", "0.2"]),
+        (np.array([0.1, "x"], dtype=object), ["0.10000000000000001", "x"]),
+        (np.array([True, False]), ["True", "False"]),
+        ([0.1, 7], ["0.10000000000000001", "7"]),
     ],
-    ids=["float32", "object", "bool", "list", "two_d", "unequal_length"],
+    ids=["float32", "object", "bool", "list"],
 )
-def test_write_columns_rejects_other_columns(tmp_path, second, error, message):
+def test_write_csv_prints_other_columns_by_format_value(tmp_path, second, text):
+    """A column that is not float64 prints ``format_value`` of each value: a float32 with
+    its own shortest digits, not those of its float64 widening."""
+    path = tmp_path / "other.csv"
+    write_csv(path, ["a", "b"], [np.zeros(2), second])
+    assert path.read_text() == f"a,b\n0,{text[0]}\n0,{text[1]}\n"
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (np.zeros((2, 1)), r"column 'b' must be 1-d, got shape \(2, 1\)"),
+        (np.zeros(3), "column 'b' has 3 rows, not 2"),
+        (range(1), "column 'b' has 1 rows, not 2"),
+    ],
+    ids=["two_d", "unequal_length", "short_range"],
+)
+def test_write_csv_rejects_other_columns(tmp_path, second, message):
     path = tmp_path / "bad.csv"
-    with pytest.raises(error, match=message):
-        write_columns(path, ["a", "b"], [np.zeros(2), second])
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, ["a", "b"], [np.zeros(2), second])
     assert not path.exists()
 
 
-def test_write_columns_needs_one_name_per_column(tmp_path):
-    with pytest.raises(ValueError, match="one header name per column"):
-        write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2)])
-    with pytest.raises(ValueError, match="one header name per column"):
-        write_columns(tmp_path / "bad.csv", [], [])
+def test_write_csv_needs_one_name_per_column(tmp_path):
+    """A column count other than the header's is an error before the file is opened; no
+    columns at all is a table of no rows, as ``zip(*rows)`` of no rows gives."""
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="one header name per column, got 2 for 1"):
+        write_csv(path, ["a", "b"], [np.zeros(2)])
+    with pytest.raises(ValueError, match="one header name per column, got 1 for 2"):
+        write_csv(path, ["a"], zip(*[(1, 2)]))
+    assert not path.exists()
+    write_csv(path, ["a", "b"], zip(*[]))
+    assert path.read_bytes() == b"a,b\n"

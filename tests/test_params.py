@@ -220,6 +220,20 @@ _INTEGER_ARGUMENTS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [((3, 1, 1), "family must be 1 or 2, got 3"), ((1, 0, 1), "sign must be +1 or -1, got 0"),
+     ((1, 2, 1), "sign must be +1 or -1, got 2")],
+    ids=["family_3", "sign_0", "sign_2"],
+)
+def test_mode_index_outside_its_set_has_the_integer_rules_class(fields, message):
+    """An integer label outside ``ModeIndex``'s set raises the class of one below the
+    integer rule's minimum."""
+    with pytest.raises(NonPositiveParameter) as excinfo:
+        ModeIndex(*fields)
+    assert type(excinfo.value) is NonPositiveParameter and str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("name, call, minimum, error", _INTEGER_ARGUMENTS,
                          ids=[f"{i}-{row[0]}" for i, row in enumerate(_INTEGER_ARGUMENTS)])
 def test_every_integer_argument_follows_one_rule(name, call, minimum, error):
