@@ -11,6 +11,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -46,7 +47,9 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="piezobeam",
         description="Spectral, time-domain and frequency-domain analysis of a "
@@ -141,11 +144,10 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    modes = spectral.eigenvalues(cfg.params, cfg.J)
+    columns = spectral._spectrum_columns(cfg.params, cfg.J)
     path = _out_path(args, "spectrum.csv")
-    rows = [(m.family, m.sign, m.j, lam.imag) for m, lam in modes]
-    write_csv(path, ["family", "sign", "j", "im_lambda"], zip(*rows))
-    print(f"wrote {len(rows)} eigenvalues (jmax={cfg.J}) -> {path}")
+    write_csv(path, ["family", "sign", "j", "im_lambda"], columns)
+    print(f"wrote {columns[-1].size} eigenvalues (jmax={cfg.J}) -> {path}")
     return EXIT_OK
 
 

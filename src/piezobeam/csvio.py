@@ -3,11 +3,12 @@
 Floats are printed with 17 significant digits so CSV artifacts round-trip to
 the exact binary value and byte-compare across runs.  One writer,
 :func:`write_csv`, takes a table as equal-length columns and prints each cell
-by one of two rules: a float64 NumPy column prints ``%.17g`` of its values, and
-any other column (a tuple from ``zip(*rows)``, a list, a ``range`` or an array
-of another dtype) prints :func:`format_value` of each value, which is the same
-text for a float.  It formats :data:`_CHUNK_ROWS` rows per write.  SVG output
-is a plain polyline with axis annotations, no plotting dependency.
+by one of two rules: a float64 NumPy column prints ``%.17g`` of its values and
+an integer one ``%d``, and any other column (a tuple from ``zip(*rows)``, a
+list, a ``range`` or an array of another dtype) prints :func:`format_value` of
+each value, which is the same text for a float or an integer.  It formats
+:data:`_CHUNK_ROWS` rows per write.  SVG output is a plain polyline with axis
+annotations, no plotting dependency.
 """
 
 from __future__ import annotations
@@ -30,16 +31,23 @@ def format_value(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
+def _array_format(dtype) -> str | None:
+    """``%.17g`` for a float64 column, ``%d`` for an integer one, else None (per value)."""
+    if dtype == np.float64:
+        return "%.17g"
+    return "%d" if dtype is not None and dtype.kind in "iu" else None
+
+
 def write_csv(path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
     """Write one row per index of equal-length 1-d ``columns``, with fixed formatting
     and Unix newlines (byte-reproducible).
 
-    A float64 NumPy column prints ``%.17g`` over one ``tolist`` per chunk; any other
-    column prints :func:`format_value` of each value.  The row template follows from
-    the columns once; each chunk takes one slice per column and one ``%``.  No columns
-    at all is a table of no rows.  A column count other than the header's, a column
-    that is not 1-d or of another length raises ``ValueError`` naming the column,
-    before the file is opened.
+    A float64 NumPy column prints ``%.17g`` and an integer one ``%d``, over one
+    ``tolist`` per chunk; any other column prints :func:`format_value` of each
+    value.  The row template follows from the columns once; each chunk takes one
+    slice per column and one ``%``.  No columns at all is a table of no rows.  A
+    column count other than the header's, a column that is not 1-d or of another
+    length raises ``ValueError`` naming the column, before the file is opened.
     """
     columns = list(columns)
     if columns and len(header) != len(columns):
@@ -49,13 +57,13 @@ def write_csv(path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
             raise ValueError(f"column {name!r} must be 1-d, got shape {column.shape}")
         if len(column) != len(columns[0]):
             raise ValueError(f"column {name!r} has {len(column)} rows, not {len(columns[0])}")
-    floats = [getattr(column, "dtype", None) == np.float64 for column in columns]
-    row = ",".join(["%.17g" if is_float else "%s" for is_float in floats]) + "\n"
+    formats = [_array_format(getattr(column, "dtype", None)) for column in columns]
+    row = ",".join([fmt or "%s" for fmt in formats]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
             cells = [column[start : start + _CHUNK_ROWS] for column in columns]
-            chunk = [c.tolist() if is_float else list(map(format_value, c)) for c, is_float in zip(cells, floats)]
+            chunk = [c.tolist() if fmt else list(map(format_value, c)) for c, fmt in zip(cells, formats)]
             f.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 

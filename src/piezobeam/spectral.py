@@ -18,12 +18,20 @@ the branch sign a broadcast axis.  :func:`eigenvalues` are ``i`` times it,
 :func:`propagate` multiplies by ``exp(i t freq)``, and :func:`reconstruct`
 (through :func:`propagate`), :func:`project` and the output energy read it.
 
-The modal sine tables cost no transcendental per entry.  Reconstruction
-takes its sine and cosine profiles from the waves ``exp(i sigma_j x)``, built
-by phase doubling from ``log2(J)`` exponentials of the positions.  Projection
-sends the trapezoid-weighted samples through one quarter-wave sine transform
-(:func:`_sine_amplitudes`), a real FFT of length ``4 * cells``, whose odd
-entries are the mode amplitudes.
+The modal sine tables cost no transcendental per entry.  Reconstruction at
+arbitrary positions takes its sine and cosine profiles from the waves
+``exp(i sigma_j x)``, built by phase doubling from ``log2(J)`` exponentials of
+the positions.  On the ``cells + 1`` uniform quadrature nodes, sines go both
+ways through one quarter-wave sine transform, a real FFT of length
+``4 * cells``: the analysis :func:`_sine_amplitudes` reads the mode
+amplitudes of trapezoid-weighted samples from its odd entries, and the
+synthesis :func:`_sine_synthesis` places amplitudes there to sample their
+sine sums.  :func:`project`, :func:`projection_residual` and
+:func:`resolvent_at_zero` read a state on those nodes through
+``StateFunctions._quadrature_samples``; a modal state answers with one
+synthesis of its field rows instead of a ``(J, cells + 1)`` wave table,
+unless its beam length differs or its truncation exceeds ``2 * cells``,
+where it falls back to :meth:`StateFunctions.sample`.
 
 The output energy integrates the exponential polynomial of the observation
 pair by pair.  Pairs of frequencies closer than ``1/T`` take the exact phase
@@ -191,9 +199,18 @@ class StateFunctions:
             out[i] = f(x)
         return _real_if_exact(out)
 
+    def _quadrature_samples(self, length: float, J: int = 0) -> np.ndarray:
+        """:meth:`sample` on ``_quadrature_nodes(length, J)``, shape ``(4, cells + 1)``."""
+        return self.sample(_quadrature_nodes(length, J))
+
 
 class _ModalState(StateFunctions):
-    """A modal state; ``sample`` evaluates all four components with one ``reconstruct``."""
+    """A modal state; ``sample`` evaluates all four components with one ``reconstruct``.
+
+    On the quadrature nodes of its own beam length it samples itself with one
+    :func:`_sine_synthesis` of its field rows instead, while its truncation is
+    at most ``2 * cells``; otherwise it falls back to :meth:`sample`.
+    """
 
     __slots__ = ("_modal",)
 
@@ -206,6 +223,14 @@ class _ModalState(StateFunctions):
 
     def sample(self, x) -> np.ndarray:
         return _real_if_exact(reconstruct(*self._modal, np.asarray(x, dtype=float)))
+
+    def _quadrature_samples(self, length: float, J: int = 0) -> np.ndarray:
+        coeffs, params = self._modal
+        cells = _quadrature_cells(J)
+        if params.length != length or coeffs.truncation > 2 * cells:
+            return super()._quadrature_samples(length, J)
+        fields = _sine_synthesis(_field_rows(coeffs, params), cells)
+        return _real_if_exact(fields[:4] + 1j * fields[4:])
 
 
 def _real_if_exact(samples: np.ndarray) -> np.ndarray:
@@ -271,9 +296,26 @@ def _sine_amplitudes(rows: np.ndarray, n: int, J: int) -> np.ndarray:
     return (2.0 / n) * _sine_sums(weighted, n)[..., 1 : 2 * J : 2]
 
 
+def _sine_synthesis(amplitudes: np.ndarray, n: int) -> np.ndarray:
+    """``sum_j a_j sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``: the inverse of
+    :func:`_sine_amplitudes`.
+
+    ``amplitudes[..., j - 1]`` holds the real ``a_j``, ``j = 1..J`` with
+    ``J <= 2n``; ``a_j`` sits at index ``2j - 1`` of one :func:`_sine_sums`.
+    """
+    c = np.zeros((*amplitudes.shape[:-1], 2 * amplitudes.shape[-1]))
+    c[..., 1::2] = amplitudes
+    return _sine_sums(c, n)[..., : n + 1]
+
+
+def _quadrature_cells(J: int = 0) -> int:
+    """``max(J, DEFAULT_QUADRATURE_CELLS)``: the cells that :func:`project` integrates over."""
+    return max(J, DEFAULT_QUADRATURE_CELLS)
+
+
 def _quadrature_nodes(length: float, J: int = 0) -> np.ndarray:
-    """``max(J, DEFAULT_QUADRATURE_CELLS) + 1`` uniform nodes on ``[0, length]``."""
-    return np.linspace(0.0, length, max(J, DEFAULT_QUADRATURE_CELLS) + 1)
+    """``_quadrature_cells(J) + 1`` uniform nodes on ``[0, length]``."""
+    return np.linspace(0.0, length, _quadrature_cells(J) + 1)
 
 
 class _Model(NamedTuple):
@@ -333,14 +375,21 @@ def eigenvalues(params: BeamParameters, J: int) -> list[tuple[ModeIndex, complex
     the imaginary parts is ``pi / (L * zeta_family)``.
     A ``J`` below 1 raises :class:`NonPositiveParameter`, a non-integer :class:`MalformedValue`.
     """
+    columns = (column.tolist() for column in _spectrum_columns(params, J))
+    return [(ModeIndex(family, sign, j), complex(0.0, im)) for family, sign, j, im in zip(*columns)]
+
+
+def _spectrum_columns(params: BeamParameters, J: int) -> tuple[np.ndarray, ...]:
+    """Columns ``family``, ``sign``, ``j`` and ``im`` of the spectrum, in :func:`eigenvalues`' order.
+
+    ``j`` runs slowest, then the family, then the sign ``+``, ``-``: the
+    :func:`_frequencies` table with its ``j`` axis moved first, flattened.
+    A ``J`` below 1 raises :class:`NonPositiveParameter`, a non-integer :class:`MalformedValue`.
+    """
     _check_option("J", J)
-    freqs = _frequencies(_model(params).zeta, J, params.length).tolist()
-    return [
-        (ModeIndex(family, sign, j), complex(0.0, freqs[family - 1][(1 - sign) // 2][j - 1]))
-        for j in range(1, J + 1)
-        for family in (1, 2)
-        for sign in (+1, -1)
-    ]
+    im = np.moveaxis(_frequencies(_model(params).zeta, J, params.length), 2, 0)  # (j, family, branch)
+    j, family, branch = np.indices(im.shape)
+    return family.ravel() + 1, 1 - 2 * branch.ravel(), j.ravel() + 1, im.ravel()
 
 
 def eigenfunction(mode: ModeIndex, params: BeamParameters, x) -> np.ndarray:
@@ -374,23 +423,36 @@ def reconstruct(
     the profiles.  Returns a complex array of shape ``(4, len(x))``.  Raises
     ``ValueError`` unless ``t`` is finite.
     """
-    model = _model(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     J = coeffs.truncation
     s = sigma(np.arange(1, J + 1), params.length)  # (J,)
     waves = _waves(J, x, params.length)
     profile = waves.real * s[:, None] if derivative else waves.imag
+    fields = _field_rows(coeffs, params, t) @ profile
+    return fields[:4] + 1j * fields[4:]
+
+
+def _field_rows(coeffs: ModalCoefficients, params: BeamParameters, t: float = 0.0) -> np.ndarray:
+    """The real ``(8, J)`` sine amplitudes of the four fields at time ``t``.
+
+    Rows 0..3 are the real parts and rows 4..7 the imaginary parts of
+    ``(position, b * position, velocity, b * velocity)``; see :func:`reconstruct`.
+    """
+    model = _model(params)
+    J = coeffs.truncation
     velocity = _BRANCH_SIGN * propagate(coeffs, params, t).branches  # (family, branch, J)
     amps = np.stack((velocity / (1j * _frequencies(model.zeta, J, params.length)), velocity))
     # rows (position, b * position, velocity, b * velocity): branches summed, families mixed
     rows = model.mix @ amps.sum(axis=2)
-    fields = np.vstack((rows.real, rows.imag)).reshape(8, J) @ profile
-    return fields[:4] + 1j * fields[4:]
+    return np.vstack((rows.real, rows.imag)).reshape(8, J)
 
 
 def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoefficients:
     """Project a state onto the first ``J`` modes of each branch.
 
+    The state is sampled on the :func:`_quadrature_nodes` (a modal state of
+    this beam by one :func:`_sine_synthesis` of its field rows, truncations
+    above ``2 * cells`` and other states by :meth:`StateFunctions.sample`).
     The samples, real and imaginary parts stacked, go through one
     quarter-wave sine analysis (:func:`_sine_amplitudes`), which gives the
     sine amplitudes of all four components against ``(2/L) sin(sigma_j x)``
@@ -413,10 +475,9 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     _check_option("J", J)
     model = _model(params)
     L = params.length
-    x = _quadrature_nodes(L, J)
-    samples = state.sample(x)
+    samples = state._quadrature_samples(L, J)
     # real and imaginary parts in real arithmetic: (part, position/velocity, field, j)
-    amps = _sine_amplitudes(np.vstack((samples.real, samples.imag)), x.size - 1, J)
+    amps = _sine_amplitudes(np.vstack((samples.real, samples.imag)), _quadrature_cells(J), J)
     unmix = model.decouple / np.sqrt(model.w)[:, None]  # mix^T M / w
     re, im = unmix @ amps.reshape(2, 2, 2, J)  # (position/velocity, family, j)
     S, D = (re + 1j * im)[:, :, None]  # broadcast over the branch axis
@@ -431,10 +492,15 @@ def projection_residual(
 
     Trapezoid rule on the nodes that :func:`project` samples at the
     truncation ``J`` of ``coeffs``, so no mode of the span aliases another.
+    The state and the reconstruction of ``coeffs`` are each sampled there as
+    :func:`project` samples: a modal state of this beam, and ``coeffs``
+    always, by one :func:`_sine_synthesis`, any other state by
+    :meth:`StateFunctions.sample`.
     """
-    x = _quadrature_nodes(params.length, coeffs.truncation)
-    original = state.sample(x)
-    diff = np.abs(original - reconstruct(coeffs, params, x)) ** 2
+    L, J = params.length, coeffs.truncation
+    x = _quadrature_nodes(L, J)
+    original = state._quadrature_samples(L, J)
+    diff = np.abs(original - _ModalState(coeffs, params)._quadrature_samples(L, J)) ** 2
     denom = np.trapezoid(np.sum(np.abs(original) ** 2, axis=0), x)
     if denom == 0:
         return 0.0
@@ -588,7 +654,7 @@ def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctio
     """
     model = _model(params)
     x = _quadrature_nodes(params.length)
-    g1, g2, g3, g4 = samples = g.sample(x)
+    g1, g2, g3, g4 = samples = g._quadrature_samples(params.length)
     if not np.all(np.isfinite(samples)):
         raise QuadratureFailure("g has non-finite samples")
     f = model.decouple @ np.stack((g3, g4))

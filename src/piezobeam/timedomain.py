@@ -75,9 +75,11 @@ buffer per reading of the meter.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
 sine transform: both directions are sums of ``sin(pi * i * l / (2N))``,
-taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`),
-and states enter by the sine analysis that :func:`piezobeam.spectral.project`
-shares (:func:`piezobeam.spectral._sine_amplitudes`).
+taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`).
+States enter by the sine analysis that :func:`piezobeam.spectral.project`
+shares (:func:`piezobeam.spectral._sine_amplitudes`) and leave by its
+inverse, the synthesis a modal state samples itself with
+(:func:`piezobeam.spectral._sine_synthesis`).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from .config import RunConfig
 from .errors import NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, _check_integer, _check_option
 from .spectral import ModalCoefficients, StateFunctions, reconstruct, sigma
-from .spectral import _model, _sine_amplitudes, _sine_sums
+from .spectral import _model, _sine_amplitudes, _sine_synthesis
 
 __all__ = [
     "Grid",
@@ -249,11 +251,7 @@ def _from_sines(z, model, pos, vel):
     rows ``z`` of shape ``(R, m*N)`` of the amplitudes :func:`_to_sines` returns."""
     m = model.lam.size
     z = z.reshape(len(z), m, -1)
-    n = z.shape[-1]
-    c = np.zeros((len(z), 2 * m, 2 * n))
-    c[:, :m, 1::2] = z.imag / pos
-    c[:, m:, 1::2] = z.real / vel
-    w = _sine_sums(c, n)[..., : n + 1]
+    w = _sine_synthesis(np.concatenate((z.imag / pos, z.real / vel), axis=1), z.shape[-1])
     return model.modes @ w[:, :m], model.modes @ w[:, m:]
 
 

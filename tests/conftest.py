@@ -1,15 +1,23 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import piezobeam
 from piezobeam import BeamParameters, derive_constants, parameters_for_ratio
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run (the default
 # example counts, no example database); the default profile draws fresh ones.
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def checkout_env() -> dict:
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
+    paths = [str(Path(piezobeam.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Config parsing, CLI subcommands, sweeps, determinism of artifacts."""
 
 import math
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -47,6 +49,7 @@ from piezobeam.timedomain import (
     simulate,
     sine_velocity_state,
 )
+from conftest import checkout_env
 
 MINIMAL = """\
 # unit beam
@@ -234,6 +237,69 @@ def test_cli_table_bytes(argv, name, header, rows, tmp_path, monkeypatch, capsys
     assert len(table) > 1 or argv[0] == "constants"
     want = ",".join(header) + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in table)
     assert (tmp_path / name).read_bytes() == want.encode("utf-8")
+
+
+NON_UNIT = """\
+rho = 1.3
+alpha1 = 0.7
+beta = 1.9
+gamma = 0.4
+mu = 0.8
+length = 1.7
+thickness = 0.3
+"""
+
+
+@pytest.mark.parametrize("jmax", [1, 8, 512])
+@pytest.mark.parametrize("text", [MINIMAL, NON_UNIT], ids=["unit", "non_unit"])
+def test_spectrum_csv_is_the_eigenvalue_rows(text, jmax, tmp_path, capsys):
+    """``spectrum`` writes its columns straight from the frequency table, byte for byte
+    the rows of :func:`eigenvalues` joined by ``format_value``."""
+    (tmp_path / "beam.cfg").write_text(text)
+    out = tmp_path / "spectrum.csv"
+    assert run(["spectrum", "--config", str(tmp_path / "beam.cfg"), "--jmax", str(jmax), "--out", str(out)]) == 0
+    rows = [(m.family, m.sign, m.j, lam.imag) for m, lam in eigenvalues(load_config(tmp_path / "beam.cfg").params, jmax)]
+    want = "family,sign,j,im_lambda\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+# (file, argv) in one order: a run without a flag follows a run with it, a failing run a good one
+_ONE_PROCESS = [
+    ("spec8.csv", ["spectrum", "--jmax", "8"]),
+    ("spec.csv", ["spectrum"]),
+    ("t5.csv", ["transfer", "--n-points", "5"]),
+    ("t.csv", ["transfer"]),
+    ("bad.csv", ["simulate", "--N", "8"]),
+    ("sim.csv", ["simulate", "--T", "0.5"]),
+    ("obs.csv", ["observability", "--count", "2", "--T", "10"]),
+]
+
+
+def test_runs_in_one_process_write_what_fresh_processes_write(tmp_path, monkeypatch, capsys):
+    """``run`` reuses one parser: calls in one process, forward and reversed, each
+    give the exit code, summary line and bytes of a run in a fresh interpreter, and a
+    run without a flag gets that flag's default (the config's ``J``, 2,001 points)."""
+    fresh, forward, backward = (tmp_path / d for d in ("fresh", "forward", "backward"))
+    want = {}
+    for where in (fresh, forward, backward):
+        where.mkdir()
+        (where / "beam.cfg").write_text(MINIMAL)
+    for name, argv in _ONE_PROCESS:
+        done = subprocess.run([sys.executable, "-m", "piezobeam.cli", *argv, "--config", "beam.cfg", "--out", name],
+                              cwd=fresh, env=checkout_env(), capture_output=True, text=True)
+        want[name] = done.returncode, done.stdout
+    for where, order in ((forward, _ONE_PROCESS), (backward, _ONE_PROCESS[::-1])):
+        monkeypatch.chdir(where)
+        for name, argv in order:
+            code = run([*argv, "--config", "beam.cfg", "--out", name])
+            assert (code, capsys.readouterr().out) == want[name], (where.name, name)
+        for name, _ in _ONE_PROCESS:
+            assert (where / name).exists() == (fresh / name).exists(), (where.name, name)
+            if (fresh / name).exists():
+                assert (where / name).read_bytes() == (fresh / name).read_bytes(), (where.name, name)
+    assert want["bad.csv"][0] == 2 and not (fresh / "bad.csv").exists()
+    assert len(read_csv(fresh / "spec.csv")[1]) == 4 * RunConfig.J
+    assert len(read_csv(fresh / "t.csv")[1]) == 2001
 
 
 class TestCommands:
@@ -816,9 +882,9 @@ _LABELS = ["", "x", "failed: 50%", "DegenerateCoupling: gamma = 0"]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_write_csv_equals_format_value_of_columns(tmp_path, length, kinds, floats, ints, seed):
-    """Float64 columns (nan, infinities, -0.0, subnormals, +-1e308), int64, float32, object
-    and list columns, at lengths around a chunk, give the bytes of joining ``format_value``
-    over each row's values."""
+    """Float64 columns (nan, infinities, -0.0, subnormals, +-1e308), int64 columns over the
+    whole range (printed by ``%d``), float32, object and list columns, at lengths around a
+    chunk, give the bytes of joining ``format_value`` over each row's values."""
     rng = np.random.default_rng(seed)
     mixed = np.array(floats + ints + _LABELS, dtype=object)
     with np.errstate(over="ignore"):  # a float beyond float32's range is an infinity there
@@ -845,8 +911,8 @@ def test_write_csv_equals_format_value_of_columns(tmp_path, length, kinds, float
     ids=["float32", "object", "bool", "list"],
 )
 def test_write_csv_prints_other_columns_by_format_value(tmp_path, second, text):
-    """A column that is not float64 prints ``format_value`` of each value: a float32 with
-    its own shortest digits, not those of its float64 widening."""
+    """A column that is neither float64 nor integer prints ``format_value`` of each value:
+    a float32 with its own shortest digits, not those of its float64 widening."""
     path = tmp_path / "other.csv"
     write_csv(path, ["a", "b"], [np.zeros(2), second])
     assert path.read_text() == f"a,b\n0,{text[0]}\n0,{text[1]}\n"

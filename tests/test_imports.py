@@ -1,19 +1,12 @@
 """What importing the package loads, and how it sets up the C allocator."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import piezobeam
-
-
-def _env() -> dict:
-    """The environment with this checkout's package first on ``PYTHONPATH``."""
-    paths = [str(Path(piezobeam.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+from conftest import checkout_env
 
 
 def test_import_loads_no_scipy():
@@ -32,7 +25,7 @@ def test_import_loads_no_scipy():
         "piezobeam.transfer_bvp(1.0, p, 64); piezobeam.transfer_damped_bvp(1.0, p); "
         "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True, check=True)
     loaded = run.stdout.split()
     assert "scipy.integrate" not in loaded, f"SciPy subpackages loaded: {loaded}"
     assert not loaded, f"SciPy modules loaded: {loaded}"
@@ -54,7 +47,7 @@ def test_import_keeps_large_arrays_mapped():
         "before = rss(); b = np.ones(17 << 17); del b\n"
         "print(piezobeam._heap.fix_mmap_threshold(), (rss() - before) // 1024)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True, check=True)
     pinned, kept_mib = run.stdout.split()
     if pinned != "True":
         pytest.skip("the C library is not glibc")

@@ -716,10 +716,76 @@ class TestProjection:
             assert fields.shape == (4, 7) and not np.any(fields)
 
     def test_modal_state_reconstructs_once(self, golden, monkeypatch):
+        """``sample`` is one ``reconstruct``; on the quadrature nodes a modal state
+        builds no wave table: ``project`` takes one synthesis, and
+        ``projection_residual`` two, one each for the state and its projection."""
         coeffs = random_coefficients(16, seed=3)
         state = StateFunctions.from_modal(coeffs, golden)
         x = np.linspace(0.0, golden.length, 129)
         expected = reconstruct(coeffs, golden, x)
+        calls, syntheses = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reconstruct(*args, **kwargs)
+
+        def counting_synthesis(*args):
+            syntheses.append(1)
+            return synthesis(*args)
+
+        synthesis = spectral._sine_synthesis
+        monkeypatch.setattr(spectral, "reconstruct", counting)
+        monkeypatch.setattr(spectral, "_sine_synthesis", counting_synthesis)
+        np.testing.assert_array_equal(state.sample(x), expected)
+        assert len(calls) == 1
+        calls.clear()
+        coeffs_back = project(state, golden, J=16)
+        assert (len(calls), len(syntheses)) == (0, 1)
+        projection_residual(state, coeffs_back, golden)
+        assert (len(calls), len(syntheses)) == (0, 3)
+        for i, f in enumerate((state.v, state.p, state.vdot, state.pdot)):
+            np.testing.assert_array_equal(f(x), expected[i])
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("J", [1, 16, 256, 2048, 2 * 2048])
+    def test_modal_state_synthesis_on_the_nodes(self, golden, J, kind):
+        """A modal state's samples on the quadrature nodes are its exact sine sums to
+        ``1e-13`` of their scale, and ``reconstruct``'s to that or to ``J * eps``.
+
+        The exact sums take each argument ``pi * k / (2 * cells)`` with the integer
+        ``k = (2j - 1) * l`` reduced modulo ``4 * cells``.  ``reconstruct``'s wave table
+        errs by ``eps * |sigma_j x|`` per row (:class:`TestWaves`), which sums to about
+        ``J * eps`` of the scale at ``J >= 2048``.  Coefficients with ``d = -conj(c)``
+        give exactly real fields, which come back as a real array.
+        """
+        coeffs = random_coefficients(J, seed=J)
+        if kind == "real":
+            coeffs = ModalCoefficients(coeffs.c1, -np.conj(coeffs.c1), coeffs.c2, -np.conj(coeffs.c2))
+        cells = spectral.DEFAULT_QUADRATURE_CELLS
+        got = StateFunctions.from_modal(coeffs, golden)._quadrature_samples(golden.length)
+        k = (2 * np.arange(1, J + 1) - 1)[:, None] * np.arange(cells + 1) % (4 * cells)
+        fields = spectral._field_rows(coeffs, golden) @ np.sin((np.pi / (2 * cells)) * k)
+        exact = fields[:4] + 1j * fields[4:]
+        del k, fields
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(got - exact)) <= 1e-13 * scale
+        table = reconstruct(coeffs, golden, spectral._quadrature_nodes(golden.length))
+        assert np.max(np.abs(got - table)) <= max(1e-13, J * np.finfo(float).eps) * scale
+        assert got.dtype == (np.float64 if kind == "real" else np.complex128)
+
+    @pytest.mark.parametrize("case", ["other_length", "long_truncation"])
+    def test_modal_state_off_the_synthesis_is_sampled(self, golden, case, monkeypatch):
+        """A modal state of another beam length, or truncated above ``2 * cells``,
+        is sampled on the nodes by one ``reconstruct``, and ``project`` returns
+        bitwise the coefficients of sampling it through the default path."""
+        cells = spectral.DEFAULT_QUADRATURE_CELLS
+        if case == "other_length":
+            state = StateFunctions.from_modal(random_coefficients(16, seed=5), replace(golden, length=1.5))
+        else:
+            state = StateFunctions.from_modal(random_coefficients(2 * cells + 1, seed=5), golden)
+        with monkeypatch.context() as m:
+            m.setattr(spectral._ModalState, "_quadrature_samples", StateFunctions._quadrature_samples)
+            want = project(state, golden, 16)
         calls = []
 
         def counting(*args, **kwargs):
@@ -727,14 +793,10 @@ class TestProjection:
             return reconstruct(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "reconstruct", counting)
-        np.testing.assert_array_equal(state.sample(x), expected)
+        monkeypatch.setattr(spectral, "_sine_synthesis", None)  # a synthesis would fail
+        got = project(state, golden, 16)
         assert len(calls) == 1
-        coeffs_back = project(state, golden, J=16)
-        assert len(calls) == 2
-        projection_residual(state, coeffs_back, golden)
-        assert len(calls) == 4
-        for i, f in enumerate((state.v, state.p, state.vdot, state.pdot)):
-            np.testing.assert_array_equal(f(x), expected[i])
+        np.testing.assert_array_equal(got.branches, want.branches)
 
 
 class TestPropagation:

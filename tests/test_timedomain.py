@@ -38,7 +38,8 @@ from piezobeam import (
     state_from_samples,
 )
 from piezobeam.config import RunConfig
-from piezobeam.timedomain import BLOCK
+from piezobeam.spectral import _model, _sine_sums
+from piezobeam.timedomain import BLOCK, _from_sines
 
 
 def eigenmode_state(params, grid, family=1, j=1):
@@ -233,6 +234,23 @@ class TestReferenceStepper:
             np.testing.assert_array_equal(traj.t[:-1], first.t[::stride][: traj.t.size - 1])
             np.testing.assert_allclose(traj.energy[:-1], first.energy[::stride][: traj.t.size - 1], rtol=1e-13)
             np.testing.assert_allclose(traj.y[:-1], first.y[::stride][: traj.t.size - 1], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("classical", [False, True], ids=["coupled", "classical"])
+    def test_leaving_the_sine_basis_is_the_hand_placed_transform(self, golden, classical):
+        """``_from_sines`` gives ``rfft`` bitwise the array it once built by hand: the
+        amplitudes at the odd indices of a ``(R, 2m, 2N)`` zero array."""
+        model = _model(golden, classical=classical)
+        m, n, R = model.lam.size, 48, 3
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((R, m * n)) + 1j * rng.standard_normal((R, m * n))
+        pos, vel = rng.uniform(0.5, 2.0, (2, m, n))
+        c = np.zeros((R, 2 * m, 2 * n))
+        c[:, :m, 1::2] = z.reshape(R, m, n).imag / pos
+        c[:, m:, 1::2] = z.reshape(R, m, n).real / vel
+        w = _sine_sums(c, n)[..., : n + 1]
+        u, ud = _from_sines(z, model, pos, vel)
+        np.testing.assert_array_equal(u, model.modes @ w[:, :m])
+        np.testing.assert_array_equal(ud, model.modes @ w[:, m:])
 
 
 class TestNonFiniteState:
