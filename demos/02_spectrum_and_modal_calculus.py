@@ -36,7 +36,7 @@ for mode, lam in modes:
 write_csv(
     out / "spectrum.csv",
     ["family", "sign", "j", "im_lambda"],
-    zip(*[(m.family, m.sign, m.j, lam.imag) for m, lam in eigenvalues(params, 32)]),
+    columns=zip(*[(m.family, m.sign, m.j, lam.imag) for m, lam in eigenvalues(params, 32)]),
 )
 print(f"Wrote 128 eigenvalues to {out / 'spectrum.csv'}")
 

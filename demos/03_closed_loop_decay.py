@@ -42,7 +42,7 @@ traj = simulate(
 )
 rate, r2 = decay_rate(traj.energy, traj.t)
 print(f"   E(T)/E(0) = {traj.energy[-1] / traj.energy[0]:.2e}, rate {rate:.3f}, r2 {r2:.4f}")
-write_csv(out / "decay_half.csv", ["time", "energy", "y"], [traj.t, traj.energy, traj.y])
+write_csv(out / "decay_half.csv", ["time", "energy", "y"], columns=[traj.t, traj.energy, traj.y])
 write_svg(out / "decay_half.svg", traj.t, np.log10(traj.energy), title="log10 energy, ratio 1/2")
 
 print("\n2) zeta2/zeta1 = 1/3, paired invisible state, T=20")
@@ -67,7 +67,7 @@ for approx in odd_odd_approximants(derive_constants(golden).ratio, 3, qmax=100):
     rate, _ = decay_rate(traj.energy, traj.t)
     rows.append((approx.p, approx.q, rate, traj.energy[-1] / traj.energy[0]))
     print(f"   state ({approx.p:>2d},{approx.q:>2d}): rate {rate:.3e},  E(T)/E(0) = {rows[-1][3]:.4f}")
-write_csv(out / "decay_golden_states.csv", ["p", "q", "rate", "energy_fraction"], zip(*rows))
+write_csv(out / "decay_golden_states.csv", ["p", "q", "rate", "energy_fraction"], columns=zip(*rows))
 print(
     "\nDecay degrades monotonically along the sequence: every trajectory decays,"
     "\nbut no uniform exponential rate exists."

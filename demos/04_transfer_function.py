@@ -45,7 +45,7 @@ print(f"\nOn the line Re s = 1: sup |G| = {scan.sup:.4f} at {scan.argmax:.3f} "
 ims = np.linspace(-30.0, 30.0, 1201)
 g = transfer_closed(1.0 + 1j * ims, params)
 write_csv(out / "transfer_line.csv", ["re_s", "im_s", "re_G", "im_G", "abs_G"],
-          [np.ones_like(ims), ims, g.real, g.imag, np.abs(g)])
+          columns=[np.ones_like(ims), ims, g.real, g.imag, np.abs(g)])
 write_svg(out / "transfer_line.svg", ims, np.abs(g), title="|G(1+i w)|")
 print(f"Wrote the line scan to {out / 'transfer_line.csv'}")
 

@@ -48,7 +48,7 @@ for a in odd_odd_approximants(dc.ratio, 5, qmax=2000):
 write_csv(
     out / "observability_quotients.csv",
     ["p", "q", "err", "cq2", "quotient", "bound"],
-    zip(*rows),
+    columns=zip(*rows),
 )
 qs = np.log([r[1] for r in rows])
 slope = np.polyfit(qs, np.log([r[4] for r in rows]), 1)[0]
@@ -64,7 +64,7 @@ for J in (5, 10, 15, 20):
     fb = ingham_frame_bounds(exponent_family(half, J), T_obs)
     frame_rows.append((J, fb.cmin, fb.cmax))
     print(f"   J={J:>2d}: exact frame bounds [{fb.cmin:.3f}, {fb.cmax:.3f}]")
-write_csv(out / "frame_bounds.csv", ["J", "cmin", "cmax"], zip(*frame_rows))
+write_csv(out / "frame_bounds.csv", ["J", "cmin", "cmax"], columns=zip(*frame_rows))
 
 collided = exponent_family(half, 20)
 collided[-1] = collided[-2]

@@ -120,7 +120,7 @@ def _cmd_constants(args, cfg: RunConfig) -> int:
     dc = derive_constants(cfg.params)
     path = _out_path(args, "constants.csv")
     rows = [(dc.alpha, dc.zeta1, dc.zeta2, dc.b1, dc.b2)]
-    write_csv(path, ["alpha", "zeta1", "zeta2", "b1", "b2"], zip(*rows))
+    write_csv(path, ["alpha", "zeta1", "zeta2", "b1", "b2"], columns=zip(*rows))
     print(
         f"alpha={dc.alpha:.6g} zeta1={dc.zeta1:.6g} zeta2={dc.zeta2:.6g} "
         f"b1={dc.b1:.6g} b2={dc.b2:.6g} -> {path}"
@@ -146,7 +146,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
     columns = spectral._spectrum_columns(cfg.params, cfg.J)
     path = _out_path(args, "spectrum.csv")
-    write_csv(path, ["family", "sign", "j", "im_lambda"], columns)
+    write_csv(path, ["family", "sign", "j", "im_lambda"], columns=columns)
     print(f"wrote {columns[-1].size} eigenvalues (jmax={cfg.J}) -> {path}")
     return EXIT_OK
 
@@ -190,7 +190,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     initial = _parse_initial(args.initial, args.mode, cfg, Grid(cfg.n, cfg.params.length))
     traj = _run_config(cfg, initial, args.mode, snapshots=bool(args.snapshots))
     path = _out_path(args, "trajectory.csv")
-    write_csv(path, ["time", "energy", "y"], [traj.t, traj.energy, traj.y])
+    write_csv(path, ["time", "energy", "y"], columns=[traj.t, traj.energy, traj.y])
     if traj.energy.size >= 10 and np.all(traj.energy > 0):
         rate, r2 = decay_rate(traj.energy, traj.t)
     else:
@@ -203,8 +203,8 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         names = [f"state_{i:04d}.csv" for i in range(len(traj.snapshots))]
         for name, (_, state) in zip(names, traj.snapshots):
             write_csv(snap_dir / name, ["x", "v", "p", "vdot", "pdot"],
-                      [state.grid.nodes, state.v, state.p, state.vdot, state.pdot])
-        write_csv(snap_dir / "index.csv", ["index", "time", "file"], [range(len(names)), traj.t, names])
+                      columns=[state.grid.nodes, state.v, state.p, state.vdot, state.pdot])
+        write_csv(snap_dir / "index.csv", ["index", "time", "file"], columns=[range(len(names)), traj.t, names])
     print(
         f"mode={args.mode} steps={round(cfg.T / traj.dt)} E0={traj.energy[0]:.6g} "
         f"ET={traj.energy[-1]:.6g} decay_rate={rate:.6g} r2={r2:.4f} "
@@ -224,7 +224,7 @@ def _cmd_transfer(args, cfg: RunConfig) -> int:
     abs_g = np.abs(g)
     idx = np.argmax(abs_g)
     path = _out_path(args, "frequency.csv")
-    write_csv(path, ["re_s", "im_s", "re_G", "im_G", "abs_G"], [s.real, s.imag, g.real, g.imag, abs_g])
+    write_csv(path, ["re_s", "im_s", "re_G", "im_G", "abs_G"], columns=[s.real, s.imag, g.real, g.imag, abs_g])
     print(f"sup|G|={abs_g[idx]:.6g} at s={s[idx].real:g}{s[idx].imag:+g}j -> {path}")
     return EXIT_OK
 
@@ -239,7 +239,7 @@ def _cmd_observability(args, cfg: RunConfig) -> int:
         quotient = obs.observability_quotient(state, params, cfg.T)
         rows.append((a.p, a.q, a.err, quotient))
     path = _out_path(args, "observability.csv")
-    write_csv(path, ["p", "q", "err", "quotient"], zip(*rows))
+    write_csv(path, ["p", "q", "err", "quotient"], columns=zip(*rows))
     tail = f"last quotient={rows[-1][3]:.3e}" if rows else "no approximants found"
     print(f"ratio={dc.ratio:.12g} found {len(rows)} approximants; {tail} -> {path}")
     return EXIT_OK
@@ -249,7 +249,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     rows = run_sweep(cfg, args.param, values, args.metric, workers=args.workers)
     path = _out_path(args, "sweep.csv")
-    write_csv(path, ["value", "metric", "error"], zip(*rows))
+    write_csv(path, ["value", "metric", "error"], columns=zip(*rows))
     failures = sum(1 for r in rows if r[2])
     print(f"swept {args.param} over {len(rows)} values ({failures} failed) -> {path}")
     return EXIT_OK

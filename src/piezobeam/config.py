@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DuplicateKey, MalformedValue, MissingKey
+from .errors import DuplicateKey, MalformedValue, MissingKey, ValidationError
 from .params import BeamParameters, _check_option, _FIELD_NAMES as PHYSICAL_KEYS, _LEAST
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
@@ -46,8 +46,8 @@ class RunConfig:
 
 
 def _number(key: str, text: str, where: str) -> float | int:
-    """``text`` as the value of ``key``, checked by :func:`_check_option`; each
-    error starts with ``where`` (``line 8`` or ``--N``)."""
+    """``text`` as the value of ``key``: a finite number, an integer for ``J``,
+    ``N`` and ``qmax``; each error starts with ``where`` (``line 8`` or ``--N``)."""
     try:
         number = float(text)
     except ValueError as exc:
@@ -58,13 +58,38 @@ def _number(key: str, text: str, where: str) -> float | int:
         if number != int(number):
             raise MalformedValue(f"{where}: {key} = {text!r} is not an integer")
         number = int(number)
-    _check_option(key, number, where)
     return number
 
 
 def _fields(given: dict[str, tuple[str, str]]) -> dict[str, float | int]:
-    """The fields that ``{key: (text, where)}`` sets, each checked by :func:`_number`."""
-    return {"n" if key == "N" else key: _number(key, *entry) for key, entry in given.items()}
+    """The run options that ``{key: (text, where)}`` sets, each read by :func:`_number`
+    and checked by :func:`_check_option`."""
+    fields = {}
+    for key, (text, where) in given.items():
+        fields["n" if key == "N" else key] = number = _number(key, text, where)
+        _check_option(key, number, where)
+    return fields
+
+
+def _beam(entries: dict[str, tuple[str, str]]) -> BeamParameters:
+    """The beam of the seven physical entries, checked once, as it is built.
+
+    An error names the line of the first key, in field order, that is not a
+    finite number or fails its rule: a value that does not parse stands in as
+    ``nan``, which the construction rejects in its turn.
+    """
+    values, unparsed = {}, {}
+    for key in PHYSICAL_KEYS:
+        try:
+            values[key] = _number(key, *entries[key])
+        except MalformedValue as exc:
+            values[key], unparsed[key] = math.nan, exc
+    try:
+        return BeamParameters(**values)
+    except ValidationError as exc:
+        key = str(exc).split(" ", 1)[0]  # _check_option's message starts with the key
+        error = unparsed.get(key) or type(exc)(f"{entries[key][1]}: {exc}")
+    raise error
 
 
 def parse_config(text: str) -> RunConfig:
@@ -94,8 +119,8 @@ def parse_config(text: str) -> RunConfig:
         if key not in entries:
             raise MissingKey(f"missing required key {key!r}")
 
-    fields = _fields({key: entries[key] for key in keys if key in entries})
-    params = BeamParameters(**{key: fields.pop(key) for key in PHYSICAL_KEYS})
+    params = _beam(entries)
+    fields = _fields({key: entries[key] for key in INT_KEYS + FLOAT_KEYS if key in entries})
     if "k" not in fields:  # the default gain 1/(2*thickness), named at the thickness line
         _check_option("k", 1.0 / (2.0 * params.thickness), entries["thickness"][1])
     return RunConfig(params=params, **fields)

@@ -2,11 +2,12 @@
 
 Floats are printed with 17 significant digits so CSV artifacts round-trip to
 the exact binary value and byte-compare across runs.  One writer,
-:func:`write_csv`, takes a table as equal-length columns and prints each cell
-by one of two rules: a float64 NumPy column prints ``%.17g`` of its values and
-an integer one ``%d``, and any other column (a tuple from ``zip(*rows)``, a
-list, a ``range`` or an array of another dtype) prints :func:`format_value` of
-each value, which is the same text for a float or an integer.  It formats
+:func:`write_csv`, takes a table as equal-length columns, by keyword, and
+prints each cell by one of two rules: a float64 NumPy column prints ``%.17g``
+of its values and an integer one ``%d``, and any other column (a tuple from
+``zip(*rows)``, a list, a ``range`` or an array of another dtype) prints
+:func:`format_value` of each value, which is the same text for a float or an
+integer.  It formats
 :data:`_CHUNK_ROWS` rows per write.  SVG output is a plain polyline with axis
 annotations, no plotting dependency.
 """
@@ -38,9 +39,11 @@ def _array_format(dtype) -> str | None:
     return "%d" if dtype is not None and dtype.kind in "iu" else None
 
 
-def write_csv(path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], *, columns: Iterable[Sequence]) -> None:
     """Write one row per index of equal-length 1-d ``columns``, with fixed formatting
-    and Unix newlines (byte-reproducible).
+    and Unix newlines (byte-reproducible).  ``columns`` is keyword-only, so a call
+    that passes rows positionally raises ``TypeError`` instead of writing them
+    transposed.
 
     A float64 NumPy column prints ``%.17g`` and an integer one ``%d``, over one
     ``tolist`` per chunk; any other column prints :func:`format_value` of each

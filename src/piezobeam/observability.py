@@ -306,7 +306,7 @@ def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> Fr
     s = np.asarray(exponents, dtype=float)
     if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
         raise ValueError("exponents must be a non-empty 1-d sequence of finite values")
-    delta = _snapped_differences(s, T)[0]
+    delta = _snapped_differences(s, T)
     eig = np.linalg.eigvalsh(sinc_gram(delta, T))
     return FrameBounds(
         cmin=max(float(eig[0]), 0.0),

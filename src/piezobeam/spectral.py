@@ -554,22 +554,30 @@ def phase_integral(delta, T: float) -> np.ndarray:
     return np.exp(0.5j * T * np.asarray(delta, dtype=float)) * sinc_gram(delta, T)
 
 
-def _snapped_differences(freqs: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise differences ``freqs[m] - freqs[n]`` for a Gram on ``[0, T]``, and their moduli.
+def _snap_tolerance(freqs: np.ndarray, T: float) -> float:
+    """Differences of ``freqs`` below this modulus count as coincident in a Gram on ``[0, T]``.
 
-    Differences below ``1e-12 * max(1, max |freqs|)`` are snapped to exactly
-    0, in both arrays, so numerically coincident frequencies integrate to
-    exactly ``T``; the zero entries are then exactly the coincident pairs.
-    A ``T`` <= 0 raises :class:`NonPositiveParameter`, a non-finite one :class:`MalformedValue`.
+    The tolerance is ``1e-12 * max(1, max |freqs|)``; :func:`_snapped` sets
+    such differences to exactly 0, so numerically coincident frequencies
+    integrate to exactly ``T``.  A ``T`` <= 0 raises
+    :class:`NonPositiveParameter`, a non-finite one :class:`MalformedValue`.
     """
     _check_option("T", T)
-    scale = max(1.0, float(np.max(np.abs(freqs), initial=0.0)))
-    delta = freqs[:, None] - freqs[None, :]
-    gap = np.abs(delta)
-    snapped = gap < 1e-12 * scale
-    np.copyto(delta, 0.0, where=snapped)
-    np.copyto(gap, 0.0, where=snapped)
-    return delta, gap
+    return 1e-12 * max(1.0, float(np.max(np.abs(freqs), initial=0.0)))
+
+
+def _snapped(delta: np.ndarray, tol: float) -> np.ndarray:
+    """``delta`` with every entry below ``tol`` in modulus set to exactly 0, in place."""
+    np.copyto(delta, 0.0, where=np.abs(delta) < tol)
+    return delta
+
+
+def _snapped_differences(freqs: np.ndarray, T: float) -> np.ndarray:
+    """Pairwise differences ``freqs[m] - freqs[n]`` for a Gram on ``[0, T]``, snapped.
+
+    The zero entries are exactly the coincident pairs (:func:`_snap_tolerance`).
+    """
+    return _snapped(freqs[:, None] - freqs[None, :], _snap_tolerance(freqs, T))
 
 
 def _output_weights(coeffs: ModalCoefficients, params: BeamParameters):
@@ -590,34 +598,66 @@ def _output_weights(coeffs: ModalCoefficients, params: BeamParameters):
     return freqs[keep], weights[keep]
 
 
+def _near_pairs(freqs: np.ndarray, T: float, tol: float):
+    """Index pairs ``(m, n)`` with ``|delta| * T < 1``, row-major, and their ``delta``.
+
+    ``delta = freqs[m] - freqs[n]`` is snapped at ``tol`` (:func:`_snapped`), so
+    the near pairs are the diagonal, every coincident pair and the close
+    collisions.  One stable sort of the frequencies bounds the candidates: for
+    each frequency, the band of sorted neighbours within
+    ``(1 / T) * (1 + 1e-9) + 2 * tol``, wider than either test by more than
+    the rounding of the band's ends.  The exact test then keeps the near
+    ones, and :func:`numpy.lexsort` puts them in :func:`numpy.nonzero`'s order.
+    """
+    order = np.argsort(freqs, kind="stable")
+    s = freqs[order]
+    radius = (1.0 / T) * (1.0 + 1e-9) + 2.0 * tol
+    lo = np.searchsorted(s, s - radius, side="left")
+    counts = np.searchsorted(s, s + radius, side="right") - lo
+    rows = np.repeat(np.arange(s.size), counts)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    m, n = order[rows], order[cols]
+    delta = _snapped(freqs[m] - freqs[n], tol)
+    near = np.abs(delta) * T < 1.0
+    m, n, delta = m[near], n[near], delta[near]
+    first = np.lexsort((n, m))
+    return m[first], n[first], delta[first]
+
+
 def output_energy(coeffs: ModalCoefficients, params: BeamParameters, T: float) -> float:
     """Exact output energy ``int_0^T |current observation|^2 dt``.
 
     The observation is ``sum_n w_n exp(i s_n t)`` (:func:`_output_weights`),
     so the energy is ``sum_{m,n} w_m conj(w_n) int_0^T exp(i delta t) dt`` with
-    ``delta = s_m - s_n`` from :func:`_snapped_differences`: pairwise
-    integration, not time quadrature, so nothing aliases.  The pairs split at
-    ``|delta| * T = 1``:
+    ``delta = s_m - s_n``: pairwise integration, not time quadrature, so
+    nothing aliases.  The pairs split at ``|delta| * T = 1``:
 
     * near pairs (``|delta| * T < 1``: the diagonal, every snapped coincident
-      pair and the close collisions) take the exact :func:`phase_integral`, on
-      this sparse set only;
+      pair and the close collisions) take the exact :func:`phase_integral`.
+      They lie in a band of the sorted frequencies, so :func:`_near_pairs`
+      finds them without an ``(n, n)`` mask;
     * far pairs integrate to ``(exp(i delta T) - 1) / (i delta)`` without
       cancellation.  With ``a = w * exp(i s T)`` and ``C`` the real
       antisymmetric matrix ``1 / delta`` on far pairs and 0 elsewhere, their
-      sum is ``2 * (Im(a) @ C @ Re(a) - Im(w) @ C @ Re(w))``: one reciprocal
-      and one real ``(n, n) @ (n, 2)`` product, with no transcendental per
-      pair and no complex ``(n, n)`` array.
+      sum is ``2 * (Im(a) @ C @ Re(a) - Im(w) @ C @ Re(w))``: one real
+      ``(n, n) @ (n, 2)`` product, with no transcendental per pair.  ``C`` is
+      the one ``(n, n)`` array: the differences, inverted in place, with the
+      near pairs set to 0.
+
+    The result is bitwise that of masking the near pairs with ``(n, n)``
+    boolean arrays: the same differences, the same near sum in the same
+    order and the same ``C``.
     """
     freqs, weights = _output_weights(coeffs, params)
-    delta, gap = _snapped_differences(freqs, T)
+    tol = _snap_tolerance(freqs, T)
     if freqs.size == 0:
         return 0.0
-    near = np.multiply(gap, T, out=gap) < 1.0
-    del gap  # one (n, n) float array at a time beside delta
-    m, n = np.nonzero(near)
-    total = np.sum(np.real(weights[m] * np.conj(weights[n]) * phase_integral(delta[m, n], T)))
-    inverse = np.divide(1.0, delta, out=np.zeros_like(delta), where=~near)
+    m, n, delta = _near_pairs(freqs, T, tol)
+    total = np.sum(np.real(weights[m] * np.conj(weights[n]) * phase_integral(delta, T)))
+    inverse = freqs[:, None] - freqs[None, :]
+    with np.errstate(divide="ignore", over="ignore"):  # near pairs only, zeroed next
+        np.divide(1.0, inverse, out=inverse)
+    inverse[m, n] = 0.0
     a = weights * np.exp(1j * T * freqs)
     sums = inverse @ np.stack((a.real, weights.real), axis=1)
     total += 2.0 * (a.imag @ sums[:, 0] - weights.imag @ sums[:, 1])

@@ -303,7 +303,7 @@ def test_criterion_9_determinism(tmp_path):
         path = tmp_path / f"sweep_{i}.csv"
         from piezobeam.csvio import write_csv
 
-        write_csv(path, ["value", "metric", "error"], zip(*rows))
+        write_csv(path, ["value", "metric", "error"], columns=zip(*rows))
         blobs.append(path.read_bytes())
     report(
         "criterion 9",

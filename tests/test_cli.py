@@ -25,6 +25,7 @@ from piezobeam import (
     parse_config,
     run_sweep,
 )
+from piezobeam import config as config_module, params as params_module
 from piezobeam.cli import run
 from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
 from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_csv
@@ -109,6 +110,32 @@ class TestParseConfig:
     def test_malformed_value(self):
         with pytest.raises(MalformedValue, match="line 2"):
             parse_config(MINIMAL.replace("rho = 1", "rho = one"))
+
+    def test_first_bad_physical_key_in_field_order_is_named(self):
+        """A physical value out of range is named before a later one that does not
+        parse, and any physical error before any run option's."""
+        text = MINIMAL.replace("rho = 1", "rho = -1").replace("beta = 1", "beta = one") + "J = 0\n"
+        with pytest.raises(NonPositiveParameter, match="line 2: rho must be finite and > 0, got -1.0"):
+            parse_config(text)
+        with pytest.raises(MalformedValue, match="line 4: beta = 'one' is not a number"):
+            parse_config(text.replace("rho = -1", "rho = 1"))
+        with pytest.raises(NonPositiveParameter, match="line 9: J must be an integer >= 1"):
+            parse_config(text.replace("rho = -1", "rho = 1").replace("beta = one", "beta = 1"))
+
+    def test_each_key_checked_once(self, monkeypatch):
+        """The seven physical keys are checked as the beam is built, not again by the
+        parser; the eighth check is the default gain's."""
+        checked = []
+
+        def spy(key, value, where=""):
+            checked.append(key)
+            return check(key, value, where)
+
+        check = params_module._check_option
+        monkeypatch.setattr(params_module, "_check_option", spy)
+        monkeypatch.setattr(config_module, "_check_option", spy)
+        parse_config(MINIMAL)
+        assert checked == list(PHYSICAL_KEYS) + ["k"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(MalformedValue, match="voltage"):
@@ -379,7 +406,7 @@ class TestCommands:
         g = transfer_closed(s, load_config(str(half_cfg)).params)
         want = tmp_path / "want.csv"
         write_csv(want, ["re_s", "im_s", "re_G", "im_G", "abs_G"],
-                  [list(column) for column in (s.real, s.imag, g.real, g.imag, np.abs(g))])
+                  columns=[list(column) for column in (s.real, s.imag, g.real, g.imag, np.abs(g))])
         assert out_csv.read_bytes() == want.read_bytes()
 
     def test_simulate_records_at_the_csv_stride(self, half_cfg, tmp_path, capsys):
@@ -426,7 +453,7 @@ class TestCommands:
         want = tmp_path / "want.csv"
         for i, (_, state) in enumerate(snapshots):
             write_csv(want, ["x", "v", "p", "vdot", "pdot"],
-                      [list(column) for column in (state.grid.nodes, state.v, state.p, state.vdot, state.pdot)])
+                      columns=[list(column) for column in (state.grid.nodes, state.v, state.p, state.vdot, state.pdot)])
             assert (snap_dir / f"state_{i:04d}.csv").read_bytes() == want.read_bytes()
 
     def test_observability_csv(self, tmp_path, capsys):
@@ -721,7 +748,7 @@ class TestSweeps:
         for i in range(2):
             rows = run_sweep(cfg, "gamma", values, "zeta_ratio", workers=4)
             path = tmp_path / f"sweep_{i}.csv"
-            write_csv(path, ["value", "metric", "error"], zip(*rows))
+            write_csv(path, ["value", "metric", "error"], columns=zip(*rows))
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -852,7 +879,7 @@ def test_format_value_exact_strings(value, text):
 )
 def test_write_csv_equals_format_value_per_value(tmp_path, rows):
     path = tmp_path / "rows.csv"
-    write_csv(path, ["a", "b", "c"], zip(*rows))
+    write_csv(path, ["a", "b", "c"], columns=zip(*rows))
     want = "a,b,c\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
 
@@ -863,7 +890,7 @@ def test_write_csv_follows_format_value_per_row(tmp_path):
     values = [0.1, math.nan, "failed: 50%", np.float64(-0.0), 3, np.float32(0.1), np.int64(7), True, math.inf]
     rows = [(i, values[i % len(values)], 1.0 / (i + 1)) for i in range(10_000)]
     path = tmp_path / "mixed.csv"
-    write_csv(path, ["i", "value", "x"], zip(*rows))
+    write_csv(path, ["i", "value", "x"], columns=zip(*rows))
     want = "i,value,x\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
     assert path.read_bytes() == want.encode("utf-8")
 
@@ -895,7 +922,7 @@ def test_write_csv_equals_format_value_of_columns(tmp_path, length, kinds, float
     columns = [column.tolist() if kind == "list" else column for kind, column in zip(kinds, columns)]
     header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path / "columns.csv"
-    write_csv(path, header, columns)
+    write_csv(path, header, columns=columns)
     want = ",".join(header) + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in zip(*columns))
     assert path.read_bytes() == want.encode("utf-8")
 
@@ -914,7 +941,7 @@ def test_write_csv_prints_other_columns_by_format_value(tmp_path, second, text):
     """A column that is neither float64 nor integer prints ``format_value`` of each value:
     a float32 with its own shortest digits, not those of its float64 widening."""
     path = tmp_path / "other.csv"
-    write_csv(path, ["a", "b"], [np.zeros(2), second])
+    write_csv(path, ["a", "b"], columns=[np.zeros(2), second])
     assert path.read_text() == f"a,b\n0,{text[0]}\n0,{text[1]}\n"
 
 
@@ -930,8 +957,18 @@ def test_write_csv_prints_other_columns_by_format_value(tmp_path, second, text):
 def test_write_csv_rejects_other_columns(tmp_path, second, message):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=message):
-        write_csv(path, ["a", "b"], [np.zeros(2), second])
+        write_csv(path, ["a", "b"], columns=[np.zeros(2), second])
     assert not path.exists()
+
+
+def test_write_csv_takes_columns_by_keyword_only(tmp_path):
+    """Rows passed where the columns went raise, rather than print transposed."""
+    path = tmp_path / "rows.csv"
+    with pytest.raises(TypeError):
+        write_csv(path, ["a", "b"], [(1, 2), (3, 4)])
+    assert not path.exists()
+    write_csv(path, ["a", "b"], columns=[(1, 2), (3, 4)])
+    assert path.read_bytes() == b"a,b\n1,3\n2,4\n"
 
 
 def test_write_csv_needs_one_name_per_column(tmp_path):
@@ -939,9 +976,9 @@ def test_write_csv_needs_one_name_per_column(tmp_path):
     columns at all is a table of no rows, as ``zip(*rows)`` of no rows gives."""
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="one header name per column, got 2 for 1"):
-        write_csv(path, ["a", "b"], [np.zeros(2)])
+        write_csv(path, ["a", "b"], columns=[np.zeros(2)])
     with pytest.raises(ValueError, match="one header name per column, got 1 for 2"):
-        write_csv(path, ["a"], zip(*[(1, 2)]))
+        write_csv(path, ["a"], columns=zip(*[(1, 2)]))
     assert not path.exists()
-    write_csv(path, ["a", "b"], zip(*[]))
+    write_csv(path, ["a", "b"], columns=zip(*[]))
     assert path.read_bytes() == b"a,b\n"

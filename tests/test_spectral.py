@@ -213,6 +213,26 @@ def reference_output_energy(coeffs, params, T):
     return max(float(total), 0.0)
 
 
+def masked_output_energy(coeffs, params, T):
+    """The near/far split of ``output_energy`` with ``(n, n)`` masks: ``np.nonzero``
+    of the near mask orders the near sum, and ``~near`` selects the far
+    reciprocals.  The bitwise oracle for the banded ``output_energy``."""
+    freqs, weights = _output_weights(coeffs, params)
+    if freqs.size == 0:
+        return 0.0
+    scale = max(1.0, float(np.max(np.abs(freqs))))
+    delta = freqs[:, None] - freqs[None, :]
+    delta[np.abs(delta) < 1e-12 * scale] = 0.0
+    near = np.abs(delta) * T < 1.0
+    m, n = np.nonzero(near)
+    total = np.sum(np.real(weights[m] * np.conj(weights[n]) * phase_integral(delta[m, n], T)))
+    inverse = np.divide(1.0, delta, out=np.zeros_like(delta), where=~near)
+    a = weights * np.exp(1j * T * freqs)
+    sums = inverse @ np.stack((a.real, weights.real), axis=1)
+    total += 2.0 * (a.imag @ sums[:, 0] - weights.imag @ sums[:, 1])
+    return max(float(total), 0.0)
+
+
 def mpmath_output_energy(freqs, weights, T, dps=50):
     """``sum_{m,n} w_m conj(w_n) int_0^T exp(i (s_m - s_n) t) dt`` at ``dps`` digits.
 
@@ -340,6 +360,48 @@ class TestReferences:
             got, want = output_energy(coeffs, params, T), reference_output_energy(coeffs, params, T)
             assert abs(got - want) <= 1e-13 * want, (T, got, want)
 
+    @pytest.mark.parametrize("params, coeffs", random_beam_cases())
+    def test_output_energy_bitwise_equals_masked(self, params, coeffs):
+        for T in (0.7, 3.0, 40.0):
+            assert output_energy(coeffs, params, T) == masked_output_energy(coeffs, params, T), T
+
+    def test_output_energy_bitwise_equals_masked_on_coincident_pairs(self, ratio_third):
+        """Ratio 1/3: every third family-1 frequency meets a family-2 one, to rounding."""
+        coeffs = random_coefficients(48, seed=11)
+        freqs = _output_weights(coeffs, ratio_third)[0]
+        delta = np.abs(freqs[:, None] - freqs[None, :])
+        assert np.count_nonzero(delta < 1e-12 * np.max(np.abs(freqs))) > freqs.size  # beyond the diagonal
+        for T in (0.7, 6.0, 40.0):
+            assert output_energy(coeffs, ratio_third, T) == masked_output_energy(coeffs, ratio_third, T), T
+
+    @pytest.mark.parametrize("state", ["golden_q987", "random_J64"])
+    def test_output_energy_bitwise_equals_masked_when_every_pair_is_near(self, golden, state):
+        """At ``T = 1e-4`` the band holds every pair; ``T = 10`` splits them."""
+        if state == "golden_q987":
+            approx = next(a for a in odd_odd_approximants(derive_constants(golden).ratio, 6, qmax=5000) if a.q == 987)
+            coeffs = near_unobservable_state(approx, golden)
+        else:
+            coeffs = random_coefficients(64, seed=4)
+        freqs = _output_weights(coeffs, golden)[0]
+        assert np.ptp(freqs) * 1e-4 < 1.0
+        for T in (1e-4, 1e-3, 10.0):
+            assert output_energy(coeffs, golden, T) == masked_output_energy(coeffs, golden, T), T
+
+    def test_output_energy_bitwise_equals_masked_at_the_split(self):
+        """``T = 1 / |delta|`` of one pair, and its neighbouring floats, put that
+        pair on either side of ``|delta| * T = 1``."""
+        params = reference_params()[2][1]
+        coeffs = random_coefficients(16, seed=2)
+        freqs = _output_weights(coeffs, params)[0]
+        T = 1.0 / abs(freqs[3] - freqs[5])
+        for t in (np.nextafter(T, 0.0), T, np.nextafter(T, np.inf)):
+            assert output_energy(coeffs, params, t) == masked_output_energy(coeffs, params, t), t
+
+    def test_output_energy_of_no_weights_is_zero(self, golden):
+        coeffs = ModalCoefficients.zeros(4)
+        assert _output_weights(coeffs, golden)[0].size == 0
+        assert output_energy(coeffs, golden, 2.0) == masked_output_energy(coeffs, golden, 2.0) == 0.0
+
     @pytest.mark.parametrize("J", [pytest.param(J, id=f"J{J}") for J in (8, 24)])
     @pytest.mark.parametrize("params", [pytest.param(p, id=n) for n, p in reference_params()[2:]])
     def test_output_energy_matches_mpmath(self, params, J):
@@ -364,8 +426,8 @@ class TestReferences:
         assert err <= 2.0 * parent_err, float(err)
 
     def test_output_energy_memory(self):
-        """No complex ``(n, n)`` Gram: 4J = 1024 frequencies stay under 32 MiB,
-        where a dense complex Gram alone takes 16 MiB and its evaluation 56 MiB."""
+        """One float ``(n, n)`` array: 4J = 1024 frequencies stay under 12 MiB,
+        where that array takes 8 MiB and a dense complex Gram alone 16 MiB."""
         params = reference_params()[2][1]
         coeffs = random_coefficients(256, seed=5)
         tracemalloc.start()
@@ -374,7 +436,7 @@ class TestReferences:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert energy > 0 and peak < 32 * 2**20, peak / 2**20
+        assert energy > 0 and peak < 12 * 2**20, peak / 2**20
 
 
 class TestModalCoefficients:
