@@ -12,11 +12,16 @@ then depends on where small allocations happened to land: the
 to the next.
 
 :func:`fix_mmap_threshold` freezes the rule at ``MMAP_THRESHOLD``: blocks of
-16 MiB and more are always mapped and returned at once, and smaller ones,
-which include the package's working arrays (at most about 8.4 MiB, the
-``J = 256`` sine table), keep the heap's fast path.  A threshold of 8 MiB
-mapped that table afresh on every call and cost that benchmark 11% of its
-time.  Elsewhere than on glibc nothing is changed.
+16 MiB and more are always mapped and returned at once, and smaller ones keep
+the heap's fast path.  The 16 MiB blocks are the benchmark oracle's, not the
+package's: its largest working array at ``J = 256`` is the 8 MiB ``(n, n)``
+float array of :func:`piezobeam.spectral.output_energy` (``n = 4J``), which a
+threshold of 8 MiB would map afresh on every call (an 8.4 MiB table, since
+removed, cost that benchmark 11% of its time that way).  Without the fixed
+threshold that benchmark still peaked at 120 MiB from one checkout name in
+eight, and with it at 104 or 108 MiB (ROADMAP item 15 has the runs), so the
+setting stays until the oracle's blocks shrink.  Elsewhere than on glibc
+nothing is changed.
 """
 
 from __future__ import annotations

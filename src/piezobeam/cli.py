@@ -246,7 +246,14 @@ def _cmd_observability(args, cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: RunConfig) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = []  # blank entries are skipped; a value out of range is its point's row error
+    for entry in filter(str.strip, args.values.split(",")):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise MalformedValue(f"--values: {entry.strip()!r} is not a number") from None
+    if not values:
+        raise MalformedValue(f"--values: {args.values!r} holds no value")
     rows = run_sweep(cfg, args.param, values, args.metric, workers=args.workers)
     path = _out_path(args, "sweep.csv")
     write_csv(path, ["value", "metric", "error"], columns=zip(*rows))

@@ -15,23 +15,27 @@ zero frequency.  The wave families are described once, by :func:`_model`.
 The spectrum is one table, :func:`_frequencies`: ``sign * sigma_j / zeta_k``
 on the ``(family, branch, j)`` axes of :attr:`ModalCoefficients.branches`,
 the branch sign a broadcast axis.  :func:`eigenvalues` are ``i`` times it,
-:func:`propagate` multiplies by ``exp(i t freq)``, and :func:`reconstruct`
-(through :func:`propagate`), :func:`project` and the output energy read it.
+:func:`propagate` multiplies by ``exp(i t freq)``, and :func:`project` and
+the output energy read it.
 
-The modal sine tables cost no transcendental per entry.  Reconstruction at
-arbitrary positions takes its sine and cosine profiles from the waves
-``exp(i sigma_j x)``, built by phase doubling from ``log2(J)`` exponentials of
-the positions.  On the ``cells + 1`` uniform quadrature nodes, sines go both
-ways through one quarter-wave sine transform, a real FFT of length
-``4 * cells``: the analysis :func:`_sine_amplitudes` reads the mode
-amplitudes of trapezoid-weighted samples from its odd entries, and the
-synthesis :func:`_sine_synthesis` places amplitudes there to sample their
-sine sums.  :func:`project`, :func:`projection_residual` and
-:func:`resolvent_at_zero` read a state on those nodes through
+A modal state is sampled by one rule per kind of sampling, and none costs a
+transcendental per entry.  Time goes through :func:`propagate` alone: a
+state at time ``t`` is the state of ``propagate(coeffs, params, t)``.
+Uniform nodes, ``x_l = l * L / n``, go both ways through one quarter-wave
+sine transform, a real FFT of length ``4 * n``: the analysis
+:func:`_sine_amplitudes` reads the mode amplitudes of trapezoid-weighted
+samples from its odd entries, and the synthesis :func:`_sine_synthesis`
+places amplitudes there, folded modulo ``4 * n`` when ``J > 2 * n``, to
+sample their sine sums at any truncation.  That pair serves the
+``cells + 1`` quadrature nodes here and every grid of
+:mod:`piezobeam.timedomain`.  :func:`project`, :func:`projection_residual`
+and :func:`resolvent_at_zero` read a state on the quadrature nodes through
 ``StateFunctions._quadrature_samples``; a modal state answers with one
-synthesis of its field rows instead of a ``(J, cells + 1)`` wave table,
-unless its beam length differs or its truncation exceeds ``2 * cells``,
-where it falls back to :meth:`StateFunctions.sample`.
+synthesis of its field rows, unless its beam length differs, where it falls
+back to :meth:`StateFunctions.sample`.  Positions a caller gives go through
+:func:`reconstruct`, whose sine and cosine profiles are the waves
+``exp(i sigma_j x)``, built by phase doubling from ``log2(J)`` exponentials
+of the positions.
 
 The output energy integrates the exponential polynomial of the observation
 pair by pair.  Pairs of frequencies closer than ``1/T`` take the exact phase
@@ -208,8 +212,8 @@ class _ModalState(StateFunctions):
     """A modal state; ``sample`` evaluates all four components with one ``reconstruct``.
 
     On the quadrature nodes of its own beam length it samples itself with one
-    :func:`_sine_synthesis` of its field rows instead, while its truncation is
-    at most ``2 * cells``; otherwise it falls back to :meth:`sample`.
+    :func:`_sine_synthesis` of its field rows instead, at any truncation; on
+    those of another length it falls back to :meth:`sample`.
     """
 
     __slots__ = ("_modal",)
@@ -226,10 +230,9 @@ class _ModalState(StateFunctions):
 
     def _quadrature_samples(self, length: float, J: int = 0) -> np.ndarray:
         coeffs, params = self._modal
-        cells = _quadrature_cells(J)
-        if params.length != length or coeffs.truncation > 2 * cells:
+        if params.length != length:
             return super()._quadrature_samples(length, J)
-        fields = _sine_synthesis(_field_rows(coeffs, params), cells)
+        fields = _sine_synthesis(_field_rows(coeffs, params), _quadrature_cells(J))
         return _real_if_exact(fields[:4] + 1j * fields[4:])
 
 
@@ -300,11 +303,17 @@ def _sine_synthesis(amplitudes: np.ndarray, n: int) -> np.ndarray:
     """``sum_j a_j sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``: the inverse of
     :func:`_sine_amplitudes`.
 
-    ``amplitudes[..., j - 1]`` holds the real ``a_j``, ``j = 1..J`` with
-    ``J <= 2n``; ``a_j`` sits at index ``2j - 1`` of one :func:`_sine_sums`.
+    ``amplitudes[..., j - 1]`` holds the real ``a_j``, ``j = 1..J``; ``a_j``
+    sits at index ``2j - 1`` of one :func:`_sine_sums`.  On these nodes the
+    sines of indices ``4n`` apart agree, so a ``J > 2n`` is folded modulo
+    ``4n`` first and every ``J`` is exact; a ``J <= 2n`` is not folded.
     """
-    c = np.zeros((*amplitudes.shape[:-1], 2 * amplitudes.shape[-1]))
-    c[..., 1::2] = amplitudes
+    width = 2 * amplitudes.shape[-1]
+    fold = width > 4 * n
+    c = np.zeros((*amplitudes.shape[:-1], width + fold * (-width % (4 * n))))
+    c[..., 1:width:2] = amplitudes
+    if fold:  # padded to whole periods of 4n, which are summed
+        c = c.reshape(*c.shape[:-1], -1, 4 * n).sum(axis=-2)
     return _sine_sums(c, n)[..., : n + 1]
 
 
@@ -407,40 +416,39 @@ def reconstruct(
     coeffs: ModalCoefficients,
     params: BeamParameters,
     x,
-    t: float = 0.0,
+    *,
     derivative: bool = False,
 ) -> np.ndarray:
-    """Evaluate the modal sum at positions ``x`` and time ``t``.
+    """Evaluate the modal sum at positions ``x``.
 
     With ``derivative=True`` the x-derivative of each component is returned
     (cosine profiles).  The profiles are the imaginary (sine) or real (cosine)
-    parts of :func:`_waves`.  The phase is :func:`propagate`'s, so time ``t`` is
-    bitwise ``reconstruct(propagate(coeffs, params, t), params, x)``.  A
+    parts of :func:`_waves`.  A state at time ``t`` is
+    ``reconstruct(propagate(coeffs, params, t), params, x)``.  A
     coefficient ``a`` adds ``sign * a / (i * freq)`` to the positions and
     ``sign * a`` to the velocities along its family's mixing column
     ``(1, b_k)``.  The branches are summed and the families mixed into four
     rows, whose real and imaginary parts, stacked, take one real product with
-    the profiles.  Returns a complex array of shape ``(4, len(x))``.  Raises
-    ``ValueError`` unless ``t`` is finite.
+    the profiles.  Returns a complex array of shape ``(4, len(x))``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     J = coeffs.truncation
     s = sigma(np.arange(1, J + 1), params.length)  # (J,)
     waves = _waves(J, x, params.length)
     profile = waves.real * s[:, None] if derivative else waves.imag
-    fields = _field_rows(coeffs, params, t) @ profile
+    fields = _field_rows(coeffs, params) @ profile
     return fields[:4] + 1j * fields[4:]
 
 
-def _field_rows(coeffs: ModalCoefficients, params: BeamParameters, t: float = 0.0) -> np.ndarray:
-    """The real ``(8, J)`` sine amplitudes of the four fields at time ``t``.
+def _field_rows(coeffs: ModalCoefficients, params: BeamParameters) -> np.ndarray:
+    """The real ``(8, J)`` sine amplitudes of the four fields.
 
     Rows 0..3 are the real parts and rows 4..7 the imaginary parts of
     ``(position, b * position, velocity, b * velocity)``; see :func:`reconstruct`.
     """
     model = _model(params)
     J = coeffs.truncation
-    velocity = _BRANCH_SIGN * propagate(coeffs, params, t).branches  # (family, branch, J)
+    velocity = _BRANCH_SIGN * coeffs.branches  # (family, branch, J)
     amps = np.stack((velocity / (1j * _frequencies(model.zeta, J, params.length)), velocity))
     # rows (position, b * position, velocity, b * velocity): branches summed, families mixed
     rows = model.mix @ amps.sum(axis=2)
@@ -451,8 +459,8 @@ def project(state: StateFunctions, params: BeamParameters, J: int) -> ModalCoeff
     """Project a state onto the first ``J`` modes of each branch.
 
     The state is sampled on the :func:`_quadrature_nodes` (a modal state of
-    this beam by one :func:`_sine_synthesis` of its field rows, truncations
-    above ``2 * cells`` and other states by :meth:`StateFunctions.sample`).
+    this beam by one :func:`_sine_synthesis` of its field rows at any
+    truncation, other states by :meth:`StateFunctions.sample`).
     The samples, real and imaginary parts stacked, go through one
     quarter-wave sine analysis (:func:`_sine_amplitudes`), which gives the
     sine amplitudes of all four components against ``(2/L) sin(sigma_j x)``

@@ -79,7 +79,11 @@ taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`).
 States enter by the sine analysis that :func:`piezobeam.spectral.project`
 shares (:func:`piezobeam.spectral._sine_amplitudes`) and leave by its
 inverse, the synthesis a modal state samples itself with
-(:func:`piezobeam.spectral._sine_synthesis`).
+(:func:`piezobeam.spectral._sine_synthesis`).  The same pair serves every
+set of uniform nodes: :func:`grid_state_from_modal` samples a modal state of
+any truncation on the grid by that synthesis, positions a caller gives go
+through :func:`piezobeam.spectral.reconstruct`, and time through
+:func:`piezobeam.spectral.propagate`.
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import NonFiniteState, NonPositiveEnergy
 from .params import BeamParameters, _check_integer, _check_option
-from .spectral import ModalCoefficients, StateFunctions, reconstruct, sigma
-from .spectral import _model, _sine_amplitudes, _sine_synthesis
+from .spectral import ModalCoefficients, StateFunctions, sigma
+from .spectral import _Model, _field_rows, _model, _sine_amplitudes, _sine_synthesis
 
 __all__ = [
     "Grid",
@@ -380,13 +384,14 @@ def _block_tables(rotation: np.ndarray, trace_xi: np.ndarray, gain: float):
     return powers, kicks, kernel, feedback
 
 
-def _time_step(grid: Grid, params: BeamParameters, cfg: SimConfig) -> tuple[float, int]:
-    """``(dt, nsteps)`` of :func:`simulate` on ``grid``: ``cfg.cfl`` times the stability
-    bound ``dx * zeta`` of the fastest family, shortened so ``nsteps`` steps span ``cfg.T``."""
+def _time_step(grid: Grid, params: BeamParameters, cfg: SimConfig) -> tuple[float, int, _Model]:
+    """``(dt, nsteps, model)`` of :func:`simulate` on ``grid``: the classical model in
+    classical mode and the coupled one otherwise, and ``cfg.cfl`` times the stability
+    bound ``dx * zeta`` of its fastest family, shortened so ``nsteps`` steps span ``cfg.T``."""
     model = _model(params, classical=True) if cfg.mode == "classical" else _model(params)
     dt = cfg.cfl * (grid.dx * model.zeta[-1])
     nsteps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
-    return cfg.T / nsteps, nsteps
+    return cfg.T / nsteps, nsteps, model
 
 
 def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Trajectory:
@@ -412,8 +417,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     grid = initial.grid
     _check_length(grid, params)
     n, dx, h = grid.n, grid.dx, params.thickness
-    model = _model(params, classical=True) if cfg.mode == "classical" else _model(params)
-    dt, nsteps = _time_step(grid, params, cfg)
+    dt, nsteps, model = _time_step(grid, params, cfg)
 
     if cfg.mode == "open":
         k, external = 0.0, cfg.voltage
@@ -637,10 +641,15 @@ def operator_eigenvalues(
 def grid_state_from_modal(
     coeffs: ModalCoefficients, params: BeamParameters, grid: Grid
 ) -> GridState:
-    """Sample the real part of a modal state onto the grid."""
+    """Sample the real part of a modal state onto the grid nodes, at any truncation.
+
+    One :func:`piezobeam.spectral._sine_synthesis` of its field rows: the
+    inverse of the sine analysis :func:`simulate` starts from.  A state at
+    time ``t`` is that of :func:`piezobeam.spectral.propagate`.  Raises
+    ``ValueError`` unless the grid spans the beam.
+    """
     _check_length(grid, params)
-    comps = reconstruct(coeffs, params, grid.nodes).real
-    return GridState(grid, *(np.ascontiguousarray(c) for c in comps))
+    return GridState(grid, *_sine_synthesis(_field_rows(coeffs, params), grid.n)[:4].copy())
 
 
 def state_from_samples(grid: Grid, x, v, p, vdot, pdot) -> GridState:

@@ -779,6 +779,37 @@ class TestSweeps:
         assert header == ["value", "metric", "error"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize(
+        "values, named",
+        [("0.5,abc", "'abc' is not a number"), ("abc", "'abc' is not a number"),
+         ("0.5,1e", "'1e' is not a number"), (",", "',' holds no value"), ("", "'' holds no value"),
+         (" , ", "' , ' holds no value")],
+    )
+    def test_cli_sweep_names_bad_values(self, half_cfg, tmp_path, capsys, monkeypatch, values, named):
+        """A ``--values`` entry that is not a number, or a list with none, is
+        ``MalformedValue`` naming the flag, raised before any point runs and
+        before the CSV is opened."""
+        points = []
+        monkeypatch.setattr("piezobeam.cli.run_sweep", lambda *args, **kwargs: points.append(args))
+        out_csv = tmp_path / "sweep.csv"
+        code = run(["sweep", "--config", str(half_cfg), "--param", "gamma",
+                    "--values", values, "--metric", "zeta_ratio", "--out", str(out_csv)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: MalformedValue: --values: {named}\n"
+        assert points == [] and not out_csv.exists()
+
+    def test_cli_sweep_out_of_range_values_are_row_errors(self, half_cfg, tmp_path, capsys):
+        """Values that parse but are not finite or out of range fail their own rows;
+        blank entries are skipped."""
+        out_csv = tmp_path / "sweep.csv"
+        code = run(["sweep", "--config", str(half_cfg), "--param", "gamma",
+                    "--values", "0.5,nan,,-1,inf", "--metric", "zeta_ratio", "--out", str(out_csv)])
+        assert code == 0
+        header, rows = read_csv(out_csv)
+        assert [row[0] for row in rows] == ["0.5", "nan", "-1", "inf"]
+        assert rows[0][2] == "" and all(row[1] == "nan" and row[2] for row in rows[1:])
+        assert "(3 failed)" in capsys.readouterr().out
+
     def test_too_few_cells_exits_2(self, tmp_path, capsys):
         """``N`` below ``MIN_CELLS`` fails at parse time, naming its line, instead of
         leaving NaN rows in a decay-rate sweep."""

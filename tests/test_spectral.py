@@ -12,6 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from piezobeam import (
     BeamParameters,
+    Grid,
     ModalCoefficients,
     ModeIndex,
     NonPositiveParameter,
@@ -21,6 +22,7 @@ from piezobeam import (
     derive_constants,
     eigenfunction,
     eigenvalues,
+    grid_state_from_modal,
     modal_norm_sq,
     near_unobservable_state,
     odd_odd_approximants,
@@ -131,6 +133,18 @@ def mpmath_reconstruct(coeffs, params, x, t, derivative, dps=40):
             for r in range(4):
                 fields[r] = [f + rows[r] * p for f, p in zip(fields[r], profile)]
         return np.array([[complex(f) for f in row] for row in fields])
+
+
+def exact_sine_sums(rows, n):
+    """``sum_j rows[..., j - 1] * sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``,
+    each argument ``pi * k / (2n)`` taken with the integer ``k = (2j - 1) * l``
+    reduced modulo ``4n``; summed in blocks of 256 modes."""
+    out = np.zeros((*rows.shape[:-1], n + 1))
+    for start in range(0, rows.shape[-1], 256):
+        block = rows[..., start : start + 256]
+        k = (2 * np.arange(start, start + block.shape[-1]) + 1)[:, None] * np.arange(n + 1) % (4 * n)
+        out += block @ np.sin((np.pi / (2 * n)) * k)
+    return out
 
 
 def reference_propagate(coeffs, params, t):
@@ -314,14 +328,15 @@ class TestReferences:
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_reconstruct_as_accurate_as_reference(self, derivative):
-        """Against a 40-digit evaluation, ``reconstruct`` errs at most twice as
-        much as the sine-per-entry reference, plus ``1e-15`` of the field's scale."""
+        """Against a 40-digit evaluation, the state at time ``t`` by ``reconstruct``
+        of :func:`propagate` errs at most twice as much as the sine-per-entry
+        reference, plus ``1e-15`` of the field's scale."""
         for seed, (name, params) in enumerate(reference_params()):
             coeffs = random_coefficients(17, seed=seed)
             x = np.linspace(0.0, params.length, 129)
             for t in (0.0, 1.3):
                 exact = mpmath_reconstruct(coeffs, params, x, t, derivative)
-                got = reconstruct(coeffs, params, x, t=t, derivative=derivative)
+                got = reconstruct(propagate(coeffs, params, t), params, x, derivative=derivative)
                 want = reference_reconstruct(coeffs, params, x, t=t, derivative=derivative)
                 err, ref_err = np.max(np.abs(got - exact)), np.max(np.abs(want - exact))
                 assert err <= 2.0 * ref_err + 1e-15 * np.max(np.abs(exact)), (name, t, err, ref_err)
@@ -339,13 +354,21 @@ class TestReferences:
 
     @pytest.mark.parametrize("derivative", [False, True])
     @pytest.mark.parametrize("params, coeffs", random_beam_cases()[::2])
-    def test_reconstruct_at_t_is_reconstruct_of_propagate(self, params, coeffs, derivative):
-        """Reconstruction at time ``t`` takes its phase from :func:`propagate`, bitwise."""
-        x = np.linspace(0.0, params.length, 33)
+    def test_state_at_t_is_reconstruct_of_propagate(self, params, coeffs, derivative):
+        """The state at time ``t`` through :func:`propagate` is the reference's
+        modal sum at ``t``, to the phases' rounding ``eps * |freq * t|`` (1e-9 of
+        the scale at ``|t| <= 250``), and on grid nodes ``grid_state_from_modal``
+        samples the same state to ``1e-13`` of its scale."""
+        grid = Grid(32, params.length)
         for t in (1.3, -0.7, 250.0):
-            got = reconstruct(coeffs, params, x, t=t, derivative=derivative)
-            want = reconstruct(propagate(coeffs, params, t), params, x, derivative=derivative)
-            assert np.array_equal(got, want), t
+            moved = propagate(coeffs, params, t)
+            got = reconstruct(moved, params, grid.nodes, derivative=derivative)
+            want = reference_reconstruct(coeffs, params, grid.nodes, t=t, derivative=derivative)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), t
+            if not derivative:
+                state = grid_state_from_modal(moved, params, grid)
+                sampled = np.stack((state.v, state.p, state.vdot, state.pdot))
+                assert np.max(np.abs(sampled - got.real)) <= 1e-13 * np.max(np.abs(got)), t
 
     @pytest.mark.parametrize("params, coeffs", random_beam_cases())
     def test_modal_norm_sq_equals_reference(self, params, coeffs):
@@ -627,11 +650,20 @@ class TestModeCounts:
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_rejected(golden, t):
+    """Time is :func:`propagate`'s alone, and it checks ``t``."""
     coeffs = random_coefficients(3)
     with pytest.raises(ValueError, match="t must be finite"):
-        reconstruct(coeffs, golden, np.linspace(0.0, 1.0, 5), t=t)
-    with pytest.raises(ValueError, match="t must be finite"):
         propagate(coeffs, golden, t)
+
+
+def test_reconstruct_takes_no_time(golden):
+    """``reconstruct`` has no ``t``: by keyword or in its place, a time is a ``TypeError``
+    (``derivative`` is keyword-only, so a positional time cannot set it)."""
+    coeffs, x = random_coefficients(3), np.linspace(0.0, 1.0, 5)
+    with pytest.raises(TypeError):
+        reconstruct(coeffs, golden, x, t=1.0)
+    with pytest.raises(TypeError):
+        reconstruct(coeffs, golden, x, 1.0)
 
 
 class TestEigenvalues:
@@ -825,26 +857,19 @@ class TestProjection:
             coeffs = ModalCoefficients(coeffs.c1, -np.conj(coeffs.c1), coeffs.c2, -np.conj(coeffs.c2))
         cells = spectral.DEFAULT_QUADRATURE_CELLS
         got = StateFunctions.from_modal(coeffs, golden)._quadrature_samples(golden.length)
-        k = (2 * np.arange(1, J + 1) - 1)[:, None] * np.arange(cells + 1) % (4 * cells)
-        fields = spectral._field_rows(coeffs, golden) @ np.sin((np.pi / (2 * cells)) * k)
+        fields = exact_sine_sums(spectral._field_rows(coeffs, golden), cells)
         exact = fields[:4] + 1j * fields[4:]
-        del k, fields
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(got - exact)) <= 1e-13 * scale
         table = reconstruct(coeffs, golden, spectral._quadrature_nodes(golden.length))
         assert np.max(np.abs(got - table)) <= max(1e-13, J * np.finfo(float).eps) * scale
         assert got.dtype == (np.float64 if kind == "real" else np.complex128)
 
-    @pytest.mark.parametrize("case", ["other_length", "long_truncation"])
-    def test_modal_state_off_the_synthesis_is_sampled(self, golden, case, monkeypatch):
-        """A modal state of another beam length, or truncated above ``2 * cells``,
-        is sampled on the nodes by one ``reconstruct``, and ``project`` returns
-        bitwise the coefficients of sampling it through the default path."""
-        cells = spectral.DEFAULT_QUADRATURE_CELLS
-        if case == "other_length":
-            state = StateFunctions.from_modal(random_coefficients(16, seed=5), replace(golden, length=1.5))
-        else:
-            state = StateFunctions.from_modal(random_coefficients(2 * cells + 1, seed=5), golden)
+    def test_modal_state_of_another_length_is_sampled(self, golden, monkeypatch):
+        """A modal state of another beam length is sampled on the nodes by one
+        ``reconstruct``, and ``project`` returns bitwise the coefficients of
+        sampling it through the default path."""
+        state = StateFunctions.from_modal(random_coefficients(16, seed=5), replace(golden, length=1.5))
         with monkeypatch.context() as m:
             m.setattr(spectral._ModalState, "_quadrature_samples", StateFunctions._quadrature_samples)
             want = project(state, golden, 16)
@@ -859,6 +884,68 @@ class TestProjection:
         got = project(state, golden, 16)
         assert len(calls) == 1
         np.testing.assert_array_equal(got.branches, want.branches)
+
+    def test_project_above_twice_the_cells_is_the_sampled_route(self, golden, monkeypatch):
+        """A modal state truncated above ``2 * cells`` is synthesised on the nodes,
+        folded, with no wave table.  ``project`` then returns the coefficients of
+        its exact sine sums on the nodes to ``1e-13`` of their scale, and those of
+        sampling it through :meth:`StateFunctions.sample` to that or to the wave
+        table's rounding, ``J * eps`` (:meth:`test_modal_state_synthesis_on_the_nodes`)."""
+        cells = spectral.DEFAULT_QUADRATURE_CELLS
+        coeffs = random_coefficients(2 * cells + 1, seed=5)
+        state = StateFunctions.from_modal(coeffs, golden)
+        fields = exact_sine_sums(spectral._field_rows(coeffs, golden), cells)
+        wants = []
+        with monkeypatch.context() as m:
+            m.setattr(spectral._ModalState, "_quadrature_samples", lambda *args: fields[:4] + 1j * fields[4:])
+            wants.append(project(state, golden, 16).branches)
+            m.setattr(spectral._ModalState, "_quadrature_samples", StateFunctions._quadrature_samples)
+            wants.append(project(state, golden, 16).branches)
+        monkeypatch.setattr(spectral, "_waves", None)  # a wave table would fail
+        got = project(state, golden, 16).branches
+        for want, tol in zip(wants, (1e-13, max(1e-13, coeffs.truncation * np.finfo(float).eps))):
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_uniform_nodes_take_no_wave_table(self, golden, monkeypatch):
+        """Without ``_waves``, ``project``, ``projection_residual`` and
+        ``grid_state_from_modal`` still sample modal states on uniform nodes,
+        at truncations above ``2 * N`` and above ``2 * cells``."""
+        cells = spectral.DEFAULT_QUADRATURE_CELLS
+        grid = Grid(16, golden.length)
+        cases = [random_coefficients(40, seed=6), random_coefficients(2 * cells + 3, seed=7)]
+        want = [grid_state_from_modal(coeffs, golden, grid) for coeffs in cases]
+        monkeypatch.setattr(spectral, "_waves", None)  # a wave table would fail
+        for coeffs, before in zip(cases, want):
+            state = StateFunctions.from_modal(coeffs, golden)
+            back = project(state, golden, 16)
+            assert 0.0 < projection_residual(state, back, golden) < 1.0
+            after = grid_state_from_modal(coeffs, golden, grid)
+            for name in ("v", "p", "vdot", "pdot"):
+                np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+        back = project(StateFunctions.from_modal(cases[0], golden), golden, 40)
+        assert np.max(np.abs(back.branches - cases[0].branches)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_synthesis_folds_above_twice_the_cells(self, n):
+        """``_sine_synthesis`` at ``J = 2n + 1 .. 5n`` is the exact sine sums on its
+        ``n + 1`` nodes to ``1e-14`` of their scale: sines ``4n`` apart in index agree there."""
+        rng = np.random.default_rng(n)
+        for J in range(2 * n + 1, 5 * n + 1):
+            amplitudes = rng.standard_normal((3, J))
+            exact = exact_sine_sums(amplitudes, n)
+            got = spectral._sine_synthesis(amplitudes, n)
+            assert got.shape == exact.shape
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact)), J
+
+    @pytest.mark.parametrize("N, J", [(512, 28), (1024, 256), (1024, 2048), (4096, 4096)])
+    def test_grid_state_from_modal_is_the_exact_sums(self, golden, N, J):
+        """On a grid, a modal state is its exact sine sums to ``1e-14`` of their scale
+        at every truncation, ``J > 2N`` included; a wave table read 6e-13 at ``(4096, 4096)``."""
+        coeffs = random_coefficients(J, seed=N + J)
+        state = grid_state_from_modal(coeffs, golden, Grid(N, golden.length))
+        exact = exact_sine_sums(spectral._field_rows(coeffs, golden)[:4], N)
+        got = np.stack((state.v, state.p, state.vdot, state.pdot))
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 class TestPropagation:
