@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import observability as obs
 from . import spectral
-from .config import FLOAT_KEYS, INT_KEYS, RunConfig, _fields, load_config
+from .config import FLOAT_KEYS, INT_KEYS, RunConfig, _fields, _number, load_config
 from .csvio import read_csv, write_csv, write_svg
 from .errors import (
     MalformedValue,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .frequency import transfer_closed
 from .params import StabilityClass, _check_integer, classify_stability, derive_constants
-from .sweeps import SWEEP_METRICS, run_sweep
+from .sweeps import SWEEP_METRICS, _check_workers, run_sweep
 from .timedomain import (
     Grid,
     _run_config,
@@ -91,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="transfer function on a vertical line")
     common(p)
-    p.add_argument("--s1", type=float, default=1.0, help="real part of the line")
-    p.add_argument("--im-max", type=float, default=100.0)
-    p.add_argument("--n-points", type=int, default=2001)
+    p.add_argument("--s1", default="1.0", help="real part of the line")
+    p.add_argument("--im-max", default="100.0")
+    p.add_argument("--n-points", default="2001")
 
     p = sub.add_parser("observability", help="odd/odd approximants and quotients")
     common(p)
-    p.add_argument("--count", type=int, default=4)
+    p.add_argument("--count", default="4")
     p.add_argument("--T")
 
     p = sub.add_parser("sweep", help="parameter sweep")
@@ -106,10 +105,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--metric", required=True, choices=SWEEP_METRICS)
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", default=None,
         help="accepted for compatibility; must be >= 1; points always run serially",
     )
     return parser
+
+
+# The numeric flags that set no config key, read as the config keys are
+# (config._number); each command checks the range of its own.
+_FLAGS = {"s1": False, "im_max": False, "n_points": True, "count": True, "workers": True}
+
+
+def _read_flags(args) -> None:
+    """Replace the text of each given flag of :data:`_FLAGS` by its number, an ``int``
+    where the value is ``True``; an error is named with its flag."""
+    for dest, integer in _FLAGS.items():
+        if (text := getattr(args, dest, None)) is not None:
+            setattr(args, dest, _number(dest, text, "--" + dest.replace("_", "-"), integer))
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -214,9 +226,6 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_transfer(args, cfg: RunConfig) -> int:
-    for flag, value in (("--s1", args.s1), ("--im-max", args.im_max)):
-        if not math.isfinite(value):
-            raise MalformedValue(f"{flag} must be a finite number, got {value}")
     _check_integer(args.n_points, "--n-points")
     s = np.empty(args.n_points, dtype=complex)
     s.real, s.imag = args.s1, np.linspace(-args.im_max, args.im_max, args.n_points)
@@ -232,6 +241,7 @@ def _cmd_transfer(args, cfg: RunConfig) -> int:
 def _cmd_observability(args, cfg: RunConfig) -> int:
     params = cfg.params
     dc = derive_constants(params)
+    obs._check_count(args.count, "--count")
     approximants = obs.odd_odd_approximants(dc.ratio, count=args.count, qmax=cfg.qmax)
     rows = []
     for a in approximants:
@@ -254,6 +264,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
             raise MalformedValue(f"--values: {entry.strip()!r} is not a number") from None
     if not values:
         raise MalformedValue(f"--values: {args.values!r} holds no value")
+    _check_workers(args.workers, "--workers")
     rows = run_sweep(cfg, args.param, values, args.metric, workers=args.workers)
     path = _out_path(args, "sweep.csv")
     write_csv(path, ["value", "metric", "error"], columns=zip(*rows))
@@ -282,6 +293,7 @@ def run(argv) -> int:
              for key in INT_KEYS + FLOAT_KEYS if (text := getattr(args, key, None)) is not None}
     try:
         cfg = replace(load_config(args.config), **_fields(flags))
+        _read_flags(args)
         return _COMMANDS[args.command](args, cfg)
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

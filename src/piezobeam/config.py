@@ -45,16 +45,17 @@ class RunConfig:
     tol: float = 1e-9
 
 
-def _number(key: str, text: str, where: str) -> float | int:
-    """``text`` as the value of ``key``: a finite number, an integer for ``J``,
-    ``N`` and ``qmax``; each error starts with ``where`` (``line 8`` or ``--N``)."""
+def _number(key: str, text: str, where: str, integer: bool = False) -> float | int:
+    """``text`` as the value of ``key``: a finite number, and an ``int`` when ``integer``
+    (the keys ``J``, ``N`` and ``qmax``, and the CLI's integer flags); each error starts
+    with ``where`` (``line 8`` or ``--N``)."""
     try:
         number = float(text)
     except ValueError as exc:
         raise MalformedValue(f"{where}: {key} = {text!r} is not a number") from exc
     if not math.isfinite(number):
         raise MalformedValue(f"{where}: {key} = {text!r} is not a finite number")
-    if key in INT_KEYS:
+    if integer:
         if number != int(number):
             raise MalformedValue(f"{where}: {key} = {text!r} is not an integer")
         number = int(number)
@@ -66,7 +67,7 @@ def _fields(given: dict[str, tuple[str, str]]) -> dict[str, float | int]:
     and checked by :func:`_check_option`."""
     fields = {}
     for key, (text, where) in given.items():
-        fields["n" if key == "N" else key] = number = _number(key, text, where)
+        fields["n" if key == "N" else key] = number = _number(key, text, where, key in INT_KEYS)
         _check_option(key, number, where)
     return fields
 

@@ -80,11 +80,20 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def write_svg(path, x, y, title: str = "") -> None:
-    """Single-curve 800 x 500 polyline plot with a frame and min/max labels."""
+    """Single-curve 800 x 500 polyline plot with a frame and min/max labels.
+
+    Only the points where both ``x`` and ``y`` are finite are drawn, and the axes
+    span those points.  Unequal lengths, or no finite point, raise ``ValueError``
+    before the file is opened.
+    """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("x and y must be equal-length, non-empty sequences")
+    if len(xs) != len(ys):
+        raise ValueError("x and y must be equal-length sequences")
+    finite = [(a, b) for a, b in zip(xs, ys) if math.isfinite(a) and math.isfinite(b)]
+    if not finite:
+        raise ValueError("x and y share no finite point to draw")
+    xs, ys = zip(*finite)
     width, height, margin = 800, 500, 50.0
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
@@ -97,9 +106,7 @@ def write_svg(path, x, y, title: str = "") -> None:
     def py(v: float) -> float:
         return height - margin - (v - y0) / yspan * (height - 2 * margin)
 
-    points = " ".join(
-        f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys) if math.isfinite(b)
-    )
+    points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in finite)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',

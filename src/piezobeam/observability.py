@@ -120,6 +120,12 @@ def _records(zeta: float, qmax: int):
         size = min(4 * size, _MAX_BLOCK)
 
 
+def _check_count(count, name: str = "count") -> None:
+    """The rule for a count of approximants: an integer >= 1, else :class:`InvalidBudget`
+    (:class:`MalformedValue` for a non-integer); the message names ``name``."""
+    _check_integer(count, name, error=InvalidBudget)
+
+
 def odd_odd_approximants(
     zeta: float, count: int, qmax: int = 100_000
 ) -> list[OddApproximant]:
@@ -153,7 +159,7 @@ def odd_odd_approximants(
     """
     if not 0 < zeta < math.inf:
         raise InvalidBudget(f"target must be finite and > 0, got {zeta}")
-    _check_integer(count, "count", error=InvalidBudget)
+    _check_count(count)
     _check_option("qmax", qmax)
     if qmax >= 2**52 or zeta * qmax >= 2**52:
         raise InvalidBudget(f"need zeta * qmax < 2**52 for an exact search, got {zeta!r} * {qmax}")

@@ -42,6 +42,12 @@ def evaluate_metric(cfg: RunConfig, metric: str):
     raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
 
 
+def _check_workers(workers, name: str = "workers") -> None:
+    """The rule for ``workers``: None or >= 1, else ``ValueError`` naming ``name``."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"{name} must be >= 1, got {workers}")
+
+
 def run_sweep(
     cfg: RunConfig,
     param_name: str,
@@ -62,8 +68,7 @@ def run_sweep(
         raise ValueError(f"{param_name!r} is not a physical parameter")
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
 
     def task(value):
         try:  # the point's beam is checked as it is built

@@ -41,13 +41,13 @@ voltage enters the second difference as a load ``-(2 dt**2 / (dx h)) P^T c``
 on node ``N`` alone, whose sine amplitudes are ``(-1)**(j+1) / N``: a
 rank-one load.  Each amplitude is stored divided by its mode's image of a
 unit voltage, so a kick by ``V_n`` adds the scalar ``V_n`` to every mode.
-``V_n = k * trace + f(t_n)``, where ``f`` is the prescribed voltage (open
-loop, ``k = 0``) or the external input (closed loop), and ``trace`` is the
-end velocity at ``t_n`` of the row that feeds back (``pdot`` coupled,
-``vdot`` classical), one sum over the modes.  The whole-step velocity holds
-half of the kick of ``V_n``, so the trace is linear in ``V_n`` and the loop
-is closed on it exactly with one scalar division, which keeps the step
-stable at any gain ``k >= 0``.  Within a block the trace at step ``l`` is
+``V_n = k * trace + f(t_n)``, where ``f`` is the run's one external input,
+``SimConfig.forcing`` (the prescribed voltage in open loop, where ``k = 0``),
+and ``trace`` is the end velocity at ``t_n`` of the row that feeds back
+(``pdot`` coupled, ``vdot`` classical), one sum over the modes.  The
+whole-step velocity holds half of the kick of ``V_n``, so the trace is
+linear in ``V_n`` and the loop is closed on it exactly with one scalar
+division, which keeps the step stable at any gain ``k >= 0``.  Within a block the trace at step ``l`` is
 ``F_l . xi``, the trace of ``rotation**l * xi``, plus the earlier kicks of
 the block through the kernel ``g_m = trace_xi . Re(rotation**m)``, so the
 block's voltages solve a unit lower-triangular Toeplitz system:
@@ -169,17 +169,18 @@ class GridState:
 class SimConfig:
     """Time-integration settings.
 
-    ``mode`` is one of ``"open"`` (prescribed voltage ``voltage(t)``),
-    ``"closed"`` (feedback ``V = k * pdot(L)``, optionally plus an external
-    input ``forcing(t)``), or ``"classical"`` (magnetically static model with
-    ``V = k * vdot(L)``).  Only open mode takes ``voltage`` and only closed
-    mode takes ``forcing``; ``k`` is the feedback gain of closed and
-    classical mode (default ``1/(2h)``) and is not used in open mode.
-    Setting ``voltage`` or ``forcing`` for another mode raises
-    ``ValueError``; ``T``, ``cfl`` and ``k`` are checked as their config keys.  The energy
-    and output are recorded at step 0, every ``energy_stride`` steps (an
-    integer >= 1) and at the final step; ``snapshots=True`` also keeps the
-    state at each of those steps.  A non-integer stride or a non-bool
+    ``mode`` is one of ``"open"`` (prescribed voltage ``V = forcing(t)``),
+    ``"closed"`` (feedback ``V = k * pdot(L) + forcing(t)``), or
+    ``"classical"`` (magnetically static model with ``V = k * vdot(L)``).
+    ``forcing`` is the run's one external input, a callable of time or None
+    (no input), and :func:`simulate` records it at each recorded step as
+    ``Trajectory.forcing``; classical mode takes none, and setting it there
+    raises ``ValueError``.  ``k`` is the feedback gain of closed and classical
+    mode (default ``1/(2h)``) and is not used in open mode.  ``T``, ``cfl``
+    and ``k`` are checked as their config keys.  The energy and output are
+    recorded at step 0, every ``energy_stride`` steps (an integer >= 1) and
+    at the final step; ``snapshots=True`` also keeps the state at each of
+    those steps.  A non-integer stride or a non-bool
     ``snapshots`` raises ``ValueError``.  The time step is ``cfl`` times the
     stability bound ``dx * zeta2`` (or ``dx * sqrt(rho/alpha1)`` for the
     classical model), shortened so that a whole number of steps spans ``T``.
@@ -190,7 +191,6 @@ class SimConfig:
     T: float = RunConfig.T
     cfl: float = RunConfig.cfl
     k: float | None = None
-    voltage: Callable[[float], float] | None = None
     forcing: Callable[[float], float] | None = None
     snapshots: bool = False
     energy_stride: int = 1
@@ -198,10 +198,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("open", "closed", "classical"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.voltage is not None and self.mode != "open":
-            raise ValueError(f"voltage is an open-loop input, not used in {self.mode} mode")
-        if self.forcing is not None and self.mode != "closed":
-            raise ValueError(f"forcing is a closed-loop input, not used in {self.mode} mode")
+        if self.forcing is not None and self.mode == "classical":
+            raise ValueError("forcing is an input of open and closed mode, not used in classical mode")
         _check_option("T", self.T)
         _check_option("cfl", self.cfl)
         if self.k is not None:
@@ -215,17 +213,20 @@ class SimConfig:
 class Trajectory:
     """Recorded simulation output.
 
-    ``t``, ``energy`` and ``y`` are aligned per recorded step (every
-    ``energy_stride`` steps plus the final one).  ``y`` is the observation:
-    ``pdot(L)/h`` for the coupled model (plus the external input in forced
-    closed-loop runs) and ``gamma*vdot(L)/h`` for the classical model.
-    ``snapshots`` holds ``(t, state)`` at each recorded step when
-    ``SimConfig.snapshots`` is set, and is empty otherwise.
+    ``t``, ``energy``, ``y`` and ``forcing`` are aligned per recorded step
+    (every ``energy_stride`` steps plus the final one).  ``y`` is the
+    observation: ``pdot(L)/h`` for the coupled model (plus the external input
+    in closed-loop runs) and ``gamma*vdot(L)/h`` for the classical model.
+    ``forcing`` is the run's one external input ``SimConfig.forcing`` at each
+    recorded time, and zeros when the run has none.  ``snapshots`` holds
+    ``(t, state)`` at each recorded step when ``SimConfig.snapshots`` is set,
+    and is empty otherwise.
     """
 
     t: np.ndarray
     energy: np.ndarray
     y: np.ndarray
+    forcing: np.ndarray
     dt: float
     initial: GridState
     final: GridState
@@ -408,8 +409,10 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     leave the run, ``energy[-1]`` and ``y[-1]`` bitwise unchanged.  With
     ``cfg.snapshots`` each batch of recorded rows the meter reads is also
     transformed back to the grid, so the snapshots are the states at
-    ``Trajectory.t``.  Returns a :class:`Trajectory` with per-step energies
-    and output samples.  Raises :class:`NonFiniteState` with the step index if
+    ``Trajectory.t``.  Returns a :class:`Trajectory` with per-step energies,
+    output samples and the one external input ``cfg.forcing`` at each
+    recorded step: the value the run applied there, from the one call it
+    makes per step.  Raises :class:`NonFiniteState` with the step index if
     the update blows up: at the first recorded step whose energy is not
     finite (step 0 for bad initial data), or at the latest multiple of 512
     steps.
@@ -419,12 +422,9 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     n, dx, h = grid.n, grid.dx, params.thickness
     dt, nsteps, model = _time_step(grid, params, cfg)
 
-    if cfg.mode == "open":
-        k, external = 0.0, cfg.voltage
-    else:
-        k = cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
-        _check_option("k", k)  # the default gain of a subnormal thickness overflows
-        external = cfg.forcing
+    external = cfg.forcing
+    k = 0.0 if cfg.mode == "open" else cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
+    _check_option("k", k)  # the default gain of a subnormal thickness overflows
     driven = k != 0.0 or external is not None
     forced = cfg.mode == "closed"
 
@@ -453,6 +453,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     times: list[float] = []
     energies: list[float] = []
     ys: list[float] = []
+    forcings: list[np.ndarray] = []  # one array per metered batch
     snapshots: list[tuple[float, GridState]] = []
     rows = np.empty((BLOCK, xi.size), dtype=complex)  # recorded whole-step amplitudes not yet metered
     pending: list[int] = []  # their steps
@@ -468,6 +469,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         times.extend(ts)
         energies.extend(e.tolist())
         ys.extend((y + f if forced else y).tolist())
+        forcings.append(f)
         if cfg.snapshots:
             us, uds = _from_sines(z, model, pos, vel)
             snapshots.extend((t, _as_state(grid, u, ud, t)) for t, u, ud in zip(ts, us, uds))
@@ -479,7 +481,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
             inputs.clear()
 
     f0 = external(0.0) if external is not None else 0.0
-    record([0], xi[None], f0)
+    record([0], xi[None], np.array([f0]))
     xi += 0.5 * (k * float(xi.real @ trace_xi) + f0)
     f = np.zeros(BLOCK)  # the inputs of the block's steps
     xf = xi.view(np.float64)
@@ -531,6 +533,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         t=np.asarray(times),
         energy=np.asarray(energies),
         y=np.asarray(ys),
+        forcing=np.concatenate(forcings),
         dt=dt,
         initial=initial_state,
         final=_as_state(grid, u[0], ud[0], nsteps * dt),
@@ -551,32 +554,28 @@ def _run_config(
     return simulate(initial, cfg.params, replace(sim, energy_stride=stride))
 
 
-def energy_balance_residual(
-    traj: Trajectory,
-    params: BeamParameters,
-    u: Callable[[float], float] | None = None,
-) -> float:
-    """Conservativity defect of a damped-form run.
+def energy_balance_residual(traj: Trajectory, params: BeamParameters) -> float:
+    """Conservativity defect of a closed-loop run at the default gain.
 
-    For the closed loop driven by an external input ``u`` (so that
-    ``V = pdot(L)/(2h) + u`` and ``y = pdot(L)/h + u``) the exact balance is
+    For the closed loop driven by the run's external input
+    ``u = SimConfig.forcing`` (so that ``V = pdot(L)/(2h) + u`` and
+    ``y = pdot(L)/h + u``) the exact balance is
 
         ||z(T)||^2 + int_0^T |y|^2 = ||z0||^2 + int_0^T |u|^2
 
     in the energy norm ``||z||^2 = (2/h) * E``.  Returns the left side minus
     the right side as a Python ``float``, with time integrals by the
     trapezoid rule; the magnitude measures the discretization's
-    conservativity defect.  ``E(0)`` and ``E(T)`` are the energies the run
-    recorded, ``traj.energy[0]`` and ``traj.energy[-1]`` (for a coupled run
-    the meter of :func:`discrete_energy`).  ``u`` is None (no input) or a callable of
-    time, evaluated at ``traj.t``.
+    conservativity defect.  Every term is one the run recorded: ``E(0)`` and
+    ``E(T)`` are ``traj.energy[0]`` and ``traj.energy[-1]`` (for a coupled run
+    the meter of :func:`discrete_energy`), and ``u`` is ``traj.forcing``, the
+    input at each recorded time (zeros for a run without one).
     """
     h = params.thickness
     t = traj.t
-    u_samples = np.zeros_like(t) if u is None else np.asarray([u(tt) for tt in t])
     e0, eT = float(traj.energy[0]), float(traj.energy[-1])
     y_int = float(np.trapezoid(traj.y**2, t))
-    u_int = float(np.trapezoid(u_samples**2, t))
+    u_int = float(np.trapezoid(traj.forcing**2, t))
     return (2.0 / h) * eT + y_int - (2.0 / h) * e0 - u_int
 
 

@@ -28,8 +28,8 @@ from piezobeam import (
 from piezobeam import config as config_module, params as params_module
 from piezobeam.cli import run
 from piezobeam.config import FLOAT_KEYS, INT_KEYS, PHYSICAL_KEYS, RunConfig, load_config
-from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_csv
-from piezobeam.frequency import transfer_closed
+from piezobeam.csvio import _CHUNK_ROWS, format_value, read_csv, write_csv, write_svg
+from piezobeam.frequency import boundedness_scan, transfer_closed
 from piezobeam.observability import (
     OddApproximant,
     exponent_family,
@@ -39,7 +39,7 @@ from piezobeam.observability import (
     odd_odd_approximants,
     quotient_bound,
 )
-from piezobeam.params import MIN_CELLS, classify_stability
+from piezobeam.params import MIN_CELLS, classify_stability, parameters_for_ratio
 from piezobeam.spectral import ModalCoefficients, StateFunctions, eigenvalues, output_energy, project
 from piezobeam.timedomain import (
     Grid,
@@ -64,6 +64,7 @@ thickness = 1
 """
 
 HALF = MINIMAL.replace("gamma = 1", f"gamma = {math.sqrt(0.5)!r}")
+SWEEP = ["sweep", "--param", "gamma", "--values", "1", "--metric", "zeta_ratio"]
 
 
 @pytest.fixture
@@ -336,6 +337,17 @@ class TestCommands:
         assert out.startswith("EXPONENTIALLY_STABLE p=1 q=2")
         assert "gap=1.1107" in out and "Tmin=5.657" in out
 
+    def test_classify_odd_odd_and_irrational_lines(self, tmp_path, capsys):
+        """An odd/odd ratio prints its approximant; an irrational one its budget."""
+        third = tmp_path / "third.cfg"
+        third.write_text("".join(f"{key} = {value!r}\n" for key, value in asdict(parameters_for_ratio(1 / 3)).items()))
+        unit = tmp_path / "unit.cfg"
+        unit.write_text(MINIMAL)
+        assert run(["classify", "--config", str(third)]) == 0
+        assert capsys.readouterr().out.startswith("NOT_STRONGLY_STABLE p=1 q=3 err=")
+        assert run(["classify", "--config", str(unit)]) == 0
+        assert capsys.readouterr().out == "STRONGLY_STABLE_NOT_EXP ratio=0.38196601125 qmax=10000 tol=1e-09\n"
+
     def test_constants_roundtrip_full_precision(self, half_cfg, tmp_path, capsys):
         out_csv = tmp_path / "constants.csv"
         assert run(["constants", "--config", str(half_cfg), "--out", str(out_csv)]) == 0
@@ -500,20 +512,37 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["transfer", "--s1", "nan"], "MalformedValue: --s1 must be a finite number"),
-            (["transfer", "--im-max", "inf"], "MalformedValue: --im-max must be a finite number"),
+            (["transfer", "--s1", "nan"], "MalformedValue: --s1: s1 = 'nan' is not a finite number"),
+            (["transfer", "--im-max", "inf"], "MalformedValue: --im-max: im_max = 'inf' is not a finite number"),
             (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be an integer >= 1, got 0"),
             (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: --k: k = 'nan' is not a finite number"),
             (["simulate", "--N", "64", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
             (["observability", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
             (["observability", "--T", "nan"], "MalformedValue: --T: T = 'nan' is not a finite number"),
+            (["transfer", "--n-points", "abc"], "MalformedValue: --n-points: n_points = 'abc' is not a number"),
+            (["transfer", "--n-points", "inf"], "MalformedValue: --n-points: n_points = 'inf' is not a finite number"),
+            (["transfer", "--n-points", "2.5"], "MalformedValue: --n-points: n_points = '2.5' is not an integer"),
+            (["transfer", "--s1", "abc"], "MalformedValue: --s1: s1 = 'abc' is not a number"),
+            (["transfer", "--s1=-inf"], "MalformedValue: --s1: s1 = '-inf' is not a finite number"),
+            (["transfer", "--im-max", "x"], "MalformedValue: --im-max: im_max = 'x' is not a number"),
+            (["transfer", "--im-max", "1e400"], "MalformedValue: --im-max: im_max = '1e400' is not a finite number"),
+            (["observability", "--count", "x"], "MalformedValue: --count: count = 'x' is not a number"),
+            (["observability", "--count", "nan"], "MalformedValue: --count: count = 'nan' is not a finite number"),
+            (["observability", "--count", "1.5"], "MalformedValue: --count: count = '1.5' is not an integer"),
+            (["observability", "--count", "0"], "InvalidBudget: --count must be an integer >= 1, got 0"),
+            (SWEEP + ["--workers", "1.5"], "MalformedValue: --workers: workers = '1.5' is not an integer"),
+            (SWEEP + ["--workers", "two"], "MalformedValue: --workers: workers = 'two' is not a number"),
+            (SWEEP + ["--workers", "inf"], "MalformedValue: --workers: workers = 'inf' is not a finite number"),
+            (SWEEP + ["--workers", "0"], "ValueError: --workers must be >= 1, got 0"),
         ],
     )
     def test_bad_numeric_flag_exits_2(self, argv, message, half_cfg, tmp_path, capsys):
-        """A flag that is not finite or out of range is named and writes nothing."""
+        """A flag that is not a finite number, not an integer or out of range is one
+        ``error: Class: ...`` line that names it, and writes nothing."""
         out_csv = tmp_path / "out.csv"
         assert run(argv + ["--config", str(half_cfg), "--out", str(out_csv)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.startswith("error: ") and err.count("\n") == 1
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(
@@ -542,6 +571,20 @@ class TestCommands:
         assert f"error: {type(as_line.value).__name__}: {flag}: " in captured.err
         assert captured.out == "" and list(tmp_path.iterdir()) == [half_cfg]
 
+    @pytest.mark.parametrize(
+        "command, flag, values",
+        [("transfer", "--n-points", ["2001", "2001.0", None]), ("observability", "--count", ["4", "4.0", None])],
+    )
+    def test_integral_float_command_flag_is_accepted(self, command, flag, values, half_cfg, tmp_path, capsys):
+        """``--n-points 2001.0`` is 2001, as ``--N 128.0`` is 128; both equal the default."""
+        tables = []
+        for i, value in enumerate(values):
+            path = tmp_path / f"{i}.csv"
+            given = [] if value is None else [flag, value]
+            assert run([command, "--config", str(half_cfg), "--out", str(path)] + given) == 0
+            tables.append(path.read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_integral_float_flag_is_accepted(self, half_cfg, tmp_path, capsys):
         """``--N 128.0`` is ``N = 128``, as a config line would read it."""
         paths = [tmp_path / "int.csv", tmp_path / "float.csv"]
@@ -549,6 +592,12 @@ class TestCommands:
             assert run(["simulate", "--config", str(half_cfg), "--N", n, "--T", "0.2",
                         "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_unknown_initial_preset_exits_2(self, half_cfg, tmp_path, capsys):
+        out_csv = tmp_path / "out.csv"
+        assert run(["simulate", "--config", str(half_cfg), "--initial", "bogus", "--out", str(out_csv)]) == 2
+        assert capsys.readouterr().err == "error: ValidationError: unknown initial-data preset 'bogus'\n"
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize(
         "preset, message",
@@ -724,6 +773,17 @@ class TestSweeps:
             dc = derive_constants(replace(cfg.params, gamma=value))
             assert ratio == dc.ratio
         assert all(b < a for a, b in zip(ratios, ratios[1:]))  # coupling splits speeds
+
+    def test_sup_g_metric_is_the_boundedness_scan(self):
+        cfg = parse_config(HALF)
+        assert evaluate_metric(cfg, "sup_G") == boundedness_scan(1.0, 50.0, 1001, cfg.params).sup
+
+    def test_unknown_metric_rejected(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            evaluate_metric(cfg, "bogus")
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            run_sweep(cfg, "gamma", [1.0], "bogus")
 
     def test_single_value_equals_single_run(self):
         cfg = parse_config(MINIMAL)
@@ -1013,3 +1073,63 @@ def test_write_csv_needs_one_name_per_column(tmp_path):
     assert not path.exists()
     write_csv(path, ["a", "b"], columns=zip(*[]))
     assert path.read_bytes() == b"a,b\n"
+
+
+def test_write_svg_draws_the_line_in_the_frame(tmp_path):
+    path = tmp_path / "line.svg"
+    write_svg(path, [0, 1], [0.0, 1.0], title="t")
+    text = path.read_text()
+    assert '<polyline points="50.00,450.00 750.00,50.00"' in text
+    assert "x: [0, 1]" in text and "y: [0, 1]" in text
+
+
+@pytest.mark.parametrize(
+    "x, y, finite_x, finite_y",
+    [
+        ([0, 1, 2, 3], [1.0, 2.0, -math.inf, 3.0], [0, 1, 3], [1.0, 2.0, 3.0]),
+        ([0, 1, 2, 3], [math.nan, 1.0, 2.0, 3.0], [1, 2, 3], [1.0, 2.0, 3.0]),
+        ([0, math.inf, 2, 3], [0.5, 1.0, 2.0, 3.0], [0, 2, 3], [0.5, 2.0, 3.0]),
+    ],
+    ids=["minus_inf", "leading_nan", "infinite_x"],
+)
+def test_write_svg_scales_its_axes_over_the_points_it_draws(tmp_path, x, y, finite_x, finite_y):
+    """A non-finite point is left out of the polyline and of both ranges: the plot is
+    the plot of the finite points alone."""
+    write_svg(tmp_path / "all.svg", x, y)
+    write_svg(tmp_path / "finite.svg", finite_x, finite_y)
+    text = (tmp_path / "all.svg").read_text()
+    assert "nan" not in text and "inf" not in text
+    assert text == (tmp_path / "finite.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ([0, 1], [math.nan, -math.inf], "no finite point"),
+        ([], [], "no finite point"),
+        ([0, 1], [1.0], "equal-length"),
+    ],
+    ids=["no_finite_point", "empty", "unequal"],
+)
+def test_write_svg_rejects_before_opening_the_file(tmp_path, x, y, message):
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match=message):
+        write_svg(path, x, y)
+    assert not path.exists()
+
+
+def test_simulate_svg_plots_the_energy_rows(half_cfg, tmp_path, capsys):
+    """``simulate --svg`` draws one point per CSV row, over the rows' time and energy ranges."""
+    csv_path, svg_path = tmp_path / "traj.csv", tmp_path / "energy.svg"
+    assert run(["simulate", "--config", str(half_cfg), "--N", "64", "--T", "1",
+                "--out", str(csv_path), "--svg", str(svg_path)]) == 0
+    _, rows = read_csv(csv_path)
+    t, energy = (np.array([float(row[i]) for row in rows]) for i in (0, 1))
+    text = svg_path.read_text()
+    assert "nan" not in text
+    points = text.split('<polyline points="')[1].split('"')[0].split()
+    assert len(points) == len(rows)
+    assert f"x: [{t.min():.6g}, {t.max():.6g}]" in text
+    assert f"y: [{energy.min():.6g}, {energy.max():.6g}]" in text
+    write_svg(tmp_path / "direct.svg", t, energy, title="energy")
+    assert (tmp_path / "direct.svg").read_text() == text

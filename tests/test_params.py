@@ -160,6 +160,11 @@ class TestClassifier:
             dc = derive_constants(parameters_for_ratio(ratio))
             np.testing.assert_allclose(dc.ratio, ratio, rtol=1e-12)
 
+    @pytest.mark.parametrize("ratio", [1.0, 0.0, 1.5])
+    def test_parameters_for_ratio_needs_a_ratio_in_the_open_unit_interval(self, ratio):
+        with pytest.raises(NonPositiveParameter, match=r"ratio must lie in \(0, 1\)"):
+            parameters_for_ratio(ratio)
+
 
 @pytest.mark.parametrize(
     "value, minimum, accepted",

@@ -463,6 +463,10 @@ class TestReferences:
 
 
 class TestModalCoefficients:
+    def test_single_mode_beyond_truncation_rejected(self):
+        with pytest.raises(ValueError, match="j=5 exceeds truncation J=3"):
+            ModalCoefficients.single(ModeIndex(1, 1, 5), J=3)
+
     @pytest.mark.parametrize(
         "family, sign, slot", [(1, 1, (0, 0)), (1, -1, (0, 1)), (2, 1, (1, 0)), (2, -1, (1, 1))]
     )
@@ -738,6 +742,11 @@ class TestProjection:
         np.testing.assert_allclose(back.c1[0], 1.0, atol=1e-10)
         for arr in (back.c1[1:], back.d1, back.c2, back.d2):
             np.testing.assert_allclose(arr, 0.0, atol=1e-10)
+
+    def test_zero_state_residual_is_zero(self, golden):
+        """The zero state has no norm to be relative to; its residual is 0.0."""
+        residual = projection_residual(StateFunctions.zero(), ModalCoefficients.zeros(6), golden)
+        assert residual == 0.0 and type(residual) is float
 
     def test_zero_state(self, golden):
         back = project(StateFunctions.zero(), golden, J=6)
@@ -1113,6 +1122,14 @@ def reference_static_solve(g, params, n):
 
 
 class TestResolventAtZero:
+    def test_overflowing_load_raises(self, golden):
+        """Finite samples whose kernel integrals overflow are a quadrature failure."""
+        big = lambda x: np.full_like(np.asarray(x, dtype=float), 1e308)
+        zero = lambda x: 0.0 * np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureFailure, match="kernel integrals produced non-finite values"):
+                resolvent_at_zero(StateFunctions(zero, zero, big, big), golden)
+
     def test_zero_input(self, golden):
         U = resolvent_at_zero(StateFunctions.zero(), golden)
         x = np.linspace(0.0, 1.0, 33)

@@ -65,7 +65,7 @@ def reference_simulate(initial, params, cfg):
     nsteps = int(math.ceil(cfg.T / (cfg.cfl * dt_max) - 1e-12))
     dt = cfg.T / nsteps
     k = 0.0 if cfg.mode == "open" else cfg.k if cfg.k is not None else 1.0 / (2.0 * h)
-    external = cfg.voltage or cfg.forcing or (lambda t: 0.0)
+    external = cfg.forcing or (lambda t: 0.0)
     u = np.array((initial.v, initial.p)[: mass.size])
     ud = np.array((initial.vdot, initial.pdot)[: mass.size])
     u[:, 0] = ud[:, 0] = 0.0
@@ -162,7 +162,7 @@ class TestReferenceStepper:
     @pytest.mark.parametrize(
         "params_name, cfg, n, T",
         [
-            ("golden", dict(mode="open", voltage=math.sin), 64, 5.0),
+            ("golden", dict(mode="open", forcing=math.sin), 64, 5.0),
             ("ratio_half", dict(mode="closed", forcing=math.cos, k=20.0), 64, 5.0),
             ("golden", dict(mode="classical", k=0.7), 64, 5.0),
             # about 8,000 steps: long enough to see the rounding of each mode's phase
@@ -207,7 +207,7 @@ class TestReferenceStepper:
     @pytest.mark.parametrize(
         "cfg",
         [
-            dict(mode="open", voltage=math.sin),
+            dict(mode="open", forcing=math.sin),
             dict(mode="closed", forcing=math.cos),
             dict(mode="classical", k=0.7),
         ],
@@ -398,15 +398,22 @@ class TestGridLength:
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("mode", ["closed", "classical"])
-    def test_voltage_only_in_open_mode(self, mode):
-        with pytest.raises(ValueError, match="voltage"):
-            SimConfig(mode=mode, voltage=math.sin)
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            SimConfig(mode="bogus")
 
-    @pytest.mark.parametrize("mode", ["open", "classical"])
-    def test_forcing_only_in_closed_mode(self, mode):
+    def test_voltage_is_gone(self):
+        """Open and closed mode share one input, ``forcing``; there is no second one to set."""
+        with pytest.raises(TypeError, match="voltage"):
+            SimConfig(mode="open", voltage=math.sin)
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_forcing_in_open_and_closed_mode(self, mode):
+        assert SimConfig(mode=mode, forcing=math.sin).forcing is math.sin
+
+    def test_forcing_not_in_classical_mode(self):
         with pytest.raises(ValueError, match="forcing"):
-            SimConfig(mode=mode, forcing=math.sin)
+            SimConfig(mode="classical", forcing=math.sin)
 
     @pytest.mark.parametrize("snapshots", [0, 1, 0.3, None, "yes", np.True_])
     def test_snapshots_must_be_a_bool(self, snapshots):
@@ -500,7 +507,7 @@ class TestOpenLoopConservation:
         traj = simulate(
             GridState.zero(grid),
             golden,
-            SimConfig(mode="open", T=1.0, voltage=lambda t: math.sin(3.0 * t)),
+            SimConfig(mode="open", T=1.0, forcing=lambda t: math.sin(3.0 * t)),
         )
         assert traj.energy[-1] > 0.0  # boundary input pumps energy in
 
@@ -536,6 +543,22 @@ class TestClosedLoop:
         assert traj.energy[-1] < traj.energy[0]
 
 
+class TestRecordedForcing:
+    @pytest.mark.parametrize("stride", [1, 3, 8, 10**9])
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_forcing_is_the_input_at_each_recorded_time(self, golden, mode, stride):
+        """Rows inside blocks, at block ends and the final step record ``f(t)`` bitwise."""
+        f = lambda t: math.cos(2.0 * t) + 0.3
+        traj = simulate(rich_state(Grid(64)), golden, SimConfig(mode=mode, T=2.0, forcing=f, energy_stride=stride))
+        assert traj.forcing.shape == traj.t.shape
+        assert traj.forcing.tolist() == [f(t) for t in traj.t.tolist()]
+
+    @pytest.mark.parametrize("mode", ["open", "closed", "classical"])
+    def test_unforced_run_records_zeros(self, golden, mode):
+        traj = simulate(rich_state(Grid(64)), golden, SimConfig(mode=mode, T=2.0, energy_stride=3))
+        np.testing.assert_array_equal(traj.forcing, np.zeros(traj.t.size))
+
+
 class TestEnergyBalance:
     def test_zero_everything(self, golden):
         grid = Grid(64)
@@ -551,9 +574,30 @@ class TestEnergyBalance:
                 SimConfig(mode="closed", T=20.0, forcing=math.sin),
             )
             u_energy = np.trapezoid(np.sin(traj.t) ** 2, traj.t)
-            residuals.append(abs(energy_balance_residual(traj, golden, math.sin)) / u_energy)
+            residuals.append(abs(energy_balance_residual(traj, golden)) / u_energy)
         assert residuals[0] < 1e-3
         assert residuals[1] < residuals[0]
+
+    @pytest.mark.parametrize(
+        "n, stride, f",
+        [(128, 1, math.sin), (128, 3, math.sin), (64, 7, lambda t: math.cos(2.0 * t) + 0.3)],
+        ids=["sin-1", "sin-3", "cos-7"],
+    )
+    def test_forced_residual_reads_the_run(self, golden, n, stride, f):
+        """The balance integrates the input the run recorded: the one it applied at each row."""
+        traj = simulate(GridState.zero(Grid(n)), golden, SimConfig(mode="closed", T=5.0, forcing=f, energy_stride=stride))
+        h = golden.thickness
+        u = np.asarray([f(t) for t in traj.t])
+        applied = (
+            (2.0 / h) * float(traj.energy[-1]) + float(np.trapezoid(traj.y**2, traj.t))
+            - (2.0 / h) * float(traj.energy[0]) - float(np.trapezoid(u**2, traj.t))
+        )
+        assert energy_balance_residual(traj, golden) == applied
+
+    def test_input_is_not_given_twice(self, golden):
+        traj = simulate(GridState.zero(Grid(64)), golden, SimConfig(mode="closed", T=1.0, forcing=math.sin))
+        with pytest.raises(TypeError):
+            energy_balance_residual(traj, golden, math.sin)
 
     def test_unforced_residual_is_dissipation_accounting(self, golden):
         grid = Grid(256)
