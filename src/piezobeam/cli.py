@@ -28,7 +28,7 @@ from .errors import (
     PiezoBeamError,
     ValidationError,
 )
-from .frequency import transfer_closed
+from .frequency import _LINE, transfer_closed
 from .params import StabilityClass, _check_integer, classify_stability, derive_constants
 from .sweeps import SWEEP_METRICS, _check_workers, run_sweep
 from .timedomain import (
@@ -90,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="transfer function on a vertical line")
     common(p)
-    p.add_argument("--s1", default="1.0", help="real part of the line")
-    p.add_argument("--im-max", default="100.0")
-    p.add_argument("--n-points", default="2001")
+    p.add_argument("--s1", default=str(_LINE[0]), help="real part of the line")
+    p.add_argument("--im-max", default=str(_LINE[1]))
+    p.add_argument("--n-points", default=str(_LINE[2]))
 
     p = sub.add_parser("observability", help="odd/odd approximants and quotients")
     common(p)
@@ -213,7 +213,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         snap_dir = Path(args.snapshots)
         snap_dir.mkdir(parents=True, exist_ok=True)
         names = [f"state_{i:04d}.csv" for i in range(len(traj.snapshots))]
-        for name, (_, state) in zip(names, traj.snapshots):
+        for name, state in zip(names, traj.snapshots):
             write_csv(snap_dir / name, ["x", "v", "p", "vdot", "pdot"],
                       columns=[state.grid.nodes, state.v, state.p, state.vdot, state.pdot])
         write_csv(snap_dir / "index.csv", ["index", "time", "file"], columns=[range(len(names)), traj.t, names])

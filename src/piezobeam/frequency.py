@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+# (s1, im_max, n): the n points of Re s = s1, |Im s| <= im_max that the CLI's
+# ``transfer`` writes by default and whose sup the ``sup_G`` sweep metric reads.
+_LINE = (1.0, 100.0, 2001)
 
 
 @functools.lru_cache

@@ -69,34 +69,17 @@ class OddApproximant:
         return self.err == 0.0
 
 
-def _best_odd_numerator(zeta: float, q: int) -> tuple[int, float] | None:
-    """Best coprime odd numerator for denominator ``q`` (ties to smaller p)."""
-    m = zeta * q
-    lo = 2 * math.floor((m - 1.0) / 2.0) + 1
-    best = None
-    for p in (lo, lo + 2):
-        if p < 1 or math.gcd(p, q) != 1:
-            continue
-        err = abs(zeta - p / q)
-        if best is None or err < best[1]:
-            best = (p, err)
-    return best
-
-
 # Odd denominators per screened block: the first block is small so that
 # ladders that stop early stay cheap, later ones grow to a fixed cap.
 _FIRST_BLOCK = 1 << 10
 _MAX_BLOCK = 1 << 16
 
 
-def _screen(zeta: float, q: np.ndarray) -> np.ndarray:
-    """Smaller error of the odd numerators ``lo, lo + 2`` around ``zeta * q``.
-
-    Coprime or not, so a lower bound on the error that
-    :func:`_best_odd_numerator` returns for each odd ``q``.
-    """
+def _screen(zeta: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, err_lo, err_hi)``: for each odd ``q`` the odd numerators ``lo`` and ``lo + 2``
+    around ``zeta * q`` and the errors ``|zeta - p/q|`` of each, coprime or not."""
     lo = 2.0 * np.floor((zeta * q - 1.0) / 2.0) + 1.0
-    return np.minimum(np.abs(zeta - lo / q), np.abs(zeta - (lo + 2.0) / q))
+    return lo, np.abs(zeta - lo / q), np.abs(zeta - (lo + 2.0) / q)
 
 
 def _records(zeta: float, qmax: int):
@@ -106,14 +89,15 @@ def _records(zeta: float, qmax: int):
     start, size = 0, _FIRST_BLOCK
     while start < len(odd):
         block = odd[start : start + size]
-        err = _screen(zeta, np.arange(block.start, block.stop, 2, dtype=float))
+        lo, err_lo, err_hi = _screen(zeta, np.arange(block.start, block.stop, 2, dtype=float))
+        err = np.minimum(err_lo, err_hi)  # a lower bound on the error of the best coprime numerator
         i = 0
         while (hits := np.flatnonzero(err[i:] < 0.5 * best)).size:
             i += int(hits[0])
-            q = block[i]
-            cand = _best_odd_numerator(zeta, q)
-            if cand is not None and cand[1] < 0.5 * best:
-                p, best = cand
+            q, p, e_lo, e_hi = block[i], int(lo.item(i)), err_lo.item(i), err_hi.item(i)
+            coprime = [(e, n) for e, n in ((e_lo, p), (e_hi, p + 2)) if n >= 1 and math.gcd(n, q) == 1]
+            if coprime and (pick := min(coprime))[0] < 0.5 * best:  # the smaller error, ties to the smaller p
+                best, p = pick
                 yield OddApproximant(p=p, q=q, err=best, cq2=best * q * q)
             i += 1
         start += size
@@ -139,17 +123,17 @@ def odd_odd_approximants(
     stops at an exact hit.
 
     The denominators are screened in blocks as float arrays.  For each odd
-    ``q`` the screen takes the smaller error of the two odd numerators
-    ``lo, lo + 2`` around ``zeta * q`` and skips the coprimality test, so it
-    never exceeds the error of the best coprime odd numerator: no ``q`` that
-    could set a record fails the screen.  Each ``q`` that passes is confirmed
-    by the scalar rule, which tests coprimality, breaks ties towards the
-    smaller ``p`` and returns ``p`` as a Python int, and is kept only if it
-    halves the best error.  While ``zeta * qmax < 2**52`` every ``lo`` is an
-    exact integer and ``lo / q`` is correctly rounded like ``int / int``, so
-    the screen computes the scalar rule's floats.  Blocks start at 1024
-    denominators and grow fourfold up to 65536, so memory stays bounded for
-    any ``qmax``.
+    ``q`` the screen computes the two odd numerators ``lo, lo + 2`` around
+    ``zeta * q`` and the error of each.  The smaller of the two skips the
+    coprimality test, so it never exceeds the error of the best coprime odd
+    numerator: no ``q`` that could set a record fails the screen.  Each ``q``
+    that passes is confirmed from the same two numerators and errors: of
+    those with ``p >= 1`` and ``gcd(p, q) = 1`` the smaller error wins, ties
+    going to the smaller ``p``, and it is kept only if it halves the best
+    error.  While ``zeta * qmax < 2**52`` every ``lo`` is an exact integer,
+    so ``lo / q`` is ``p / q`` correctly rounded, as ``int / int`` gives it.
+    Blocks start at 1024 denominators and grow fourfold up to 65536, so
+    memory stays bounded for any ``qmax``.
 
     Returns up to ``count`` approximants with strictly increasing ``q``.
     Warns with :class:`ExhaustedBudget` if the budget runs out first.

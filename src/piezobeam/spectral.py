@@ -698,7 +698,8 @@ def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctio
     Raises
     ------
     QuadratureFailure
-        If a sample of ``g`` is not finite, or the integrals overflow.
+        If a sample of ``g`` is not finite, or the integrals overflow; NumPy's
+        overflow warnings are silenced, so none is raised in its place.
     """
     model = _model(params)
     x = _quadrature_nodes(params.length)
@@ -706,10 +707,11 @@ def resolvent_at_zero(g: StateFunctions, params: BeamParameters) -> StateFunctio
     if not np.all(np.isfinite(samples)):
         raise QuadratureFailure("g has non-finite samples")
     f = model.decouple @ np.stack((g3, g4))
-    flux = -(g2[-1] / (2.0 * params.thickness**2)) * model.drive
-    # int_0^L min(x, r) f(r) dr = int_0^x r f + x * int_x^L f
-    rf, tot = _cumulative_trapezoid(np.stack((x * f, f)), x)
-    w = (np.outer(flux, x) - (rf + x * (tot[:, -1:] - tot))) / model.lam[:, None]
-    if not np.all(np.isfinite(w)):
-        raise QuadratureFailure("kernel integrals produced non-finite values")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow is the error below
+        flux = -(g2[-1] / (2.0 * params.thickness**2)) * model.drive
+        # int_0^L min(x, r) f(r) dr = int_0^x r f + x * int_x^L f
+        rf, tot = _cumulative_trapezoid(np.stack((x * f, f)), x)
+        w = (np.outer(flux, x) - (rf + x * (tot[:, -1:] - tot))) / model.lam[:, None]
+        if not np.all(np.isfinite(w)):
+            raise QuadratureFailure("kernel integrals produced non-finite values")
     return StateFunctions.from_samples(x, *(model.modes @ w), g1, g2)

@@ -15,8 +15,8 @@ from dataclasses import replace
 
 from .config import PHYSICAL_KEYS, RunConfig
 from .errors import PiezoBeamError
-from .frequency import boundedness_scan
-from .params import classify_stability, derive_constants
+from .frequency import _LINE, boundedness_scan
+from .params import _check_integer, classify_stability, derive_constants
 from .timedomain import Grid, _run_config, decay_rate, gaussian_velocity_state
 
 __all__ = ["SWEEP_METRICS", "evaluate_metric", "run_sweep"]
@@ -35,7 +35,7 @@ def evaluate_metric(cfg: RunConfig, metric: str):
         report = classify_stability(dc, qmax=cfg.qmax, tol=cfg.tol, length=params.length)
         return report.classification.value
     if metric == "sup_G":
-        return boundedness_scan(1.0, 50.0, 1001, params).sup
+        return boundedness_scan(*_LINE, params).sup
     if metric == "decay_rate":
         traj = _run_config(cfg, gaussian_velocity_state(Grid(cfg.n, params.length)))
         return decay_rate(traj.energy, traj.t)[0]
@@ -43,9 +43,10 @@ def evaluate_metric(cfg: RunConfig, metric: str):
 
 
 def _check_workers(workers, name: str = "workers") -> None:
-    """The rule for ``workers``: None or >= 1, else ``ValueError`` naming ``name``."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"{name} must be >= 1, got {workers}")
+    """The rule for ``workers``: None or an integer >= 1, else ``ValueError`` naming ``name``
+    (:class:`MalformedValue` for a non-integer)."""
+    if workers is not None:
+        _check_integer(workers, name, error=ValueError)
 
 
 def run_sweep(
@@ -62,7 +63,9 @@ def run_sweep(
     stands for each point's own ``1/(2*thickness)``, so a ``thickness``
     sweep uses each beam's own matched gain; a given ``k`` is held fixed.
     Points always run serially; ``workers`` is accepted for compatibility,
-    must be at least 1 and is otherwise ignored.
+    must be None or an integer >= 1 (a non-integer such as ``1.5``, ``2.0`` or
+    ``True`` is :class:`MalformedValue`, as for every integer argument) and
+    is otherwise ignored.
     """
     if param_name not in PHYSICAL_KEYS:
         raise ValueError(f"{param_name!r} is not a physical parameter")

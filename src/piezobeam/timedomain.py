@@ -218,19 +218,22 @@ class Trajectory:
     observation: ``pdot(L)/h`` for the coupled model (plus the external input
     in closed-loop runs) and ``gamma*vdot(L)/h`` for the classical model.
     ``forcing`` is the run's one external input ``SimConfig.forcing`` at each
-    recorded time, and zeros when the run has none.  ``snapshots`` holds
-    ``(t, state)`` at each recorded step when ``SimConfig.snapshots`` is set,
-    and is empty otherwise.
+    recorded time, and zeros when the run has none.  ``config`` is the
+    :class:`SimConfig` the run applied, with ``k`` the gain it used (0.0 in
+    open mode).  ``snapshots`` holds the :class:`GridState` of each recorded
+    step when ``SimConfig.snapshots`` is set, its ``t`` the row's time, and
+    is empty otherwise.
     """
 
     t: np.ndarray
     energy: np.ndarray
     y: np.ndarray
     forcing: np.ndarray
+    config: SimConfig
     dt: float
     initial: GridState
     final: GridState
-    snapshots: list[tuple[float, GridState]] = field(default_factory=list)
+    snapshots: list[GridState] = field(default_factory=list)
 
 
 def _half_angles(n: int, length: float) -> np.ndarray:
@@ -406,16 +409,17 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     end* in the module docstring).  Recorded steps are built from the
     block's start and its known voltages and only read them, and the final
     step is always metered alone, so ``energy_stride`` and ``snapshots``
-    leave the run, ``energy[-1]`` and ``y[-1]`` bitwise unchanged.  With
-    ``cfg.snapshots`` each batch of recorded rows the meter reads is also
-    transformed back to the grid, so the snapshots are the states at
+    leave the run, ``energy[-1]`` and ``y[-1]`` bitwise unchanged.  Each
+    metered batch keeps its times, energies, outputs and inputs as four
+    arrays, joined once when the run ends.  With ``cfg.snapshots`` each batch
+    is also transformed back to the grid, so the snapshots are the states at
     ``Trajectory.t``.  Returns a :class:`Trajectory` with per-step energies,
-    output samples and the one external input ``cfg.forcing`` at each
-    recorded step: the value the run applied there, from the one call it
-    makes per step.  Raises :class:`NonFiniteState` with the step index if
-    the update blows up: at the first recorded step whose energy is not
-    finite (step 0 for bad initial data), or at the latest multiple of 512
-    steps.
+    output samples, the one external input ``cfg.forcing`` at each recorded
+    step (the value the run applied there, from the one call it makes per
+    step) and ``cfg`` with the gain it applied.  Raises
+    :class:`NonFiniteState` with the step index if the update blows up: at
+    the first recorded step whose energy is not finite (step 0 for bad
+    initial data), or at the latest multiple of 512 steps.
     """
     grid = initial.grid
     _check_length(grid, params)
@@ -450,11 +454,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     gain = k / (1.0 - trace_load * k)  # V = f + gain * (trace_xi . Re(xi) + trace_load * f)
     powers, kicks, kernel, feedback = _block_tables(rotation, trace_xi, gain)
     stride = cfg.energy_stride
-    times: list[float] = []
-    energies: list[float] = []
-    ys: list[float] = []
-    forcings: list[np.ndarray] = []  # one array per metered batch
-    snapshots: list[tuple[float, GridState]] = []
+    batches: list[tuple[np.ndarray, ...]] = []  # (t, energy, y, forcing) per metered batch
+    snapshots: list[GridState] = []
     rows = np.empty((BLOCK, xi.size), dtype=complex)  # recorded whole-step amplitudes not yet metered
     pending: list[int] = []  # their steps
     inputs: list[float] = []  # and the inputs at those steps
@@ -465,14 +466,12 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         finite = np.isfinite(e)
         if not finite.all():
             raise NonFiniteState(f"non-finite state at step {steps[int(np.argmin(finite))]}")
-        ts = [step * dt for step in steps]
-        times.extend(ts)
-        energies.extend(e.tolist())
-        ys.extend((y + f if forced else y).tolist())
-        forcings.append(f)
+        t = np.asarray(steps) * dt
+        # a bare y is a view that would keep the meter's whole product alive
+        batches.append((t, e, y + f if forced else y.copy(), f))
         if cfg.snapshots:
             us, uds = _from_sines(z, model, pos, vel)
-            snapshots.extend((t, _as_state(grid, u, ud, t)) for t, u, ud in zip(ts, us, uds))
+            snapshots.extend(_as_state(grid, u, ud, when) for when, u, ud in zip(t.tolist(), us, uds))
 
     def flush() -> None:
         if pending:
@@ -529,11 +528,13 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     record([nsteps], now, f[-1:])
     u, ud = _from_sines(now, model, pos, vel)
     _check_finite((u, ud), nsteps)
+    t, energy, y, forcing = (np.concatenate(column) for column in zip(*batches))
     return Trajectory(
-        t=np.asarray(times),
-        energy=np.asarray(energies),
-        y=np.asarray(ys),
-        forcing=np.concatenate(forcings),
+        t=t,
+        energy=energy,
+        y=y,
+        forcing=forcing,
+        config=replace(cfg, k=k),
         dt=dt,
         initial=initial_state,
         final=_as_state(grid, u[0], ud[0], nsteps * dt),
@@ -569,9 +570,15 @@ def energy_balance_residual(traj: Trajectory, params: BeamParameters) -> float:
     conservativity defect.  Every term is one the run recorded: ``E(0)`` and
     ``E(T)`` are ``traj.energy[0]`` and ``traj.energy[-1]`` (for a coupled run
     the meter of :func:`discrete_energy`), and ``u`` is ``traj.forcing``, the
-    input at each recorded time (zeros for a run without one).
+    input at each recorded time (zeros for a run without one).  Raises
+    ``ValueError`` unless ``traj.config`` is closed mode at the gain
+    ``1/(2h)`` of ``params`` (relative ``1e-12``), the run the identity
+    describes.
     """
     h = params.thickness
+    if traj.config.mode != "closed" or not math.isclose(traj.config.k, 1.0 / (2.0 * h), rel_tol=1e-12):
+        raise ValueError(f"the energy balance holds for a closed-loop run at k = 1/(2h) = {1.0 / (2.0 * h)!r}, "
+                         f"got a {traj.config.mode} run at k = {traj.config.k!r}")
     t = traj.t
     e0, eT = float(traj.energy[0]), float(traj.energy[-1])
     y_int = float(np.trapezoid(traj.y**2, t))

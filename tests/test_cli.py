@@ -233,7 +233,7 @@ def _observability_rows(cfg):
 def _snapshot_index_rows(cfg):
     cfg = replace(cfg, n=64, T=0.2)
     traj = _run_config(cfg, sine_velocity_state(Grid(cfg.n, cfg.params.length), 1), "closed", snapshots=True)
-    return [(i, t, f"state_{i:04d}.csv") for i, (t, _) in enumerate(traj.snapshots)]
+    return [(i, state.t, f"state_{i:04d}.csv") for i, state in enumerate(traj.snapshots)]
 
 
 # each CLI table built from rows: its command, its file, its header and its rows from the library
@@ -463,7 +463,7 @@ class TestCommands:
         assert len(snapshots) == len(times) > 2
         assert sorted(path.name for path in snap_dir.iterdir()) == sorted([row[2] for row in index] + ["index.csv"])
         want = tmp_path / "want.csv"
-        for i, (_, state) in enumerate(snapshots):
+        for i, state in enumerate(snapshots):
             write_csv(want, ["x", "v", "p", "vdot", "pdot"],
                       columns=[list(column) for column in (state.grid.nodes, state.v, state.p, state.vdot, state.pdot)])
             assert (snap_dir / f"state_{i:04d}.csv").read_bytes() == want.read_bytes()
@@ -533,7 +533,7 @@ class TestCommands:
             (SWEEP + ["--workers", "1.5"], "MalformedValue: --workers: workers = '1.5' is not an integer"),
             (SWEEP + ["--workers", "two"], "MalformedValue: --workers: workers = 'two' is not a number"),
             (SWEEP + ["--workers", "inf"], "MalformedValue: --workers: workers = 'inf' is not a finite number"),
-            (SWEEP + ["--workers", "0"], "ValueError: --workers must be >= 1, got 0"),
+            (SWEEP + ["--workers", "0"], "ValueError: --workers must be an integer >= 1, got 0"),
         ],
     )
     def test_bad_numeric_flag_exits_2(self, argv, message, half_cfg, tmp_path, capsys):
@@ -775,8 +775,9 @@ class TestSweeps:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))  # coupling splits speeds
 
     def test_sup_g_metric_is_the_boundedness_scan(self):
+        """The metric scans the line ``transfer`` writes by default."""
         cfg = parse_config(HALF)
-        assert evaluate_metric(cfg, "sup_G") == boundedness_scan(1.0, 50.0, 1001, cfg.params).sup
+        assert evaluate_metric(cfg, "sup_G") == boundedness_scan(1.0, 100.0, 2001, cfg.params).sup
 
     def test_unknown_metric_rejected(self):
         cfg = parse_config(MINIMAL)
@@ -827,6 +828,12 @@ class TestSweeps:
         assert code == 0
         with pytest.raises(ValueError, match="workers"):
             run_sweep(cfg, "gamma", values, "zeta_ratio", workers=0)
+
+    @pytest.mark.parametrize("workers", [1.5, True, math.nan, 2.0])
+    def test_non_integer_workers_is_malformed(self, workers):
+        """``workers`` follows the rule of every integer argument, as ``--workers`` does."""
+        with pytest.raises(MalformedValue, match="workers must be an integer >= 1"):
+            run_sweep(parse_config(MINIMAL), "gamma", [1.0], "zeta_ratio", workers=workers)
 
     def test_cli_sweep_command(self, half_cfg, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

@@ -1126,9 +1126,8 @@ class TestResolventAtZero:
         """Finite samples whose kernel integrals overflow are a quadrature failure."""
         big = lambda x: np.full_like(np.asarray(x, dtype=float), 1e308)
         zero = lambda x: 0.0 * np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(QuadratureFailure, match="kernel integrals produced non-finite values"):
-                resolvent_at_zero(StateFunctions(zero, zero, big, big), golden)
+        with pytest.raises(QuadratureFailure, match="kernel integrals produced non-finite values"):
+            resolvent_at_zero(StateFunctions(zero, zero, big, big), golden)
 
     def test_zero_input(self, golden):
         U = resolvent_at_zero(StateFunctions.zero(), golden)

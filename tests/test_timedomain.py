@@ -196,11 +196,10 @@ class TestReferenceStepper:
         stored = classical_energy if mode == "classical" else discrete_energy
         steps = np.rint(traj.t / traj.dt).astype(int)
         assert np.any(steps[:-1] % BLOCK)  # rows inside a block
-        assert [t for t, _ in traj.snapshots] == traj.t.tolist()
-        for (t, snap), energy in zip(traj.snapshots, traj.energy):
-            assert snap.t == t
+        assert [snap.t for snap in traj.snapshots] == traj.t.tolist()
+        for snap, energy in zip(traj.snapshots, traj.energy):
             assert energy == pytest.approx(stored(snap, golden), rel=1e-12)
-        _, last = traj.snapshots[-1]
+        last = traj.snapshots[-1]
         for name in ("v", "p", "vdot", "pdot"):
             np.testing.assert_array_equal(getattr(last, name), getattr(traj.final, name))
 
@@ -599,6 +598,30 @@ class TestEnergyBalance:
         with pytest.raises(TypeError):
             energy_balance_residual(traj, golden, math.sin)
 
+    @pytest.mark.parametrize(
+        "sim, thickness",
+        [
+            (SimConfig(mode="classical", T=1.0), 1.0),
+            (SimConfig(mode="open", T=1.0, forcing=math.sin), 1.0),
+            (SimConfig(mode="closed", T=1.0, k=2.0), 1.0),
+            (SimConfig(mode="closed", T=1.0), 2.0),
+        ],
+        ids=["classical", "open", "closed-k2", "other-thickness"],
+    )
+    def test_refuses_runs_it_does_not_describe(self, golden, sim, thickness):
+        """The identity holds for a closed-loop run at ``k = 1/(2h)`` of the beam passed in."""
+        traj = simulate(rich_state(Grid(64)), golden, sim)
+        applied = 0.0 if sim.mode == "open" else sim.k or 1.0 / (2.0 * golden.thickness)
+        assert traj.config == replace(sim, k=applied)
+        with pytest.raises(ValueError, match=f"got a {sim.mode} run at k = "):
+            energy_balance_residual(traj, replace(golden, thickness=thickness))
+
+    def test_explicit_matched_gain_is_the_default_run(self, golden):
+        run = lambda k: simulate(rich_state(Grid(64)), golden, SimConfig(mode="closed", T=1.0, k=k, forcing=math.sin))
+        default, explicit = run(None), run(1.0 / (2.0 * golden.thickness))
+        assert default.config == explicit.config and default.config.k == 1.0 / (2.0 * golden.thickness)
+        assert energy_balance_residual(explicit, golden) == energy_balance_residual(default, golden)
+
     def test_unforced_residual_is_dissipation_accounting(self, golden):
         grid = Grid(256)
         _, state = eigenmode_state(golden, grid)
@@ -656,8 +679,8 @@ class TestClassicalModel:
     def test_snapshots_recorded(self, golden):
         state = gaussian_velocity_state(Grid(64), center=0.5, width=0.1)
         traj = simulate(state, golden, SimConfig(mode="classical", T=1.0, energy_stride=10, snapshots=True))
-        assert len(traj.snapshots) == traj.t.size and traj.snapshots[0][0] == 0.0
-        assert not any(np.any(snap.p) or np.any(snap.pdot) for _, snap in traj.snapshots)
+        assert len(traj.snapshots) == traj.t.size and traj.snapshots[0].t == 0.0
+        assert not any(np.any(snap.p) or np.any(snap.pdot) for snap in traj.snapshots)
 
     def test_classical_energy_definition(self, golden):
         grid = Grid(64)
