@@ -32,6 +32,8 @@ from .spectral import (
     ModalCoefficients,
     _frequencies,
     _model,
+    _snap_tolerance,
+    _snapped,
     _snapped_differences,
     modal_norm_sq,
     output_energy,
@@ -289,17 +291,40 @@ def ingham_frame_bounds(exponents, T: float, *, trials: int | None = None) -> Fr
     ``eigvalsh`` of the unitarily similar real matrix :func:`sinc_gram`;
     ``cmin`` is clamped at 0.  Exponents closer than ``1e-12`` times the
     largest are snapped together and flagged in ``has_collisions``; a
-    collision shows up as a zero eigenvalue.  ``trials`` is accepted for
+    collision shows up as a zero eigenvalue.
+
+    A family of even size whose sorted exponents are their own negation,
+    reversed, as every :func:`exponent_family` is, has the Gram
+    ``[[A, B], [B, A]]`` in the basis ``(lam, -lam)`` of its positive half
+    ``lam``, with ``A = sinc_gram(lam_i - lam_j)`` and
+    ``B = sinc_gram(lam_i + lam_j)``.  Its eigenvalues are those of the
+    cosine Gram ``A + B`` and the sine Gram ``A - B``, so two ``eigvalsh``
+    of half the size replace one, and no full-size matrix is built.  Any
+    other family takes the full Gram.  ``trials`` is accepted for
     compatibility and ignored.  Raises ``ValueError`` unless the exponents
-    form a non-empty 1-d sequence of finite values.
+    form a non-empty 1-d sequence of finite real values.
     """
-    s = np.asarray(exponents, dtype=float)
-    if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
+    s = np.asarray(exponents)
+    if not np.iscomplexobj(s):
+        try:
+            s = s.astype(float)
+        except TypeError:  # an object with no real value, such as a complex number
+            pass
+    if s.dtype != float or s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
         raise ValueError("exponents must be a non-empty 1-d sequence of finite values")
-    delta = _snapped_differences(s, T)
-    eig = np.linalg.eigvalsh(sinc_gram(delta, T))
-    return FrameBounds(
-        cmin=max(float(eig[0]), 0.0),
-        cmax=float(eig[-1]),
-        has_collisions=bool(np.count_nonzero(delta == 0) > s.size),  # beyond the diagonal
-    )
+    s, h = np.sort(s), s.size // 2
+    if s.size % 2 == 0 and np.array_equal(s, -s[::-1]):
+        lam, tol = s[h:], _snap_tolerance(s, T)
+        minus = _snapped(lam[:, None] - lam[None, :], tol)
+        plus = _snapped(lam[:, None] + lam[None, :], tol)
+        a, b = sinc_gram(minus, T), sinc_gram(plus, T)
+        cos_eig, sin_eig = np.linalg.eigvalsh(a + b), np.linalg.eigvalsh(a - b)
+        lo, hi = min(cos_eig[0], sin_eig[0]), max(cos_eig[-1], sin_eig[-1])
+        # each half of the full differences appears twice; the diagonal holds h zeros
+        collided = np.count_nonzero(minus == 0) + np.count_nonzero(plus == 0) > h
+    else:
+        delta = _snapped_differences(s, T)
+        eig = np.linalg.eigvalsh(sinc_gram(delta, T))
+        lo, hi = eig[0], eig[-1]
+        collided = np.count_nonzero(delta == 0) > s.size  # beyond the diagonal
+    return FrameBounds(cmin=max(float(lo), 0.0), cmax=float(hi), has_collisions=bool(collided))

@@ -22,11 +22,11 @@ A modal state is sampled by one rule per kind of sampling, and none costs a
 transcendental per entry.  Time goes through :func:`propagate` alone: a
 state at time ``t`` is the state of ``propagate(coeffs, params, t)``.
 Uniform nodes, ``x_l = l * L / n``, go both ways through one quarter-wave
-sine transform, a real FFT of length ``4 * n``: the analysis
-:func:`_sine_amplitudes` reads the mode amplitudes of trapezoid-weighted
-samples from its odd entries, and the synthesis :func:`_sine_synthesis`
-places amplitudes there, folded modulo ``4 * n`` when ``J > 2 * n``, to
-sample their sine sums at any truncation.  That pair serves the
+sine transform pair, a DST-II and its inverse, each one real FFT of length
+``n``: the synthesis :func:`_sine_synthesis` folds the mode index modulo
+``2 * n`` when ``J > n`` and samples the sine sums at any truncation, and
+the analysis :func:`_sine_amplitudes`, its exact inverse, gives the mode
+amplitudes of trapezoid-weighted samples.  That pair serves the
 ``cells + 1`` quadrature nodes here and every grid of
 :mod:`piezobeam.timedomain`.  :func:`project`, :func:`projection_residual`
 and :func:`resolvent_at_zero` read a state on the quadrature nodes through
@@ -278,43 +278,70 @@ def _waves(J: int, x: np.ndarray, length: float) -> np.ndarray:
     return waves
 
 
-def _sine_sums(c: np.ndarray, n: int) -> np.ndarray:
-    """``sum_l c[..., l] * sin(pi * i * l / (2n))`` for ``i = 0..2n``, by one real FFT.
-
-    The quarter-wave sine transform of both :func:`project` and the
-    time-domain sine basis; ``c`` holds at most ``4n`` entries per row.
-    """
-    return -np.fft.rfft(c, 4 * n).imag
-
-
-def _sine_amplitudes(rows: np.ndarray, n: int, J: int) -> np.ndarray:
-    """Amplitudes ``a_j``, ``j = 1..J``, of ``sum_j a_j sin(sigma_j x)`` through ``rows``.
-
-    ``rows[..., l]`` samples ``x_l = l * L / n``, ``l = 0..n``.  Under the
-    trapezoid weights, 1/2 on node ``n``, the sines are orthogonal with squared
-    norm ``n/2``; node 0, where they vanish, is not read.
-    """
-    weighted = rows.copy()
-    weighted[..., n] *= 0.5  # trapezoid end weight
-    return (2.0 / n) * _sine_sums(weighted, n)[..., 1 : 2 * J : 2]
+@functools.lru_cache(maxsize=8)
+def _quarter_twiddle(n: int) -> np.ndarray:
+    """``exp(-1j * pi * k / (2n))`` for ``k = 0..n//2``, read-only: the quarter-sample
+    shift that makes one real FFT of length ``n`` a DCT-II (Makhoul, 1980)."""
+    twiddle = np.exp((-0.5j * np.pi / n) * np.arange(n // 2 + 1))
+    twiddle.flags.writeable = False
+    return twiddle
 
 
 def _sine_synthesis(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """``sum_j a_j sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``: the inverse of
-    :func:`_sine_amplitudes`.
+    """``sum_j a_j sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``, by one real FFT
+    of length ``n``.
 
-    ``amplitudes[..., j - 1]`` holds the real ``a_j``, ``j = 1..J``; ``a_j``
-    sits at index ``2j - 1`` of one :func:`_sine_sums`.  On these nodes the
-    sines of indices ``4n`` apart agree, so a ``J > 2n`` is folded modulo
-    ``4n`` first and every ``J`` is exact; a ``J <= 2n`` is not folded.
+    ``amplitudes[..., j - 1]`` holds the real ``a_j``, ``j = 1..J``, and every
+    ``J`` is exact.  On these nodes the sines of modes ``2n`` apart agree, and
+    modes ``j`` and ``2n + 1 - j`` are negatives of each other, so a ``J > n``
+    is first folded onto ``n`` amplitudes ``b``.  Nodes ``1..n`` then hold
+    half the DST-II of ``b``, which is the DCT-II of ``b`` with alternating
+    signs, read backwards.  That DCT-II is Makhoul's: the even entries in order
+    and the odd ones reversed, one ``rfft`` and the quarter-sample twiddle,
+    whose real parts are entries ``k <= n/2`` and whose negated imaginary
+    parts are entries ``n - k``.  Node 0 is 0.
     """
-    width = 2 * amplitudes.shape[-1]
-    fold = width > 4 * n
-    c = np.zeros((*amplitudes.shape[:-1], width + fold * (-width % (4 * n))))
-    c[..., 1:width:2] = amplitudes
-    if fold:  # padded to whole periods of 4n, which are summed
-        c = c.reshape(*c.shape[:-1], -1, 4 * n).sum(axis=-2)
-    return _sine_sums(c, n)[..., : n + 1]
+    J = amplitudes.shape[-1]
+    if J > n:  # padded to whole periods of 2n, which are summed; then j > n onto 2n + 1 - j
+        c = np.zeros((*amplitudes.shape[:-1], J + (-J % (2 * n))))
+        c[..., :J] = amplitudes
+        c = c.reshape(*c.shape[:-1], -1, 2 * n).sum(axis=-2)
+        amplitudes, J = c[..., :n] - c[..., n:][..., ::-1], n
+    v = np.zeros((*amplitudes.shape[:-1], n))
+    v[..., : (J + 1) // 2] = amplitudes[..., 0::2]
+    v[..., n - J // 2 :] = -amplitudes[..., 1::2][..., ::-1]
+    w = _quarter_twiddle(n) * np.fft.rfft(v)
+    h = n // 2
+    y = np.empty((*amplitudes.shape[:-1], n + 1))
+    y[..., 0] = 0.0
+    y[..., n - h :] = w.real[..., ::-1]
+    y[..., 1 : n - h] = -w.imag[..., 1 : n - h]
+    return y
+
+
+def _sine_amplitudes(rows: np.ndarray, n: int, J: int) -> np.ndarray:
+    """Amplitudes ``a_j``, ``j = 1..J``, ``J <= n``, of ``sum_j a_j sin(sigma_j x)`` through
+    ``rows``, by one inverse real FFT of length ``n``.
+
+    ``rows[..., l]`` samples ``x_l = l * L / n``, ``l = 0..n``; node 0, where
+    the sines vanish, is not read.  It is the exact inverse of
+    :func:`_sine_synthesis` at ``J = n``, its steps undone in reverse order:
+    the twiddled spectrum is read back from the samples, untwiddled and
+    inverted by one ``irfft``, and its entries put back in mode order.
+    Under the trapezoid weights, 1/2 on node ``n``, the sines are orthogonal
+    with squared norm ``n/2``, so this is also the weighted analysis
+    ``a_j = (2/n) * sum_l weight_l * rows[..., l] * sin(sigma_j x_l)``.
+    """
+    h = n // 2
+    w = np.empty((*rows.shape[:-1], h + 1), dtype=complex)
+    w.real = rows[..., n - h :][..., ::-1]
+    w.imag[..., 0] = 0.0
+    w.imag[..., 1:] = -rows[..., 1 : h + 1]
+    v = np.fft.irfft(_quarter_twiddle(n).conj() * w, n)
+    out = np.empty((*rows.shape[:-1], J))
+    out[..., 0::2] = v[..., : (J + 1) // 2]
+    out[..., 1::2] = -v[..., n - J // 2 :][..., ::-1]
+    return out
 
 
 def _quadrature_cells(J: int = 0) -> int:

@@ -74,11 +74,12 @@ buffer per reading of the meter.
 :func:`discrete_energy` and :func:`classical_energy` evaluate the same form.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
-sine transform: both directions are sums of ``sin(pi * i * l / (2N))``,
-taken by one real FFT of length ``4N`` (:func:`piezobeam.spectral._sine_sums`).
-States enter by the sine analysis that :func:`piezobeam.spectral.project`
-shares (:func:`piezobeam.spectral._sine_amplitudes`) and leave by its
-inverse, the synthesis a modal state samples itself with
+sine transform pair, a DST-II and its inverse over the ``N`` half-integer
+sines ``sin((2j - 1) * pi * l / (2N))``, each taken by one real FFT of
+length ``N``.  States enter by the sine analysis that
+:func:`piezobeam.spectral.project` shares
+(:func:`piezobeam.spectral._sine_amplitudes`) and leave by its inverse, the
+synthesis a modal state samples itself with
 (:func:`piezobeam.spectral._sine_synthesis`).  The same pair serves every
 set of uniform nodes: :func:`grid_state_from_modal` samples a modal state of
 any truncation on the grid by that synthesis, positions a caller gives go

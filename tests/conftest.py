@@ -59,3 +59,15 @@ def energy_inner_quadrature(params, comps, dcomps, x):
         + params.beta * np.abs(params.gamma * vx - px) ** 2
     )
     return float(np.trapezoid(dens, x))
+
+
+def exact_sine_sums(rows, n):
+    """``sum_j rows[..., j - 1] * sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``,
+    each argument ``pi * k / (2n)`` taken with the integer ``k = (2j - 1) * l``
+    reduced modulo ``4n``; summed in blocks of 256 modes."""
+    out = np.zeros((*rows.shape[:-1], n + 1))
+    for start in range(0, rows.shape[-1], 256):
+        block = rows[..., start : start + 256]
+        k = (2 * np.arange(start, start + block.shape[-1]) + 1)[:, None] * np.arange(n + 1) % (4 * n)
+        out += block @ np.sin((np.pi / (2 * n)) * k)
+    return out

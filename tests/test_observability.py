@@ -31,6 +31,7 @@ from piezobeam import (
     quotient_bound,
     sigma,
 )
+from piezobeam import spectral
 
 GOLDEN_RATIO_TARGET = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -359,13 +360,20 @@ class TestFrameBounds:
         np.testing.assert_allclose([out.cmin, out.cmax], [2.5, 2.5], rtol=1e-12)
         assert not out.has_collisions
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1 + 1j])
     def test_non_finite_exponent_rejected(self, bad):
         with pytest.raises(ValueError, match="finite values"):
             ingham_frame_bounds([1.0, bad], 1.0)
 
     def test_coincident_pair_collapses(self):
         out = ingham_frame_bounds([1.0, 1.0], T=3.0)
+        assert out.has_collisions
+        assert out.cmin == pytest.approx(0.0, abs=1e-12)
+
+    def test_mirrored_pair_at_zero_collapses(self):
+        """``-e`` and ``e`` closer than the snap tolerance are one exponent; on the
+        symmetric path that collision is a zero among the sums ``lam_i + lam_j``."""
+        out = ingham_frame_bounds([-1.0, -1e-14, 1e-14, 1.0], T=3.0)
         assert out.has_collisions
         assert out.cmin == pytest.approx(0.0, abs=1e-12)
 
@@ -377,15 +385,59 @@ class TestFrameBounds:
         ratio = bounds[1].cmin / bounds[0].cmin
         assert 0.5 < ratio < 2.0
 
-    @pytest.mark.parametrize("J", [10, 40])
-    def test_bounds_are_gram_extremes(self, ratio_half, J):
+    @pytest.mark.parametrize(
+        "ratio, J", [("ratio_half", 10), ("ratio_half", 40), ("ratio_half", 80), ("ratio_third", 20)],
+        ids=["10", "40", "80", "collided-20"],
+    )
+    def test_bounds_are_gram_extremes(self, ratio_half, request, ratio, J):
+        """On the cosine and sine halves of symmetric families; the ratio-1/3 family
+        collides, so its smallest eigenvalue is a rounded 0, met by the clamp."""
         _, tmin = ingham_gap(ratio_half, 1, 2)
         T = 1.2 * tmin
-        freqs = exponent_family(ratio_half, J)
+        freqs = exponent_family(request.getfixturevalue(ratio), J)
         eig = np.linalg.eigvalsh(direct_gram(freqs, T))
         out = ingham_frame_bounds(freqs, T)
+        if ratio == "ratio_third":
+            assert out.has_collisions and out.cmin < 1e-12
+            np.testing.assert_allclose(out.cmax, eig[-1], rtol=1e-12)
+        else:
+            np.testing.assert_allclose([out.cmin, out.cmax], [eig[0], eig[-1]], rtol=1e-12)
+            assert not out.has_collisions
+
+    @pytest.mark.parametrize("family", ["one-sided", "moved", "odd-with-zero", "symmetric"])
+    def test_each_path_is_the_full_gram(self, ratio_half, golden, family, monkeypatch):
+        """A family that is not its own negation, or is of odd size, takes the full Gram:
+        one ``eigvalsh`` of its size.  A symmetric one takes two of half its size; on the
+        golden family both extremes lie in the sine half.  Both paths give the full
+        Gram's extremes to ``1e-12`` and the ``has_collisions`` of the zeros of the
+        full snapped differences."""
+        _, tmin = ingham_gap(ratio_half, 1, 2)
+        T = 1.2 * tmin
+        freqs = exponent_family(ratio_half, 20)
+        if family == "symmetric":
+            freqs = exponent_family(golden, 20)
+        elif family == "one-sided":
+            freqs = freqs[freqs > 0]
+        elif family == "moved":
+            freqs = freqs.copy()
+            freqs[3] += 1e-9
+        elif family == "odd-with-zero":
+            freqs = np.append(exponent_family(ratio_half, 10), 0.0)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            sizes.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        out = ingham_frame_bounds(freqs, T)
+        monkeypatch.undo()
+        assert sizes == ([freqs.size // 2] * 2 if family == "symmetric" else [freqs.size])
+        eig = np.linalg.eigvalsh(direct_gram(freqs, T))
         np.testing.assert_allclose([out.cmin, out.cmax], [eig[0], eig[-1]], rtol=1e-12)
-        assert not out.has_collisions
+        delta = spectral._snapped_differences(np.sort(freqs), T)
+        assert out.has_collisions == bool(np.count_nonzero(delta == 0) > freqs.size)
 
     def test_random_quotients_lie_inside_the_bounds(self, ratio_half):
         """Rayleigh quotients of the Gram at random complex vectors, some of them

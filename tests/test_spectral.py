@@ -43,7 +43,7 @@ from piezobeam.spectral import (
     _waves,
     phase_integral,
 )
-from conftest import energy_inner_quadrature
+from conftest import energy_inner_quadrature, exact_sine_sums
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -133,18 +133,6 @@ def mpmath_reconstruct(coeffs, params, x, t, derivative, dps=40):
             for r in range(4):
                 fields[r] = [f + rows[r] * p for f, p in zip(fields[r], profile)]
         return np.array([[complex(f) for f in row] for row in fields])
-
-
-def exact_sine_sums(rows, n):
-    """``sum_j rows[..., j - 1] * sin(sigma_j x_l)`` on ``x_l = l * L / n``, ``l = 0..n``,
-    each argument ``pi * k / (2n)`` taken with the integer ``k = (2j - 1) * l``
-    reduced modulo ``4n``; summed in blocks of 256 modes."""
-    out = np.zeros((*rows.shape[:-1], n + 1))
-    for start in range(0, rows.shape[-1], 256):
-        block = rows[..., start : start + 256]
-        k = (2 * np.arange(start, start + block.shape[-1]) + 1)[:, None] * np.arange(n + 1) % (4 * n)
-        out += block @ np.sin((np.pi / (2 * n)) * k)
-    return out
 
 
 def reference_propagate(coeffs, params, t):
@@ -955,6 +943,76 @@ class TestProjection:
         exact = exact_sine_sums(spectral._field_rows(coeffs, golden)[:4], N)
         got = np.stack((state.v, state.p, state.vdot, state.pdot))
         assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def scale_error(got, want):
+    """``max |got - want|`` over ``max |want|``."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSineTransforms:
+    """The quarter-wave pair on ``n + 1`` uniform nodes: ``_sine_synthesis`` and its inverse
+    ``_sine_amplitudes``, against SciPy's DST-II and the integer-reduced exact sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 64, 2048])
+    def test_pair_is_half_the_dst2_and_twice_its_inverse(self, n):
+        """Nodes ``1..n`` of the synthesis at ``J = n`` are ``dst(a, type=2) / 2`` and node 0
+        is exactly 0; the analysis is ``2 * idst(y[1:], type=2)`` and never reads node 0."""
+        import scipy.fft
+
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((3, n))
+        y = spectral._sine_synthesis(a, n)
+        assert y.shape == (3, n + 1)
+        assert np.all(y[:, 0] == 0.0)
+        assert scale_error(y[:, 1:], scipy.fft.dst(a, type=2) / 2) <= 1e-14
+        rows = rng.standard_normal((3, n + 1))
+        want = 2 * scipy.fft.idst(rows[:, 1:], type=2)
+        assert scale_error(spectral._sine_amplitudes(rows, n, n), want) <= 1e-14
+        before = spectral._sine_amplitudes(rows, n, n)
+        rows[:, 0] = 1.0 + rng.standard_normal(3)
+        np.testing.assert_array_equal(spectral._sine_amplitudes(rows, n, n), before)
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 2048])
+    def test_pair_is_the_exact_sine_sums(self, n):
+        """At ``J`` below, at and above ``n``, ``2n`` and ``5n``, the synthesis is the exact
+        sine sums to ``1e-14`` of their scale; for ``J <= n`` the analysis of those sums,
+        and of the synthesis, gives the amplitudes back to ``1e-14``."""
+        rng = np.random.default_rng(n + 1)
+        for J in (1, n - 1, n, n + 1, 2 * n, 2 * n + 1, 5 * n + 3):
+            a = rng.standard_normal((2, J))
+            exact = exact_sine_sums(a, n)
+            got = spectral._sine_synthesis(a, n)
+            assert got.shape == exact.shape
+            assert scale_error(got, exact) <= 1e-14, J
+            if J <= n:
+                assert scale_error(spectral._sine_amplitudes(exact, n, J), a) <= 1e-14, J
+                assert scale_error(spectral._sine_amplitudes(got, n, J), a) <= 1e-14, J
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_no_modes_give_zeros(self, n):
+        np.testing.assert_array_equal(spectral._sine_synthesis(np.zeros((3, 0)), n), np.zeros((3, n + 1)))
+        assert spectral._sine_amplitudes(np.ones((3, n + 1)), n, 0).shape == (3, 0)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_one_real_fft_of_length_n_each_way(self, n, monkeypatch):
+        """The synthesis is one ``rfft`` and the analysis one ``irfft``, each of length ``n``,
+        at any ``J``: folding a ``J > n`` costs no longer transform."""
+        lengths = []
+
+        def spy(transform):
+            def call(*args, **kwargs):
+                out = transform(*args, **kwargs)
+                lengths.append((transform.__name__, out.shape[-1]))
+                return out
+
+            return call
+
+        for transform in (np.fft.rfft, np.fft.irfft):
+            monkeypatch.setattr(np.fft, transform.__name__, spy(transform))
+        spectral._sine_synthesis(np.ones((2, 5 * n + 3)), n)
+        spectral._sine_amplitudes(np.ones((2, n + 1)), n, n)
+        assert lengths == [("rfft", n // 2 + 1), ("irfft", n)]  # an rfft of length n gives n // 2 + 1
 
 
 class TestPropagation:

@@ -38,8 +38,9 @@ from piezobeam import (
     state_from_samples,
 )
 from piezobeam.config import RunConfig
-from piezobeam.spectral import _model, _sine_sums
+from piezobeam.spectral import _model
 from piezobeam.timedomain import BLOCK, _from_sines
+from conftest import exact_sine_sums
 
 
 def eigenmode_state(params, grid, family=1, j=1):
@@ -235,21 +236,20 @@ class TestReferenceStepper:
             np.testing.assert_allclose(traj.y[:-1], first.y[::stride][: traj.t.size - 1], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("classical", [False, True], ids=["coupled", "classical"])
-    def test_leaving_the_sine_basis_is_the_hand_placed_transform(self, golden, classical):
-        """``_from_sines`` gives ``rfft`` bitwise the array it once built by hand: the
-        amplitudes at the odd indices of a ``(R, 2m, 2N)`` zero array."""
+    def test_leaving_the_sine_basis_is_the_exact_sine_sums(self, golden, classical):
+        """``_from_sines`` mixes, by ``model.modes``, the exact sine sums of its scaled
+        amplitudes, ``z.imag / pos`` for the positions and ``z.real / vel`` for the
+        velocities, to ``1e-14`` of their scale."""
         model = _model(golden, classical=classical)
         m, n, R = model.lam.size, 48, 3
         rng = np.random.default_rng(5)
         z = rng.standard_normal((R, m * n)) + 1j * rng.standard_normal((R, m * n))
         pos, vel = rng.uniform(0.5, 2.0, (2, m, n))
-        c = np.zeros((R, 2 * m, 2 * n))
-        c[:, :m, 1::2] = z.reshape(R, m, n).imag / pos
-        c[:, m:, 1::2] = z.reshape(R, m, n).real / vel
-        w = _sine_sums(c, n)[..., : n + 1]
         u, ud = _from_sines(z, model, pos, vel)
-        np.testing.assert_array_equal(u, model.modes @ w[:, :m])
-        np.testing.assert_array_equal(ud, model.modes @ w[:, m:])
+        for got, amplitudes in ((u, z.reshape(R, m, n).imag / pos), (ud, z.reshape(R, m, n).real / vel)):
+            exact = model.modes @ exact_sine_sums(amplitudes, n)
+            assert got.shape == exact.shape
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 class TestNonFiniteState:
