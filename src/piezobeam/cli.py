@@ -20,7 +20,7 @@ import numpy as np
 
 from . import observability as obs
 from . import spectral
-from .config import FLOAT_KEYS, INT_KEYS, RunConfig, _fields, _number, load_config
+from .config import FLOAT_KEYS, INT_KEYS, RunConfig, _fields, load_config
 from .csvio import read_csv, write_csv, write_svg
 from .errors import (
     MalformedValue,
@@ -29,8 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .frequency import _LINE, transfer_closed
-from .params import StabilityClass, _check_integer, classify_stability, derive_constants
-from .sweeps import SWEEP_METRICS, _check_workers, run_sweep
+from .params import StabilityClass, classify_stability, derive_constants
+from .sweeps import SWEEP_METRICS, run_sweep
 from .timedomain import (
     Grid,
     _run_config,
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="transfer function on a vertical line")
     common(p)
     p.add_argument("--s1", default=str(_LINE[0]), help="real part of the line")
-    p.add_argument("--im-max", default=str(_LINE[1]))
+    p.add_argument("--im-max", default=str(_LINE[1]), help="largest |Im s| of the line; finite and >= 0")
     p.add_argument("--n-points", default=str(_LINE[2]))
 
     p = sub.add_parser("observability", help="odd/odd approximants and quotients")
@@ -111,17 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The numeric flags that set no config key, read as the config keys are
-# (config._number); each command checks the range of its own.
-_FLAGS = {"s1": False, "im_max": False, "n_points": True, "count": True, "workers": True}
-
-
-def _read_flags(args) -> None:
-    """Replace the text of each given flag of :data:`_FLAGS` by its number, an ``int``
-    where the value is ``True``; an error is named with its flag."""
-    for dest, integer in _FLAGS.items():
-        if (text := getattr(args, dest, None)) is not None:
-            setattr(args, dest, _number(dest, text, "--" + dest.replace("_", "-"), integer))
+# the numeric flags that set no config key
+_OPTIONS = ("s1", "im_max", "n_points", "count", "workers")
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -226,7 +217,6 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_transfer(args, cfg: RunConfig) -> int:
-    _check_integer(args.n_points, "--n-points")
     s = np.empty(args.n_points, dtype=complex)
     s.real, s.imag = args.s1, np.linspace(-args.im_max, args.im_max, args.n_points)
     g = transfer_closed(s, cfg.params)
@@ -241,7 +231,6 @@ def _cmd_transfer(args, cfg: RunConfig) -> int:
 def _cmd_observability(args, cfg: RunConfig) -> int:
     params = cfg.params
     dc = derive_constants(params)
-    obs._check_count(args.count, "--count")
     approximants = obs.odd_odd_approximants(dc.ratio, count=args.count, qmax=cfg.qmax)
     rows = []
     for a in approximants:
@@ -264,7 +253,6 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
             raise MalformedValue(f"--values: {entry.strip()!r} is not a number") from None
     if not values:
         raise MalformedValue(f"--values: {args.values!r} holds no value")
-    _check_workers(args.workers, "--workers")
     rows = run_sweep(cfg, args.param, values, args.metric, workers=args.workers)
     path = _out_path(args, "sweep.csv")
     write_csv(path, ["value", "metric", "error"], columns=zip(*rows))
@@ -288,13 +276,14 @@ def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # a flag that sets a config key is checked by that key's rule and named in its error
-    flags = {key: (text, "--jmax" if key == "J" else f"--{key}")
-             for key in INT_KEYS + FLOAT_KEYS if (text := getattr(args, key, None)) is not None}
+    # every numeric flag is read and checked by its key's rule and named in its error;
+    # a flag that sets a config key goes into the RunConfig, any other into ``args``
+    flags = {key: (text, "--jmax" if key == "J" else "--" + key.replace("_", "-"))
+             for key in INT_KEYS + FLOAT_KEYS + _OPTIONS if (text := getattr(args, key, None)) is not None}
     try:
-        cfg = replace(load_config(args.config), **_fields(flags))
-        _read_flags(args)
-        return _COMMANDS[args.command](args, cfg)
+        cfg, given = load_config(args.config), _fields(flags)
+        vars(args).update((key, given.pop(key)) for key in _OPTIONS if key in given)
+        return _COMMANDS[args.command](args, replace(cfg, **given))
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -18,7 +18,7 @@ from .params import BeamParameters, _check_option, _FIELD_NAMES as PHYSICAL_KEYS
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
-INT_KEYS = tuple(_LEAST)  # J, N, qmax
+INT_KEYS = ("J", "N", "qmax")
 FLOAT_KEYS = ("T", "k", "cfl", "sample_dt", "tol")
 
 
@@ -46,9 +46,8 @@ class RunConfig:
 
 
 def _number(key: str, text: str, where: str, integer: bool = False) -> float | int:
-    """``text`` as the value of ``key``: a finite number, and an ``int`` when ``integer``
-    (the keys ``J``, ``N`` and ``qmax``, and the CLI's integer flags); each error starts
-    with ``where`` (``line 8`` or ``--N``)."""
+    """``text`` as the value of ``key``: a finite number, and an ``int`` when ``integer``;
+    each error starts with ``where`` (``line 8`` or ``--N``)."""
     try:
         number = float(text)
     except ValueError as exc:
@@ -63,11 +62,12 @@ def _number(key: str, text: str, where: str, integer: bool = False) -> float | i
 
 
 def _fields(given: dict[str, tuple[str, str]]) -> dict[str, float | int]:
-    """The run options that ``{key: (text, where)}`` sets, each read by :func:`_number`
-    and checked by :func:`_check_option`."""
+    """The options that ``{key: (text, where)}`` sets, each read by :func:`_number`, as an
+    ``int`` for an integer option of :func:`_check_option`, and checked by it; ``N`` is
+    returned as ``n``, the :class:`RunConfig` field."""
     fields = {}
     for key, (text, where) in given.items():
-        fields["n" if key == "N" else key] = number = _number(key, text, where, key in INT_KEYS)
+        fields["n" if key == "N" else key] = number = _number(key, text, where, key in _LEAST)
         _check_option(key, number, where)
     return fields
 

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PoleProximity, SingularSystem
-from .params import BeamParameters, DerivedConstants, _check_integer
+from .params import BeamParameters, DerivedConstants, _check_integer, _check_option
 from .spectral import _model
 
 __all__ = [
@@ -274,10 +274,11 @@ def boundedness_scan(s1: float, im_max: float, n: int, params: BeamParameters) -
     Returns the supremum over the ``n`` sample points, its location, and the
     analytic line bound, which the supremum is checked against.  Raises
     ``ValueError`` unless ``s1`` is finite and > 0, ``im_max`` is finite and
-    >= 0, and ``n`` is an integer >= 1.
+    >= 0, and ``n`` is an integer >= 1; ``im_max`` is checked by the rule of
+    the CLI's ``transfer --im-max`` (:func:`_check_option`), so a negative one is
+    :class:`NonPositiveParameter` and a non-finite one :class:`MalformedValue`.
     """
-    if not 0 <= im_max < np.inf:
-        raise ValueError(f"im_max must be finite and >= 0, got {im_max}")
+    _check_option("im_max", im_max)
     _check_integer(n, "n")
     bound = analytic_line_bound(s1, params)
     ims = np.linspace(-im_max, im_max, n)

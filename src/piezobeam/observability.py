@@ -106,12 +106,6 @@ def _records(zeta: float, qmax: int):
         size = min(4 * size, _MAX_BLOCK)
 
 
-def _check_count(count, name: str = "count") -> None:
-    """The rule for a count of approximants: an integer >= 1, else :class:`InvalidBudget`
-    (:class:`MalformedValue` for a non-integer); the message names ``name``."""
-    _check_integer(count, name, error=InvalidBudget)
-
-
 def odd_odd_approximants(
     zeta: float, count: int, qmax: int = 100_000
 ) -> list[OddApproximant]:
@@ -139,13 +133,15 @@ def odd_odd_approximants(
 
     Returns up to ``count`` approximants with strictly increasing ``q``.
     Warns with :class:`ExhaustedBudget` if the budget runs out first.
-    Raises :class:`InvalidBudget` unless ``0 < zeta < inf``, ``count >= 1`` and
-    ``zeta * qmax < 2**52``, and :class:`MalformedValue` for a ``count`` that is not
-    an integer; ``qmax`` is checked as its config key.
+    Raises :class:`InvalidBudget` unless ``0 < zeta < inf`` and
+    ``zeta * qmax < 2**52``; ``count`` is checked by the rule of the CLI's
+    ``--count`` and ``qmax`` by its config key's (:func:`_check_option`): a
+    ``count`` below 1 is :class:`InvalidBudget`, one that is not an integer
+    :class:`MalformedValue`.
     """
     if not 0 < zeta < math.inf:
         raise InvalidBudget(f"target must be finite and > 0, got {zeta}")
-    _check_count(count)
+    _check_option("count", count)
     _check_option("qmax", qmax)
     if qmax >= 2**52 or zeta * qmax >= 2**52:
         raise InvalidBudget(f"need zeta * qmax < 2**52 for an exact search, got {zeta!r} * {qmax}")

@@ -76,10 +76,15 @@ class BeamParameters:
 
 _FIELD_NAMES = tuple(f.name for f in fields(BeamParameters))
 MIN_CELLS = 16  # the fewest grid cells a time-domain run takes (the key N)
-_LEAST = {"J": 1, "N": MIN_CELLS, "qmax": 1}  # the integer run options and their least values
-_OPEN = {"cfl": (0.0, 1.0, "lie in (0, 1)"), "k": (-math.inf, math.inf, "be a finite number")}
+# the integer options and their least values: the config keys, then the command options
+_LEAST = {"J": 1, "N": MIN_CELLS, "qmax": 1, "n_points": 1, "count": 1, "workers": 1}
+_FINITE = (-math.inf, math.inf, "be a finite number")
+# the float options whose range is not (0, inf), as open bounds: -ulp(0) < im_max is im_max >= 0
+_OPEN = {"cfl": (0.0, 1.0, "lie in (0, 1)"), "k": _FINITE, "s1": _FINITE,
+         "im_max": (-math.ulp(0.0), math.inf, "be finite and >= 0")}
 _POSITIVE = (0.0, math.inf, "be finite and > 0")  # the range of every other float option
-_RANGE_ERROR = {"cfl": CflViolation, "qmax": InvalidBudget, "tol": InvalidBudget}
+_RANGE_ERROR = {"cfl": CflViolation, "qmax": InvalidBudget, "tol": InvalidBudget,
+                "count": InvalidBudget, "workers": ValueError}
 
 
 def _integral(value) -> bool:
@@ -97,12 +102,15 @@ def _check_integer(value, name: str, minimum: int = 1, error: type[Exception] = 
 
 
 def _check_option(key: str, value, where: str = "") -> None:
-    """Raise unless ``value`` suits the run option ``key``: one rule for a config line, a
+    """Raise unless ``value`` suits the option ``key``: one rule for a config line, a
     CLI flag and a library call.  ``J``, ``N``, ``qmax`` take integers >= 1, :data:`MIN_CELLS`,
-    1 (:func:`_check_integer`); ``cfl`` lies in (0, 1), ``k`` is finite and the rest are finite
-    and > 0.  A value not finite or not an integer raises :class:`MalformedValue`,
-    ``gamma = 0`` :class:`DegenerateCoupling` and one out of range :data:`_RANGE_ERROR`
-    or :class:`NonPositiveParameter`; the message names ``key`` after ``where`` (``--N``).
+    1, and the command options ``n_points``, ``count``, ``workers`` integers >= 1
+    (:func:`_check_integer`); ``cfl`` lies in (0, 1), ``k`` and ``s1`` are finite, ``im_max``
+    is finite and >= 0, and the rest are finite and > 0.  A value not finite or not an
+    integer raises :class:`MalformedValue`, ``gamma = 0`` :class:`DegenerateCoupling` and
+    one out of range :data:`_RANGE_ERROR` (:class:`InvalidBudget` for ``qmax``, ``tol``,
+    ``count``; ``ValueError`` for ``workers``) or :class:`NonPositiveParameter`; the
+    message names ``key`` after ``where`` (``--N``).
     """
     name = f"{where}: {key}" if where else key
     if key in _LEAST:

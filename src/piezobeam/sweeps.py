@@ -16,7 +16,7 @@ from dataclasses import replace
 from .config import PHYSICAL_KEYS, RunConfig
 from .errors import PiezoBeamError
 from .frequency import _LINE, boundedness_scan
-from .params import _check_integer, classify_stability, derive_constants
+from .params import _check_option, classify_stability, derive_constants
 from .timedomain import Grid, _run_config, decay_rate, gaussian_velocity_state
 
 __all__ = ["SWEEP_METRICS", "evaluate_metric", "run_sweep"]
@@ -42,13 +42,6 @@ def evaluate_metric(cfg: RunConfig, metric: str):
     raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
 
 
-def _check_workers(workers, name: str = "workers") -> None:
-    """The rule for ``workers``: None or an integer >= 1, else ``ValueError`` naming ``name``
-    (:class:`MalformedValue` for a non-integer)."""
-    if workers is not None:
-        _check_integer(workers, name, error=ValueError)
-
-
 def run_sweep(
     cfg: RunConfig,
     param_name: str,
@@ -63,15 +56,17 @@ def run_sweep(
     stands for each point's own ``1/(2*thickness)``, so a ``thickness``
     sweep uses each beam's own matched gain; a given ``k`` is held fixed.
     Points always run serially; ``workers`` is accepted for compatibility,
-    must be None or an integer >= 1 (a non-integer such as ``1.5``, ``2.0`` or
-    ``True`` is :class:`MalformedValue`, as for every integer argument) and
+    must be None or pass the rule of its option, ``_check_option("workers", ...)``:
+    an integer >= 1, else ``ValueError`` (a non-integer such as ``1.5``, ``2.0``
+    or ``True`` is :class:`MalformedValue`, as for every integer argument), and
     is otherwise ignored.
     """
     if param_name not in PHYSICAL_KEYS:
         raise ValueError(f"{param_name!r} is not a physical parameter")
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
-    _check_workers(workers)
+    if workers is not None:
+        _check_option("workers", workers)
 
     def task(value):
         try:  # the point's beam is checked as it is built

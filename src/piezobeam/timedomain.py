@@ -70,7 +70,7 @@ known voltages, and the meter and the output take one square and two
 products over a buffer of such rows.  The recorded steps are the run's only
 samples: step 0, every ``energy_stride``-th step and the final step.  Kept
 snapshots are the states of those same rows, one inverse transform of the
-buffer per reading of the meter.
+buffer per reading of the meter; step 0's is the initial state itself.
 :func:`discrete_energy` and :func:`classical_energy` evaluate the same form.
 
 *Transform.*  States enter and leave the sine basis through a quarter-wave
@@ -361,6 +361,14 @@ def _as_state(grid: Grid, u, ud, t: float) -> GridState:
     return GridState(grid, v, p, vdot, pdot, t)
 
 
+def _forward_substitute(kernel: np.ndarray, rows: np.ndarray) -> None:
+    """Solve ``(I - G) x = rows`` in place by forward substitution, ``G`` the strictly
+    lower Toeplitz matrix of ``kernel``: row ``l`` gains ``kernel[l:0:-1] @ x[:l]``, so a
+    non-finite row spoils no earlier one."""
+    for l in range(1, len(rows)):
+        rows[l] += kernel[l:0:-1] @ rows[:l]
+
+
 def _block_tables(rotation: np.ndarray, trace_xi: np.ndarray, gain: float):
     """Constant tables of :data:`BLOCK` closed-loop steps.
 
@@ -384,8 +392,7 @@ def _block_tables(rotation: np.ndarray, trace_xi: np.ndarray, gain: float):
     feedback.real = gain * trace_xi * powers[1:].real
     feedback.imag = -gain * trace_xi * powers[1:].imag
     feedback = feedback.view(np.float64)
-    for l in range(1, BLOCK):
-        feedback[l] += kernel[l:0:-1] @ feedback[:l]
+    _forward_substitute(kernel, feedback)
     return powers, kicks, kernel, feedback
 
 
@@ -414,7 +421,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     metered batch keeps its times, energies, outputs and inputs as four
     arrays, joined once when the run ends.  With ``cfg.snapshots`` each batch
     is also transformed back to the grid, so the snapshots are the states at
-    ``Trajectory.t``.  Returns a :class:`Trajectory` with per-step energies,
+    ``Trajectory.t``; the first equals ``Trajectory.initial`` bit for bit, at
+    ``t = 0``.  Returns a :class:`Trajectory` with per-step energies,
     output samples, the one external input ``cfg.forcing`` at each recorded
     step (the value the run applied there, from the one call it makes per
     step) and ``cfg`` with the gain it applied.  Raises
@@ -462,7 +470,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
     inputs: list[float] = []  # and the inputs at those steps
     windows = np.arange(BLOCK) + np.arange(BLOCK + 1)[:, None]  # row l: the kicks of steps 1..l, right-aligned
 
-    def record(steps, z, f) -> None:
+    def record(steps, z, f, fields=None) -> None:
         e, y = meter(z)
         finite = np.isfinite(e)
         if not finite.all():
@@ -470,8 +478,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         t = np.asarray(steps) * dt
         # a bare y is a view that would keep the meter's whole product alive
         batches.append((t, e, y + f if forced else y.copy(), f))
-        if cfg.snapshots:
-            us, uds = _from_sines(z, model, pos, vel)
+        if cfg.snapshots:  # the rows' fields, unless given
+            us, uds = fields or _from_sines(z, model, pos, vel)
             snapshots.extend(_as_state(grid, u, ud, when) for when, u, ud in zip(t.tolist(), us, uds))
 
     def flush() -> None:
@@ -481,7 +489,7 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
             inputs.clear()
 
     f0 = external(0.0) if external is not None else 0.0
-    record([0], xi[None], np.array([f0]))
+    record([0], xi[None], np.array([f0]), (u[None], ud[None]))  # step 0 keeps the initial bits
     xi += 0.5 * (k * float(xi.real @ trace_xi) + f0)
     f = np.zeros(BLOCK)  # the inputs of the block's steps
     xf = xi.view(np.float64)
@@ -492,9 +500,8 @@ def simulate(initial: GridState, params: BeamParameters, cfg: SimConfig) -> Traj
         if external is not None:
             f = np.array([external((done + l) * dt) for l in range(1, span + 1)])
             forcing = (1.0 + gain * trace_load) * f
-            if k:  # forward substitution: a non-finite input spoils no earlier voltage
-                for l in range(1, span):
-                    forcing[l] += kernel[l:0:-1] @ forcing[:l]
+            if k:  # a non-finite input spoils no earlier voltage
+                _forward_substitute(kernel, forcing)
             voltage += forcing
         last = span - (done + span == nsteps)  # the final step is recorded after the loop
         at = range(stride - done % stride, last + 1, stride)

@@ -143,6 +143,9 @@ class TestParseConfig:
             parse_config(MINIMAL + "voltage = 3\n")
         with pytest.raises(MalformedValue, match="seed"):
             parse_config(MINIMAL + "seed = 42\n")
+        for key in ("count", "workers", "s1", "im_max", "n_points"):  # a command option's rule, not a key
+            with pytest.raises(MalformedValue, match=f"line 9: unknown key '{key}'"):
+                parse_config(MINIMAL + f"{key} = 1\n")
 
     def test_option_overrides(self):
         cfg = parse_config(MINIMAL + "J = 16\nN = 128\nk = 0.25\ntol = 1e-6\n")
@@ -421,6 +424,21 @@ class TestCommands:
                   columns=[list(column) for column in (s.real, s.imag, g.real, g.imag, np.abs(g))])
         assert out_csv.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--s1", "0"], ["--s1", "-1"], ["--im-max", "0"]])
+    def test_transfer_line_on_or_left_of_the_axis(self, flags, half_cfg, tmp_path, capsys):
+        """``--s1`` takes any finite number, so the CLI samples the imaginary axis and the
+        left half-plane, and ``--im-max 0`` one point; each table is the line's."""
+        out_csv = tmp_path / "freq.csv"
+        assert run(["transfer", "--config", str(half_cfg), "--out", str(out_csv)] + flags) == 0
+        line = {"--s1": 1.0, "--im-max": 100.0} | {flags[0]: float(flags[1])}
+        s = np.empty(2001, dtype=complex)
+        s.real, s.imag = line["--s1"], np.linspace(-line["--im-max"], line["--im-max"], 2001)
+        g = transfer_closed(s, load_config(str(half_cfg)).params)
+        want = tmp_path / "want.csv"
+        write_csv(want, ["re_s", "im_s", "re_G", "im_G", "abs_G"],
+                  columns=[s.real, s.imag, g.real, g.imag, np.abs(g)])
+        assert out_csv.read_bytes() == want.read_bytes()
+
     def test_simulate_records_at_the_csv_stride(self, half_cfg, tmp_path, capsys):
         """The CSV holds every recorded row of a run at the CSV's stride; ``steps=`` counts
         time steps and ``decay_rate`` is fitted on the CSV's columns."""
@@ -503,6 +521,18 @@ class TestCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("mode", ["closed", "classical"])
+    def test_first_snapshot_reseeds_the_run_exactly(self, mode, half_cfg, tmp_path, capsys):
+        """``state_0000.csv`` is the initial state, so a run seeded from it writes the
+        bytes of the run that wrote it."""
+        common = ["simulate", "--config", str(half_cfg), "--mode", mode, "--N", "64", "--T", "0.5"]
+        assert run(common + ["--out", str(tmp_path / "a.csv"), "--snapshots", str(tmp_path / "a")]) == 0
+        seed = tmp_path / "a" / "state_0000.csv"
+        assert run(common + ["--out", str(tmp_path / "b.csv"), "--snapshots", str(tmp_path / "b"),
+                             "--initial", f"file:{seed}"]) == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert (tmp_path / "b" / "state_0000.csv").read_bytes() == seed.read_bytes()
+
     def test_exit_code_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(MINIMAL.replace("gamma = 1", "gamma = -1"))
@@ -514,7 +544,7 @@ class TestCommands:
         [
             (["transfer", "--s1", "nan"], "MalformedValue: --s1: s1 = 'nan' is not a finite number"),
             (["transfer", "--im-max", "inf"], "MalformedValue: --im-max: im_max = 'inf' is not a finite number"),
-            (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points must be an integer >= 1, got 0"),
+            (["transfer", "--n-points", "0"], "NonPositiveParameter: --n-points: n_points must be an integer >= 1, got 0"),
             (["simulate", "--N", "64", "--k", "nan"], "MalformedValue: --k: k = 'nan' is not a finite number"),
             (["simulate", "--N", "64", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
             (["observability", "--T", "inf"], "MalformedValue: --T: T = 'inf' is not a finite number"),
@@ -529,11 +559,12 @@ class TestCommands:
             (["observability", "--count", "x"], "MalformedValue: --count: count = 'x' is not a number"),
             (["observability", "--count", "nan"], "MalformedValue: --count: count = 'nan' is not a finite number"),
             (["observability", "--count", "1.5"], "MalformedValue: --count: count = '1.5' is not an integer"),
-            (["observability", "--count", "0"], "InvalidBudget: --count must be an integer >= 1, got 0"),
+            (["observability", "--count", "0"], "InvalidBudget: --count: count must be an integer >= 1, got 0"),
             (SWEEP + ["--workers", "1.5"], "MalformedValue: --workers: workers = '1.5' is not an integer"),
             (SWEEP + ["--workers", "two"], "MalformedValue: --workers: workers = 'two' is not a number"),
             (SWEEP + ["--workers", "inf"], "MalformedValue: --workers: workers = 'inf' is not a finite number"),
-            (SWEEP + ["--workers", "0"], "ValueError: --workers must be an integer >= 1, got 0"),
+            (SWEEP + ["--workers", "0"], "ValueError: --workers: workers must be an integer >= 1, got 0"),
+            (["transfer", "--im-max", "-1"], "NonPositiveParameter: --im-max: im_max must be finite and >= 0, got -1.0"),
         ],
     )
     def test_bad_numeric_flag_exits_2(self, argv, message, half_cfg, tmp_path, capsys):
@@ -725,6 +756,18 @@ _BAD_VALUES = [
 ]
 
 
+# the command options that a library call also takes: a bad value per failure kind, the
+# class that rejects it, and the call of the value
+_COMMAND_OPTIONS = [
+    *[(SWEEP, "--workers", text, error, lambda v: run_sweep(RunConfig(_BEAM), "gamma", [1.0], "zeta_ratio", workers=v))
+      for text, error in (("0", ValueError), ("-2", ValueError), ("2.5", MalformedValue))],
+    *[(["observability"], "--count", text, error, lambda v: odd_odd_approximants(0.618, v))
+      for text, error in (("0", InvalidBudget), ("-1", InvalidBudget), ("1.5", MalformedValue))],
+    *[(["transfer"], "--im-max", text, error, lambda v: boundedness_scan(1.0, v, 101, _BEAM))
+      for text, error in (("-1", NonPositiveParameter), ("-0.5", NonPositiveParameter))],
+]
+
+
 class TestOneRulePerValue:
     """A bad value gets one class whether it comes from a config line, the key's flag or a
     library call, and each message names the key."""
@@ -759,6 +802,20 @@ class TestOneRulePerValue:
                 call(value)
             assert type(as_call.value) is error
             assert str(as_call.value).startswith(f"{key} ")
+
+    @pytest.mark.parametrize("argv, flag, text, error, call", _COMMAND_OPTIONS,
+                             ids=[f"{flag} {text}" for _, flag, text, _, _ in _COMMAND_OPTIONS])
+    def test_command_option_flag_and_library_agree(self, argv, flag, text, error, call, half_cfg, tmp_path, capsys):
+        """A bad value of a command option gets the class of its library call, named with the key."""
+        key = flag[2:].replace("-", "_")
+        assert run(argv + ["--config", str(half_cfg), flag, text, "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"error: {error.__name__}: {flag}: {key} " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [half_cfg]
+        value = int(text) if text.lstrip("-").isdigit() else float(text)
+        with pytest.raises(error) as as_call:
+            call(value)
+        assert type(as_call.value) is error
+        assert str(as_call.value).startswith(f"{key} ")
 
 
 class TestSweeps:

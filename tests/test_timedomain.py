@@ -204,6 +204,19 @@ class TestReferenceStepper:
         for name in ("v", "p", "vdot", "pdot"):
             np.testing.assert_array_equal(getattr(last, name), getattr(traj.final, name))
 
+    @pytest.mark.parametrize("mode", ["open", "closed", "classical"])
+    @pytest.mark.parametrize("initial", ["bump", "sine:2"])
+    def test_first_snapshot_is_the_initial_state(self, golden, mode, initial):
+        """The step-0 snapshot is the run's initial state bit for bit, at ``t = 0``, and
+        not a round trip through the sine basis."""
+        grid = Grid(64)
+        state = gaussian_velocity_state(grid) if initial == "bump" else sine_velocity_state(grid, 2)
+        traj = simulate(state, golden, SimConfig(mode=mode, T=0.5, energy_stride=4, snapshots=True))
+        first = traj.snapshots[0]
+        assert first.t == 0.0 and first is not traj.initial
+        for name in ("v", "p", "vdot", "pdot"):
+            np.testing.assert_array_equal(getattr(first, name), getattr(traj.initial, name))
+
     @pytest.mark.parametrize(
         "cfg",
         [
